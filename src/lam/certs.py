@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
+from .backend import _verify_hex
 from .errors import InvalidCertificationError, LamError
 from .hashcore import Digest, canonicalize, hash_bytes, hash_file_once, parse_canonical
 
@@ -61,14 +61,6 @@ class Endorser:
             seed_bytes = seed.encode("utf-8") if isinstance(seed, str) else seed
             key_bytes = hashlib.sha256(seed_bytes).digest()
         return cls(endorser_id=endorser_id, private_key=Ed25519PrivateKey.from_private_bytes(key_bytes))
-
-
-def _verify_hex(pubkey_hex: str, signature: bytes, message: bytes) -> bool:
-    try:
-        Ed25519PublicKey.from_public_bytes(bytes.fromhex(pubkey_hex)).verify(signature, message)
-        return True
-    except (InvalidSignature, ValueError):
-        return False
 
 
 @dataclass(frozen=True)

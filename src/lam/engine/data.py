@@ -10,7 +10,7 @@ the in-memory floats exactly the values a round trip through the file yields.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
+from functools import cached_property
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -37,7 +37,11 @@ def _quantize(values: Iterable[float]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Tabular rows of (features, class label, sensitive group)."""
+    """Tabular rows of (features, class label, sensitive group).
+
+    Immutable: construction marks the arrays read-only, so the canonical
+    bytes and digest, computed once per object, cannot go stale.
+    """
 
     schema: tuple[str, ...]
     features: np.ndarray  # (N, k) float64, canonical-quantized
@@ -57,6 +61,8 @@ class Dataset:
             raise DomainError("labels/sensitive length does not match row count")
         if n and self.labels.min() < 0:
             raise DomainError("labels must be nonnegative integers")
+        for array in (self.features, self.labels, self.sensitive):
+            array.setflags(write=False)
 
     @classmethod
     def from_rows(
@@ -95,7 +101,7 @@ class Dataset:
     def groups(self) -> tuple[int, ...]:
         return tuple(sorted(set(int(z) for z in self.sensitive)))
 
-    @property
+    @cached_property
     def canonical_bytes(self) -> bytes:
         lines = [",".join(self.schema + _RESERVED_COLUMNS)]
         for i in range(self.num_rows):
@@ -105,7 +111,7 @@ class Dataset:
             lines.append(",".join(cells))
         return ("\n".join(lines) + "\n").encode("utf-8")
 
-    @property
+    @cached_property
     def digest(self) -> Digest:
         return hash_bytes(self.canonical_bytes)
 
@@ -129,22 +135,12 @@ class Dataset:
             sensitive.append(int(cells[-1]))
         return cls.from_rows(schema, features, labels, sensitive)
 
-    @classmethod
-    def from_csv_file(cls, path: str | Path) -> "Dataset":
-        from ..hashcore import hash_file_once
-
-        content, _ = hash_file_once(path)
-        return cls.from_csv_bytes(content)
-
-    def write_csv(self, path: str | Path) -> None:
-        Path(path).write_bytes(self.canonical_bytes)
-
     def replace_features(self, features: np.ndarray) -> "Dataset":
         return Dataset(
             schema=self.schema,
             features=features,
-            labels=self.labels.copy(),
-            sensitive=self.sensitive.copy(),
+            labels=self.labels,
+            sensitive=self.sensitive,
         )
 
 
@@ -186,11 +182,11 @@ class Architecture:
             activation=value["activation"],
         )
 
-    @property
+    @cached_property
     def canonical_bytes(self) -> bytes:
         return canonicalize(self.to_json_value())
 
-    @property
+    @cached_property
     def digest(self) -> Digest:
         return hash_bytes(self.canonical_bytes)
 
@@ -244,11 +240,11 @@ class TrainingConfig:
     def from_json_bytes(cls, data: bytes) -> "TrainingConfig":
         return cls.from_json_value(parse_canonical(data))
 
-    @property
+    @cached_property
     def canonical_bytes(self) -> bytes:
         return canonicalize(self.to_json_value())
 
-    @property
+    @cached_property
     def digest(self) -> Digest:
         return hash_bytes(self.canonical_bytes)
 
@@ -279,8 +275,3 @@ class InferenceRecord:
     @property
     def output_digest(self) -> Digest:
         return hash_bytes(canonicalize(self.output_json_value()))
-
-
-def canonical_input_digest(features: Sequence[float]) -> Digest:
-    """Digest of the canonical serialization of a bare input vector."""
-    return hash_bytes(canonicalize({"features": [decimal_string(float(v)) for v in features]}))

@@ -11,6 +11,7 @@ shuffles, sequential batch updates), making the output a pure function of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -53,6 +54,12 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Model:
+    """An MLP's architecture and parameters.
+
+    Immutable: construction marks the parameter arrays read-only, so the
+    canonical bytes and digest, computed once per object, cannot go stale.
+    """
+
     architecture: Architecture
     weights: tuple[np.ndarray, ...]  # per layer, shape (fan_in, fan_out)
     biases: tuple[np.ndarray, ...]  # per layer, shape (fan_out,)
@@ -64,6 +71,8 @@ class Model:
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.shape != (widths[i], widths[i + 1]) or b.shape != (widths[i + 1],):
                 raise ConfigError(f"layer {i} shape mismatch against architecture")
+        for array in (*self.weights, *self.biases):
+            array.setflags(write=False)
 
     @classmethod
     def from_float_params(
@@ -110,11 +119,11 @@ class Model:
             raise ConfigError(f"malformed model file: {exc}") from exc
         return cls(architecture=arch, weights=weights, biases=biases)
 
-    @property
+    @cached_property
     def canonical_bytes(self) -> bytes:
         return canonicalize(self.to_json_value())
 
-    @property
+    @cached_property
     def digest(self) -> Digest:
         return hash_bytes(self.canonical_bytes)
 

@@ -79,44 +79,32 @@ def canonicalize(value: Any) -> bytes:
     in sorted order; arrays keep their order. Canonical bytes are a fixed
     point: parse_canonical(canonicalize(v)) re-canonicalizes byte-identically.
     """
-    out: list[str] = []
-    _write_canonical(value, "", out)
-    return "".join(out).encode("utf-8")
+    _check_canonical(value, "")
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
 
 
-def _write_canonical(value: Any, path: str, out: list[str]) -> None:
-    if value is None:
-        out.append("null")
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        raise CanonicalizationError(path, "float values are not allowed; use a decimal string")
-    elif isinstance(value, str):
-        out.append(json.dumps(value, ensure_ascii=False))
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(value):
-            if i:
-                out.append(",")
-            _write_canonical(item, f"{path}/{i}", out)
-        out.append("]")
-    elif isinstance(value, dict):
-        out.append("{")
-        keys = []
+# bool is an int subclass, so it is a leaf too.
+_LEAF_TYPES = (str, int, type(None))
+
+
+def _check_canonical(value: Any, path: str) -> None:
+    """Reject what canonical JSON cannot hold, reporting the first offending
+    path in emission order (object keys sorted, arrays in order)."""
+    if isinstance(value, dict):
         for key in value:
             if not isinstance(key, str):
                 raise CanonicalizationError(path, f"object key {key!r} is not a string")
-            keys.append(key)
-        for i, key in enumerate(sorted(keys)):
-            if i:
-                out.append(",")
-            out.append(json.dumps(key, ensure_ascii=False))
-            out.append(":")
-            _write_canonical(value[key], f"{path}/{key}", out)
-        out.append("}")
-    else:
+        for key in sorted(value):
+            item = value[key]
+            if not isinstance(item, _LEAF_TYPES):
+                _check_canonical(item, f"{path}/{key}")
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            if not isinstance(item, _LEAF_TYPES):
+                _check_canonical(item, f"{path}/{i}")
+    elif isinstance(value, float):
+        raise CanonicalizationError(path, "float values are not allowed; use a decimal string")
+    elif not isinstance(value, _LEAF_TYPES):
         raise CanonicalizationError(path, f"unsupported type {type(value).__name__}")
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import base64
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -89,7 +90,7 @@ class EnclaveContext:
             entries.extend((f"input/{p}", d) for p, d in self.input_manifest.entries)
         return TrustedManifest.from_entries(entries)
 
-    @property
+    @cached_property
     def measurement(self) -> EnclaveMeasurement:
         return measure_enclave(self.measurer_code, self.trusted_manifest, self.config_bytes)
 

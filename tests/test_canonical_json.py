@@ -1,0 +1,120 @@
+"""Property tests: canonicalize agrees with the reference writer byte for
+byte, and rejects what it rejects at the same JSON path."""
+
+from __future__ import annotations
+
+from typing import Any
+
+import numpy as np
+import pytest
+from canonical_reference import reference_canonicalize
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lam.errors import CanonicalizationError
+from lam.hashcore import canonicalize, parse_canonical
+
+# No per-example deadline: timings on a loaded host say nothing about correctness.
+relaxed = settings(deadline=None)
+
+# Characters JSON must escape, or that are easy to get wrong unescaped.
+_TRICKY = ['"', "\\", "/", "\n", "\r", "\t", "\b", "\f", "\x00", "\x1f", "\x7f", "\u2028", "\u2029", "é", "✓", "😀"]
+
+strings = st.text(st.one_of(st.characters(), st.sampled_from(_TRICKY)))
+leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**256), max_value=2**256),
+    strings,
+)
+json_values = st.recursive(
+    leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.dictionaries(strings, children, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+def _error(fn, value: Any) -> tuple[str, str]:
+    with pytest.raises(CanonicalizationError) as err:
+        fn(value)
+    return err.value.path, str(err.value)
+
+
+def _plant(value: Any, leaf: Any, data: st.DataObject) -> tuple[Any, str]:
+    """Copy of value with leaf inserted at a drawn position; returns the copy
+    and the JSON path at which leaf sits."""
+    if isinstance(value, list):
+        i = data.draw(st.integers(0, len(value)))
+        if i < len(value) and isinstance(value[i], (list, dict)) and data.draw(st.booleans()):
+            child, path = _plant(value[i], leaf, data)
+            return value[:i] + [child] + value[i + 1 :], f"/{i}{path}"
+        return value[:i] + [leaf] + value[i:], f"/{i}"
+    if isinstance(value, dict):
+        containers = sorted(k for k, v in value.items() if isinstance(v, (list, dict)))
+        if containers and data.draw(st.booleans()):
+            key = data.draw(st.sampled_from(containers))
+            child, path = _plant(value[key], leaf, data)
+            return {**value, key: child}, f"/{key}{path}"
+        key = data.draw(strings.filter(lambda k: k not in value))
+        return {**value, key: leaf}, f"/{key}"
+    return leaf, ""
+
+
+@relaxed
+@given(json_values)
+def test_canonicalize_matches_reference(value):
+    assert canonicalize(value) == reference_canonicalize(value)
+
+
+@relaxed
+@given(json_values)
+def test_canonical_bytes_are_a_fixed_point(value):
+    b = canonicalize(value)
+    assert canonicalize(parse_canonical(b)) == b
+
+
+@relaxed
+@given(json_values, st.floats(), st.data())
+def test_float_anywhere_rejected_at_reference_path(value, number, data):
+    planted, path = _plant(value, number, data)
+    error = _error(canonicalize, planted)
+    assert error == _error(reference_canonicalize, planted)
+    assert error[0] == path
+
+
+@relaxed
+@given(json_values, st.one_of(st.integers(), st.none(), st.booleans(), st.tuples(st.integers())), st.data())
+def test_non_string_key_rejected_like_reference(value, key, data):
+    planted, _ = _plant(value, {key: "x", "k": 1}, data)
+    assert _error(canonicalize, planted) == _error(reference_canonicalize, planted)
+
+
+@relaxed
+@given(
+    json_values,
+    st.sampled_from([np.int64(3), np.bool_(True), np.float64(0.5), {1, 2}, b"bytes", object()]),
+    st.data(),
+)
+def test_unsupported_type_rejected_like_reference(value, leaf, data):
+    planted, path = _plant(value, leaf, data)
+    error = _error(canonicalize, planted)
+    assert error == _error(reference_canonicalize, planted)
+    assert error[0] == path
+
+
+@relaxed
+@given(st.lists(st.one_of(leaves, st.floats(), st.sampled_from([np.int64(1), {1}])), max_size=4), st.data())
+def test_first_offence_in_emission_order(items, data):
+    # several offences at once: both writers report the first in sorted-key order
+    keys = data.draw(st.lists(strings, min_size=len(items), max_size=len(items), unique=True))
+    value = dict(zip(keys, items))
+    try:
+        expected = reference_canonicalize(value)
+    except CanonicalizationError:
+        assert _error(canonicalize, value) == _error(reference_canonicalize, value)
+    else:
+        assert canonicalize(value) == expected
