@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from cryptography.exceptions import InvalidSignature
@@ -53,12 +53,19 @@ class PlatformCertificate:
     platform_id: str
     pubkey: str
     root_signature: bytes
+    # root public key -> verdict. Not an init field, so dataclasses.replace
+    # starts a changed certificate with an empty memo.
+    _verdicts: dict[str, bool] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def signed_bytes(self) -> bytes:
         return canonicalize({"platform_id": self.platform_id, "pubkey": self.pubkey})
 
     def verifies_under(self, root_pubkey_hex: str) -> bool:
-        return _verify_hex(root_pubkey_hex, self.root_signature, self.signed_bytes())
+        verdict = self._verdicts.get(root_pubkey_hex)
+        if verdict is None:
+            verdict = _verify_hex(root_pubkey_hex, self.root_signature, self.signed_bytes())
+            self._verdicts[root_pubkey_hex] = verdict
+        return verdict
 
     def to_json_value(self) -> dict[str, Any]:
         return {

@@ -18,7 +18,40 @@ import yaml
 
 from .certs import ExternalCertificate
 from .errors import CardConflictError
-from .verifier import ChainReport, VerifiedFragment
+from .verifier import ChainReport, VerifiedFragment, index_fragments
+
+
+_DUMP_OPTIONS: dict[str, Any] = {"sort_keys": False, "default_flow_style": False, "allow_unicode": True}
+
+
+class _NeedsPythonEmitter(Exception):
+    """The document holds something libyaml would write differently."""
+
+
+# libyaml and PyYAML's pure-Python emitter write the same bytes for documents
+# whose strings are all printable ASCII (\x20-\x7e), except for mapping keys
+# that are empty or longer than 122 characters, which the Python emitter
+# writes as explicit "? key" entries where libyaml does not. Every other
+# string differs in escapes and line folding, so such cards take the Python
+# emitter.
+if hasattr(yaml, "CSafeDumper"):
+
+    class _AsciiDumper(yaml.CSafeDumper):
+        def represent_str(self, data: str) -> yaml.ScalarNode:
+            if not (data.isascii() and data.isprintable()):
+                raise _NeedsPythonEmitter
+            return super().represent_str(data)
+
+        def represent_dict(self, data: dict[Any, Any]) -> yaml.MappingNode:
+            for key in data:
+                if not (isinstance(key, str) and 0 < len(key) <= 122):
+                    raise _NeedsPythonEmitter
+            return super().represent_dict(data)
+
+    _AsciiDumper.add_representer(str, _AsciiDumper.represent_str)
+    _AsciiDumper.add_representer(dict, _AsciiDumper.represent_dict)
+else:
+    _AsciiDumper = None
 
 
 @dataclass
@@ -32,9 +65,13 @@ class PropertyCard:
         return {**self.body, "provenance": self.provenance}
 
     def yaml_bytes(self) -> bytes:
-        return yaml.safe_dump(
-            self.document(), sort_keys=False, default_flow_style=False, allow_unicode=True
-        ).encode("utf-8")
+        document = self.document()
+        if _AsciiDumper is not None:
+            try:
+                return yaml.dump(document, Dumper=_AsciiDumper, **_DUMP_OPTIONS).encode("ascii")
+            except _NeedsPythonEmitter:
+                pass
+        return yaml.safe_dump(document, **_DUMP_OPTIONS).encode("utf-8")
 
     @property
     def filename(self) -> str:
@@ -114,9 +151,7 @@ def assemble_cards(
     externals = list(externals)
     table = _ClaimTable()
 
-    by_type: dict[str, list[VerifiedFragment]] = {}
-    for f in frags:
-        by_type.setdefault(f.att_type, []).append(f)
+    index = index_fragments(frags)
 
     dataset_certs: dict[str, ExternalCertificate] = {}
     model_certs: dict[str, ExternalCertificate] = {}
@@ -131,21 +166,12 @@ def assemble_cards(
     cards: list[PropertyCard] = []
 
     # --- model cards ---
-    model_digests = sorted(
-        {
-            f.payload["model_sha256"]
-            for att in ("PoT", "AccAtt", "FairAtt", "RobustAtt-B")
-            for f in by_type.get(att, [])
-        }
-    )
-    for m in model_digests:
+    for m in sorted({m for att in ("PoT", "AccAtt", "FairAtt", "RobustAtt-B") for m in index[att]}):
         provenance: list[dict[str, Any]] = []
         results: dict[str, dict[str, Any]] = {}  # dataset digest -> results entry
 
         for att in ("AccAtt", "FairAtt", "RobustAtt-B"):
-            for f in by_type.get(att, []):
-                if f.payload["model_sha256"] != m:
-                    continue
+            for f in index[att].get(m, []):
                 ds = f.payload.get("dataset_sha256") or f.payload["robust_dataset_sha256"]
                 claims = []
                 for metric in f.payload["results"]["metrics"]:
@@ -164,9 +190,7 @@ def assemble_cards(
                 provenance.append(_provenance_entry(f, claims))
 
         training: dict[str, Any] | None = None
-        for f in by_type.get("PoT", []):
-            if f.payload["model_sha256"] != m:
-                continue
+        for f in index["PoT"].get(m, []):
             value = {
                 "dataset_sha256": f.payload["dataset_sha256"],
                 "config_sha256": f.payload["config_sha256"],
@@ -213,16 +237,10 @@ def assemble_cards(
     # A datasheet exists for every dataset with a distribution attestation and
     # for every generated robust dataset (whose generation fragment is its
     # provenance statement: source digest plus perturbation size).
-    datasheet_digests = sorted(
-        {f.payload["dataset_sha256"] for f in by_type.get("DistAtt", [])}
-        | {f.payload["robust_dataset_sha256"] for f in by_type.get("RobustAtt-A", [])}
-    )
-    for d in datasheet_digests:
+    for d in sorted(index["DistAtt"].keys() | index["RobustAtt-A"].keys()):
         provenance = []
         distributions = []
-        for f in by_type.get("DistAtt", []):
-            if f.payload["dataset_sha256"] != d:
-                continue
+        for f in index["DistAtt"].get(d, []):
             prop = f.payload["property"]
             key = f"distribution:{d}:{prop['kind']}"
             if table.put(key, prop, f.fragment_sha256.hex):
@@ -231,9 +249,7 @@ def assemble_cards(
         distributions.sort(key=lambda p: p["kind"])
 
         generation: dict[str, Any] | None = None
-        for f in by_type.get("RobustAtt-A", []):
-            if f.payload["robust_dataset_sha256"] != d:
-                continue
+        for f in index["RobustAtt-A"].get(d, []):
             value = {
                 "source_sha256": f.payload["dataset_sha256"],
                 "epsilon": f.payload["parameters"]["epsilon"],
@@ -271,7 +287,8 @@ def assemble_cards(
         cards.append(PropertyCard("dataset", d, body, provenance))
 
     # --- inference cards ---
-    for f in sorted(by_type.get("IOAtt", []), key=lambda f: f.fragment_sha256.hex):
+    ioatts = [f for group in index["IOAtt"].values() for f in group]
+    for f in sorted(ioatts, key=lambda f: f.fragment_sha256.hex):
         key = f"inference:{f.payload['model_sha256']}:{f.payload['input_sha256']}"
         table.put(key, f.payload["output"], f.fragment_sha256.hex)
         body = {

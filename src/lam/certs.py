@@ -9,6 +9,7 @@ signed. Both record kinds are canonical JSON and signature-checked at load.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -97,7 +98,7 @@ class Certification:
             signature=bytes.fromhex(value["signature"]),
         )
 
-    @property
+    @cached_property
     def certification_sha256(self) -> Digest:
         return hash_bytes(canonicalize(self.to_json_value()))
 
@@ -160,7 +161,7 @@ class ExternalCertificate:
             signature=bytes.fromhex(value["signature"]),
         )
 
-    @property
+    @cached_property
     def certificate_sha256(self) -> Digest:
         return hash_bytes(canonicalize(self.to_json_value()))
 

@@ -79,8 +79,12 @@ def canonicalize(value: Any) -> bytes:
     in sorted order; arrays keep their order. Canonical bytes are a fixed
     point: parse_canonical(canonicalize(v)) re-canonicalizes byte-identically.
     """
-    _check_canonical(value, "")
-    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    try:
+        _check_canonical(value, "")
+        text = json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    except RecursionError:
+        raise CanonicalizationError("", "value is nested too deeply") from None
+    return text.encode("utf-8")
 
 
 # bool is an int subclass, so it is a leaf too.
@@ -120,6 +124,8 @@ def parse_canonical(data: bytes) -> Any:
         raise
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CanonicalizationError("", f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise CanonicalizationError("", "JSON is nested too deeply") from None
 
 
 def is_canonical(data: bytes) -> bool:

@@ -8,11 +8,11 @@ instances produce identical output for the same inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from .backend import verify_quote
+from .backend import PlatformCertificate, verify_quote
 from .certs import Certification, CertificationStore, ExternalCertificate, validate_template
 from .errors import CanonicalizationError, InvalidCertificationError, LamError
 from .hashcore import Digest, canonicalize, hash_bytes, hash_file_once, parse_canonical
@@ -123,7 +123,8 @@ def verify_envelope(
     if not quote_result.accepted:
         return EnvelopeVerdict(False, reason="bad-quote", detail=quote_result.reason)
 
-    if hash_bytes(envelope.payload) != quote_result.report_data:
+    payload_digest = hash_bytes(envelope.payload)
+    if payload_digest != quote_result.report_data:
         return EnvelopeVerdict(
             False,
             reason="payload-binding-mismatch",
@@ -160,7 +161,7 @@ def verify_envelope(
                 fragment=VerifiedFragment(
                     payload=payload,
                     payload_bytes=envelope.payload,
-                    fragment_sha256=hash_bytes(envelope.payload),
+                    fragment_sha256=payload_digest,
                     att_type=att_type if isinstance(att_type, str) else None,
                     measurement=quote_result.measurement,
                     certification=cert,
@@ -195,8 +196,19 @@ class AssertionBundle:
 
     @classmethod
     def from_file_value(cls, value: dict[str, Any]) -> "AssertionBundle":
+        """Parse a bundle; quotes whose platform certificates are equal share
+        one PlatformCertificate, so each is checked against a root once."""
+        shared: dict[PlatformCertificate, PlatformCertificate] = {}
+        envelopes = []
+        for item in value["envelopes"]:
+            envelope = AttestationEnvelope.from_json_value(item)
+            cert = envelope.quote.platform_certificate
+            first = shared.setdefault(cert, cert)
+            if first is not cert:
+                envelope = replace(envelope, quote=replace(envelope.quote, platform_certificate=first))
+            envelopes.append(envelope)
         return cls(
-            envelopes=tuple(AttestationEnvelope.from_json_value(e) for e in value["envelopes"]),
+            envelopes=tuple(envelopes),
             external_certificates=tuple(
                 ExternalCertificate.from_json_value(c) for c in value["external_certificates"]
             ),
@@ -208,6 +220,11 @@ class AssertionBundle:
         value = parse_canonical(content)
         if not isinstance(value, dict) or "envelopes" not in value:
             raise LamError(f"not an assertion bundle: {path}")
+        version = value.get("version")
+        if type(version) is not int or version != BUNDLE_VERSION:
+            raise LamError(
+                f"unsupported assertion bundle version {version!r} (expected {BUNDLE_VERSION}): {path}"
+            )
         return cls.from_file_value(value)
 
 
@@ -261,6 +278,30 @@ class ChainReport:
         return canonicalize(self.to_json_value())
 
 
+# The payload field each attestation type is looked up by when fragments are
+# linked into chains and cards.
+_LOOKUP_FIELD = {
+    "DistAtt": "dataset_sha256",
+    "PoT": "model_sha256",
+    "AccAtt": "model_sha256",
+    "FairAtt": "model_sha256",
+    "RobustAtt-A": "robust_dataset_sha256",
+    "RobustAtt-B": "model_sha256",
+    "IOAtt": "model_sha256",
+}
+
+
+def index_fragments(fragments: Iterable[VerifiedFragment]) -> dict[str, dict[str, list[VerifiedFragment]]]:
+    """att_type -> lookup digest (see _LOOKUP_FIELD) -> fragments, each list
+    in input order. Fragments of other types are left out."""
+    index: dict[str, dict[str, list[VerifiedFragment]]] = {att: {} for att in _LOOKUP_FIELD}
+    for f in fragments:
+        key = _LOOKUP_FIELD.get(f.att_type)
+        if key is not None:
+            index[f.att_type].setdefault(f.payload[key], []).append(f)
+    return index
+
+
 def resolve_chains(
     fragments: Iterable[VerifiedFragment],
     externals: Iterable[ExternalCertificate] = (),
@@ -268,26 +309,16 @@ def resolve_chains(
     """Link verified fragments on shared digests and report, per model, which
     chain edges hold. Gaps are reported as broken/blocked edges, not errors."""
     frags = list(fragments)
-    externals = list(externals)
-    by_type: dict[str, list[VerifiedFragment]] = {}
-    for f in frags:
-        by_type.setdefault(f.att_type, []).append(f)
+    index = index_fragments(frags)
 
     dataset_certs = {c.subject_sha256.hex: c for c in externals if c.subject_kind == "dataset"}
 
     report = ChainReport()
 
-    model_digests: list[str] = []
-    for att in ("PoT", "AccAtt", "FairAtt", "RobustAtt-B", "IOAtt"):
-        for f in by_type.get(att, []):
-            m = f.payload["model_sha256"]
-            if m not in model_digests:
-                model_digests.append(m)
-
-    for m in sorted(model_digests):
+    for m in sorted({m for att in ("PoT", "AccAtt", "FairAtt", "RobustAtt-B", "IOAtt") for m in index[att]}):
         edges: dict[str, dict[str, str]] = {}
 
-        pots = [f for f in by_type.get("PoT", []) if f.payload["model_sha256"] == m]
+        pots = index["PoT"].get(m, [])
         if pots:
             edges["pot"] = _edge("ok", f"proof of training present ({len(pots)} fragment(s))")
             training_ds = pots[0].payload["dataset_sha256"]
@@ -299,9 +330,7 @@ def resolve_chains(
             edges["training_distribution"] = _edge("blocked", "no proof of training to link against")
             edges["training_dataset_certificate"] = _edge("blocked", "no proof of training to link against")
         else:
-            dists = [
-                f for f in by_type.get("DistAtt", []) if f.payload["dataset_sha256"] == training_ds
-            ]
+            dists = index["DistAtt"].get(training_ds, [])
             if dists:
                 kinds = sorted({f.payload["property"]["kind"] for f in dists})
                 edges["training_distribution"] = _edge(
@@ -321,8 +350,8 @@ def resolve_chains(
                     "broken", f"no external certificate for training set {training_ds[:12]}"
                 )
 
-        accs = [f for f in by_type.get("AccAtt", []) if f.payload["model_sha256"] == m]
-        fairs = [f for f in by_type.get("FairAtt", []) if f.payload["model_sha256"] == m]
+        accs = index["AccAtt"].get(m, [])
+        fairs = index["FairAtt"].get(m, [])
         edges["accuracy"] = (
             _edge("ok", f"accuracy attested on {len(accs)} dataset(s)")
             if accs
@@ -348,7 +377,7 @@ def resolve_chains(
                     "ok", f"all {len(test_sets)} attested test set(s) endorsed"
                 )
 
-        robs = [f for f in by_type.get("RobustAtt-B", []) if f.payload["model_sha256"] == m]
+        robs = index["RobustAtt-B"].get(m, [])
         edges["robustness"] = (
             _edge("ok", f"robust accuracy attested over {len(robs)} dataset(s)")
             if robs
@@ -362,11 +391,7 @@ def resolve_chains(
             ungrounded = []
             for f in robs:
                 rob_ds = f.payload["robust_dataset_sha256"]
-                gens = [
-                    g
-                    for g in by_type.get("RobustAtt-A", [])
-                    if g.payload["robust_dataset_sha256"] == rob_ds
-                ]
+                gens = index["RobustAtt-A"].get(rob_ds, [])
                 if gens:
                     grounded_sources.extend(g.payload["dataset_sha256"] for g in gens)
                 else:
@@ -397,7 +422,7 @@ def resolve_chains(
                     "ok", "robust dataset generated from the attested test set"
                 )
 
-        ios = [f for f in by_type.get("IOAtt", []) if f.payload["model_sha256"] == m]
+        ios = index["IOAtt"].get(m, [])
         edges["inference"] = (
             _edge("ok", f"{len(ios)} inference(s) bound to this model")
             if ios
@@ -411,17 +436,8 @@ def resolve_chains(
         report.models[m] = entry
 
     # datasheet-side links
-    dataset_digests = sorted(
-        {f.payload["dataset_sha256"] for f in by_type.get("DistAtt", [])} | set(dataset_certs)
-    )
-    for d in dataset_digests:
-        kinds = sorted(
-            {
-                f.payload["property"]["kind"]
-                for f in by_type.get("DistAtt", [])
-                if f.payload["dataset_sha256"] == d
-            }
-        )
+    for d in sorted(index["DistAtt"].keys() | dataset_certs.keys()):
+        kinds = sorted({f.payload["property"]["kind"] for f in index["DistAtt"].get(d, [])})
         entry = {"distribution_kinds": kinds}
         if d in dataset_certs:
             entry["certificate"] = {
@@ -431,10 +447,9 @@ def resolve_chains(
         report.datasets[d] = entry
 
     # fragments referencing a model digest that has no proof of training
-    anchored = {m for m in model_digests if report.models[m]["edges"]["pot"]["status"] == "ok"}
     for f in frags:
         m = f.payload.get("model_sha256")
-        if m is not None and m not in anchored and f.att_type != "PoT":
+        if m is not None and m not in index["PoT"] and f.att_type != "PoT":
             report.orphans.append(
                 {
                     "att_type": f.att_type,

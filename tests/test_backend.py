@@ -203,3 +203,38 @@ def test_certificate_for_other_key_rejected(test_root, test_platform):
 def test_certificate_wire_round_trip(test_platform):
     cert = test_platform.certificate
     assert PlatformCertificate.from_json_value(cert.to_json_value()) == cert
+
+
+def _flip_byte(data: bytes) -> bytes:
+    flipped = bytearray(data)
+    flipped[3] ^= 0xFF
+    return bytes(flipped)
+
+
+def test_replaced_certificate_starts_with_an_empty_memo(test_root, test_platform):
+    cert = test_platform.certificate
+    assert cert.verifies_under(test_root.public_hex)
+    forged = replace(cert, root_signature=_flip_byte(cert.root_signature))
+    assert not forged.verifies_under(test_root.public_hex)
+    assert cert.verifies_under(test_root.public_hex)
+
+
+def test_memo_is_keyed_by_root(test_root, test_platform):
+    other_root = create_root(b"memo-other-root")
+    cert = test_platform.certificate
+    assert cert.verifies_under(test_root.public_hex)
+    assert not cert.verifies_under(other_root.public_hex)
+    assert cert.verifies_under(test_root.public_hex)
+
+
+def test_memo_is_not_part_of_equality_hash_or_wire_form(test_root, test_platform):
+    cert = test_platform.certificate
+    fresh = PlatformCertificate.from_json_value(cert.to_json_value())
+    assert cert.verifies_under(test_root.public_hex)
+    assert not fresh._verdicts
+    assert cert._verdicts
+    assert cert == fresh
+    assert hash(cert) == hash(fresh)
+    assert repr(cert) == repr(fresh)
+    assert cert.to_json_value() == fresh.to_json_value()
+    assert set(cert.to_json_value()) == {"platform_id", "pubkey", "root_signature"}

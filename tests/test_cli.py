@@ -260,3 +260,39 @@ def test_cli_matches_library_flow(cli_ws, tmp_path):
     bundle = AssertionBundle.read(ws / "bundle.json")
     for env in bundle.envelopes:
         assert verify_envelope(env, store, set(trust["manufacturer_roots"])).accepted
+
+
+def _verify_args(ws: Path, out: Path, *, bundle: Path | None = None, roots: Path | None = None) -> list[str]:
+    return [
+        "verify", "--bundle", str(bundle or ws / "bundle.json"), "--certstore", str(ws / "certifications.json"),
+        "--roots", str(roots or ws / "keys" / "trust.json"), "--out", str(out),
+    ]
+
+
+def test_verify_deeply_nested_roots_file_exits_2(cli_ws, capsys, tmp_path):
+    roots = tmp_path / "trust.json"
+    roots.write_bytes(b"[" * 5000 + b"]" * 5000)
+    code = run(*_verify_args(cli_ws["ws"], tmp_path / "cards", roots=roots))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "nested too deeply" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("version", [99, 0, "1", True, None, "missing"])
+def test_verify_wrong_bundle_version_exits_2(cli_ws, capsys, tmp_path, version):
+    ws = cli_ws["ws"]
+    bundle_value = parse_canonical((ws / "bundle.json").read_bytes())
+    if version == "missing":
+        del bundle_value["version"]
+    else:
+        bundle_value["version"] = version
+    from lam.hashcore import canonicalize
+
+    bundle = tmp_path / "bundle.json"
+    bundle.write_bytes(canonicalize(bundle_value))
+    code = run(*_verify_args(ws, tmp_path / "cards", bundle=bundle))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "unsupported assertion bundle version" in err
+    assert not (tmp_path / "cards" / "chain_report.json").exists()

@@ -194,6 +194,18 @@ def test_parse_canonical_rejects_floats():
     assert not is_canonical(b"{bad json")
 
 
+def test_deep_nesting_is_a_canonicalization_error():
+    deep = b"[" * 5000 + b"]" * 5000
+    assert not is_canonical(deep)
+    with pytest.raises(CanonicalizationError, match="nested too deeply"):
+        parse_canonical(deep)
+    value: list = []
+    for _ in range(5000):
+        value = [value]
+    with pytest.raises(CanonicalizationError, match="nested too deeply"):
+        canonicalize(value)
+
+
 def test_canonicalize_bool_vs_int_distinct():
     assert canonicalize(True) == b"true"
     assert canonicalize(1) == b"1"

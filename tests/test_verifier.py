@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from lam.backend import issue_quote
@@ -209,3 +211,29 @@ def test_replayed_envelope_still_verifies(pipe):
     env = pipe.envelopes["acc"]
     replay = AttestationEnvelope.from_json_value(env.to_json_value())
     assert verify_envelope(replay, pipe.store, pipe.roots).accepted
+
+
+def test_bundle_quotes_share_equal_platform_certificates(pipe):
+    bundle = AssertionBundle.from_file_value(pipe.bundle().to_file_value())
+    certs = {id(e.quote.platform_certificate) for e in bundle.envelopes}
+    assert len(bundle.envelopes) > 1 and len(certs) == 1
+    assert bundle == pipe.bundle()
+
+
+def test_different_certificates_for_one_platform_get_their_own_verdicts(pipe):
+    """Two quotes naming one platform id, one with a forged root signature:
+    sharing and memoizing the certificate check must not mix their verdicts."""
+    genuine = pipe.envelopes["acc"]
+    cert = genuine.quote.platform_certificate
+    flipped = bytearray(cert.root_signature)
+    flipped[0] ^= 1
+    forged_cert = replace(cert, root_signature=bytes(flipped))
+    forged = replace(genuine, quote=replace(genuine.quote, platform_certificate=forged_cert))
+    value = AssertionBundle((genuine, forged, genuine, forged), ()).to_file_value()
+
+    bundle = AssertionBundle.from_file_value(value)
+    verdicts = [verify_envelope(e, pipe.store, pipe.roots) for e in bundle.envelopes]
+    assert [v.accepted for v in verdicts] == [True, False, True, False]
+    assert verdicts[1].reason == verdicts[3].reason == "bad-quote"
+    assert bundle.envelopes[0].quote.platform_certificate is bundle.envelopes[2].quote.platform_certificate
+    assert bundle.envelopes[1].quote.platform_certificate is bundle.envelopes[3].quote.platform_certificate
