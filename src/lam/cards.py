@@ -11,6 +11,7 @@ hard error; silently keeping either side would launder a contradiction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -24,34 +25,156 @@ from .verifier import ChainReport, VerifiedFragment, index_fragments
 _DUMP_OPTIONS: dict[str, Any] = {"sort_keys": False, "default_flow_style": False, "allow_unicode": True}
 
 
-class _NeedsPythonEmitter(Exception):
-    """The document holds something libyaml would write differently."""
+class _Unsupported(Exception):
+    """The document holds something only yaml.safe_dump writes exactly."""
 
 
-# libyaml and PyYAML's pure-Python emitter write the same bytes for documents
-# whose strings are all printable ASCII (\x20-\x7e), except for mapping keys
-# that are empty or longer than 122 characters, which the Python emitter
-# writes as explicit "? key" entries where libyaml does not. Every other
-# string differs in escapes and line folding, so such cards take the Python
-# emitter.
-if hasattr(yaml, "CSafeDumper"):
+# A plain scalar may not start with one of these (PyYAML's
+# Emitter.analyze_scalar).
+_INDICATORS = frozenset("#,[]{}&*!|>'\"%@`")
 
-    class _AsciiDumper(yaml.CSafeDumper):
-        def represent_str(self, data: str) -> yaml.ScalarNode:
-            if not (data.isascii() and data.isprintable()):
-                raise _NeedsPythonEmitter
-            return super().represent_str(data)
 
-        def represent_dict(self, data: dict[Any, Any]) -> yaml.MappingNode:
-            for key in data:
-                if not (isinstance(key, str) and 0 < len(key) <= 122):
-                    raise _NeedsPythonEmitter
-            return super().represent_dict(data)
+# Mapping keys and a few recurring values make nearly all the hits; most
+# digests occur once, so a larger cache only holds more of them.
+@lru_cache(maxsize=256)
+def _scalar(text: str) -> str | None:
+    """A printable-ASCII string as yaml.safe_dump writes it, before folding:
+    plain when PyYAML would write it plain, otherwise single-quoted with each
+    quote doubled. None for a string outside printable ASCII."""
+    if not (text.isascii() and text.isprintable()):
+        return None
+    if text and _plain(text):
+        return text
+    return "'" + text.replace("'", "''") + "'"
 
-    _AsciiDumper.add_representer(str, _AsciiDumper.represent_str)
-    _AsciiDumper.add_representer(dict, _AsciiDumper.represent_dict)
-else:
-    _AsciiDumper = None
+
+def _plain(text: str) -> bool:
+    """Whether PyYAML writes a non-empty printable-ASCII string plain."""
+    first = text[0]
+    if (
+        first in _INDICATORS
+        or first == " "
+        or text[-1] in " :"
+        or (first in "?:-" and (len(text) == 1 or text[1] == " "))
+        or text.startswith(("---", "..."))
+        or ": " in text
+        or " #" in text
+    ):
+        return False
+    # it must also read back as a string, not as a null, bool, number, ...
+    resolvers = yaml.SafeDumper.yaml_implicit_resolvers
+    for _, regexp in resolvers.get(first, []) + resolvers.get(None, []):
+        if regexp.match(text):
+            return False
+    return True
+
+
+def _string(value: str, column: int, indent: int) -> str:
+    """A string written after the ":" or "-" that ends at `column`, inside
+    the mapping or sequence at `indent`."""
+    text = _scalar(value)
+    if text is None:
+        raise _Unsupported
+    if column + 1 + len(text) > 81 and " " in text:
+        return _fold(text, column + 1, indent + 2)
+    return text
+
+
+def _fold(scalar: str, column: int, indent: int) -> str:
+    """Fold a scalar written from `column` as PyYAML does at width 80: a
+    single space that follows column 80 becomes a line break indented to
+    `indent`, except a leading or trailing space of a quoted scalar."""
+    words = scalar.split(" ")
+    quoted = scalar[0] == "'"
+    last = len(words) - 1
+    out = [words[0]]
+    column += len(words[0])
+    for i in range(1, last + 1):
+        before, word = words[i - 1], words[i]
+        if (
+            column > 80
+            and before
+            and word
+            and not (quoted and ((i == 1 and before == "'") or (i == last and word == "'")))
+        ):
+            out.append("\n" + " " * indent)
+            column = indent
+        else:
+            out.append(" ")
+            column += 1
+        out.append(word)
+        column += len(word)
+    return "".join(out)
+
+
+def _emit_mapping(mapping: dict[Any, Any], indent: int, lead: str, out: list[str], seen: set[int]) -> None:
+    """A non-empty block mapping whose keys start at column `indent`; `lead`
+    is written before the first key."""
+    newline = "\n" + " " * indent
+    for key, value in mapping.items():
+        # PyYAML writes an empty key, or one that passes its 128-character
+        # simple-key limit once its "!!str" tag is counted, as "? key"
+        if type(key) is not str or not 0 < len(key) <= 122:
+            raise _Unsupported
+        text = _scalar(key)
+        if text is None:
+            raise _Unsupported
+        column = indent + len(text) + 1
+        if type(value) is str:  # most values; spares a call
+            out += (lead, text, ": ", _string(value, column, indent))
+        else:
+            out += (lead, text, ":")
+            _emit_value(value, column, indent, True, out, seen)
+        lead = newline
+
+
+def _emit_sequence(items: list[Any], indent: int, lead: str, out: list[str], seen: set[int]) -> None:
+    """A non-empty block sequence whose dashes sit at column `indent`."""
+    newline = "\n" + " " * indent
+    for item in items:
+        out += (lead, "-")
+        lead = newline
+        _emit_value(item, indent + 1, indent, False, out, seen)
+
+
+def _emit_value(value: Any, column: int, indent: int, in_mapping: bool, out: list[str], seen: set[int]) -> None:
+    """A node written after the ":" or "-" that ends at `column`, inside the
+    mapping or sequence at `indent`."""
+    kind = type(value)
+    if kind is str:
+        out += (" ", _string(value, column, indent))
+    elif kind is dict or kind is list:
+        # safe_dump anchors a collection that occurs twice
+        if id(value) in seen:
+            raise _Unsupported
+        seen.add(id(value))
+        if not value:
+            out.append(" {}" if kind is dict else " []")
+        elif kind is dict:
+            lead = "\n" + " " * (indent + 2) if in_mapping else " "
+            _emit_mapping(value, indent + 2, lead, out, seen)
+        elif in_mapping:  # a sequence under a key is not indented
+            _emit_sequence(value, indent, "\n" + " " * indent, out, seen)
+        else:
+            _emit_sequence(value, indent + 2, " ", out, seen)
+    elif value is None:
+        out.append(" null")
+    elif kind is bool:
+        out.append(" true" if value else " false")
+    elif kind is int:
+        out += (" ", str(value))
+    else:
+        raise _Unsupported
+
+
+def _printable_ascii_yaml(document: dict[Any, Any]) -> bytes:
+    """The bytes yaml.safe_dump(document, **_DUMP_OPTIONS) writes, for a
+    non-empty mapping of mappings, lists, None, bools, ints and printable
+    ASCII strings; raises _Unsupported for anything else."""
+    out: list[str] = []
+    _emit_mapping(document, 0, "", out, {id(document)})
+    out.append("\n")
+    return "".join(out).encode("ascii")
 
 
 @dataclass
@@ -65,13 +188,13 @@ class PropertyCard:
         return {**self.body, "provenance": self.provenance}
 
     def yaml_bytes(self) -> bytes:
+        """The card as yaml.safe_dump writes it. A card holding only printable
+        ASCII is written by lam's own emitter, which gives the same bytes."""
         document = self.document()
-        if _AsciiDumper is not None:
-            try:
-                return yaml.dump(document, Dumper=_AsciiDumper, **_DUMP_OPTIONS).encode("ascii")
-            except _NeedsPythonEmitter:
-                pass
-        return yaml.safe_dump(document, **_DUMP_OPTIONS).encode("utf-8")
+        try:
+            return _printable_ascii_yaml(document)
+        except _Unsupported:
+            return yaml.safe_dump(document, **_DUMP_OPTIONS).encode("utf-8")
 
     @property
     def filename(self) -> str:

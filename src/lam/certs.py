@@ -102,6 +102,15 @@ class Certification:
     def certification_sha256(self) -> Digest:
         return hash_bytes(canonicalize(self.to_json_value()))
 
+    @cached_property
+    def template_error(self) -> InvalidCertificationError | None:
+        """Why the template is invalid (see validate_template), or None."""
+        try:
+            validate_template(self.template)
+        except InvalidCertificationError as exc:
+            return exc
+        return None
+
 
 def make_certification(endorser: Endorser, measurement: Digest, template: Any) -> Certification:
     """Validate the template and sign (measurement, template)."""

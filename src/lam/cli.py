@@ -385,11 +385,24 @@ def cmd_bundle(args: argparse.Namespace) -> int:
 # --- verify -------------------------------------------------------------------
 
 
+def _trust_anchors(trust: Any, path: str) -> tuple[set[str], dict[str, str]]:
+    """Manufacturer root keys and endorser keys from a parsed trust file."""
+    if not isinstance(trust, dict):
+        raise LamError(f"trust file must be a JSON object: {path}")
+    roots = trust.get("manufacturer_roots", [])
+    if not (isinstance(roots, list) and all(isinstance(r, str) for r in roots)):
+        raise LamError(f"trust file manufacturer_roots must be a list of strings: {path}")
+    endorser_keys = trust.get("endorser_keys", {})
+    if not (
+        isinstance(endorser_keys, dict) and all(isinstance(k, str) for k in endorser_keys.values())
+    ):
+        raise LamError(f"trust file endorser_keys must map endorser ids to key strings: {path}")
+    return set(roots), dict(endorser_keys)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     trust_content, _ = hash_file_once(args.roots)
-    trust = parse_canonical(trust_content)
-    roots = set(trust.get("manufacturer_roots", []))
-    endorser_keys = dict(trust.get("endorser_keys", {}))
+    roots, endorser_keys = _trust_anchors(parse_canonical(trust_content), args.roots)
 
     store = CertificationStore.load(args.certstore, endorser_keys)
     bundle = AssertionBundle.read(args.bundle)

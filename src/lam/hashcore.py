@@ -74,38 +74,63 @@ def hash_file_once(path: str | Path) -> tuple[bytes, Digest]:
 def canonicalize(value: Any) -> bytes:
     """Serialize a JSON value to canonical UTF-8 bytes.
 
-    Allowed leaves: None, bool, int, str. Floats are rejected with the JSON
-    path of the offending leaf. Object keys must be strings and are emitted
-    in sorted order; arrays keep their order. Canonical bytes are a fixed
-    point: parse_canonical(canonicalize(v)) re-canonicalizes byte-identically.
+    Allowed leaves: None, bool, int, str. Floats, and strings or keys holding
+    a lone surrogate, are rejected with the JSON path of the offence. Object
+    keys must be strings and are emitted in sorted order; arrays keep their
+    order. Canonical bytes are a fixed point: parse_canonical(canonicalize(v))
+    re-canonicalizes byte-identically.
     """
     try:
-        _check_canonical(value, "")
-        text = json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+        try:
+            _check_canonical(value, "", _LEAF_TYPES)
+            return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+        except (CanonicalizationError, UnicodeEncodeError):
+            # Only the encoding notices a lone surrogate. Walk again, into
+            # every string, for the first offence in emission order.
+            _check_canonical(value, "", _NON_TEXT_LEAVES)
+            raise
     except RecursionError:
         raise CanonicalizationError("", "value is nested too deeply") from None
-    return text.encode("utf-8")
 
 
 # bool is an int subclass, so it is a leaf too.
 _LEAF_TYPES = (str, int, type(None))
+_NON_TEXT_LEAVES = (int, type(None))
+_UNENCODABLE = "holds a lone surrogate, which UTF-8 cannot encode"
 
 
-def _check_canonical(value: Any, path: str) -> None:
+def _encodable(text: str) -> bool:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _check_canonical(value: Any, path: str, leaves: tuple[type, ...]) -> None:
     """Reject what canonical JSON cannot hold, reporting the first offending
-    path in emission order (object keys sorted, arrays in order)."""
+    path in emission order (object keys sorted, arrays in order). Values of
+    the `leaves` types are not descended into; with _NON_TEXT_LEAVES every
+    string and key is also checked to be encodable as UTF-8."""
     if isinstance(value, dict):
         for key in value:
             if not isinstance(key, str):
                 raise CanonicalizationError(path, f"object key {key!r} is not a string")
+        if leaves is _NON_TEXT_LEAVES:
+            for key in value:
+                if not _encodable(key):
+                    raise CanonicalizationError(path, f"object key {key!r} {_UNENCODABLE}")
         for key in sorted(value):
             item = value[key]
-            if not isinstance(item, _LEAF_TYPES):
-                _check_canonical(item, f"{path}/{key}")
+            if not isinstance(item, leaves):
+                _check_canonical(item, f"{path}/{key}", leaves)
     elif isinstance(value, (list, tuple)):
         for i, item in enumerate(value):
-            if not isinstance(item, _LEAF_TYPES):
-                _check_canonical(item, f"{path}/{i}")
+            if not isinstance(item, leaves):
+                _check_canonical(item, f"{path}/{i}", leaves)
+    elif isinstance(value, str):
+        if not _encodable(value):
+            raise CanonicalizationError(path, f"string {_UNENCODABLE}")
     elif isinstance(value, float):
         raise CanonicalizationError(path, "float values are not allowed; use a decimal string")
     elif not isinstance(value, _LEAF_TYPES):

@@ -118,7 +118,8 @@ def verify_envelope(
 ) -> EnvelopeVerdict:
     """Accept iff the quote verifies, the payload digest equals the quote's
     report data, the enclave measurement has a certification, and the payload
-    matches its template."""
+    matches its template and carries the string digest that chains and cards
+    look its attestation type up by."""
     quote_result = verify_quote(envelope.quote, trusted_roots)
     if not quote_result.accepted:
         return EnvelopeVerdict(False, reason="bad-quote", detail=quote_result.reason)
@@ -149,20 +150,30 @@ def verify_envelope(
     invalid: InvalidCertificationError | None = None
     last_mismatch: TemplateMatch | None = None
     for cert in certifications:
-        try:
-            result = match_template(cert.template, payload)
-        except InvalidCertificationError as exc:
-            invalid = exc
+        if cert.template_error is not None:
+            invalid = cert.template_error
             continue
+        result = _match(cert.template, payload, "")
         if result.matched:
             att_type = payload.get("att_type") if isinstance(payload, dict) else None
+            if not isinstance(att_type, str):
+                att_type = None
+            # null wildcards in a template let any JSON value through, but
+            # chains and cards index each fragment by this digest
+            lookup_field = _LOOKUP_FIELD.get(att_type)
+            if lookup_field is not None and not isinstance(payload.get(lookup_field), str):
+                return EnvelopeVerdict(
+                    False,
+                    reason="template-mismatch",
+                    detail=f"{att_type} lookup digest {lookup_field} is not a string",
+                )
             return EnvelopeVerdict(
                 True,
                 fragment=VerifiedFragment(
                     payload=payload,
                     payload_bytes=envelope.payload,
                     fragment_sha256=payload_digest,
-                    att_type=att_type if isinstance(att_type, str) else None,
+                    att_type=att_type,
                     measurement=quote_result.measurement,
                     certification=cert,
                 ),

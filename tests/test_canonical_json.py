@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lam.errors import CanonicalizationError
-from lam.hashcore import canonicalize, parse_canonical
+from lam.hashcore import canonicalize, is_canonical, parse_canonical
 
 # No per-example deadline: timings on a loaded host say nothing about correctness.
 relaxed = settings(deadline=None)
@@ -20,7 +20,10 @@ relaxed = settings(deadline=None)
 # Characters JSON must escape, or that are easy to get wrong unescaped.
 _TRICKY = ['"', "\\", "/", "\n", "\r", "\t", "\b", "\f", "\x00", "\x1f", "\x7f", "\u2028", "\u2029", "é", "✓", "😀"]
 
-strings = st.text(st.one_of(st.characters(), st.sampled_from(_TRICKY)))
+# Lone surrogates (category Cs) cannot be encoded as UTF-8; the reference
+# writer raises UnicodeEncodeError on them, canonicalize a path-bearing error
+# (see test_lone_surrogate_rejected_at_its_path).
+strings = st.text(st.one_of(st.characters(exclude_categories=["Cs"]), st.sampled_from(_TRICKY)))
 leaves = st.one_of(
     st.none(),
     st.booleans(),
@@ -118,3 +121,28 @@ def test_first_offence_in_emission_order(items, data):
         assert _error(canonicalize, value) == _error(reference_canonicalize, value)
     else:
         assert canonicalize(value) == expected
+
+
+@pytest.mark.parametrize(
+    ("value", "path", "message"),
+    [
+        ("\ud800", "", "string holds a lone surrogate"),
+        ({"a": [1, {"b": "ok\udfff"}]}, "/a/1/b", "string holds a lone surrogate"),
+        ({"a": 1, "z": {"\ud800": None}}, "/z", "object key '\\ud800' holds a lone surrogate"),
+        # the first offence in emission order, before a later float
+        ({"a": "\ud800", "b": 0.5}, "/a", "string holds a lone surrogate"),
+        ({"a": 0.5, "b": "\ud800"}, "/a", "float values are not allowed"),
+    ],
+)
+def test_lone_surrogate_rejected_at_its_path(value, path, message):
+    with pytest.raises(CanonicalizationError) as err:
+        canonicalize(value)
+    assert err.value.path == path
+    assert str(err.value).startswith(message)
+
+
+def test_parsed_lone_surrogate_is_not_canonical():
+    data = b'{"\\ud800":null}'
+    assert parse_canonical(data) == {"\ud800": None}
+    assert not is_canonical(data)
+    assert not is_canonical(b'["\\udc00"]')

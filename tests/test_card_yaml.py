@@ -1,6 +1,6 @@
-"""Card YAML through libyaml is byte-identical to PyYAML's pure-Python
-emitter, which stays the path for any card holding a string outside
-printable ASCII or a mapping key that is empty or over 122 characters."""
+"""Card YAML from lam's own emitter is byte-identical to yaml.safe_dump,
+which stays the path for any card holding a string outside printable ASCII
+or a mapping key that is empty or over 122 characters."""
 
 from __future__ import annotations
 
@@ -28,6 +28,8 @@ YAML_WORDS = [
 printable = st.characters(min_codepoint=0x20, max_codepoint=0x7E)
 ascii_text = st.text(printable, max_size=200) | st.sampled_from(YAML_WORDS)
 long_ascii = st.text(st.sampled_from("ab cd-ef'\" :#"), min_size=70, max_size=400)
+# sentences long enough to fold, with quotes, indicators and space runs
+sentences = st.lists(st.text(st.sampled_from("ab cd-ef'\" :#?-"), max_size=8), max_size=40).map(" ".join)
 awkward_text = st.text(printable | st.sampled_from(AWKWARD), max_size=200)
 
 
@@ -61,46 +63,64 @@ def test_any_card_matches_safe_dump(card):
     assert card.yaml_bytes() == safe_dump_bytes(card.document())
 
 
-def test_each_emitter_path_is_taken(monkeypatch):
+@settings(max_examples=200, deadline=None)
+@given(documents(sentences))
+def test_folded_and_quoted_sentences_match_safe_dump(card):
+    assert card.yaml_bytes() == safe_dump_bytes(card.document())
+
+
+def test_shared_collections_match_safe_dump():
+    # safe_dump writes a list or dict that occurs twice as an anchor and alias
+    shared = ["x"]
+    card = PropertyCard("model", "cd" * 32, {"a": shared, "b": {"c": shared}})
+    assert b"&id001" in card.yaml_bytes()
+    assert card.yaml_bytes() == safe_dump_bytes(card.document())
+
+
+def _record_yaml_calls(monkeypatch) -> list[str]:
     calls = []
-    real_dump, real_safe_dump = yaml.dump, yaml.safe_dump
+    for name in ("dump", "safe_dump"):
+        real = getattr(yaml, name)
 
-    def dump(*args, **kwargs):
-        calls.append(("libyaml", kwargs["Dumper"]))
-        return real_dump(*args, **kwargs)
+        def recorded(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
 
-    def safe_dump(*args, **kwargs):
-        calls.append(("python", None))
-        return real_safe_dump(*args, **kwargs)
+        monkeypatch.setattr(yaml, name, recorded)
+    return calls
 
-    monkeypatch.setattr(yaml, "dump", dump)
-    monkeypatch.setattr(yaml, "safe_dump", safe_dump)
 
-    ascii_card = PropertyCard("dataset", "cd" * 32, {"datasheet": {"name": "census", "rows": 3}})
-    ascii_card.yaml_bytes()
-    assert calls == [("libyaml", lam.cards._AsciiDumper)]
-    assert issubclass(lam.cards._AsciiDumper, yaml.CSafeDumper)
+def test_each_emitter_path_is_taken(monkeypatch):
+    calls = _record_yaml_calls(monkeypatch)
 
-    calls.clear()
-    for awkward in ("Zürich", "tab\there", "line\nbreak", "\x85"):
-        card = PropertyCard("dataset", "cd" * 32, {"datasheet": {"name": awkward}})
-        assert card.yaml_bytes() == real_safe_dump(
-            card.document(), sort_keys=False, default_flow_style=False, allow_unicode=True
-        ).encode("utf-8")
-        assert calls == [("libyaml", lam.cards._AsciiDumper), ("python", None)]
+    # printable ASCII, keys of 1-122 characters: lam's emitter, no yaml call
+    for card in (
+        PropertyCard("dataset", "cd" * 32, {"datasheet": {"name": "census", "rows": 3}}),
+        PropertyCard("model", "cd" * 32, {"k" * 122: [{"a": None}, [True, -1], "x: y"]}),
+    ):
+        written = card.yaml_bytes()
+        assert calls == []
+        assert written == safe_dump_bytes(card.document())
         calls.clear()
 
-    # so do mapping keys outside printable ASCII, empty or over 122 characters
-    for key in ("é", "", "k" * 123):
-        PropertyCard("model", "cd" * 32, {"body": {key: 1}}).yaml_bytes()
-        assert calls == [("libyaml", lam.cards._AsciiDumper), ("python", None)]
+    # anything else: one yaml.safe_dump call
+    names = ("Zürich", "tab\there", "line\nbreak", "\x85")
+    awkward_cards = [PropertyCard("dataset", "cd" * 32, {"datasheet": {"name": name}}) for name in names]
+    awkward_cards += [PropertyCard("model", "cd" * 32, {"body": {key: 1}}) for key in ("é", "", "k" * 123)]
+    for card in awkward_cards:
+        written = card.yaml_bytes()
+        assert calls == ["safe_dump"]
+        assert written == safe_dump_bytes(card.document())
         calls.clear()
-    PropertyCard("model", "cd" * 32, {"k" * 122: 1}).yaml_bytes()
-    assert calls == [("libyaml", lam.cards._AsciiDumper)]
 
 
 def test_without_libyaml_every_card_takes_the_python_emitter(monkeypatch):
-    card = PropertyCard("model", "ef" * 32, {"model-index": [{"name": "m", "results": []}]})
-    expected = card.yaml_bytes()
-    monkeypatch.setattr(lam.cards, "_AsciiDumper", None)
-    assert card.yaml_bytes() == expected == safe_dump_bytes(card.document())
+    # card bytes do not depend on whether PyYAML was built with libyaml
+    cards = [
+        PropertyCard("model", "ef" * 32, {"model-index": [{"name": "m", "results": []}]}),
+        PropertyCard("dataset", "ef" * 32, {"datasheet": {"name": "Zürich"}}),
+    ]
+    expected = [card.yaml_bytes() for card in cards]
+    monkeypatch.delattr(yaml, "CSafeDumper", raising=False)
+    for card, before in zip(cards, expected):
+        assert card.yaml_bytes() == before == safe_dump_bytes(card.document())

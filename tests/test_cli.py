@@ -296,3 +296,36 @@ def test_verify_wrong_bundle_version_exits_2(cli_ws, capsys, tmp_path, version):
     assert code == 2
     assert "unsupported assertion bundle version" in err
     assert not (tmp_path / "cards" / "chain_report.json").exists()
+
+
+@pytest.mark.parametrize(
+    ("trust", "message"),
+    [
+        ([], "trust file must be a JSON object"),
+        ({"manufacturer_roots": 5}, "manufacturer_roots must be a list of strings"),
+        ({"manufacturer_roots": [5]}, "manufacturer_roots must be a list of strings"),
+        ({"endorser_keys": []}, "endorser_keys must map endorser ids to key strings"),
+        ({"endorser_keys": {"acme": 1}}, "endorser_keys must map endorser ids to key strings"),
+    ],
+)
+def test_verify_malformed_trust_file_exits_2(cli_ws, capsys, tmp_path, trust, message):
+    roots = tmp_path / "trust.json"
+    roots.write_text(json.dumps(trust))
+    code = run(*_verify_args(cli_ws["ws"], tmp_path / "cards", roots=roots))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "cards" / "chain_report.json").exists()
+
+
+def test_verify_lone_surrogate_certificate_name_exits_2(cli_ws, capsys, tmp_path):
+    ws = cli_ws["ws"]
+    bundle_value = parse_canonical((ws / "bundle.json").read_bytes())
+    bundle_value["external_certificates"][0]["name"] = "\ud800"
+    bundle = tmp_path / "bundle.json"
+    # json.dumps escapes the surrogate as \ud800, which canonical JSON cannot hold
+    bundle.write_text(json.dumps(bundle_value, sort_keys=True, separators=(",", ":")))
+    code = run(*_verify_args(ws, tmp_path / "cards", bundle=bundle))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: string holds a lone surrogate, which UTF-8 cannot encode at /name\n"

@@ -237,3 +237,68 @@ def test_different_certificates_for_one_platform_get_their_own_verdicts(pipe):
     assert verdicts[1].reason == verdicts[3].reason == "bad-quote"
     assert bundle.envelopes[0].quote.platform_certificate is bundle.envelopes[2].quote.platform_certificate
     assert bundle.envelopes[1].quote.platform_certificate is bundle.envelopes[3].quote.platform_certificate
+
+
+@pytest.mark.parametrize("digest", [["x"], {"a": 1}, 7, None, "missing"])
+def test_non_string_lookup_digest_rejected(pipe, digest):
+    """The builtin templates leave digest fields as null wildcards, so a
+    certified enclave can quote any JSON value there; chains and cards index
+    fragments by that digest, so it must be a string."""
+    import json
+
+    from lam.hashcore import canonicalize
+
+    value = json.loads(pipe.envelopes["io"].payload)
+    if digest == "missing":  # the builtin template requires the key; an all-wildcard one does not
+        del value["model_sha256"]
+        measurement = pipe.enclaves["metric"].measurement
+        template = {k: None for k in value}
+        store = CertificationStore([make_certification(pipe.endorser, measurement, template)])
+    else:
+        value["model_sha256"] = digest
+        measurement = pipe.enclaves["inference"].measurement
+        store = pipe.store
+    payload = canonicalize(value)
+    env = AttestationEnvelope(payload=payload, quote=issue_quote(pipe.platform, measurement, hash_bytes(payload)))
+
+    verdict = verify_envelope(env, store, pipe.roots)
+    assert not verdict.accepted
+    assert verdict.reason == "template-mismatch"
+    assert verdict.detail == "IOAtt lookup digest model_sha256 is not a string"
+
+
+def test_each_template_is_validated_once(pipe, monkeypatch):
+    import lam.certs
+    import lam.verifier
+    from lam.certs import Certification
+
+    calls = []
+    real = lam.certs.validate_template
+
+    def counting(template, path=""):
+        if not path:  # not one of its own recursive calls
+            calls.append(id(template))
+        return real(template, path)
+
+    monkeypatch.setattr(lam.certs, "validate_template", counting)
+    monkeypatch.setattr(lam.verifier, "validate_template", counting)
+    store = CertificationStore(Certification.from_json_value(c) for c in pipe.store.to_json_value())
+    for _ in range(3):
+        for env in pipe.envelopes.values():
+            assert verify_envelope(env, store, pipe.roots).accepted
+        assert 0 < len(calls) == len(set(calls)) <= len(store)
+
+
+def test_invalid_certification_detail_names_the_template_path(pipe):
+    from lam.certs import Certification
+
+    corrupt = Certification(
+        enclave_measurement=pipe.enclaves["metric"].measurement,
+        template={"att_type": "AccAtt", "threshold": 0.5},
+        endorser_id="acme",
+        signature=b"",
+    )
+    for _ in range(2):
+        verdict = verify_envelope(pipe.envelopes["acc"], CertificationStore([corrupt]), pipe.roots)
+        assert verdict.reason == "invalid-certification"
+        assert verdict.detail == "disallowed template value of type float at /threshold"
