@@ -30,7 +30,14 @@ SIG_ALG = "ed25519"
 EnclaveMeasurement = Digest
 
 
-def _private_from_seed(seed: bytes) -> Ed25519PrivateKey:
+def key_from_seed(seed: bytes | str | None) -> Ed25519PrivateKey:
+    """The Ed25519 key whose private bytes are the SHA-256 of the seed (a str
+    seed as UTF-8), so seeded keys are reproducible; without a seed, a key
+    from OS entropy."""
+    if seed is None:
+        seed = os.urandom(32)
+    elif isinstance(seed, str):
+        seed = seed.encode("utf-8")
     return Ed25519PrivateKey.from_private_bytes(hashlib.sha256(seed).digest())
 
 
@@ -144,19 +151,20 @@ class QuoteResult:
     report_data: Digest | None = None
 
 
-def create_root(seed: bytes | str, root_id: str = "manufacturer-root") -> ManufacturerRoot:
+def _certify(signer: Ed25519PrivateKey, platform_id: str, subject: Ed25519PrivateKey) -> PlatformCertificate:
+    """A certificate binding platform_id to the subject's public key, signed by signer."""
+    pubkey = _public_hex(subject)
+    signature = signer.sign(canonicalize({"platform_id": platform_id, "pubkey": pubkey}))
+    return PlatformCertificate(platform_id=platform_id, pubkey=pubkey, root_signature=signature)
+
+
+def create_root(seed: bytes | str) -> ManufacturerRoot:
     """Deterministic manufacturer root keypair plus its self-signed certificate."""
-    seed_bytes = seed.encode("utf-8") if isinstance(seed, str) else seed
-    if not seed_bytes:
+    if not seed:
         raise LamError("root seed must be nonempty")
-    private = _private_from_seed(seed_bytes)
-    public_hex = _public_hex(private)
-    self_cert = PlatformCertificate(
-        platform_id=root_id,
-        pubkey=public_hex,
-        root_signature=private.sign(canonicalize({"platform_id": root_id, "pubkey": public_hex})),
-    )
-    return ManufacturerRoot(private_key=private, public_hex=public_hex, certificate=self_cert)
+    private = key_from_seed(seed)
+    certificate = _certify(private, "manufacturer-root", private)
+    return ManufacturerRoot(private_key=private, public_hex=certificate.pubkey, certificate=certificate)
 
 
 def provision_platform(root: ManufacturerRoot, platform_id: str, seed: bytes | str | None = None) -> PlatformIdentity:
@@ -165,18 +173,11 @@ def provision_platform(root: ManufacturerRoot, platform_id: str, seed: bytes | s
     A seed makes provisioning deterministic for reproducible fixtures;
     without one the key is drawn from OS entropy.
     """
-    if seed is None:
-        key_bytes = os.urandom(32)
-    else:
-        key_bytes = seed.encode("utf-8") if isinstance(seed, str) else seed
-    private = _private_from_seed(key_bytes)
-    public_hex = _public_hex(private)
-    cert = PlatformCertificate(
-        platform_id=platform_id,
-        pubkey=public_hex,
-        root_signature=root.private_key.sign(canonicalize({"platform_id": platform_id, "pubkey": public_hex})),
+    private = key_from_seed(seed)
+    certificate = _certify(root.private_key, platform_id, private)
+    return PlatformIdentity(
+        platform_id=platform_id, private_key=private, public_hex=certificate.pubkey, certificate=certificate
     )
-    return PlatformIdentity(platform_id=platform_id, private_key=private, public_hex=public_hex, certificate=cert)
 
 
 def _length_prefixed(*parts: bytes) -> bytes:

@@ -13,13 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 import yaml
 
 from .certs import ExternalCertificate
 from .errors import CardConflictError
-from .verifier import ChainReport, VerifiedFragment, index_fragments
+from .measurers import index_fragments
+
+if TYPE_CHECKING:
+    from .verifier import ChainReport, VerifiedFragment
 
 
 _DUMP_OPTIONS: dict[str, Any] = {"sort_keys": False, "default_flow_style": False, "allow_unicode": True}
@@ -266,8 +269,8 @@ def assemble_cards(
     """One model card per attested model digest, one datasheet per dataset
     digest with a distribution attestation, one inference card per IOAtt.
 
-    `chains` is accepted for interface symmetry with chain resolution but
-    does not feed card claims (see module docstring).
+    `chains` is accepted because callers pass the chain report positionally,
+    but it does not feed card claims (see module docstring).
     """
     del chains
     frags = _dedupe(fragments)

@@ -15,7 +15,7 @@ from typing import Any, Iterable, Mapping
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
-from .backend import _verify_hex
+from .backend import _public_hex, _verify_hex, key_from_seed
 from .errors import InvalidCertificationError, LamError
 from .hashcore import Digest, canonicalize, hash_bytes, hash_file_once, parse_canonical
 
@@ -49,19 +49,11 @@ class Endorser:
 
     @property
     def public_hex(self) -> str:
-        return self.private_key.public_key().public_bytes_raw().hex()
+        return _public_hex(self.private_key)
 
     @classmethod
     def create(cls, endorser_id: str, seed: bytes | str | None = None) -> "Endorser":
-        import hashlib
-        import os
-
-        if seed is None:
-            key_bytes = os.urandom(32)
-        else:
-            seed_bytes = seed.encode("utf-8") if isinstance(seed, str) else seed
-            key_bytes = hashlib.sha256(seed_bytes).digest()
-        return cls(endorser_id=endorser_id, private_key=Ed25519PrivateKey.from_private_bytes(key_bytes))
+        return cls(endorser_id=endorser_id, private_key=key_from_seed(seed))
 
 
 @dataclass(frozen=True)

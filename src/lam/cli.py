@@ -17,8 +17,14 @@ from typing import Any
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from . import __version__
-from .backend import ManufacturerRoot, PlatformCertificate, PlatformIdentity, create_root, provision_platform
-from .cards import assemble_cards
+from .backend import (
+    ManufacturerRoot,
+    PlatformCertificate,
+    PlatformIdentity,
+    _public_hex,
+    create_root,
+    provision_platform,
+)
 from .certs import (
     CertificationStore,
     Endorser,
@@ -37,6 +43,7 @@ from .hashcore import (
     parse_canonical,
 )
 from .measurers import (
+    ATT_TYPES,
     AttestationEnvelope,
     attest_accuracy,
     attest_distribution,
@@ -47,7 +54,7 @@ from .measurers import (
     builtin_template,
     default_enclaves,
 )
-from .verifier import AssertionBundle, resolve_chains, verify_envelope
+from .verifier import AssertionBundle, verify_bundle
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -105,17 +112,25 @@ class Workspace:
         self.keys.mkdir(parents=True, exist_ok=True)
         self.trust_file.write_bytes(canonicalize(trust))
 
+    def _private_key(self, stem: str, missing: str) -> Ed25519PrivateKey:
+        """The key in keys/<stem>.key (64 hex digits); WorkspaceError with
+        `missing` when there is none, naming the file when it is malformed."""
+        path = self.keys / f"{stem}.key"
+        if not path.exists():
+            raise WorkspaceError(missing)
+        try:
+            return Ed25519PrivateKey.from_private_bytes(bytes.fromhex(path.read_text().strip()))
+        except ValueError:
+            raise WorkspaceError(f"malformed key file {path}: expected 64 hex digits") from None
+
+    def _certificate(self, stem: str) -> PlatformCertificate:
+        content, _ = hash_file_once(self.keys / f"{stem}.cert.json")
+        return PlatformCertificate.from_json_value(parse_canonical(content))
+
     def load_root(self) -> ManufacturerRoot:
-        key_path = self.keys / "root.key"
-        if not key_path.exists():
-            raise WorkspaceError("no manufacturer root in workspace; run `lam keygen root` first")
-        private = Ed25519PrivateKey.from_private_bytes(bytes.fromhex(key_path.read_text().strip()))
-        cert_bytes, _ = hash_file_once(self.keys / "root.cert.json")
-        certificate = PlatformCertificate.from_json_value(parse_canonical(cert_bytes))
+        private = self._private_key("root", "no manufacturer root in workspace; run `lam keygen root` first")
         return ManufacturerRoot(
-            private_key=private,
-            public_hex=private.public_key().public_bytes_raw().hex(),
-            certificate=certificate,
+            private_key=private, public_hex=_public_hex(private), certificate=self._certificate("root")
         )
 
     def load_platform(self, platform_id: str | None) -> PlatformIdentity:
@@ -127,24 +142,19 @@ class Workspace:
                     f"(found {len(candidates)})"
                 )
             platform_id = candidates[0].name[len("platform-") : -len(".key")]
-        key_path = self.keys / f"platform-{platform_id}.key"
-        if not key_path.exists():
-            raise WorkspaceError(f"no platform {platform_id!r}; run `lam keygen platform` first")
-        private = Ed25519PrivateKey.from_private_bytes(bytes.fromhex(key_path.read_text().strip()))
-        cert_bytes, _ = hash_file_once(self.keys / f"platform-{platform_id}.cert.json")
-        certificate = PlatformCertificate.from_json_value(parse_canonical(cert_bytes))
+        stem = f"platform-{platform_id}"
+        private = self._private_key(stem, f"no platform {platform_id!r}; run `lam keygen platform` first")
         return PlatformIdentity(
             platform_id=platform_id,
             private_key=private,
-            public_hex=private.public_key().public_bytes_raw().hex(),
-            certificate=certificate,
+            public_hex=_public_hex(private),
+            certificate=self._certificate(stem),
         )
 
     def load_endorser(self, endorser_id: str) -> Endorser:
-        key_path = self.keys / f"endorser-{endorser_id}.key"
-        if not key_path.exists():
-            raise WorkspaceError(f"no endorser {endorser_id!r}; run `lam keygen endorser` first")
-        private = Ed25519PrivateKey.from_private_bytes(bytes.fromhex(key_path.read_text().strip()))
+        private = self._private_key(
+            f"endorser-{endorser_id}", f"no endorser {endorser_id!r}; run `lam keygen endorser` first"
+        )
         return Endorser(endorser_id=endorser_id, private_key=private)
 
 
@@ -406,49 +416,36 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     store = CertificationStore.load(args.certstore, endorser_keys)
     bundle = AssertionBundle.read(args.bundle)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    result = verify_bundle(bundle, store, roots, endorser_keys)
 
-    failures = 0
-    fragments = []
-    for i, envelope in enumerate(bundle.envelopes, start=1):
-        verdict = verify_envelope(envelope, store, roots)
+    for i, verdict in enumerate(result.envelopes, start=1):
         if verdict.accepted:
             frag = verdict.fragment
-            fragments.append(frag)
-            print(f"[{i}/{len(bundle.envelopes)}] {frag.att_type}: ok (fragment {frag.fragment_sha256.hex[:12]})")
+            print(f"[{i}/{len(result.envelopes)}] {frag.att_type}: ok (fragment {frag.fragment_sha256.hex[:12]})")
         else:
-            failures += 1
             detail = f" ({verdict.detail})" if verdict.detail else ""
-            print(f"[{i}/{len(bundle.envelopes)}] REJECT {verdict.reason}{detail}")
+            print(f"[{i}/{len(result.envelopes)}] REJECT {verdict.reason}{detail}")
+    for cert, ok in result.externals:
+        status = "ok" if ok else "REJECT bad-signature"
+        print(f"external certificate {cert.name!r} by {cert.endorser_id}: {status}")
 
-    valid_externals = []
-    for cert in bundle.external_certificates:
-        pubkey = endorser_keys.get(cert.endorser_id)
-        if pubkey and cert.verifies_under(pubkey):
-            valid_externals.append(cert)
-            print(f"external certificate {cert.name!r} by {cert.endorser_id}: ok")
-        else:
-            failures += 1
-            print(f"external certificate {cert.name!r} by {cert.endorser_id}: REJECT bad-signature")
-
-    report = resolve_chains(fragments, valid_externals)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "chain_report.json"
-    report_path.write_bytes(report.canonical_bytes())
+    report_path.write_bytes(result.report.canonical_bytes())
     print(f"wrote {report_path}")
-
-    for card in assemble_cards(fragments, valid_externals, report):
+    for card in result.cards:
         path = card.write(out_dir)
         print(f"wrote {path}")
 
-    for model_hex, entry in report.models.items():
+    for model_hex, entry in result.report.models.items():
         status = "complete" if entry["complete"] else "incomplete"
         print(f"chain for model {model_hex[:12]}: {status}")
         if entry["complete"]:
             print(f"  {entry['conclusion']}")
 
-    if failures:
-        print(f"{failures} verification failure(s)")
+    if result.failures:
+        print(f"{result.failures} verification failure(s)")
         return EXIT_VERIFY_FAILED
     return EXIT_OK
 
@@ -524,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--endorser", required=True)
     p.add_argument("--enclave-kind", choices=("dataset", "training", "metric", "inference"))
     p.add_argument("--measurement", help="explicit enclave measurement (hex)")
-    p.add_argument("--att-type", choices=("DistAtt", "PoT", "AccAtt", "FairAtt", "RobustAtt-A", "RobustAtt-B", "IOAtt"))
+    p.add_argument("--att-type", choices=ATT_TYPES)
     p.add_argument("--template", help="JSON template file (overrides --att-type)")
     p.add_argument("--trusted-dir", help="trusted input directory (matches attest --trusted-dir)")
     add_workspace(p)

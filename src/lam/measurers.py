@@ -14,10 +14,11 @@ through external certificates at verification time, never here.
 from __future__ import annotations
 
 import base64
+import copy
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from .backend import EnclaveMeasurement, PlatformIdentity, Quote, issue_quote, measure_enclave
 from .engine.data import Dataset, InferenceRecord, TrainingConfig
@@ -35,31 +36,65 @@ from .hashcore import (
     require_in_manifest,
 )
 
+if TYPE_CHECKING:
+    from .verifier import VerifiedFragment
+
 ENVELOPE_VERSION = 1
 TASK = "tabular-classification"
 
-ATT_TYPES = ("DistAtt", "PoT", "AccAtt", "FairAtt", "RobustAtt-A", "RobustAtt-B", "IOAtt")
 
-# Exactly these digest fields must be present per attestation type.
-FRAGMENT_DIGEST_FIELDS: dict[str, frozenset[str]] = {
-    "DistAtt": frozenset({"dataset_sha256"}),
-    "PoT": frozenset({"model_sha256", "arch_sha256", "dataset_sha256", "config_sha256"}),
-    "AccAtt": frozenset({"model_sha256", "dataset_sha256"}),
-    "FairAtt": frozenset({"model_sha256", "dataset_sha256"}),
-    "RobustAtt-A": frozenset({"dataset_sha256", "robust_dataset_sha256"}),
-    "RobustAtt-B": frozenset({"model_sha256", "robust_dataset_sha256"}),
-    "IOAtt": frozenset({"model_sha256", "input_sha256", "output_sha256"}),
+@dataclass(frozen=True)
+class AttSpec:
+    """What the toolkit knows about one builtin attestation type."""
+
+    enclave_kind: str  # the builtin enclave identity that produces it
+    # Exactly these digest fields; the first is the one chains and cards look
+    # fragments of this type up by.
+    digest_fields: tuple[str, ...]
+    # The other fields, each with its certification template value: null
+    # wildcards for attested values, pinned structure and metric types.
+    content: dict[str, Any]
+    # Content paths chains and cards read as strings, besides the digests.
+    content_strings: tuple[tuple[str, ...], ...] = ()
+
+    @cached_property
+    def string_paths(self) -> tuple[tuple[str, ...], ...]:
+        """Every path chains and cards read as a string, digests first."""
+        return tuple((f,) for f in self.digest_fields) + self.content_strings
+
+
+def _metric_content(metric_type: str, *fields: str) -> dict[str, Any]:
+    return {"results": {"task": TASK, "metrics": {"type": metric_type, **dict.fromkeys(fields)}}}
+
+
+ATT_SPECS: dict[str, AttSpec] = {
+    "DistAtt": AttSpec("dataset", ("dataset_sha256",), {"property": None}, (("property", "kind"),)),
+    "PoT": AttSpec("training", ("model_sha256", "arch_sha256", "dataset_sha256", "config_sha256"), {}),
+    "AccAtt": AttSpec(
+        "metric",
+        ("model_sha256", "dataset_sha256"),
+        _metric_content("accuracy", "value", "numerator", "denominator"),
+    ),
+    "FairAtt": AttSpec(
+        "metric",
+        ("model_sha256", "dataset_sha256"),
+        _metric_content("demographic_parity", "value", "parameters"),
+    ),
+    "RobustAtt-A": AttSpec(
+        "metric",
+        ("robust_dataset_sha256", "dataset_sha256"),
+        {"parameters": None},
+        (("parameters", "epsilon"),),
+    ),
+    "RobustAtt-B": AttSpec(
+        "metric",
+        ("model_sha256", "robust_dataset_sha256"),
+        _metric_content("robust_accuracy", "value", "numerator", "denominator", "parameters"),
+    ),
+    "IOAtt": AttSpec("inference", ("model_sha256", "input_sha256", "output_sha256"), {"output": None}),
 }
 
-_CONTENT_FIELDS: dict[str, frozenset[str]] = {
-    "DistAtt": frozenset({"property"}),
-    "PoT": frozenset(),
-    "AccAtt": frozenset({"results"}),
-    "FairAtt": frozenset({"results"}),
-    "RobustAtt-A": frozenset({"parameters"}),
-    "RobustAtt-B": frozenset({"results"}),
-    "IOAtt": frozenset({"output"}),
-}
+ATT_TYPES = tuple(ATT_SPECS)
 
 _MEASURER_SOURCES = {
     "dataset": b"lam measurer 'dataset': sensitive-attribute distribution counts, v1\n",
@@ -97,12 +132,12 @@ class EnclaveContext:
     def with_trusted_inputs(self, manifest: TrustedManifest) -> "EnclaveContext":
         return replace(self, input_manifest=manifest)
 
-    def read_input(self, path: str | Path, relpath: str | None = None) -> bytes:
+    def read_input(self, path: str | Path) -> bytes:
         """Read-once an input file; under trusted-file mode the content must
         match the manifest or the measurer aborts before any quote exists."""
         content, _ = hash_file_once(path)
         if self.input_manifest is not None:
-            require_in_manifest(self.input_manifest, relpath or Path(path).name, content)
+            require_in_manifest(self.input_manifest, Path(path).name, content)
         return content
 
 
@@ -163,19 +198,18 @@ def validate_fragment(value: Any) -> str:
     if not isinstance(value, dict):
         raise DomainError("fragment must be a JSON object")
     att_type = value.get("att_type")
-    if att_type not in FRAGMENT_DIGEST_FIELDS:
+    spec = ATT_SPECS.get(att_type)
+    if spec is None:
         raise DomainError(f"unknown att_type {att_type!r}")
     digest_fields = {k for k in value if k.endswith("_sha256")}
-    expected = FRAGMENT_DIGEST_FIELDS[att_type]
-    if digest_fields != set(expected):
+    if digest_fields != set(spec.digest_fields):
         raise DomainError(
-            f"{att_type} fragment digest fields {sorted(digest_fields)} != expected {sorted(expected)}"
+            f"{att_type} fragment digest fields {sorted(digest_fields)} != expected {sorted(spec.digest_fields)}"
         )
     other = set(value) - digest_fields - {"att_type"}
-    if other != set(_CONTENT_FIELDS[att_type]):
+    if other != set(spec.content):
         raise DomainError(
-            f"{att_type} fragment content fields {sorted(other)} != expected "
-            f"{sorted(_CONTENT_FIELDS[att_type])}"
+            f"{att_type} fragment content fields {sorted(other)} != expected {sorted(spec.content)}"
         )
     return att_type
 
@@ -317,84 +351,29 @@ def attest_inference(
 
 
 def builtin_template(att_type: str) -> Any:
-    """Default certification template for an attestation type.
+    """Default certification template for an attestation type, a fresh copy.
 
     Template dictionaries pin structural fields and the metric type, leaving
     attested values as null wildcards; key-set equality in the matcher keeps
     a certified enclave from smuggling extra claims.
     """
-    if att_type == "DistAtt":
-        return {"att_type": "DistAtt", "dataset_sha256": None, "property": None}
-    if att_type == "PoT":
-        return {
-            "att_type": "PoT",
-            "model_sha256": None,
-            "arch_sha256": None,
-            "dataset_sha256": None,
-            "config_sha256": None,
-        }
-    if att_type == "AccAtt":
-        return {
-            "att_type": "AccAtt",
-            "model_sha256": None,
-            "dataset_sha256": None,
-            "results": {
-                "task": TASK,
-                "metrics": {"type": "accuracy", "value": None, "numerator": None, "denominator": None},
-            },
-        }
-    if att_type == "FairAtt":
-        return {
-            "att_type": "FairAtt",
-            "model_sha256": None,
-            "dataset_sha256": None,
-            "results": {
-                "task": TASK,
-                "metrics": {"type": "demographic_parity", "value": None, "parameters": None},
-            },
-        }
-    if att_type == "RobustAtt-A":
-        return {
-            "att_type": "RobustAtt-A",
-            "dataset_sha256": None,
-            "robust_dataset_sha256": None,
-            "parameters": None,
-        }
-    if att_type == "RobustAtt-B":
-        return {
-            "att_type": "RobustAtt-B",
-            "model_sha256": None,
-            "robust_dataset_sha256": None,
-            "results": {
-                "task": TASK,
-                "metrics": {
-                    "type": "robust_accuracy",
-                    "value": None,
-                    "numerator": None,
-                    "denominator": None,
-                    "parameters": None,
-                },
-            },
-        }
-    if att_type == "IOAtt":
-        return {
-            "att_type": "IOAtt",
-            "model_sha256": None,
-            "input_sha256": None,
-            "output_sha256": None,
-            "output": None,
-        }
-    raise DomainError(f"unknown att_type {att_type!r}")
+    spec = ATT_SPECS.get(att_type)
+    if spec is None:
+        raise DomainError(f"unknown att_type {att_type!r}")
+    return {"att_type": att_type, **dict.fromkeys(spec.digest_fields), **copy.deepcopy(spec.content)}
 
 
 def enclave_kind_for(att_type: str) -> str:
     """Which builtin enclave identity produces a given attestation type."""
-    return {
-        "DistAtt": "dataset",
-        "PoT": "training",
-        "AccAtt": "metric",
-        "FairAtt": "metric",
-        "RobustAtt-A": "metric",
-        "RobustAtt-B": "metric",
-        "IOAtt": "inference",
-    }[att_type]
+    return ATT_SPECS[att_type].enclave_kind
+
+
+def index_fragments(fragments: Iterable[VerifiedFragment]) -> dict[str, dict[str, list[VerifiedFragment]]]:
+    """att_type -> lookup digest (its first digest field) -> fragments, each
+    list in input order. Fragments of other types are left out."""
+    index: dict[str, dict[str, list[VerifiedFragment]]] = {att: {} for att in ATT_SPECS}
+    for f in fragments:
+        spec = ATT_SPECS.get(f.att_type)
+        if spec is not None:
+            index[f.att_type].setdefault(f.payload[spec.digest_fields[0]], []).append(f)
+    return index

@@ -13,10 +13,11 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from .backend import PlatformCertificate, verify_quote
+from .cards import PropertyCard, assemble_cards
 from .certs import Certification, CertificationStore, ExternalCertificate, validate_template
 from .errors import CanonicalizationError, InvalidCertificationError, LamError
 from .hashcore import Digest, canonicalize, hash_bytes, hash_file_once, parse_canonical
-from .measurers import AttestationEnvelope
+from .measurers import ATT_SPECS, AttestationEnvelope, index_fragments
 
 BUNDLE_VERSION = 1
 
@@ -118,8 +119,8 @@ def verify_envelope(
 ) -> EnvelopeVerdict:
     """Accept iff the quote verifies, the payload digest equals the quote's
     report data, the enclave measurement has a certification, and the payload
-    matches its template and carries the string digest that chains and cards
-    look its attestation type up by."""
+    matches its template and holds a string at every path that chains and
+    cards read for its attestation type (see AttSpec.string_paths)."""
     quote_result = verify_quote(envelope.quote, trusted_roots)
     if not quote_result.accepted:
         return EnvelopeVerdict(False, reason="bad-quote", detail=quote_result.reason)
@@ -159,14 +160,19 @@ def verify_envelope(
             if not isinstance(att_type, str):
                 att_type = None
             # null wildcards in a template let any JSON value through, but
-            # chains and cards index each fragment by this digest
-            lookup_field = _LOOKUP_FIELD.get(att_type)
-            if lookup_field is not None and not isinstance(payload.get(lookup_field), str):
-                return EnvelopeVerdict(
-                    False,
-                    reason="template-mismatch",
-                    detail=f"{att_type} lookup digest {lookup_field} is not a string",
-                )
+            # chains and cards read these paths as strings
+            spec = ATT_SPECS.get(att_type)
+            if spec is not None:
+                for path in spec.string_paths:
+                    value = payload
+                    for key in path:
+                        value = value.get(key) if isinstance(value, dict) else None
+                    if not isinstance(value, str):
+                        return EnvelopeVerdict(
+                            False,
+                            reason="template-mismatch",
+                            detail=f"{att_type} field is not a string at /{'/'.join(path)}",
+                        )
             return EnvelopeVerdict(
                 True,
                 fragment=VerifiedFragment(
@@ -287,30 +293,6 @@ class ChainReport:
 
     def canonical_bytes(self) -> bytes:
         return canonicalize(self.to_json_value())
-
-
-# The payload field each attestation type is looked up by when fragments are
-# linked into chains and cards.
-_LOOKUP_FIELD = {
-    "DistAtt": "dataset_sha256",
-    "PoT": "model_sha256",
-    "AccAtt": "model_sha256",
-    "FairAtt": "model_sha256",
-    "RobustAtt-A": "robust_dataset_sha256",
-    "RobustAtt-B": "model_sha256",
-    "IOAtt": "model_sha256",
-}
-
-
-def index_fragments(fragments: Iterable[VerifiedFragment]) -> dict[str, dict[str, list[VerifiedFragment]]]:
-    """att_type -> lookup digest (see _LOOKUP_FIELD) -> fragments, each list
-    in input order. Fragments of other types are left out."""
-    index: dict[str, dict[str, list[VerifiedFragment]]] = {att: {} for att in _LOOKUP_FIELD}
-    for f in fragments:
-        key = _LOOKUP_FIELD.get(f.att_type)
-        if key is not None:
-            index[f.att_type].setdefault(f.payload[key], []).append(f)
-    return index
 
 
 def resolve_chains(
@@ -457,10 +439,11 @@ def resolve_chains(
             }
         report.datasets[d] = entry
 
-    # fragments referencing a model digest that has no proof of training
+    # fragments referencing a model digest that has no proof of training; a
+    # custom attestation type's model_sha256 may be any JSON value
     for f in frags:
-        m = f.payload.get("model_sha256")
-        if m is not None and m not in index["PoT"] and f.att_type != "PoT":
+        m = f.payload.get("model_sha256") if isinstance(f.payload, dict) else None
+        if isinstance(m, str) and m not in index["PoT"] and f.att_type != "PoT":
             report.orphans.append(
                 {
                     "att_type": f.att_type,
@@ -495,3 +478,41 @@ def _conclusion(
     )
     parts.append(f"{n_inferences} inference(s) carry input-model-output bindings")
     return "; ".join(parts) + "."
+
+
+# --- bundles -------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BundleVerdict:
+    envelopes: tuple[EnvelopeVerdict, ...]  # in bundle order
+    # each external certificate with whether it verifies, in bundle order
+    externals: tuple[tuple[ExternalCertificate, bool], ...]
+    report: ChainReport
+    cards: list[PropertyCard]
+
+    @property
+    def failures(self) -> int:
+        """Rejected envelopes plus rejected external certificates."""
+        return sum(not v.accepted for v in self.envelopes) + sum(not ok for _, ok in self.externals)
+
+
+def verify_bundle(
+    bundle: AssertionBundle,
+    store: CertificationStore,
+    trusted_roots: Iterable[str],
+    endorser_keys: Mapping[str, str],
+) -> BundleVerdict:
+    """Verify every envelope and external certificate of a bundle, then chain
+    and assemble what verified. Raises CardConflictError when two verified
+    fragments assert different values for one claim."""
+    roots = set(trusted_roots)
+    verdicts = tuple(verify_envelope(envelope, store, roots) for envelope in bundle.envelopes)
+    externals = tuple(
+        (cert, cert.endorser_id in endorser_keys and cert.verifies_under(endorser_keys[cert.endorser_id]))
+        for cert in bundle.external_certificates
+    )
+    fragments = [v.fragment for v in verdicts if v.accepted]
+    valid_externals = [cert for cert, ok in externals if ok]
+    report = resolve_chains(fragments, valid_externals)
+    return BundleVerdict(verdicts, externals, report, assemble_cards(fragments, valid_externals, report))

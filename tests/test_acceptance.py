@@ -12,7 +12,7 @@ from dataclasses import replace
 import pytest
 import yaml
 
-import oracle
+import engine_oracle as oracle
 from lam.backend import issue_quote
 from lam.cards import assemble_cards
 from lam.certs import CertificationStore
@@ -30,7 +30,7 @@ from lam.measurers import (
     attest_robustness,
     attest_training,
 )
-from lam.verifier import resolve_chains, verify_envelope
+from lam.verifier import resolve_chains, verify_bundle, verify_envelope
 from pipeline import default_config, separable_pipeline, sixrow_pipeline
 
 
@@ -423,24 +423,17 @@ def test_criterion_8_realism_band():
 def test_criterion_9_scalability(sixrow):
     pipe = sixrow
 
-    def verify_instance(envelopes):
-        verdicts = []
-        fragments = []
-        for env in envelopes:
-            verdict = verify_envelope(env, pipe.store, pipe.roots)
-            verdicts.append(verdict.reason)
-            if verdict.accepted:
-                fragments.append(verdict.fragment)
-        report = resolve_chains(fragments, pipe.externals)
-        cards = assemble_cards(fragments, pipe.externals)
+    def verify_instance(bundle):
+        result = verify_bundle(bundle, pipe.store, pipe.roots, pipe.endorser_keys)
         return (
-            tuple(verdicts),
-            report.canonical_bytes(),
-            b"".join(c.yaml_bytes() for c in cards),
+            tuple(v.reason for v in result.envelopes),
+            tuple(ok for _, ok in result.externals),
+            result.report.canonical_bytes(),
+            b"".join(c.yaml_bytes() for c in result.cards),
         )
 
-    envelopes = list(pipe.envelopes.values())
-    outputs = {verify_instance(envelopes) for _ in range(100)}
+    bundle = pipe.bundle()
+    outputs = {verify_instance(bundle) for _ in range(100)}
     assert len(outputs) == 1, "verifier instantiations disagree"
 
     # verification time does not grow with the training effort behind a bundle

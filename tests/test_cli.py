@@ -250,16 +250,24 @@ def test_usage_error_exit_3():
 
 
 def test_cli_matches_library_flow(cli_ws, tmp_path):
-    """The CLI-produced bundle verifies identically through the library API."""
+    """The CLI-produced bundle verifies identically through the library API,
+    and `lam verify` writes exactly what verify_bundle returns."""
     ws = cli_ws["ws"]
     from lam.certs import CertificationStore
-    from lam.verifier import AssertionBundle, verify_envelope
+    from lam.verifier import AssertionBundle, verify_bundle
 
     trust = parse_canonical((ws / "keys" / "trust.json").read_bytes())
     store = CertificationStore.load(ws / "certifications.json", trust["endorser_keys"])
     bundle = AssertionBundle.read(ws / "bundle.json")
-    for env in bundle.envelopes:
-        assert verify_envelope(env, store, set(trust["manufacturer_roots"])).accepted
+    result = verify_bundle(bundle, store, trust["manufacturer_roots"], trust["endorser_keys"])
+    assert all(v.accepted for v in result.envelopes) and all(ok for _, ok in result.externals)
+
+    out_dir = tmp_path / "cards"
+    assert run(*_verify_args(ws, out_dir)) == 0
+    assert (out_dir / "chain_report.json").read_bytes() == result.report.canonical_bytes()
+    assert sorted(p.name for p in out_dir.glob("card-*.yaml")) == sorted(c.filename for c in result.cards)
+    for card in result.cards:
+        assert (out_dir / card.filename).read_bytes() == card.yaml_bytes()
 
 
 def _verify_args(ws: Path, out: Path, *, bundle: Path | None = None, roots: Path | None = None) -> list[str]:
@@ -329,3 +337,45 @@ def test_verify_lone_surrogate_certificate_name_exits_2(cli_ws, capsys, tmp_path
     err = capsys.readouterr().err
     assert code == 2
     assert err == "error: string holds a lone surrogate, which UTF-8 cannot encode at /name\n"
+
+
+def test_verify_conflicting_claims_exits_2_and_writes_nothing(cli_ws, capsys, tmp_path):
+    """Two verified AccAtt fragments asserting different accuracies for one
+    (model, test set) are an input error, reported before any file is written."""
+    from lam.backend import issue_quote
+    from lam.cli import Workspace
+    from lam.hashcore import canonicalize, hash_bytes
+    from lam.measurers import AttestationEnvelope, default_enclaves
+
+    ws = cli_ws["ws"]
+    bundle_value = parse_canonical((ws / "bundle.json").read_bytes())
+    envelopes = [AttestationEnvelope.from_json_value(e) for e in bundle_value["envelopes"]]
+    acc = next(e for e in envelopes if e.payload_value()["att_type"] == "AccAtt")
+    value = acc.payload_value()
+    value["results"]["metrics"][0]["value"] = "0.123456"
+    payload = canonicalize(value)
+    platform = Workspace(ws).load_platform("p1")
+    quote = issue_quote(platform, default_enclaves()["metric"].measurement, hash_bytes(payload))
+    bundle_value["envelopes"].append(AttestationEnvelope(payload, quote).to_json_value())
+    bundle = tmp_path / "bundle.json"
+    bundle.write_bytes(canonicalize(bundle_value))
+
+    out_dir = tmp_path / "cards"
+    code = run(*_verify_args(ws, out_dir, bundle=bundle))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: conflicting claims for metric:")
+    assert not (out_dir / "chain_report.json").exists()
+    assert not list(out_dir.glob("card-*.yaml"))
+
+
+@pytest.mark.parametrize("content", ["not hex at all\n", "ab" * 31 + "\n"])
+def test_keygen_platform_malformed_root_key_exits_2(tmp_path, capsys, content):
+    assert run("keygen", "root", "--seed", "s", "-w", str(tmp_path)) == 0
+    key_file = tmp_path / "keys" / "root.key"
+    key_file.write_text(content)
+    code = run("keygen", "platform", "--platform-id", "p1", "--seed", "p", "-w", str(tmp_path))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: malformed key file {key_file}: expected 64 hex digits\n"
+    assert not (tmp_path / "keys" / "platform-p1.key").exists()

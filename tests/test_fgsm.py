@@ -5,7 +5,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-import oracle
+import engine_oracle as oracle
 from lam.engine.data import Architecture, Dataset
 from lam.engine.fgsm import fgsm_dataset, input_gradients
 from lam.engine.metrics import accuracy, robust_accuracy

@@ -6,15 +6,16 @@ from lam.engine.data import Dataset
 from lam.errors import DomainError, ManifestMismatchError
 from lam.hashcore import build_manifest, canonicalize, hash_bytes, parse_canonical
 from lam.measurers import (
+    ATT_SPECS,
     ATT_TYPES,
     AttestationEnvelope,
-    FRAGMENT_DIGEST_FIELDS,
     attest_accuracy,
     attest_distribution,
     attest_fairness,
     attest_inference,
     attest_robustness,
     attest_training,
+    builtin_template,
     default_enclaves,
     validate_fragment,
 )
@@ -192,7 +193,7 @@ def test_fragment_schema_total_and_exclusive(
                 continue
             relabeled = {**payload, "att_type": other}
             digest_fields = {k for k in relabeled if k.endswith("_sha256")}
-            if digest_fields == set(FRAGMENT_DIGEST_FIELDS[other]):
+            if digest_fields == set(ATT_SPECS[other].digest_fields):
                 continue  # exclusivity then rests on att_type, asserted below
             with pytest.raises(DomainError):
                 validate_fragment(relabeled)
@@ -227,3 +228,9 @@ def test_trusted_input_mode_aborts_on_mismatch(fixture_a, enclaves, tmp_path):
     unlisted.write_bytes(b"f1,label,sensitive\n")
     with pytest.raises(ManifestMismatchError, match="other.csv"):
         ctx.read_input(unlisted)
+
+
+def test_builtin_template_is_a_fresh_copy():
+    template = builtin_template("AccAtt")
+    template["results"]["metrics"]["type"] = "changed"
+    assert builtin_template("AccAtt")["results"]["metrics"]["type"] == "accuracy"

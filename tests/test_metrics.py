@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import oracle
+import engine_oracle as oracle
 from lam.engine.data import Architecture, Dataset
 from lam.engine.metrics import accuracy, demographic_parity, distribution, robust_accuracy
 from lam.engine.model import Model

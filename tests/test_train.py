@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import oracle
+import engine_oracle as oracle
 from lam.engine.data import Architecture, Dataset, TrainingConfig
 from lam.engine.model import Model, predict, predicted_classes, train
 from lam.engine.synth import linearly_separable

@@ -239,32 +239,97 @@ def test_different_certificates_for_one_platform_get_their_own_verdicts(pipe):
     assert bundle.envelopes[1].quote.platform_certificate is bundle.envelopes[3].quote.platform_certificate
 
 
-@pytest.mark.parametrize("digest", [["x"], {"a": 1}, 7, None, "missing"])
-def test_non_string_lookup_digest_rejected(pipe, digest):
-    """The builtin templates leave digest fields as null wildcards, so a
-    certified enclave can quote any JSON value there; chains and cards index
-    fragments by that digest, so it must be a string."""
+def _io_case(value, case_id):
+    return pytest.param("io", "model_sha256", value, "IOAtt field is not a string at /model_sha256", id=case_id)
+
+
+@pytest.mark.parametrize(
+    ("name", "field", "value", "detail"),
+    [
+        _io_case(["x"], "digest0"),
+        _io_case({"a": 1}, "digest1"),
+        _io_case(7, "7"),
+        _io_case(None, "None"),
+        _io_case("missing", "missing"),
+        pytest.param("io", "output_sha256", 7, "IOAtt field is not a string at /output_sha256", id="io-output"),
+        pytest.param("pot", "dataset_sha256", ["x"], "PoT field is not a string at /dataset_sha256", id="pot-dataset"),
+        pytest.param(
+            "dist-marginal", "property", "x", "DistAtt field is not a string at /property/kind", id="dist-property-str"
+        ),
+        pytest.param(
+            "dist-marginal", "property", {}, "DistAtt field is not a string at /property/kind", id="dist-property-empty"
+        ),
+        pytest.param(
+            "robgen", "parameters", [1], "RobustAtt-A field is not a string at /parameters/epsilon", id="robgen-parameters"
+        ),
+    ],
+)
+def test_non_string_lookup_digest_rejected(pipe, name, field, value, detail):
+    """The builtin templates leave digest and content fields as null
+    wildcards, so a certified enclave can quote any JSON value there; chains
+    and cards read these paths as strings, so they must hold one."""
     import json
 
     from lam.hashcore import canonicalize
 
-    value = json.loads(pipe.envelopes["io"].payload)
-    if digest == "missing":  # the builtin template requires the key; an all-wildcard one does not
-        del value["model_sha256"]
+    payload_value = json.loads(pipe.envelopes[name].payload)
+    if value == "missing":  # the builtin template requires the key; an all-wildcard one does not
+        del payload_value[field]
         measurement = pipe.enclaves["metric"].measurement
-        template = {k: None for k in value}
+        template = {k: None for k in payload_value}
         store = CertificationStore([make_certification(pipe.endorser, measurement, template)])
     else:
-        value["model_sha256"] = digest
-        measurement = pipe.enclaves["inference"].measurement
+        payload_value[field] = value
+        measurement = pipe.envelopes[name].quote.enclave_measurement
         store = pipe.store
-    payload = canonicalize(value)
+    payload = canonicalize(payload_value)
     env = AttestationEnvelope(payload=payload, quote=issue_quote(pipe.platform, measurement, hash_bytes(payload)))
 
     verdict = verify_envelope(env, store, pipe.roots)
     assert not verdict.accepted
     assert verdict.reason == "template-mismatch"
-    assert verdict.detail == "IOAtt lookup digest model_sha256 is not a string"
+    assert verdict.detail == detail
+
+
+@pytest.mark.parametrize(
+    "value", [{"att_type": "ExplainAtt", "model_sha256": ["x"], "explanation": [1]}, [1, 2]]
+)
+def test_custom_fragment_without_string_model_digest_is_no_orphan(pipe, value):
+    """A custom attestation type is checked by its template alone; only a
+    string model digest can make its fragment an orphan."""
+    from lam.cards import assemble_cards
+    from lam.hashcore import canonicalize
+    from lam.verifier import resolve_chains
+
+    measurement = pipe.enclaves["metric"].measurement
+    template = {k: None for k in value} if isinstance(value, dict) else None
+    store = CertificationStore([make_certification(pipe.endorser, measurement, template)])
+    payload = canonicalize(value)
+    env = AttestationEnvelope(payload=payload, quote=issue_quote(pipe.platform, measurement, hash_bytes(payload)))
+
+    verdict = verify_envelope(env, store, pipe.roots)
+    assert verdict.accepted
+    assert resolve_chains([verdict.fragment]).orphans == []
+    assert assemble_cards([verdict.fragment]) == []
+
+
+def test_verify_bundle_drops_forged_external_certificate(pipe):
+    from lam.verifier import verify_bundle
+
+    forged_cert = replace(pipe.externals[0], signature=bytes(64))
+    bundle = AssertionBundle(tuple(pipe.envelopes.values()), (forged_cert, pipe.externals[1]))
+
+    result = verify_bundle(bundle, pipe.store, pipe.roots, pipe.endorser_keys)
+    assert [ok for _, ok in result.externals] == [False, True]
+    assert all(v.accepted for v in result.envelopes)
+    assert result.failures == 1
+    forged_hex = forged_cert.certificate_sha256.hex
+    assert forged_cert.name.encode() not in result.report.canonical_bytes()
+    assert pipe.externals[1].name.encode() in result.report.canonical_bytes()
+    assert result.report.broken_edges(pipe.model.digest.hex) == {"training_dataset_certificate"}
+    for card in result.cards:
+        text = card.yaml_bytes()
+        assert forged_cert.name.encode() not in text and forged_hex.encode() not in text
 
 
 def test_each_template_is_validated_once(pipe, monkeypatch):
