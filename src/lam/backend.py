@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import hashlib
 import os
+import threading
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from functools import cached_property
+from typing import Any, Iterable, Sequence
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
@@ -25,6 +27,9 @@ from .errors import LamError
 from .hashcore import Digest, TrustedManifest, canonicalize, hash_bytes
 
 SIG_ALG = "ed25519"
+# Fewest signatures verify_signatures splits across CPUs; each slice then
+# holds at least half this many, so a fork pays for itself many times over.
+PARALLEL_MIN = 512
 
 # An enclave measurement is a Digest; the alias marks intent at call sites.
 EnclaveMeasurement = Digest
@@ -49,8 +54,71 @@ def _verify_hex(pubkey_hex: str, signature: bytes, message: bytes) -> bool:
     try:
         Ed25519PublicKey.from_public_bytes(bytes.fromhex(pubkey_hex)).verify(signature, message)
         return True
-    except (InvalidSignature, ValueError):
+    except (InvalidSignature, ValueError, TypeError):
         return False
+
+
+def verify_signatures(triples: Sequence[tuple[str, bytes, bytes]]) -> list[bool]:
+    """The Ed25519 verdict of each (public key hex, signature, message), in order.
+
+    From PARALLEL_MIN triples on, with two or more usable CPUs, the triples
+    are cut into contiguous slices, one per CPU: this process checks the
+    first, and a forked child checks each other one from the memory it
+    inherits (threads measured slower than one serial loop).
+    A slice whose child fails or answers short is checked again here.
+    A process running other Python threads checks serially: a child holds
+    only the forking thread, so a lock another thread held stays locked.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(triples) * 2 // PARALLEL_MIN) if threading.active_count() == 1 else 1
+    if workers < 2:
+        return [_verify_hex(*t) for t in triples]
+    bounds = [len(triples) * i // workers for i in range(workers + 1)]
+    children = [(lo, hi, _fork_check(triples[lo:hi])) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    try:
+        verdicts = [_verify_hex(*t) for t in triples[: bounds[1]]]
+    finally:
+        answers = [_read_child(child) for _, _, child in children]
+    for (lo, hi, _), answer in zip(children, answers):
+        if len(answer) != hi - lo:  # the child failed: check its slice here
+            answer = bytes(_verify_hex(*t) for t in triples[lo:hi])
+        verdicts += [b == 1 for b in answer]
+    return verdicts
+
+
+def _fork_check(triples: Sequence[tuple[str, bytes, bytes]]) -> tuple[int, int] | None:
+    """Fork a child that writes one byte per verdict (1 verifies, 0 does not)
+    to a pipe and exits; (its pid, the pipe's read end), or None if no child
+    could be started."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:  # the child never returns into the caller
+        status = 1
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(bytes(_verify_hex(*t) for t in triples))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _read_child(child: tuple[int, int] | None) -> bytes:
+    """What the child sent, once it has exited; nothing unless it exited cleanly."""
+    if child is None:
+        return b""
+    pid, read_fd = child
+    with os.fdopen(read_fd, "rb") as pipe:
+        answer = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    return answer if os.waitstatus_to_exitcode(status) == 0 else b""
 
 
 @dataclass(frozen=True)
@@ -141,6 +209,18 @@ class Quote:
             attestation_pubkey=value["attestation_pubkey"],
             platform_certificate=PlatformCertificate.from_json_value(value["platform_certificate"]),
         )
+
+    def signed(self) -> tuple[str, bytes, bytes]:
+        """(public key hex, signature, message) of the quote's signature."""
+        message = _quote_message(self.enclave_measurement, self.report_data, self.debug)
+        return self.attestation_pubkey, self.signature, message
+
+    @cached_property
+    def signature_valid(self) -> bool:
+        """Whether the signature verifies under attestation_pubkey, computed
+        once per Quote object (check_quote_signatures fills it in bulk). Not
+        a field, so dataclasses.replace starts a changed quote without it."""
+        return _verify_hex(*self.signed())
 
 
 @dataclass(frozen=True)
@@ -238,9 +318,15 @@ def verify_quote(quote: Quote, trusted_roots: Iterable[str]) -> QuoteResult:
         return QuoteResult(False, reason="bad-chain")
     if quote.sig_alg != SIG_ALG:
         return QuoteResult(False, reason="bad-signature")
-    message = _quote_message(quote.enclave_measurement, quote.report_data, quote.debug)
-    if not _verify_hex(quote.attestation_pubkey, quote.signature, message):
+    if not quote.signature_valid:
         return QuoteResult(False, reason="bad-signature")
     if quote.debug:
         return QuoteResult(False, reason="debug-enclave")
     return QuoteResult(True, measurement=quote.enclave_measurement, report_data=quote.report_data)
+
+
+def check_quote_signatures(quotes: Sequence[Quote]) -> None:
+    """Fill every quote's signature_valid memo at once (see verify_signatures)."""
+    for quote, verdict in zip(quotes, verify_signatures([q.signed() for q in quotes])):
+        # what cached_property itself does on first access
+        vars(quote)["signature_valid"] = verdict

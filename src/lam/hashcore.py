@@ -18,10 +18,11 @@ import hashlib
 import json
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from math import isfinite
 from pathlib import Path
 from typing import Any, Iterable
 
-from .errors import CanonicalizationError, FileReadError, ManifestMismatchError
+from .errors import CanonicalizationError, DomainError, FileReadError, ManifestMismatchError
 
 _HEX_DIGITS = set("0123456789abcdef")
 _QUANTUM = Decimal("0.000001")
@@ -166,15 +167,21 @@ def decimal_string(value: float | int | Decimal) -> str:
 
     Rounding is half-even; the sign is preserved (so -0.0 stays "-0.000000").
     This is the single formatting rule behind every non-integer number that
-    appears in canonical bytes.
+    appears in canonical bytes. NaN and infinities have no such form and
+    raise DomainError.
     """
     if isinstance(value, bool):
         raise TypeError("bool is not a numeric value")
     if isinstance(value, float):
+        if not isfinite(value):
+            raise DomainError(f"not a finite number: {value!r}")
         return format(value, ".6f")
+    number = Decimal(value)
+    if not number.is_finite():
+        raise DomainError(f"not a finite number: {value!r}")
     with localcontext() as ctx:
         ctx.prec = 50
-        return str(Decimal(value).quantize(_QUANTUM, rounding=ROUND_HALF_EVEN))
+        return str(number.quantize(_QUANTUM, rounding=ROUND_HALF_EVEN))
 
 
 def ratio_string(numerator: int, denominator: int) -> str:
@@ -187,11 +194,15 @@ def ratio_string(numerator: int, denominator: int) -> str:
 
 
 def parse_decimal_string(text: str) -> float:
-    """Parse a decimal-string number, rejecting junk early."""
+    """Parse a decimal-string number, rejecting junk early (ValueError) and
+    NaN, infinities and values beyond the float range (DomainError)."""
     try:
-        return float(Decimal(text))
+        value = float(Decimal(text))
     except Exception as exc:
         raise ValueError(f"not a decimal string: {text!r}") from exc
+    if not isfinite(value):
+        raise DomainError(f"not a finite decimal string: {text!r}")
+    return value
 
 
 @dataclass(frozen=True)

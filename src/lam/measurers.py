@@ -25,7 +25,7 @@ from .engine.data import Dataset, InferenceRecord, TrainingConfig
 from .engine.fgsm import fgsm_dataset
 from .engine.metrics import accuracy, demographic_parity, distribution, robust_accuracy
 from .engine.model import Model, predict, train
-from .errors import DomainError
+from .errors import DomainError, LamError
 from .hashcore import (
     TrustedManifest,
     canonicalize,
@@ -56,6 +56,9 @@ class AttSpec:
     content: dict[str, Any]
     # Content paths chains and cards read as strings, besides the digests.
     content_strings: tuple[tuple[str, ...], ...] = ()
+    # Content paths cards iterate as arrays. A dict template matches a lone
+    # object as well as an array of objects, so the matcher lets either in.
+    content_arrays: tuple[tuple[str, ...], ...] = ()
 
     @cached_property
     def string_paths(self) -> tuple[tuple[str, ...], ...]:
@@ -67,6 +70,9 @@ def _metric_content(metric_type: str, *fields: str) -> dict[str, Any]:
     return {"results": {"task": TASK, "metrics": {"type": metric_type, **dict.fromkeys(fields)}}}
 
 
+_METRICS = (("results", "metrics"),)
+
+
 ATT_SPECS: dict[str, AttSpec] = {
     "DistAtt": AttSpec("dataset", ("dataset_sha256",), {"property": None}, (("property", "kind"),)),
     "PoT": AttSpec("training", ("model_sha256", "arch_sha256", "dataset_sha256", "config_sha256"), {}),
@@ -74,11 +80,13 @@ ATT_SPECS: dict[str, AttSpec] = {
         "metric",
         ("model_sha256", "dataset_sha256"),
         _metric_content("accuracy", "value", "numerator", "denominator"),
+        content_arrays=_METRICS,
     ),
     "FairAtt": AttSpec(
         "metric",
         ("model_sha256", "dataset_sha256"),
         _metric_content("demographic_parity", "value", "parameters"),
+        content_arrays=_METRICS,
     ),
     "RobustAtt-A": AttSpec(
         "metric",
@@ -90,6 +98,7 @@ ATT_SPECS: dict[str, AttSpec] = {
         "metric",
         ("model_sha256", "robust_dataset_sha256"),
         _metric_content("robust_accuracy", "value", "numerator", "denominator", "parameters"),
+        content_arrays=_METRICS,
     ),
     "IOAtt": AttSpec("inference", ("model_sha256", "input_sha256", "output_sha256"), {"output": None}),
 }
@@ -177,10 +186,13 @@ class AttestationEnvelope:
 
     @classmethod
     def from_json_value(cls, value: dict[str, Any]) -> "AttestationEnvelope":
-        return cls(
-            payload=base64.b64decode(value["payload_b64"]),
-            quote=Quote.from_json_value(value["quote"]),
-        )
+        try:
+            # without validate, the decoder skips characters outside the
+            # alphabet, so an altered payload_b64 could still be accepted
+            payload = base64.b64decode(value["payload_b64"], validate=True)
+        except ValueError as exc:  # binascii.Error, or a non-ASCII string
+            raise LamError(f"envelope payload_b64 is not strict base64: {exc}") from exc
+        return cls(payload=payload, quote=Quote.from_json_value(value["quote"]))
 
     def write(self, path: str | Path) -> None:
         Path(path).write_bytes(canonicalize(self.to_file_value()))

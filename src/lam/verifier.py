@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from .backend import PlatformCertificate, verify_quote
+from .backend import PlatformCertificate, check_quote_signatures, verify_quote, verify_signatures
 from .cards import PropertyCard, assemble_cards
 from .certs import Certification, CertificationStore, ExternalCertificate, validate_template
 from .errors import CanonicalizationError, InvalidCertificationError, LamError
@@ -120,7 +120,8 @@ def verify_envelope(
     """Accept iff the quote verifies, the payload digest equals the quote's
     report data, the enclave measurement has a certification, and the payload
     matches its template and holds a string at every path that chains and
-    cards read for its attestation type (see AttSpec.string_paths)."""
+    cards read for its attestation type, and an array at every path cards
+    iterate (see AttSpec.string_paths and AttSpec.content_arrays)."""
     quote_result = verify_quote(envelope.quote, trusted_roots)
     if not quote_result.accepted:
         return EnvelopeVerdict(False, reason="bad-quote", detail=quote_result.reason)
@@ -160,19 +161,21 @@ def verify_envelope(
             if not isinstance(att_type, str):
                 att_type = None
             # null wildcards in a template let any JSON value through, but
-            # chains and cards read these paths as strings
+            # chains and cards read these paths as strings or arrays
             spec = ATT_SPECS.get(att_type)
             if spec is not None:
-                for path in spec.string_paths:
-                    value = payload
-                    for key in path:
-                        value = value.get(key) if isinstance(value, dict) else None
-                    if not isinstance(value, str):
-                        return EnvelopeVerdict(
-                            False,
-                            reason="template-mismatch",
-                            detail=f"{att_type} field is not a string at /{'/'.join(path)}",
-                        )
+                shapes = ((spec.string_paths, str, "a string"), (spec.content_arrays, list, "an array"))
+                for paths, kind, what in shapes:
+                    for path in paths:
+                        value = payload
+                        for key in path:
+                            value = value.get(key) if isinstance(value, dict) else None
+                        if not isinstance(value, kind):
+                            return EnvelopeVerdict(
+                                False,
+                                reason="template-mismatch",
+                                detail=f"{att_type} field is not {what} at /{'/'.join(path)}",
+                            )
             return EnvelopeVerdict(
                 True,
                 fragment=VerifiedFragment(
@@ -214,7 +217,8 @@ class AssertionBundle:
     @classmethod
     def from_file_value(cls, value: dict[str, Any]) -> "AssertionBundle":
         """Parse a bundle; quotes whose platform certificates are equal share
-        one PlatformCertificate, so each is checked against a root once."""
+        one PlatformCertificate, so each is checked against a root once, and
+        every quote's signature is checked here, in bulk."""
         shared: dict[PlatformCertificate, PlatformCertificate] = {}
         envelopes = []
         for item in value["envelopes"]:
@@ -224,6 +228,7 @@ class AssertionBundle:
             if first is not cert:
                 envelope = replace(envelope, quote=replace(envelope.quote, platform_certificate=first))
             envelopes.append(envelope)
+        check_quote_signatures([e.quote for e in envelopes])
         return cls(
             envelopes=tuple(envelopes),
             external_certificates=tuple(
@@ -508,10 +513,10 @@ def verify_bundle(
     fragments assert different values for one claim."""
     roots = set(trusted_roots)
     verdicts = tuple(verify_envelope(envelope, store, roots) for envelope in bundle.envelopes)
-    externals = tuple(
-        (cert, cert.endorser_id in endorser_keys and cert.verifies_under(endorser_keys[cert.endorser_id]))
-        for cert in bundle.external_certificates
-    )
+    certs = bundle.external_certificates
+    known = [c for c in certs if c.endorser_id in endorser_keys]
+    signed = iter(verify_signatures([(endorser_keys[c.endorser_id], c.signature, c.signed_bytes()) for c in known]))
+    externals = tuple((c, c.endorser_id in endorser_keys and next(signed)) for c in certs)
     fragments = [v.fragment for v in verdicts if v.accepted]
     valid_externals = [cert for cert, ok in externals if ok]
     report = resolve_chains(fragments, valid_externals)

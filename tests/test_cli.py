@@ -167,6 +167,33 @@ def test_attest_trusted_dir_mismatch_aborts(tmp_path):
     assert not list((tmp_path / "attestations").glob("*.envelope.json"))
 
 
+@pytest.mark.parametrize("cell", ["nan", "1e999", "-inf"])
+def test_attest_dist_non_finite_csv_cell_exits_2(tmp_path, capsys, cell):
+    _setup_keys(tmp_path)
+    data = tmp_path / "data.csv"
+    data.write_text(f"f1,f2,label,sensitive\n0.5,{cell},0,1\n1.0,2.0,1,0\n")
+    code = run("attest", "dist", "--data", str(data), "-w", str(tmp_path))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: not a finite decimal string: {cell!r}\n"
+    assert not list((tmp_path / "attestations").glob("*.envelope.json"))
+
+
+@pytest.mark.parametrize("feature", ["1e999", "-1e999", "NaN", '"nan"', '"1e999"'])
+def test_attest_inference_non_finite_input_exits_2(cli_ws, capsys, tmp_path, feature):
+    ws = cli_ws["ws"]
+    path = tmp_path / "input.json"
+    path.write_text(f'{{"features": [{feature}, 0.5]}}')
+    record = tmp_path / "record.json"
+    code = run(
+        "attest", "inference", "--model", cli_ws["model"], "--input", str(path),
+        "--record-out", str(record), "-w", str(ws), "--force",
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: not a finite number: ")
+    assert not record.exists()
+
+
 def test_endorse_float_template_exits_2(tmp_path):
     _setup_keys(tmp_path)
     template = tmp_path / "template.json"
@@ -379,3 +406,22 @@ def test_keygen_platform_malformed_root_key_exits_2(tmp_path, capsys, content):
     assert code == 2
     assert err == f"error: malformed key file {key_file}: expected 64 hex digits\n"
     assert not (tmp_path / "keys" / "platform-p1.key").exists()
+
+
+def test_verify_non_alphabet_base64_exits_2(cli_ws, capsys, tmp_path):
+    """A lenient decoder skips the stray character, so the envelope would
+    still verify; strict decoding makes the bundle an input error."""
+    from lam.hashcore import canonicalize
+
+    ws = cli_ws["ws"]
+    bundle_value = parse_canonical((ws / "bundle.json").read_bytes())
+    text = bundle_value["envelopes"][0]["payload_b64"]
+    bundle_value["envelopes"][0]["payload_b64"] = text[:8] + "*" + text[8:]
+    bundle = tmp_path / "bundle.json"
+    bundle.write_bytes(canonicalize(bundle_value))
+    code = run(*_verify_args(ws, tmp_path / "cards", bundle=bundle))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: envelope payload_b64 is not strict base64: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "cards" / "chain_report.json").exists()

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import random
+from decimal import Decimal
 
 import pytest
 
-from lam.errors import CanonicalizationError, FileReadError, ManifestMismatchError
+from lam.errors import CanonicalizationError, DomainError, FileReadError, ManifestMismatchError
 from lam.hashcore import (
     Digest,
     TrustedManifest,
@@ -16,6 +18,7 @@ from lam.hashcore import (
     hash_file_once,
     is_canonical,
     parse_canonical,
+    parse_decimal_string,
     ratio_string,
     require_in_manifest,
     verify_against_manifest,
@@ -219,10 +222,20 @@ def test_decimal_string_formatting():
     assert decimal_string(-0.0) == "-0.000000"
     # 0.15625 is exactly representable; its 4th-digit tie rounds to even
     assert format(0.15625, ".4f") == "0.1562"
-    from decimal import Decimal
-
     assert decimal_string(Decimal("0.0000005")) == "0.000000"
     assert decimal_string(Decimal("0.0000015")) == "0.000002"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, Decimal("NaN"), Decimal("-Infinity")])
+def test_decimal_string_rejects_non_finite(value):
+    with pytest.raises(DomainError, match="not a finite number"):
+        decimal_string(value)
+
+
+@pytest.mark.parametrize("text", ["nan", "NaN", "inf", "-Infinity", "1e999", "-1e999"])
+def test_parse_decimal_string_rejects_non_finite(text):
+    with pytest.raises(DomainError, match="not a finite decimal string"):
+        parse_decimal_string(text)
 
 
 def test_ratio_string_exact_half_even():

@@ -291,6 +291,30 @@ def test_non_string_lookup_digest_rejected(pipe, name, field, value, detail):
     assert verdict.detail == detail
 
 
+@pytest.mark.parametrize(("name", "att_type"), [("acc", "AccAtt"), ("fair", "FairAtt"), ("robacc", "RobustAtt-B")])
+def test_metrics_object_instead_of_array_rejected(pipe, name, att_type):
+    """A dict template matches a lone object as well as an array of objects,
+    but cards iterate results/metrics, so it must be an array."""
+    import json
+
+    from lam.hashcore import canonicalize
+    from lam.verifier import verify_bundle
+
+    payload_value = json.loads(pipe.envelopes[name].payload)
+    payload_value["results"]["metrics"] = payload_value["results"]["metrics"][0]
+    payload = canonicalize(payload_value)
+    quote = issue_quote(pipe.platform, pipe.enclaves["metric"].measurement, hash_bytes(payload))
+    env = AttestationEnvelope(payload=payload, quote=quote)
+
+    verdict = verify_envelope(env, pipe.store, pipe.roots)
+    assert not verdict.accepted
+    assert verdict.reason == "template-mismatch"
+    assert verdict.detail == f"{att_type} field is not an array at /results/metrics"
+    envelopes = {**pipe.envelopes, name: env}
+    result = verify_bundle(AssertionBundle(tuple(envelopes.values()), ()), pipe.store, pipe.roots, pipe.endorser_keys)
+    assert result.failures == 1
+
+
 @pytest.mark.parametrize(
     "value", [{"att_type": "ExplainAtt", "model_sha256": ["x"], "explanation": [1]}, [1, 2]]
 )
@@ -330,6 +354,18 @@ def test_verify_bundle_drops_forged_external_certificate(pipe):
     for card in result.cards:
         text = card.yaml_bytes()
         assert forged_cert.name.encode() not in text and forged_hex.encode() not in text
+
+
+def test_external_verdicts_keep_bundle_order(pipe):
+    """Certificates by an unknown endorser are rejected without a signature
+    check; the others' verdicts stay in bundle order."""
+    from lam.verifier import verify_bundle
+
+    stranger = replace(pipe.externals[0], endorser_id="stranger")
+    forged = replace(pipe.externals[1], signature=bytes(64))
+    certs = (pipe.externals[0], stranger, forged, pipe.externals[1], stranger)
+    result = verify_bundle(AssertionBundle((), certs), pipe.store, pipe.roots, pipe.endorser_keys)
+    assert result.externals == tuple(zip(certs, [True, False, False, True, False]))
 
 
 def test_each_template_is_validated_once(pipe, monkeypatch):
