@@ -10,12 +10,11 @@ hard error; silently keeping either side would launder a contradiction.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable
-
-import yaml
 
 from .certs import ExternalCertificate
 from .errors import CardConflictError
@@ -25,16 +24,58 @@ if TYPE_CHECKING:
     from .verifier import ChainReport, VerifiedFragment
 
 
-_DUMP_OPTIONS: dict[str, Any] = {"sort_keys": False, "default_flow_style": False, "allow_unicode": True}
-
-
-class _Unsupported(Exception):
-    """The document holds something only yaml.safe_dump writes exactly."""
-
+# Card YAML is what PyYAML's yaml.safe_dump(document, sort_keys=False,
+# default_flow_style=False, allow_unicode=True) writes; the emitter below
+# reproduces it without PyYAML. Repeated collections are written out each
+# time: a card built by assemble_cards never holds one twice, so it never
+# needs PyYAML's &id001 anchors.
 
 # A plain scalar may not start with one of these (PyYAML's
 # Emitter.analyze_scalar).
 _INDICATORS = frozenset("#,[]{}&*!|>'\"%@`")
+
+# SafeDumper's implicit resolvers (bool, float, int, merge, null, timestamp,
+# value, yaml) as one pattern: a plain scalar must not read back as any of
+# them. Each alternative can only match a string starting with one of the
+# characters PyYAML looks it up by, so one pattern gives the same answers.
+_IMPLICIT = re.compile(
+    r"""^(?:yes|Yes|YES|no|No|NO|true|True|TRUE|false|False|FALSE|on|On|ON|off|Off|OFF)$
+    |^(?:[-+]?(?:[0-9][0-9_]*)\.[0-9_]*(?:[eE][-+][0-9]+)?
+        |\.[0-9][0-9_]*(?:[eE][-+][0-9]+)?
+        |[-+]?[0-9][0-9_]*(?::[0-5]?[0-9])+\.[0-9_]*
+        |[-+]?\.(?:inf|Inf|INF)
+        |\.(?:nan|NaN|NAN))$
+    |^(?:[-+]?0b[0-1_]+
+        |[-+]?0[0-7_]+
+        |[-+]?(?:0|[1-9][0-9_]*)
+        |[-+]?0x[0-9a-fA-F_]+
+        |[-+]?[1-9][0-9_]*(?::[0-5]?[0-9])+)$
+    |^(?:<<)$
+    |^(?:~|null|Null|NULL|)$
+    |^(?:[0-9][0-9][0-9][0-9]-[0-9][0-9]-[0-9][0-9]
+        |[0-9][0-9][0-9][0-9]-[0-9][0-9]?-[0-9][0-9]?
+         (?:[Tt]|[\ \t]+)[0-9][0-9]?
+         :[0-9][0-9]:[0-9][0-9](?:\.[0-9]*)?
+         (?:[\ \t]*(?:Z|[-+][0-9][0-9]?(?::[0-9][0-9])?))?)$
+    |^(?:=)$
+    |^(?:!|&|\*)$""",
+    re.X,
+)
+
+_BREAKS = "\n\x85\u2028\u2029"
+_HAS_BREAK = re.compile(f"[{_BREAKS}]")
+# Only a double-quoted scalar can hold a special character (anything but
+# "\n", printable ASCII and the printable non-ASCII that allow_unicode writes
+# as it is), or a space next to a line break.
+_NEEDS_DOUBLE = re.compile(
+    f"[^\n\x20-\x7e\x85\xa0-\ud7ff\ue000-\ufffd\U00010000-\U0010fffe]|\ufeff| [{_BREAKS}]|[{_BREAKS}] "
+)
+# Characters a double-quoted scalar writes as they are (Emitter.write_double_quoted).
+_UNESCAPED = re.compile("[\x20-\x7e\xa0-\ud7ff\ue000-\ufffd]")
+_ESCAPES = {
+    "\0": "0", "\x07": "a", "\x08": "b", "\t": "t", "\n": "n", "\x0b": "v", "\x0c": "f", "\r": "r",
+    "\x1b": "e", '"': '"', "\\": "\\", "\x85": "N", "\u2028": "L", "\u2029": "P",
+}
 
 
 # Mapping keys and a few recurring values make nearly all the hits; most
@@ -52,7 +93,8 @@ def _scalar(text: str) -> str | None:
 
 
 def _plain(text: str) -> bool:
-    """Whether PyYAML writes a non-empty printable-ASCII string plain."""
+    """Whether PyYAML writes a non-empty string without special characters or
+    line breaks plain."""
     first = text[0]
     if (
         first in _INDICATORS
@@ -65,21 +107,30 @@ def _plain(text: str) -> bool:
     ):
         return False
     # it must also read back as a string, not as a null, bool, number, ...
-    resolvers = yaml.SafeDumper.yaml_implicit_resolvers
-    for _, regexp in resolvers.get(first, []) + resolvers.get(None, []):
-        if regexp.match(text):
-            return False
-    return True
+    return _IMPLICIT.match(text) is None
 
 
 def _string(value: str, column: int, indent: int) -> str:
-    """A string written after the ":" or "-" that ends at `column`, inside
-    the mapping or sequence at `indent`."""
+    """A string written after the ":", "-" or "?" that ends at `column`,
+    inside the mapping or sequence at `indent`."""
     text = _scalar(value)
     if text is None:
-        raise _Unsupported
+        return _unicode(value, column + 1, indent + 2, True)
     if column + 1 + len(text) > 81 and " " in text:
         return _fold(text, column + 1, indent + 2)
+    return text
+
+
+def _unicode(text: str, column: int, indent: int, split: bool) -> str:
+    """A non-empty string outside printable ASCII written from `column`, its
+    continuation lines indented to `indent`; `split` is False for a simple
+    key, which PyYAML never folds (Emitter.process_scalar)."""
+    if _NEEDS_DOUBLE.search(text):
+        return _double_quoted(text, column, indent, split)
+    if _HAS_BREAK.search(text) or not _plain(text):
+        return _single_quoted(text, column, indent, split)
+    if split and column + len(text) > 81 and " " in text:
+        return _fold(text, column, indent)
     return text
 
 
@@ -110,56 +161,141 @@ def _fold(scalar: str, column: int, indent: int) -> str:
     return "".join(out)
 
 
-def _emit_mapping(mapping: dict[Any, Any], indent: int, lead: str, out: list[str], seen: set[int]) -> None:
+def _single_quoted(text: str, column: int, indent: int, split: bool) -> str:
+    """Emitter.write_single_quoted: folds like _fold, and writes a run of
+    line breaks with one more "\n" when it starts with "\n"."""
+    out = ["'"]
+    column += 1
+    spaces = breaks = False
+    start = 0
+    for end in range(len(text) + 1):
+        ch = text[end] if end < len(text) else None
+        if spaces:
+            if ch != " ":
+                if start + 1 == end and column > 80 and split and start != 0 and ch is not None:
+                    out.append("\n" + " " * indent)
+                    column = indent
+                else:
+                    out.append(text[start:end])
+                    column += end - start
+                start = end
+        elif breaks:
+            if ch is None or ch not in _BREAKS:
+                if text[start] == "\n":
+                    out.append("\n")
+                out += (text[start:end], " " * indent)
+                column = indent
+                start = end
+        elif ch is None or ch in " '" or ch in _BREAKS:
+            out.append(text[start:end])
+            column += end - start
+            start = end
+        if ch == "'":
+            out.append("''")
+            column += 2
+            start = end + 1
+        if ch is not None:
+            spaces = ch == " "
+            breaks = ch in _BREAKS
+    out.append("'")
+    return "".join(out)
+
+
+def _double_quoted(text: str, column: int, indent: int, split: bool) -> str:
+    """Emitter.write_double_quoted: escapes, and "\\" at the end of a folded
+    line (and before a space that starts the next one)."""
+    out = ['"']
+    column += 1
+    start = 0
+    last = len(text) - 1
+    for end in range(len(text) + 1):
+        ch = text[end] if end <= last else None
+        if ch is None or ch in '"\\\x85\u2028\u2029\ufeff' or not _UNESCAPED.match(ch):
+            out.append(text[start:end])
+            column += end - start
+            start = end
+            if ch is not None:
+                if ch in _ESCAPES:
+                    escaped = "\\" + _ESCAPES[ch]
+                elif ch <= "\xff":
+                    escaped = f"\\x{ord(ch):02X}"
+                elif ch <= "\uffff":
+                    escaped = f"\\u{ord(ch):04X}"
+                else:
+                    escaped = f"\\U{ord(ch):08X}"
+                out.append(escaped)
+                column += len(escaped)
+                start = end + 1
+        if 0 < end < last and (ch == " " or start >= end) and column + (end - start) > 80 and split:
+            out += (text[start:end], "\\\n", " " * indent)
+            start = max(start, end)
+            column = indent
+            if text[start] == " ":
+                out.append("\\")
+                column += 1
+    out.append('"')
+    return "".join(out)
+
+
+def _key(key: Any) -> str | None:
+    """A mapping key as PyYAML writes a simple key, or None when it writes
+    it as "? key": empty, holding a line break, or past its 128-character
+    simple-key limit once the key's "!!str" tag is counted."""
+    if type(key) is not str:
+        raise TypeError(f"a card key must be a string, not {type(key).__name__}")
+    if not 0 < len(key) <= 122:
+        return None
+    text = _scalar(key)
+    if text is None:
+        if _HAS_BREAK.search(key):
+            return None
+        text = _unicode(key, 0, 0, False)
+    return text
+
+
+def _emit_mapping(mapping: dict[Any, Any], indent: int, lead: str, out: list[str]) -> None:
     """A non-empty block mapping whose keys start at column `indent`; `lead`
     is written before the first key."""
     newline = "\n" + " " * indent
     for key, value in mapping.items():
-        # PyYAML writes an empty key, or one that passes its 128-character
-        # simple-key limit once its "!!str" tag is counted, as "? key"
-        if type(key) is not str or not 0 < len(key) <= 122:
-            raise _Unsupported
-        text = _scalar(key)
+        text = _key(key)
         if text is None:
-            raise _Unsupported
-        column = indent + len(text) + 1
-        if type(value) is str:  # most values; spares a call
-            out += (lead, text, ": ", _string(value, column, indent))
+            out += (lead, "? ", _string(key, indent + 1, indent), newline, ":")
+            _emit_value(value, indent + 1, indent, False, out)
+        elif type(value) is str:  # most values; spares a call
+            out += (lead, text, ": ", _string(value, indent + len(text) + 1, indent))
         else:
             out += (lead, text, ":")
-            _emit_value(value, column, indent, True, out, seen)
+            _emit_value(value, indent + len(text) + 1, indent, True, out)
         lead = newline
 
 
-def _emit_sequence(items: list[Any], indent: int, lead: str, out: list[str], seen: set[int]) -> None:
+def _emit_sequence(items: list[Any], indent: int, lead: str, out: list[str]) -> None:
     """A non-empty block sequence whose dashes sit at column `indent`."""
     newline = "\n" + " " * indent
     for item in items:
         out += (lead, "-")
         lead = newline
-        _emit_value(item, indent + 1, indent, False, out, seen)
+        _emit_value(item, indent + 1, indent, False, out)
 
 
-def _emit_value(value: Any, column: int, indent: int, in_mapping: bool, out: list[str], seen: set[int]) -> None:
+def _emit_value(value: Any, column: int, indent: int, in_mapping: bool, out: list[str]) -> None:
     """A node written after the ":" or "-" that ends at `column`, inside the
-    mapping or sequence at `indent`."""
+    mapping or sequence at `indent`. `in_mapping` is False after a "-" and
+    after the ":" of a "? key", where a collection starts on the same line."""
     kind = type(value)
     if kind is str:
         out += (" ", _string(value, column, indent))
     elif kind is dict or kind is list:
-        # safe_dump anchors a collection that occurs twice
-        if id(value) in seen:
-            raise _Unsupported
-        seen.add(id(value))
         if not value:
             out.append(" {}" if kind is dict else " []")
         elif kind is dict:
             lead = "\n" + " " * (indent + 2) if in_mapping else " "
-            _emit_mapping(value, indent + 2, lead, out, seen)
+            _emit_mapping(value, indent + 2, lead, out)
         elif in_mapping:  # a sequence under a key is not indented
-            _emit_sequence(value, indent, "\n" + " " * indent, out, seen)
+            _emit_sequence(value, indent, "\n" + " " * indent, out)
         else:
-            _emit_sequence(value, indent + 2, " ", out, seen)
+            _emit_sequence(value, indent + 2, " ", out)
     elif value is None:
         out.append(" null")
     elif kind is bool:
@@ -167,17 +303,7 @@ def _emit_value(value: Any, column: int, indent: int, in_mapping: bool, out: lis
     elif kind is int:
         out += (" ", str(value))
     else:
-        raise _Unsupported
-
-
-def _printable_ascii_yaml(document: dict[Any, Any]) -> bytes:
-    """The bytes yaml.safe_dump(document, **_DUMP_OPTIONS) writes, for a
-    non-empty mapping of mappings, lists, None, bools, ints and printable
-    ASCII strings; raises _Unsupported for anything else."""
-    out: list[str] = []
-    _emit_mapping(document, 0, "", out, {id(document)})
-    out.append("\n")
-    return "".join(out).encode("ascii")
+        raise TypeError(f"a card cannot hold a {kind.__name__}")
 
 
 @dataclass
@@ -191,13 +317,12 @@ class PropertyCard:
         return {**self.body, "provenance": self.provenance}
 
     def yaml_bytes(self) -> bytes:
-        """The card as yaml.safe_dump writes it. A card holding only printable
-        ASCII is written by lam's own emitter, which gives the same bytes."""
-        document = self.document()
-        try:
-            return _printable_ascii_yaml(document)
-        except _Unsupported:
-            return yaml.safe_dump(document, **_DUMP_OPTIONS).encode("utf-8")
+        """The card as block YAML, in the bytes yaml.safe_dump writes for it
+        (see the emitter's comment above)."""
+        out: list[str] = []
+        _emit_mapping(self.document(), 0, "", out)
+        out.append("\n")
+        return "".join(out).encode("utf-8")
 
     @property
     def filename(self) -> str:

@@ -34,7 +34,7 @@ from .certs import (
 )
 from .engine.data import Dataset, TrainingConfig
 from .engine.model import Model
-from .errors import LamError, WorkspaceError
+from .errors import DomainError, LamError, WorkspaceError
 from .hashcore import (
     Digest,
     build_manifest,
@@ -66,6 +66,22 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # exit 3 on usage errors
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _load_trust(path: str | Path) -> dict[str, Any]:
+    """A trust file: {"manufacturer_roots": [key hex, ...], "endorser_keys":
+    {endorser id: key hex}}, either entry empty when missing."""
+    content, _ = hash_file_once(path)
+    trust = parse_canonical(content)
+    if not isinstance(trust, dict):
+        raise LamError(f"trust file must be a JSON object: {path}")
+    trust = {"manufacturer_roots": [], "endorser_keys": {}, **trust}
+    roots, endorser_keys = trust["manufacturer_roots"], trust["endorser_keys"]
+    if not (isinstance(roots, list) and all(isinstance(r, str) for r in roots)):
+        raise LamError(f"trust file manufacturer_roots must be a list of strings: {path}")
+    if not (isinstance(endorser_keys, dict) and all(isinstance(k, str) for k in endorser_keys.values())):
+        raise LamError(f"trust file endorser_keys must map endorser ids to key strings: {path}")
+    return trust
 
 
 class Workspace:
@@ -104,8 +120,7 @@ class Workspace:
 
     def trust(self) -> dict[str, Any]:
         if self.trust_file.exists():
-            content, _ = hash_file_once(self.trust_file)
-            return parse_canonical(content)
+            return _load_trust(self.trust_file)
         return {"endorser_keys": {}, "manufacturer_roots": []}
 
     def save_trust(self, trust: dict[str, Any]) -> None:
@@ -174,9 +189,9 @@ def _seed_bytes(seed: str | None) -> bytes:
 
 def cmd_keygen(args: argparse.Namespace) -> int:
     ws = Workspace(args.workspace)
-    trust = ws.trust()
 
     if args.role == "root":
+        trust = ws.trust()
         root = create_root(_seed_bytes(args.seed))
         _write_guarded(ws.keys / "root.key", (root.private_key.private_bytes_raw().hex() + "\n").encode(), args.force)
         _write_guarded(ws.keys / "root.pub", (root.public_hex + "\n").encode(), args.force)
@@ -201,6 +216,7 @@ def cmd_keygen(args: argparse.Namespace) -> int:
 
     if args.endorser_id is None:
         raise WorkspaceError("keygen endorser requires --endorser-id")
+    trust = ws.trust()
     endorser = Endorser.create(args.endorser_id, seed=args.seed)
     base = ws.keys / f"endorser-{args.endorser_id}"
     _write_guarded(base.with_suffix(".key"), (endorser.private_key.private_bytes_raw().hex() + "\n").encode(), args.force)
@@ -227,6 +243,29 @@ def _out_dir(args: argparse.Namespace, ws: Workspace) -> Path:
 
 def _envelope_path(out_dir: Path, prefix: str, subject_hex: str) -> Path:
     return out_dir / f"{prefix}-{subject_hex[:12]}.envelope.json"
+
+
+def _inference_features(data: bytes, path: str) -> list[int | float]:
+    """The features of an inference input file {"features": [...]}: JSON
+    numbers as they are, decimal strings as floats."""
+    try:
+        value = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
+        raise DomainError(f"inference input is not JSON: {path}: {exc}") from None
+    features = value.get("features") if isinstance(value, dict) else None
+    if not isinstance(features, list):
+        raise DomainError(f'inference input must be an object {{"features": [...]}}: {path}')
+    out = []
+    for i, v in enumerate(features):
+        if isinstance(v, str):
+            try:
+                v = float(v)
+            except ValueError:
+                raise DomainError(f"inference input features[{i}] is not a decimal string: {v!r}") from None
+        elif type(v) not in (int, float):  # a bool is not a feature value
+            raise DomainError(f"inference input features[{i}] must be a number or a decimal string, not {v!r}")
+        out.append(v)
+    return out
 
 
 def cmd_attest(args: argparse.Namespace) -> int:
@@ -295,8 +334,7 @@ def cmd_attest(args: argparse.Namespace) -> int:
     # inference
     ctx = _enclave(args, "inference")
     model = Model.from_json_bytes(ctx.read_input(args.model))
-    input_value = json.loads(ctx.read_input(args.input).decode("utf-8"))
-    features = [float(v) if isinstance(v, str) else v for v in input_value["features"]]
+    features = _inference_features(ctx.read_input(args.input), args.input)
     record, env = attest_inference(model, features, enclave=ctx, platform=platform)
     path = _envelope_path(out_dir, "io", record.output_digest.hex)
     _write_guarded(path, canonicalize(env.to_file_value()), args.force)
@@ -395,24 +433,9 @@ def cmd_bundle(args: argparse.Namespace) -> int:
 # --- verify -------------------------------------------------------------------
 
 
-def _trust_anchors(trust: Any, path: str) -> tuple[set[str], dict[str, str]]:
-    """Manufacturer root keys and endorser keys from a parsed trust file."""
-    if not isinstance(trust, dict):
-        raise LamError(f"trust file must be a JSON object: {path}")
-    roots = trust.get("manufacturer_roots", [])
-    if not (isinstance(roots, list) and all(isinstance(r, str) for r in roots)):
-        raise LamError(f"trust file manufacturer_roots must be a list of strings: {path}")
-    endorser_keys = trust.get("endorser_keys", {})
-    if not (
-        isinstance(endorser_keys, dict) and all(isinstance(k, str) for k in endorser_keys.values())
-    ):
-        raise LamError(f"trust file endorser_keys must map endorser ids to key strings: {path}")
-    return set(roots), dict(endorser_keys)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    trust_content, _ = hash_file_once(args.roots)
-    roots, endorser_keys = _trust_anchors(parse_canonical(trust_content), args.roots)
+    trust = _load_trust(args.roots)
+    roots, endorser_keys = set(trust["manufacturer_roots"]), trust["endorser_keys"]
 
     store = CertificationStore.load(args.certstore, endorser_keys)
     bundle = AssertionBundle.read(args.bundle)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -29,10 +29,6 @@ ACTIVATIONS = ("tanh", "relu")
 OPTIMIZERS = ("sgd", "adam")
 
 _RESERVED_COLUMNS = ("label", "sensitive")
-
-
-def _quantize(values: Iterable[float]) -> np.ndarray:
-    return np.array([float(decimal_string(float(v))) for v in values], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -117,7 +113,10 @@ class Dataset:
 
     @classmethod
     def from_csv_bytes(cls, data: bytes) -> "Dataset":
-        text = data.decode("utf-8")
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"CSV is not UTF-8: {exc}") from None
         lines = [line for line in text.replace("\r\n", "\n").split("\n") if line != ""]
         if not lines:
             raise DomainError("empty CSV: missing header")
@@ -130,9 +129,12 @@ class Dataset:
             cells = line.split(",")
             if len(cells) != len(header):
                 raise DomainError(f"CSV line {lineno}: expected {len(header)} cells, got {len(cells)}")
-            features.append([parse_decimal_string(c) for c in cells[:-2]])
-            labels.append(int(cells[-2]))
-            sensitive.append(int(cells[-1]))
+            try:
+                features.append([parse_decimal_string(c) for c in cells[:-2]])
+                labels.append(int(cells[-2]))
+                sensitive.append(int(cells[-1]))
+            except ValueError:
+                raise _cell_error(header, cells, lineno) from None
         return cls.from_rows(schema, features, labels, sensitive)
 
     def replace_features(self, features: np.ndarray) -> "Dataset":
@@ -142,6 +144,19 @@ class Dataset:
             labels=self.labels,
             sensitive=self.sensitive,
         )
+
+
+def _cell_error(header: list[str], cells: list[str], lineno: int) -> DomainError:
+    """Names the first cell of a CSV row that does not parse: a feature
+    cell must be a decimal number, a label or sensitive cell an integer."""
+    for i, (name, cell) in enumerate(zip(header, cells)):
+        integer = i >= len(header) - len(_RESERVED_COLUMNS)
+        try:
+            int(cell) if integer else parse_decimal_string(cell)
+        except ValueError:
+            kind = "an integer" if integer else "a decimal number"
+            return DomainError(f"CSV line {lineno}, column {name!r}: {cell!r} is not {kind}")
+    return DomainError(f"CSV line {lineno}: malformed row")
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from .hashcore import (
     decimal_string,
     hash_bytes,
     hash_file_once,
+    parse_canonical,
     parse_decimal_string,
     require_in_manifest,
 )
@@ -169,8 +170,6 @@ class AttestationEnvelope:
     quote: Quote
 
     def payload_value(self) -> dict[str, Any]:
-        from .hashcore import parse_canonical
-
         return parse_canonical(self.payload)
 
     def to_json_value(self) -> dict[str, Any]:
@@ -199,8 +198,6 @@ class AttestationEnvelope:
 
     @classmethod
     def read(cls, path: str | Path) -> "AttestationEnvelope":
-        from .hashcore import parse_canonical
-
         content, _ = hash_file_once(path)
         return cls.from_json_value(parse_canonical(content))
 

@@ -205,3 +205,30 @@ def test_generated_shapes_exercise_what_they_name():
             except CardConflictError:
                 seen["conflict"] += 1
     assert all(count >= 3 for count in seen.values()), seen
+
+
+def _collection_ids(value: Any, ids: list[int]) -> list[int]:
+    if isinstance(value, (dict, list)):
+        ids.append(id(value))
+        for item in value.values() if isinstance(value, dict) else value:
+            _collection_ids(item, ids)
+    return ids
+
+
+def test_no_card_holds_a_collection_twice():
+    """Card YAML writes a repeated list or dict out in full where
+    yaml.safe_dump would anchor it, so the two agree only because
+    assemble_cards never puts one collection object twice into a card."""
+    cards_checked = 0
+    for shape in SHAPES:
+        for seed in range(8):
+            frags, externals = generate_bundle(shape, seed)
+            try:
+                cards = assemble_cards(frags, externals)
+            except CardConflictError:
+                continue
+            for card in cards:
+                ids = _collection_ids(card.document(), [])
+                assert len(ids) == len(set(ids)), (shape, seed, card.filename)
+            cards_checked += len(cards)
+    assert cards_checked > 500

@@ -194,6 +194,96 @@ def test_attest_inference_non_finite_input_exits_2(cli_ws, capsys, tmp_path, fea
     assert not record.exists()
 
 
+@pytest.mark.parametrize(
+    ("row", "message"),
+    [
+        ("0.5,abc,0,1", "CSV line 2, column 'f2': 'abc' is not a decimal number"),
+        ("0.5,1.0,x,1", "CSV line 2, column 'label': 'x' is not an integer"),
+        ("0.5,1.0,0,", "CSV line 2, column 'sensitive': '' is not an integer"),
+    ],
+)
+def test_attest_dist_junk_csv_cell_exits_2(tmp_path, capsys, row, message):
+    _setup_keys(tmp_path)
+    data = tmp_path / "data.csv"
+    data.write_text(f"f1,f2,label,sensitive\n{row}\n1.0,2.0,1,0\n")
+    code = run("attest", "dist", "--data", str(data), "-w", str(tmp_path))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list((tmp_path / "attestations").glob("*.envelope.json"))
+
+
+def _attest_inference(cli_ws, tmp_path, content: bytes, name: str) -> tuple[int, Path]:
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(content)
+    out = tmp_path / name
+    code = run(
+        "attest", "inference", "--model", cli_ws["model"], "--input", str(path), "--out", str(out),
+        "--record-out", str(out / "record.json"), "-w", str(cli_ws["ws"]), "--force",
+    )
+    return code, out
+
+
+@pytest.mark.parametrize(
+    ("content", "message"),
+    [
+        (b"{}", 'inference input must be an object {"features": [...]}'),
+        (b"[]", 'inference input must be an object {"features": [...]}'),
+        (b"[null,1]", 'inference input must be an object {"features": [...]}'),
+        (b'["x",1]', 'inference input must be an object {"features": [...]}'),
+        (b'{"features":"ab"}', 'inference input must be an object {"features": [...]}'),
+        (b'{"features":[null,1]}', "inference input features[0] must be a number or a decimal string, not None"),
+        (b'{"features":[1,"x"]}', "inference input features[1] is not a decimal string: 'x'"),
+        (b'{"features":[true,1]}', "inference input features[0] must be a number or a decimal string, not True"),
+        (b'{"features":[[1],1]}', "inference input features[0] must be a number or a decimal string, not [1]"),
+        (b"features: [1, 2]", "inference input is not JSON: "),
+        (b"\xff\xfe", "inference input is not JSON: "),
+    ],
+)
+def test_attest_inference_malformed_input_exits_2(cli_ws, capsys, tmp_path, content, message):
+    code, out = _attest_inference(cli_ws, tmp_path, content, "input")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+def test_attest_inference_numbers_and_decimal_strings_give_one_envelope(cli_ws, tmp_path):
+    inputs = [b'{"features":[1,0.5]}', b'{"features":[1.0,"0.5"]}', b'{"features":["1","0.500000"]}']
+    written = []
+    for i, content in enumerate(inputs):
+        code, out = _attest_inference(cli_ws, tmp_path, content, f"input{i}")
+        assert code == 0
+        written.append(sorted((p.name, p.read_bytes()) for p in out.iterdir()))
+    assert written[0] == written[1] == written[2]
+
+
+@pytest.mark.parametrize(
+    ("trust", "code", "roots"),
+    [("[]", 2, None), ("{}", 0, 1), ('{"endorser_keys": {"acme": "ab"}}', 0, 1), ('{"manufacturer_roots": 5}', 2, None)],
+)
+def test_keygen_root_reads_the_trust_file_like_verify(tmp_path, capsys, trust, code, roots):
+    (tmp_path / "keys").mkdir()
+    trust_file = tmp_path / "keys" / "trust.json"
+    trust_file.write_text(trust)
+    assert run("keygen", "root", "--seed", "s", "-w", str(tmp_path)) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("error: trust file ") and "Traceback" not in err
+        assert trust_file.read_text() == trust
+    else:
+        written = parse_canonical(trust_file.read_bytes())
+        assert len(written["manufacturer_roots"]) == roots
+        assert written["endorser_keys"] == json.loads(trust).get("endorser_keys", {})
+
+
+def test_keygen_platform_does_not_read_the_trust_file(tmp_path):
+    assert run("keygen", "root", "--seed", "s", "-w", str(tmp_path)) == 0
+    trust_file = tmp_path / "keys" / "trust.json"
+    trust_file.write_text("[]")
+    assert run("keygen", "platform", "--platform-id", "p1", "--seed", "p", "-w", str(tmp_path)) == 0
+    assert trust_file.read_text() == "[]"
+
+
 def test_endorse_float_template_exits_2(tmp_path):
     _setup_keys(tmp_path)
     template = tmp_path / "template.json"
