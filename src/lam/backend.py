@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Any, Iterable, Sequence
 
@@ -233,14 +233,13 @@ class QuoteResult:
 
 def _certify(signer: Ed25519PrivateKey, platform_id: str, subject: Ed25519PrivateKey) -> PlatformCertificate:
     """A certificate binding platform_id to the subject's public key, signed by signer."""
-    pubkey = _public_hex(subject)
-    signature = signer.sign(canonicalize({"platform_id": platform_id, "pubkey": pubkey}))
-    return PlatformCertificate(platform_id=platform_id, pubkey=pubkey, root_signature=signature)
+    unsigned = PlatformCertificate(platform_id=platform_id, pubkey=_public_hex(subject), root_signature=b"")
+    return replace(unsigned, root_signature=signer.sign(unsigned.signed_bytes()))
 
 
-def create_root(seed: bytes | str) -> ManufacturerRoot:
-    """Deterministic manufacturer root keypair plus its self-signed certificate."""
-    if not seed:
+def create_root(seed: bytes | str | None = None) -> ManufacturerRoot:
+    """Manufacturer root keypair (from the seed, else OS entropy) plus its self-signed certificate."""
+    if seed is not None and not seed:
         raise LamError("root seed must be nonempty")
     private = key_from_seed(seed)
     certificate = _certify(private, "manufacturer-root", private)

@@ -13,11 +13,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable
 
 from .certs import ExternalCertificate
-from .errors import CardConflictError
+from .errors import CardConflictError, LamError
 from .measurers import index_fragments
 
 if TYPE_CHECKING:
@@ -320,18 +319,16 @@ class PropertyCard:
         """The card as block YAML, in the bytes yaml.safe_dump writes for it
         (see the emitter's comment above)."""
         out: list[str] = []
-        _emit_mapping(self.document(), 0, "", out)
+        try:
+            _emit_mapping(self.document(), 0, "", out)
+        except RecursionError:
+            raise LamError(f"card {self.filename} is nested too deeply to write as YAML") from None
         out.append("\n")
         return "".join(out).encode("utf-8")
 
     @property
     def filename(self) -> str:
         return f"card-{self.card_kind}-{self.subject_sha256[:12]}.yaml"
-
-    def write(self, directory: str | Path) -> Path:
-        path = Path(directory) / self.filename
-        path.write_bytes(self.yaml_bytes())
-        return path
 
 
 def _provenance_entry(fragment: VerifiedFragment, claims: list[str]) -> dict[str, Any]:

@@ -8,16 +8,16 @@ signed. Both record kinds are canonical JSON and signature-checked at load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from .backend import _public_hex, _verify_hex, key_from_seed
 from .errors import InvalidCertificationError, LamError
-from .hashcore import Digest, canonicalize, hash_bytes, hash_file_once, parse_canonical
+from .hashcore import Digest, canonicalize, hash_bytes, read_canonical
 
 SUBJECT_KINDS = ("dataset", "model")
 
@@ -38,6 +38,39 @@ def validate_template(template: Any, path: str = "") -> None:
     raise InvalidCertificationError(
         path, f"disallowed template value of type {type(template).__name__}"
     )
+
+
+def _text(value: Any) -> str:
+    if not isinstance(value, str):
+        raise TypeError(value)
+    return value
+
+
+# How a record field is read from JSON, by its annotated type (a string:
+# this module postpones annotations).
+_FIELD_PARSERS: dict[str, Callable[[Any], Any]] = {
+    "Digest": Digest.from_hex,
+    "str": _text,
+    "bytes": bytes.fromhex,
+    "Any": lambda value: value,
+}
+
+
+def _from_json_value(cls: type, value: Any, record: str) -> Any:
+    """The `cls` record whose fields are parsed from the JSON object `value`
+    by their annotated types; a LamError naming the field when `value` is
+    not an object, or a field is missing or does not parse."""
+    if not isinstance(value, dict):
+        raise LamError(f"{record} must be a JSON object")
+    parsed = {}
+    for field in fields(cls):
+        if field.name not in value:
+            raise LamError(f"{record} has no {field.name!r} field")
+        try:
+            parsed[field.name] = _FIELD_PARSERS[field.type](value[field.name])
+        except (TypeError, ValueError):
+            raise LamError(f"{record} field {field.name!r} is malformed: {value[field.name]!r}") from None
+    return cls(**parsed)
 
 
 @dataclass(frozen=True)
@@ -82,13 +115,8 @@ class Certification:
         }
 
     @classmethod
-    def from_json_value(cls, value: dict[str, Any]) -> "Certification":
-        return cls(
-            enclave_measurement=Digest.from_hex(value["enclave_measurement"]),
-            template=value["template"],
-            endorser_id=value["endorser_id"],
-            signature=bytes.fromhex(value["signature"]),
-        )
+    def from_json_value(cls, value: Any) -> "Certification":
+        return _from_json_value(cls, value, "certification")
 
     @cached_property
     def certification_sha256(self) -> Digest:
@@ -107,13 +135,8 @@ class Certification:
 def make_certification(endorser: Endorser, measurement: Digest, template: Any) -> Certification:
     """Validate the template and sign (measurement, template)."""
     validate_template(template)
-    unsigned = canonicalize({"enclave_measurement": measurement.hex, "template": template})
-    return Certification(
-        enclave_measurement=measurement,
-        template=template,
-        endorser_id=endorser.endorser_id,
-        signature=endorser.private_key.sign(unsigned),
-    )
+    unsigned = Certification(measurement, template, endorser.endorser_id, signature=b"")
+    return replace(unsigned, signature=endorser.private_key.sign(unsigned.signed_bytes()))
 
 
 @dataclass(frozen=True)
@@ -152,15 +175,8 @@ class ExternalCertificate:
         }
 
     @classmethod
-    def from_json_value(cls, value: dict[str, Any]) -> "ExternalCertificate":
-        return cls(
-            subject_sha256=Digest.from_hex(value["subject_sha256"]),
-            subject_kind=value["subject_kind"],
-            name=value["name"],
-            claims=value["claims"],
-            endorser_id=value["endorser_id"],
-            signature=bytes.fromhex(value["signature"]),
-        )
+    def from_json_value(cls, value: Any) -> "ExternalCertificate":
+        return _from_json_value(cls, value, "external certificate")
 
     @cached_property
     def certificate_sha256(self) -> Digest:
@@ -177,24 +193,9 @@ def make_external_certificate(
     if subject_kind not in SUBJECT_KINDS:
         raise LamError(f"subject_kind must be one of {SUBJECT_KINDS}")
     claims = claims if claims is not None else {}
-    canonicalize(claims)  # rejects floats and other non-canonical content
-    unsigned = canonicalize(
-        {
-            "claims": claims,
-            "endorser_id": endorser.endorser_id,
-            "name": name,
-            "subject_kind": subject_kind,
-            "subject_sha256": subject.hex,
-        }
-    )
-    return ExternalCertificate(
-        subject_sha256=subject,
-        subject_kind=subject_kind,
-        name=name,
-        claims=claims,
-        endorser_id=endorser.endorser_id,
-        signature=endorser.private_key.sign(unsigned),
-    )
+    canonicalize(claims)  # rejects floats and other non-canonical content, at their path in claims
+    unsigned = ExternalCertificate(subject, subject_kind, name, claims, endorser.endorser_id, signature=b"")
+    return replace(unsigned, signature=endorser.private_key.sign(unsigned.signed_bytes()))
 
 
 class CertificationStore:
@@ -227,16 +228,25 @@ class CertificationStore:
         Path(path).write_bytes(canonicalize(self.to_json_value()))
 
     @classmethod
+    def read_unverified(cls, path: str | Path) -> "CertificationStore":
+        """Parse a store file without checking any signature."""
+        value = read_canonical(path)
+        if not isinstance(value, list):
+            raise LamError(f"certification store must be a JSON array: {path}")
+        store = cls()
+        for i, item in enumerate(value):
+            try:
+                store.add(Certification.from_json_value(item))
+            except LamError as exc:
+                raise LamError(f"certification store entry {i}: {exc}: {path}") from None
+        return store
+
+    @classmethod
     def load(cls, path: str | Path, endorser_keys: Mapping[str, str]) -> "CertificationStore":
         """Load a store file, rejecting any record whose signature does not
         verify under a registered endorser key."""
-        content, _ = hash_file_once(path)
-        value = parse_canonical(content)
-        if not isinstance(value, list):
-            raise LamError("certification store must be a JSON array")
-        store = cls()
-        for item in value:
-            cert = Certification.from_json_value(item)
+        store = cls.read_unverified(path)
+        for cert in store._all:
             pubkey = endorser_keys.get(cert.endorser_id)
             if pubkey is None:
                 raise LamError(f"certification by unknown endorser {cert.endorser_id!r}")
@@ -245,5 +255,4 @@ class CertificationStore:
                     f"certification signature invalid (endorser {cert.endorser_id!r}, "
                     f"measurement {cert.enclave_measurement.hex[:12]})"
                 )
-            store.add(cert)
         return store

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Any
@@ -39,8 +38,7 @@ from .hashcore import (
     Digest,
     build_manifest,
     canonicalize,
-    hash_file_once,
-    parse_canonical,
+    read_canonical,
 )
 from .measurers import (
     ATT_TYPES,
@@ -71,8 +69,7 @@ class _Parser(argparse.ArgumentParser):
 def _load_trust(path: str | Path) -> dict[str, Any]:
     """A trust file: {"manufacturer_roots": [key hex, ...], "endorser_keys":
     {endorser id: key hex}}, either entry empty when missing."""
-    content, _ = hash_file_once(path)
-    trust = parse_canonical(content)
+    trust = read_canonical(path)
     if not isinstance(trust, dict):
         raise LamError(f"trust file must be a JSON object: {path}")
     trust = {"manufacturer_roots": [], "endorser_keys": {}, **trust}
@@ -107,10 +104,6 @@ class Workspace:
         return self.root / "certificates"
 
     @property
-    def cards(self) -> Path:
-        return self.root / "cards"
-
-    @property
     def trust_file(self) -> Path:
         return self.keys / "trust.json"
 
@@ -139,8 +132,17 @@ class Workspace:
             raise WorkspaceError(f"malformed key file {path}: expected 64 hex digits") from None
 
     def _certificate(self, stem: str) -> PlatformCertificate:
-        content, _ = hash_file_once(self.keys / f"{stem}.cert.json")
-        return PlatformCertificate.from_json_value(parse_canonical(content))
+        return PlatformCertificate.from_json_value(read_canonical(self.keys / f"{stem}.cert.json"))
+
+    def write_key(
+        self, stem: str, private: Ed25519PrivateKey, certificate: PlatformCertificate | None, force: bool
+    ) -> None:
+        """Write keys/<stem>.key, .pub and, given a certificate, .cert.json,
+        in that order, refusing to overwrite without force."""
+        _write_guarded(self.keys / f"{stem}.key", (private.private_bytes_raw().hex() + "\n").encode(), force)
+        _write_guarded(self.keys / f"{stem}.pub", (_public_hex(private) + "\n").encode(), force)
+        if certificate is not None:
+            _write_guarded(self.keys / f"{stem}.cert.json", canonicalize(certificate.to_json_value()), force)
 
     def load_root(self) -> ManufacturerRoot:
         private = self._private_key("root", "no manufacturer root in workspace; run `lam keygen root` first")
@@ -180,10 +182,6 @@ def _write_guarded(path: Path, data: bytes, force: bool) -> None:
     path.write_bytes(data)
 
 
-def _seed_bytes(seed: str | None) -> bytes:
-    return seed.encode("utf-8") if seed is not None else os.urandom(32)
-
-
 # --- keygen -------------------------------------------------------------------
 
 
@@ -192,10 +190,8 @@ def cmd_keygen(args: argparse.Namespace) -> int:
 
     if args.role == "root":
         trust = ws.trust()
-        root = create_root(_seed_bytes(args.seed))
-        _write_guarded(ws.keys / "root.key", (root.private_key.private_bytes_raw().hex() + "\n").encode(), args.force)
-        _write_guarded(ws.keys / "root.pub", (root.public_hex + "\n").encode(), args.force)
-        _write_guarded(ws.keys / "root.cert.json", canonicalize(root.certificate.to_json_value()), args.force)
+        root = create_root(args.seed)
+        ws.write_key("root", root.private_key, root.certificate, args.force)
         if root.public_hex not in trust["manufacturer_roots"]:
             trust["manufacturer_roots"].append(root.public_hex)
         ws.save_trust(trust)
@@ -207,10 +203,7 @@ def cmd_keygen(args: argparse.Namespace) -> int:
             raise WorkspaceError("keygen platform requires --platform-id")
         root = ws.load_root()
         platform = provision_platform(root, args.platform_id, seed=args.seed)
-        base = ws.keys / f"platform-{args.platform_id}"
-        _write_guarded(base.with_suffix(".key"), (platform.private_key.private_bytes_raw().hex() + "\n").encode(), args.force)
-        _write_guarded(base.with_suffix(".pub"), (platform.public_hex + "\n").encode(), args.force)
-        _write_guarded(base.with_suffix(".cert.json"), canonicalize(platform.certificate.to_json_value()), args.force)
+        ws.write_key(f"platform-{args.platform_id}", platform.private_key, platform.certificate, args.force)
         print(f"platform {args.platform_id} attestation key {platform.public_hex}")
         return EXIT_OK
 
@@ -218,9 +211,7 @@ def cmd_keygen(args: argparse.Namespace) -> int:
         raise WorkspaceError("keygen endorser requires --endorser-id")
     trust = ws.trust()
     endorser = Endorser.create(args.endorser_id, seed=args.seed)
-    base = ws.keys / f"endorser-{args.endorser_id}"
-    _write_guarded(base.with_suffix(".key"), (endorser.private_key.private_bytes_raw().hex() + "\n").encode(), args.force)
-    _write_guarded(base.with_suffix(".pub"), (endorser.public_hex + "\n").encode(), args.force)
+    ws.write_key(f"endorser-{args.endorser_id}", endorser.private_key, None, args.force)
     trust["endorser_keys"][args.endorser_id] = endorser.public_hex
     ws.save_trust(trust)
     print(f"endorser {args.endorser_id} key {endorser.public_hex}")
@@ -237,12 +228,12 @@ def _enclave(ws_args: argparse.Namespace, kind: str):
     return ctx
 
 
-def _out_dir(args: argparse.Namespace, ws: Workspace) -> Path:
-    return Path(args.out) if args.out else ws.attestations
-
-
-def _envelope_path(out_dir: Path, prefix: str, subject_hex: str) -> Path:
-    return out_dir / f"{prefix}-{subject_hex[:12]}.envelope.json"
+def _write_envelope(out_dir: Path, prefix: str, subject_hex: str, env: AttestationEnvelope, force: bool) -> Path:
+    """Write env to <out_dir>/<prefix>-<subject_hex[:12]>.envelope.json,
+    refusing to overwrite without force; the path written."""
+    path = out_dir / f"{prefix}-{subject_hex[:12]}.envelope.json"
+    _write_guarded(path, canonicalize(env.to_file_value()), force)
+    return path
 
 
 def _inference_features(data: bytes, path: str) -> list[int | float]:
@@ -271,14 +262,13 @@ def _inference_features(data: bytes, path: str) -> list[int | float]:
 def cmd_attest(args: argparse.Namespace) -> int:
     ws = Workspace(args.workspace)
     platform = ws.load_platform(args.platform_id)
-    out_dir = _out_dir(args, ws)
+    out_dir = Path(args.out) if args.out else ws.attestations
 
     if args.kind == "dist":
         ctx = _enclave(args, "dataset")
         dataset = Dataset.from_csv_bytes(ctx.read_input(args.data))
         env = attest_distribution(dataset, args.dist_kind, enclave=ctx, platform=platform)
-        path = _envelope_path(out_dir, f"dist-{args.dist_kind}", dataset.digest.hex)
-        _write_guarded(path, canonicalize(env.to_file_value()), args.force)
+        path = _write_envelope(out_dir, f"dist-{args.dist_kind}", dataset.digest.hex, env, args.force)
         print(f"dataset {dataset.digest.hex}")
         print(f"wrote {path}")
         return EXIT_OK
@@ -290,8 +280,7 @@ def cmd_attest(args: argparse.Namespace) -> int:
         model, env = attest_training(dataset, config, enclave=ctx, platform=platform)
         model_path = Path(args.model_out) if args.model_out else ws.artifacts / f"model-{model.digest.hex[:12]}.json"
         _write_guarded(model_path, model.canonical_bytes, args.force)
-        path = _envelope_path(out_dir, "pot", model.digest.hex)
-        _write_guarded(path, canonicalize(env.to_file_value()), args.force)
+        path = _write_envelope(out_dir, "pot", model.digest.hex, env, args.force)
         print(f"model {model.digest.hex}")
         print(f"wrote {model_path}")
         print(f"wrote {path}")
@@ -307,8 +296,7 @@ def cmd_attest(args: argparse.Namespace) -> int:
         else:
             env = attest_fairness(model, dataset, enclave=ctx, platform=platform)
             prefix = "fair"
-        path = _envelope_path(out_dir, prefix, model.digest.hex)
-        _write_guarded(path, canonicalize(env.to_file_value()), args.force)
+        path = _write_envelope(out_dir, prefix, model.digest.hex, env, args.force)
         metric = env.payload_value()["results"]["metrics"][0]
         print(f"{metric['type']} {metric['value']} (model {model.digest.hex[:12]})")
         print(f"wrote {path}")
@@ -321,10 +309,8 @@ def cmd_attest(args: argparse.Namespace) -> int:
         d_rob, robgen, robacc = attest_robustness(model, dataset, args.eps, enclave=ctx, platform=platform)
         rob_path = Path(args.robust_out) if args.robust_out else ws.artifacts / f"drob-{d_rob.digest.hex[:12]}.csv"
         _write_guarded(rob_path, d_rob.canonical_bytes, args.force)
-        gen_path = _envelope_path(out_dir, "robgen", d_rob.digest.hex)
-        acc_path = _envelope_path(out_dir, "robacc", model.digest.hex)
-        _write_guarded(gen_path, canonicalize(robgen.to_file_value()), args.force)
-        _write_guarded(acc_path, canonicalize(robacc.to_file_value()), args.force)
+        gen_path = _write_envelope(out_dir, "robgen", d_rob.digest.hex, robgen, args.force)
+        acc_path = _write_envelope(out_dir, "robacc", model.digest.hex, robacc, args.force)
         metric = robacc.payload_value()["results"]["metrics"][0]
         print(f"robust_accuracy {metric['value']} at eps {args.eps} (robust dataset {d_rob.digest.hex})")
         for p in (rob_path, gen_path, acc_path):
@@ -336,8 +322,7 @@ def cmd_attest(args: argparse.Namespace) -> int:
     model = Model.from_json_bytes(ctx.read_input(args.model))
     features = _inference_features(ctx.read_input(args.input), args.input)
     record, env = attest_inference(model, features, enclave=ctx, platform=platform)
-    path = _envelope_path(out_dir, "io", record.output_digest.hex)
-    _write_guarded(path, canonicalize(env.to_file_value()), args.force)
+    path = _write_envelope(out_dir, "io", record.output_digest.hex, env, args.force)
     record_path = (
         Path(args.record_out)
         if args.record_out
@@ -358,10 +343,7 @@ def cmd_attest(args: argparse.Namespace) -> int:
 
 
 def _load_claims(path: str | None) -> Any:
-    if path is None:
-        return {}
-    content, _ = hash_file_once(path)
-    return parse_canonical(content)
+    return {} if path is None else read_canonical(path)
 
 
 def cmd_endorse(args: argparse.Namespace) -> int:
@@ -377,8 +359,7 @@ def cmd_endorse(args: argparse.Namespace) -> int:
         else:
             raise WorkspaceError("endorse enclave needs --enclave-kind or --measurement")
         if args.template:
-            content, _ = hash_file_once(args.template)
-            template = parse_canonical(content)
+            template = read_canonical(args.template)
         elif args.att_type:
             template = builtin_template(args.att_type)
         else:
@@ -386,13 +367,9 @@ def cmd_endorse(args: argparse.Namespace) -> int:
         certification = make_certification(endorser, measurement, template)
 
         store_path = ws.certification_store_file
-        records = []
-        if store_path.exists():
-            content, _ = hash_file_once(store_path)
-            records = parse_canonical(content)
-        records.append(certification.to_json_value())
-        store_path.parent.mkdir(parents=True, exist_ok=True)
-        store_path.write_bytes(canonicalize(records))
+        store = CertificationStore.read_unverified(store_path) if store_path.exists() else CertificationStore()
+        store.add(certification)
+        store.save(store_path)
         print(f"certified enclave {measurement.hex[:12]} -> {store_path}")
         return EXIT_OK
 
@@ -414,14 +391,16 @@ def cmd_bundle(args: argparse.Namespace) -> int:
     envelopes: list[AttestationEnvelope] = []
     externals: list[ExternalCertificate] = []
     for name in args.files:
-        content, _ = hash_file_once(name)
-        value = parse_canonical(content)
-        if isinstance(value, dict) and "payload_b64" in value:
-            envelopes.append(AttestationEnvelope.from_json_value(value))
-        elif isinstance(value, dict) and "subject_sha256" in value:
-            externals.append(ExternalCertificate.from_json_value(value))
-        else:
-            raise LamError(f"not an envelope or external certificate: {name}")
+        value = read_canonical(name)
+        try:
+            if isinstance(value, dict) and "payload_b64" in value:
+                envelopes.append(AttestationEnvelope.from_file_value(value))
+            elif isinstance(value, dict) and "subject_sha256" in value:
+                externals.append(ExternalCertificate.from_json_value(value))
+            else:
+                raise LamError("not an envelope or external certificate")
+        except LamError as exc:
+            raise LamError(f"{exc}: {name}") from None
     bundle = AssertionBundle(envelopes=tuple(envelopes), external_certificates=tuple(externals))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -440,6 +419,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     store = CertificationStore.load(args.certstore, endorser_keys)
     bundle = AssertionBundle.read(args.bundle)
     result = verify_bundle(bundle, store, roots, endorser_keys)
+    out_dir = Path(args.out)
+    cards = [(out_dir / card.filename, card.yaml_bytes()) for card in result.cards]  # may raise: write nothing yet
 
     for i, verdict in enumerate(result.envelopes, start=1):
         if verdict.accepted:
@@ -452,13 +433,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         status = "ok" if ok else "REJECT bad-signature"
         print(f"external certificate {cert.name!r} by {cert.endorser_id}: {status}")
 
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "chain_report.json"
     report_path.write_bytes(result.report.canonical_bytes())
     print(f"wrote {report_path}")
-    for card in result.cards:
-        path = card.write(out_dir)
+    for path, text in cards:
+        path.write_bytes(text)
         print(f"wrote {path}")
 
     for model_hex, entry in result.report.models.items():

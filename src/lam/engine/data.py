@@ -159,6 +159,15 @@ def _cell_error(header: list[str], cells: list[str], lineno: int) -> DomainError
     return DomainError(f"CSV line {lineno}: malformed row")
 
 
+def config_int(value: Any, name: str) -> int:
+    """int(value) for the config or model field `name`; a ConfigError naming
+    the field when value is not an integer."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} is not an integer: {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Architecture:
     """MLP layout: input width, hidden widths, class count, activation."""
@@ -191,9 +200,9 @@ class Architecture:
     @classmethod
     def from_json_value(cls, value: dict[str, Any]) -> "Architecture":
         return cls(
-            num_features=int(value["num_features"]),
-            num_classes=int(value["num_classes"]),
-            hidden=tuple(int(h) for h in value["hidden"]),
+            num_features=config_int(value["num_features"], "num_features"),
+            num_classes=config_int(value["num_classes"], "num_classes"),
+            hidden=tuple(config_int(h, "hidden") for h in value["hidden"]),
             activation=value["activation"],
         )
 
@@ -222,7 +231,11 @@ class TrainingConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r} (supported: {OPTIMIZERS})")
-        if parse_decimal_string(self.learning_rate) <= 0:
+        try:
+            learning_rate = parse_decimal_string(self.learning_rate)
+        except ValueError:
+            raise ConfigError(f"learning_rate is not a decimal string: {self.learning_rate!r}") from None
+        if learning_rate <= 0:
             raise ConfigError("learning_rate must be > 0")
         if self.rng_seed < 0:
             raise ConfigError("rng_seed must be nonnegative")
@@ -242,11 +255,11 @@ class TrainingConfig:
         try:
             return cls(
                 architecture=Architecture.from_json_value(value["architecture"]),
-                epochs=int(value["epochs"]),
+                epochs=config_int(value["epochs"], "epochs"),
                 learning_rate=value["learning_rate"],
-                batch_size=int(value["batch_size"]),
+                batch_size=config_int(value["batch_size"], "batch_size"),
                 optimizer=value["optimizer"],
-                rng_seed=int(value["rng_seed"]),
+                rng_seed=config_int(value["rng_seed"], "rng_seed"),
             )
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed training config: {exc}") from exc

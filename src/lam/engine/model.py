@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
@@ -26,7 +25,7 @@ from ..hashcore import (
     parse_canonical,
     parse_decimal_string,
 )
-from .data import Architecture, Dataset, InferenceRecord, TrainingConfig
+from .data import Architecture, Dataset, InferenceRecord, TrainingConfig, config_int
 from .rng import Xoshiro256StarStar
 
 _ADAM_BETA1 = 0.9
@@ -50,6 +49,15 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     exps = np.exp(shifted)
     return exps / exps.sum(axis=-1, keepdims=True)
+
+
+def _parameter(text: Any, name: str) -> float:
+    """A weight or bias of a model file; a ConfigError naming the field
+    `name` when it is not a decimal string."""
+    try:
+        return parse_decimal_string(text)
+    except ValueError:
+        raise ConfigError(f"{name} entry is not a decimal string: {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -100,7 +108,7 @@ class Model:
     @classmethod
     def from_json_value(cls, value: dict[str, Any]) -> "Model":
         try:
-            widths = [int(w) for w in value["arch"]]
+            widths = [config_int(w, "arch") for w in value["arch"]]
             arch = Architecture(
                 num_features=widths[0],
                 num_classes=widths[-1],
@@ -108,14 +116,13 @@ class Model:
                 activation=value["activation"],
             )
             weights = tuple(
-                np.array([[parse_decimal_string(v) for v in row] for row in w], dtype=np.float64)
+                np.array([[_parameter(v, "weights") for v in row] for row in w], dtype=np.float64)
                 for w in value["weights"]
             )
             biases = tuple(
-                np.array([parse_decimal_string(v) for v in b], dtype=np.float64)
-                for b in value["biases"]
+                np.array([_parameter(v, "biases") for v in b], dtype=np.float64) for b in value["biases"]
             )
-        except (KeyError, TypeError, IndexError) as exc:
+        except (KeyError, TypeError, IndexError, ValueError) as exc:  # ValueError: rows of unequal length
             raise ConfigError(f"malformed model file: {exc}") from exc
         return cls(architecture=arch, weights=weights, biases=biases)
 
@@ -130,16 +137,6 @@ class Model:
     @classmethod
     def from_json_bytes(cls, data: bytes) -> "Model":
         return cls.from_json_value(parse_canonical(data))
-
-    @classmethod
-    def from_json_file(cls, path: str | Path) -> "Model":
-        from ..hashcore import hash_file_once
-
-        content, _ = hash_file_once(path)
-        return cls.from_json_bytes(content)
-
-    def write_json(self, path: str | Path) -> None:
-        Path(path).write_bytes(self.canonical_bytes)
 
 
 def forward(model: Model, x: np.ndarray) -> np.ndarray:

@@ -154,6 +154,12 @@ def parse_canonical(data: bytes) -> Any:
         raise CanonicalizationError("", "JSON is nested too deeply") from None
 
 
+def read_canonical(path: str | Path) -> Any:
+    """The value of a canonical JSON file, read once (see parse_canonical)."""
+    content, _ = hash_file_once(path)
+    return parse_canonical(content)
+
+
 def is_canonical(data: bytes) -> bool:
     """True iff data parses as JSON with no floats and re-serializes identically."""
     try:

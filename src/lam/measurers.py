@@ -34,6 +34,7 @@ from .hashcore import (
     hash_file_once,
     parse_canonical,
     parse_decimal_string,
+    read_canonical,
     require_in_manifest,
 )
 
@@ -193,13 +194,20 @@ class AttestationEnvelope:
             raise LamError(f"envelope payload_b64 is not strict base64: {exc}") from exc
         return cls(payload=payload, quote=Quote.from_json_value(value["quote"]))
 
-    def write(self, path: str | Path) -> None:
-        Path(path).write_bytes(canonicalize(self.to_file_value()))
+    @classmethod
+    def from_file_value(cls, value: dict[str, Any]) -> "AttestationEnvelope":
+        """Parse to_file_value's form, checking its version."""
+        version = value.get("version")
+        if type(version) is not int or version != ENVELOPE_VERSION:
+            raise LamError(f"unsupported envelope version {version!r} (expected {ENVELOPE_VERSION})")
+        return cls.from_json_value(value)
 
     @classmethod
     def read(cls, path: str | Path) -> "AttestationEnvelope":
-        content, _ = hash_file_once(path)
-        return cls.from_json_value(parse_canonical(content))
+        value = read_canonical(path)
+        if not isinstance(value, dict):
+            raise LamError(f"not an envelope: {path}")
+        return cls.from_file_value(value)
 
 
 def validate_fragment(value: Any) -> str:

@@ -16,7 +16,7 @@ from .backend import PlatformCertificate, check_quote_signatures, verify_quote, 
 from .cards import PropertyCard, assemble_cards
 from .certs import Certification, CertificationStore, ExternalCertificate, validate_template
 from .errors import CanonicalizationError, InvalidCertificationError, LamError
-from .hashcore import Digest, canonicalize, hash_bytes, hash_file_once, parse_canonical
+from .hashcore import Digest, canonicalize, hash_bytes, parse_canonical, read_canonical
 from .measurers import ATT_SPECS, AttestationEnvelope, index_fragments
 
 BUNDLE_VERSION = 1
@@ -238,8 +238,7 @@ class AssertionBundle:
 
     @classmethod
     def read(cls, path: str | Path) -> "AssertionBundle":
-        content, _ = hash_file_once(path)
-        value = parse_canonical(content)
+        value = read_canonical(path)
         if not isinstance(value, dict) or "envelopes" not in value:
             raise LamError(f"not an assertion bundle: {path}")
         version = value.get("version")
@@ -251,19 +250,6 @@ class AssertionBundle:
 
 
 # --- chain resolution --------------------------------------------------------
-
-_EDGES = (
-    "pot",
-    "training_distribution",
-    "training_dataset_certificate",
-    "accuracy",
-    "fairness",
-    "test_dataset_certificate",
-    "robustness",
-    "robustness_generation",
-    "robustness_source",
-    "inference",
-)
 
 # Edges counted toward chain completeness; certificate edges add clauses to
 # the conclusion but their absence is a gap, not a broken link.

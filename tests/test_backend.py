@@ -33,6 +33,14 @@ def test_create_root_deterministic():
 def test_create_root_empty_seed_rejected():
     with pytest.raises(LamError):
         create_root(b"")
+    with pytest.raises(LamError):
+        create_root("")
+
+
+def test_create_root_without_seed_draws_a_fresh_key():
+    r1, r2 = create_root(), create_root()
+    assert r1.public_hex != r2.public_hex
+    assert r1.certificate.verifies_under(r1.public_hex)
 
 
 def test_root_self_certificate_verifies():

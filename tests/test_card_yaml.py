@@ -205,3 +205,18 @@ def test_verify_writes_the_same_cards_without_pyyaml(tmp_path):
     assert sorted(p.name for p in out.glob("card-*.yaml")) == sorted(card.filename for card in expected)
     for card in expected:
         assert (out / card.filename).read_bytes() == card.yaml_bytes() == safe_dump_bytes(card.document())
+
+
+def _nested_list(depth: int) -> list:
+    value: list = []
+    for _ in range(depth - 1):
+        value = [value]
+    return value
+
+
+def test_deeply_nested_card_is_a_named_error():
+    from lam.errors import LamError
+
+    card = PropertyCard("dataset", "ab" * 32, {"a": _nested_list(600)})
+    with pytest.raises(LamError, match="nested too deeply"):
+        card.yaml_bytes()

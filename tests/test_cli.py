@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -40,10 +42,8 @@ def _setup_keys(ws: Path) -> None:
     assert run("keygen", "endorser", "--endorser-id", "acme", "--seed", "cli-end", "-w", str(ws)) == 0
 
 
-@pytest.fixture(scope="module")
-def cli_ws(tmp_path_factory) -> dict:
-    """A workspace taken through the whole prover/endorser flow once."""
-    ws = tmp_path_factory.mktemp("cliws")
+def _prove_and_endorse(ws: Path) -> dict:
+    """Take the workspace `ws` through the whole prover/endorser flow."""
     digests = _write_inputs(ws)
     _setup_keys(ws)
     w = str(ws)
@@ -88,6 +88,12 @@ def cli_ws(tmp_path_factory) -> dict:
     assert len(envelopes) == 7
     assert run("bundle", *envelopes, *certs, "--out", str(ws / "bundle.json")) == 0
     return {"ws": ws, "digests": digests, "model": model}
+
+
+@pytest.fixture(scope="module")
+def cli_ws(tmp_path_factory) -> dict:
+    """A workspace taken through the whole prover/endorser flow once."""
+    return _prove_and_endorse(tmp_path_factory.mktemp("cliws"))
 
 
 def test_keygen_root_deterministic(tmp_path):
@@ -387,9 +393,12 @@ def test_cli_matches_library_flow(cli_ws, tmp_path):
         assert (out_dir / card.filename).read_bytes() == card.yaml_bytes()
 
 
-def _verify_args(ws: Path, out: Path, *, bundle: Path | None = None, roots: Path | None = None) -> list[str]:
+def _verify_args(
+    ws: Path, out: Path, *, bundle: Path | None = None, roots: Path | None = None, certstore: Path | None = None
+) -> list[str]:
     return [
-        "verify", "--bundle", str(bundle or ws / "bundle.json"), "--certstore", str(ws / "certifications.json"),
+        "verify", "--bundle", str(bundle or ws / "bundle.json"),
+        "--certstore", str(certstore or ws / "certifications.json"),
         "--roots", str(roots or ws / "keys" / "trust.json"), "--out", str(out),
     ]
 
@@ -515,3 +524,221 @@ def test_verify_non_alphabet_base64_exits_2(cli_ws, capsys, tmp_path):
     assert err.startswith("error: envelope payload_b64 is not strict base64: ")
     assert "Traceback" not in err
     assert not (tmp_path / "cards" / "chain_report.json").exists()
+
+
+_GOOD_RECORD = {"enclave_measurement": "ab" * 32, "endorser_id": "acme", "signature": "00" * 64, "template": {}}
+MALFORMED_STORES = [
+    ("{}", "certification store must be a JSON array"),
+    ("[5]", "certification store entry 0: certification must be a JSON object"),
+    ("[{}]", "certification store entry 0: certification has no 'enclave_measurement' field"),
+    (
+        json.dumps([_GOOD_RECORD, {**_GOOD_RECORD, "endorser_id": 5}]),
+        "certification store entry 1: certification field 'endorser_id' is malformed: 5",
+    ),
+    (
+        json.dumps([{**_GOOD_RECORD, "signature": "zz"}]),
+        "certification store entry 0: certification field 'signature' is malformed: 'zz'",
+    ),
+    (
+        json.dumps([{**_GOOD_RECORD, "enclave_measurement": ["a"] * 64}]),
+        "certification store entry 0: certification field 'enclave_measurement' is malformed: ",
+    ),
+]
+MALFORMED_STORE_IDS = ["object", "number", "empty-record", "int-endorser", "non-hex-signature", "list-measurement"]
+
+
+@pytest.mark.parametrize(("store", "message"), MALFORMED_STORES, ids=MALFORMED_STORE_IDS)
+def test_endorse_enclave_malformed_store_exits_2(tmp_path, capsys, store, message):
+    _setup_keys(tmp_path)
+    store_file = tmp_path / "certifications.json"
+    store_file.write_text(store)
+    code = run(
+        "endorse", "enclave", "--endorser", "acme", "--enclave-kind", "metric", "--att-type", "AccAtt",
+        "-w", str(tmp_path),
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
+    assert store_file.read_text() == store
+
+
+@pytest.mark.parametrize(("store", "message"), MALFORMED_STORES, ids=MALFORMED_STORE_IDS)
+def test_verify_malformed_store_exits_2(cli_ws, capsys, tmp_path, store, message):
+    store_file = tmp_path / "certifications.json"
+    store_file.write_text(store)
+    code = run(*_verify_args(cli_ws["ws"], tmp_path / "cards", certstore=store_file))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
+    assert not (tmp_path / "cards").exists()
+
+
+@pytest.mark.parametrize("version", [99, 0, "1", True, None, "missing"])
+def test_bundle_wrong_envelope_version_exits_2(cli_ws, capsys, tmp_path, version):
+    from lam.hashcore import canonicalize
+
+    source = next((cli_ws["ws"] / "attestations").glob("acc-*.envelope.json"))
+    value = parse_canonical(source.read_bytes())
+    if version == "missing":
+        del value["version"]
+        version = None
+    else:
+        value["version"] = version
+    envelope = tmp_path / source.name
+    envelope.write_bytes(canonicalize(value))
+    out = tmp_path / "bundle.json"
+    code = run("bundle", str(envelope), "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: unsupported envelope version {version!r} (expected 1): {envelope}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    ("edit", "message"),
+    [
+        (lambda c: c["architecture"].update(num_features="abc"), "num_features is not an integer: 'abc'"),
+        (lambda c: c["architecture"].update(hidden=[4, "x"]), "hidden is not an integer: 'x'"),
+        (lambda c: c.update(epochs="abc"), "epochs is not an integer: 'abc'"),
+        (lambda c: c.update(learning_rate="abc"), "learning_rate is not a decimal string: 'abc'"),
+    ],
+    ids=["num_features", "hidden", "epochs", "learning_rate"],
+)
+def test_attest_train_malformed_config_field_exits_2(cli_ws, capsys, tmp_path, edit, message):
+    from lam.hashcore import canonicalize
+
+    ws = cli_ws["ws"]
+    config = parse_canonical((ws / "config.json").read_bytes())
+    edit(config)
+    path = tmp_path / "config.json"
+    path.write_bytes(canonicalize(config))
+    code = run(
+        "attest", "train", "--data", str(ws / "train.csv"), "--config", str(path),
+        "--model-out", str(tmp_path / "model.json"), "--out", str(tmp_path / "att"), "-w", str(ws),
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "model.json").exists() and not (tmp_path / "att").exists()
+
+
+@pytest.mark.parametrize(
+    ("edit", "message"),
+    [
+        (lambda m: m["weights"][0][0].__setitem__(0, "abc"), "weights entry is not a decimal string: 'abc'"),
+        (lambda m: m["biases"][0].__setitem__(0, "abc"), "biases entry is not a decimal string: 'abc'"),
+        (lambda m: m["arch"].__setitem__(0, "abc"), "arch is not an integer: 'abc'"),
+        (lambda m: m["weights"][0][0].pop(), "malformed model file: "),
+    ],
+    ids=["weight", "bias", "arch", "ragged-rows"],
+)
+def test_attest_accuracy_malformed_model_field_exits_2(cli_ws, capsys, tmp_path, edit, message):
+    from lam.hashcore import canonicalize
+
+    ws = cli_ws["ws"]
+    model = parse_canonical(Path(cli_ws["model"]).read_bytes())
+    edit(model)
+    path = tmp_path / "model.json"
+    path.write_bytes(canonicalize(model))
+    code = run(
+        "attest", "accuracy", "--model", str(path), "--data", str(ws / "test.csv"),
+        "--out", str(tmp_path / "att"), "-w", str(ws),
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
+    assert not (tmp_path / "att").exists()
+
+
+def test_verify_malformed_external_certificate_exits_2(cli_ws, capsys, tmp_path):
+    from lam.hashcore import canonicalize
+
+    ws = cli_ws["ws"]
+    bundle_value = parse_canonical((ws / "bundle.json").read_bytes())
+    del bundle_value["external_certificates"][0]["signature"]
+    bundle = tmp_path / "bundle.json"
+    bundle.write_bytes(canonicalize(bundle_value))
+    code = run(*_verify_args(ws, tmp_path / "cards", bundle=bundle))
+    assert code == 2
+    assert capsys.readouterr().err == "error: external certificate has no 'signature' field\n"
+    assert not (tmp_path / "cards").exists()
+
+
+def test_verify_deeply_nested_card_exits_2_and_writes_nothing(capsys, tmp_path):
+    """An external certificate's claims reach its subject's card unchanged;
+    claims too deep to write as YAML are an input error found before any
+    file is written."""
+    from lam.certs import make_external_certificate
+    from lam.hashcore import canonicalize
+    from pipeline import sixrow_pipeline
+
+    pipe = sixrow_pipeline()
+    claims: list = []
+    for _ in range(599):
+        claims = [claims]
+    deep = make_external_certificate(pipe.endorser, pipe.train_ds.digest, "dataset", "deep", {"nested": claims})
+    bundle = replace(pipe.bundle(), external_certificates=(*pipe.externals, deep))
+    bundle.write(tmp_path / "bundle.json")
+    pipe.store.save(tmp_path / "certifications.json")
+    trust = {"endorser_keys": pipe.endorser_keys, "manufacturer_roots": [pipe.root.public_hex]}
+    (tmp_path / "trust.json").write_bytes(canonicalize(trust))
+
+    out_dir = tmp_path / "cards"
+    code = run(
+        "verify", "--bundle", str(tmp_path / "bundle.json"), "--certstore", str(tmp_path / "certifications.json"),
+        "--roots", str(tmp_path / "trust.json"), "--out", str(out_dir),
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: card card-dataset-") and "nested too deeply" in err
+    assert not out_dir.exists()
+
+
+# SHA-256 of every file the prover/endorser flow and one `lam verify` write,
+# by path relative to the workspace.
+CLI_OUTPUT_SHA256 = {
+    "artifacts/drob-6aec94d1b2fd.csv": "6aec94d1b2fdd908401f165d35c68a0017dc8bf899c24a02bf2175b128d7b257",
+    "artifacts/inference-499787d2a1ae.json": "0b3102d23e0bd0691d2d1f32501445afe946298bc610f9ebf0bbff6487966ddb",
+    "artifacts/model.json": "add7842a89e7f08c4ff400b422a3119961d6544309b3cc49bc9b66b7c627b02c",
+    "attestations/acc-add7842a89e7.envelope.json": "113f75392d07a054af86c1f1f29c086a0c9d0dfb7731574e0a28383ff1b5459f",
+    "attestations/dist-marginal-ec31523fc48f.envelope.json": "fd6a65be293917b4695ac2a956f5faca88db26e6744cdfb0a7c334d19f29c266",
+    "attestations/fair-add7842a89e7.envelope.json": "9f384e7c40817637e7ce05d3b9488158bf26a0dc878a192cc400603d637c66b9",
+    "attestations/io-499787d2a1ae.envelope.json": "9fa7ff7b7ecb6e23a49aaa853592121d8b04eb8f90f20aa6a178a0455a810530",
+    "attestations/pot-add7842a89e7.envelope.json": "c3ceedfde6dcdf9ccb8d7c524c079124bfe3410c51de7fa255a6bae314e5f8aa",
+    "attestations/robacc-add7842a89e7.envelope.json": "cf535b3ee0ddf27312c1dc9d552e020ff79654ff463cba92aa0248eb4d454afe",
+    "attestations/robgen-6aec94d1b2fd.envelope.json": "6cbbf7e1db438edbf63665b9094c0d6e855d79570c2bb936cf00e9c79fbd26c0",
+    "bundle.json": "97aef287015883dec505cfc12c905b5e674056b2d6b6a526bbbfdf2d194f8159",
+    "certificates/dataset-3b9aa9c435bd.cert.json": "312ae49924be515485922cb6fc836c609fe190468cacf88112c3e0e8cde57354",
+    "certificates/dataset-ec31523fc48f.cert.json": "daefafa9b9d5990ca5f22e6c59d5ae2ca6103d0bf6d207e96bbf60fb08b64907",
+    "certifications.json": "be8f9728133972697094c0587e95b6b2d9d607710562c6fc3367d886a2aefad5",
+    "config.json": "f8127c41e59b657656fbefe83bce9c32c1ece8538e94e000c265282b2d81e03a",
+    "input.json": "e63876adf3ed35f5efcac24f0112a2294fd6977319b1239fe2ab2377a4df252b",
+    "keys/endorser-acme.key": "ff9c2b57eb71f69132a84bc5c12b38cc1dce5b9874d3dbeedc238610883c4924",
+    "keys/endorser-acme.pub": "6224a1d9c2f5b91ea3308f05969336531209fbd1f64023c3a12a3f04ddc4a2f2",
+    "keys/platform-p1.cert.json": "f7f5e518137e693c32773b1d84103edf0073a5c416f89ce564ab17be4cbcaa9c",
+    "keys/platform-p1.key": "05ac2d998a5f656c3537f9ea1f2ca9a45e4bf56992bc651782b905f1fc2fd6b3",
+    "keys/platform-p1.pub": "b0678e1519d66b90d7368015412fc1000377806d1c93a5c1c523ca989a72cb2c",
+    "keys/root.cert.json": "5436333e3670137fe7843515d38e80a637706e3b15329669f7a771e96f17a554",
+    "keys/root.key": "3cc486141236756e4aff9e6027dfc3a9abe7e7fae7ccafc2f3700b3db7328252",
+    "keys/root.pub": "c188dac015c57c58f9f25d73561b1baeec419bd605fa617c8eb10178a6486e22",
+    "keys/trust.json": "49575d938a4f1b6253c07f9d81267e264cab86be0339534c3906cb590ba501b7",
+    "out/card-dataset-6aec94d1b2fd.yaml": "5832f2be37fa0ddc56f90715e62e9402047ff663ddefbc69d25a9057f39a0192",
+    "out/card-dataset-ec31523fc48f.yaml": "edfdb913d58df477734e93c0bb9c92ff3538158c31c545b1fa493be3b5cc5158",
+    "out/card-inference-203a4af1c8ba.yaml": "5d0ef05dc0f14cb272397abaedd1051b396ee89f4bbf9ef9e96af0fdcd56a678",
+    "out/card-model-add7842a89e7.yaml": "17f0f0ce23f1bc284fbc2daed1b1138aafb956b9615d67517aaf477b1e457158",
+    "out/chain_report.json": "de76c47bf2e4b2cb9fced598151784e7bc2915f64e6f29b9cc9e37b5b740a00f",
+    "test.csv": "3b9aa9c435bda847c432af552aa06ab27c23fec1c82f4497381ea22a25a9e82b",
+    "train.csv": "ec31523fc48f864165e8a3ba594c3369177eaddea8040d1f575ba1714f5e73d4",
+}
+
+
+def test_cli_output_bytes_are_pinned(tmp_path):
+    ws = tmp_path / "ws"
+    ws.mkdir()
+    _prove_and_endorse(ws)
+    assert run(*_verify_args(ws, ws / "out")) == 0
+    written = {
+        p.relative_to(ws).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(ws.rglob("*"))
+        if p.is_file()
+    }
+    assert written == CLI_OUTPUT_SHA256

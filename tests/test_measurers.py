@@ -203,7 +203,7 @@ def test_fragment_schema_total_and_exclusive(
 def test_envelope_file_round_trip(fixture_a, enclaves, test_platform, tmp_path):
     env = attest_distribution(fixture_a, "marginal", enclave=enclaves["dataset"], platform=test_platform)
     path = tmp_path / "dist.envelope.json"
-    env.write(path)
+    path.write_bytes(canonicalize(env.to_file_value()))
     restored = AttestationEnvelope.read(path)
     assert restored == env
     value = parse_canonical(path.read_bytes())

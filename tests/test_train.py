@@ -72,11 +72,9 @@ def test_adam_optimizer_trains(fixture_a):
     assert train(ds, cfg).digest == model.digest
 
 
-def test_model_file_round_trip(fixture_a, small_config, tmp_path):
+def test_model_file_round_trip(fixture_a, small_config):
     model = train(fixture_a, small_config)
-    path = tmp_path / "model.json"
-    model.write_json(path)
-    restored = Model.from_json_file(path)
+    restored = Model.from_json_bytes(model.canonical_bytes)
     assert restored.canonical_bytes == model.canonical_bytes
     assert restored.digest == model.digest
     # quantized in-memory params equal the file round trip exactly

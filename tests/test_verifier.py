@@ -161,6 +161,24 @@ def test_certification_store_load_rejects_bad_signature(pipe, tmp_path):
         CertificationStore.load(path, {pipe.endorser.endorser_id: "00" * 32})
 
 
+def test_certification_store_read_unverified_round_trips_bytes(pipe, tmp_path):
+    path = tmp_path / "certifications.json"
+    pipe.store.save(path)
+    copy = tmp_path / "copy.json"
+    CertificationStore.read_unverified(path).save(copy)
+    assert copy.read_bytes() == path.read_bytes()
+
+
+def test_make_external_certificate_names_the_claims_path():
+    from lam.certs import make_external_certificate
+    from lam.errors import CanonicalizationError
+
+    endorser = Endorser.create("acme", seed=b"e")
+    with pytest.raises(CanonicalizationError) as err:
+        make_external_certificate(endorser, hash_bytes(b"d"), "dataset", "d", {"a": [1, 0.5]})
+    assert err.value.path == "/a/1"
+
+
 def test_bundle_file_round_trip(pipe, tmp_path):
     bundle = pipe.bundle()
     path = tmp_path / "bundle.json"
