@@ -17,7 +17,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from .backend import _public_hex, _verify_hex, key_from_seed
 from .errors import InvalidCertificationError, LamError
-from .hashcore import Digest, canonicalize, hash_bytes, read_canonical
+from .hashcore import Digest, canonicalize, hash_bytes, hex_bytes, read_canonical
 
 SUBJECT_KINDS = ("dataset", "model")
 
@@ -51,7 +51,7 @@ def _text(value: Any) -> str:
 _FIELD_PARSERS: dict[str, Callable[[Any], Any]] = {
     "Digest": Digest.from_hex,
     "str": _text,
-    "bytes": bytes.fromhex,
+    "bytes": hex_bytes,
     "Any": lambda value: value,
 }
 

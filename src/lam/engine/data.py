@@ -1,17 +1,24 @@
 """Canonical dataset / training-config / inference-record formats.
 
 A dataset's identity is the digest of its canonical CSV bytes; a config's
-identity is the digest of its canonical JSON. Loaders re-canonicalize loose
-input, so the digest always names the canonical form. Feature values are
-quantized to the 6-fractional-digit decimal rule on construction, which makes
-the in-memory floats exactly the values a round trip through the file yields.
+identity is the digest of its canonical JSON. Feature values are quantized to
+the 6-fractional-digit decimal rule on construction, which makes the in-memory
+floats exactly the values a round trip through the file yields.
+
+The canonical CSV text is built where the features are quantized, once:
+`Dataset.from_rows` formats each value, and `Dataset.from_csv_bytes` takes a
+cell that is already canonical as it is and formats any other (loose) cell
+after parsing it. Both join the canonical text there, so `canonical_bytes`
+formats nothing again; only a dataset built directly from arrays formats its
+features, when its canonical bytes are first asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Sequence
+from math import isfinite
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -23,6 +30,7 @@ from ..hashcore import (
     hash_bytes,
     parse_canonical,
     parse_decimal_string,
+    quantize,
 )
 
 ACTIVATIONS = ("tanh", "relu")
@@ -68,16 +76,41 @@ class Dataset:
         labels: Sequence[int],
         sensitive: Sequence[int],
     ) -> "Dataset":
-        feats = np.array(
-            [[float(decimal_string(float(v))) for v in row] for row in features],
-            dtype=np.float64,
-        ).reshape(len(features), len(schema))
-        return cls(
+        values, prefixes = [], []  # per row: quantized floats, canonical cells up to the label
+        for row in features:
+            texts, row_values = quantize(map(float, row))
+            values.append(row_values)
+            prefixes.append(",".join([*texts, ""]))
+        dataset = cls(
             schema=tuple(schema),
-            features=feats,
+            features=np.array(values, dtype=np.float64).reshape(len(values), len(schema)),
             labels=np.array(labels, dtype=np.int64),
             sensitive=np.array(sensitive, dtype=np.int64),
         )
+        ys, zs = dataset.labels.tolist(), dataset.sensitive.tolist()
+        dataset._seed_canonical_bytes(f"{prefix}{y},{z}" for prefix, y, z in zip(prefixes, ys, zs))
+        return dataset
+
+    def _seed_canonical_bytes(self, lines: Iterable[str]) -> None:
+        """Set canonical_bytes from the canonical CSV data `lines`, which the
+        caller built from the very strings its features were quantized from."""
+        self.__dict__["canonical_bytes"] = _csv_bytes(self.schema, lines)
+
+    def _canonical_lines(self) -> list[str]:
+        """The canonical CSV's data lines, one per row: the feature cells,
+        then the label and the group."""
+        return self.canonical_bytes.decode("utf-8").split("\n")[1:-1]
+
+    def _rows(self, part: slice) -> "Dataset":
+        """The rows `part`, with their lines of this dataset's canonical CSV."""
+        rows = Dataset(
+            schema=self.schema,
+            features=self.features[part],
+            labels=self.labels[part],
+            sensitive=self.sensitive[part],
+        )
+        rows._seed_canonical_bytes(self._canonical_lines()[part])
+        return rows
 
     @property
     def num_rows(self) -> int:
@@ -99,13 +132,10 @@ class Dataset:
 
     @cached_property
     def canonical_bytes(self) -> bytes:
-        lines = [",".join(self.schema + _RESERVED_COLUMNS)]
-        for i in range(self.num_rows):
-            cells = [decimal_string(float(v)) for v in self.features[i]]
-            cells.append(str(int(self.labels[i])))
-            cells.append(str(int(self.sensitive[i])))
-            lines.append(",".join(cells))
-        return ("\n".join(lines) + "\n").encode("utf-8")
+        """The canonical CSV; set at construction by from_rows, from_csv_bytes
+        and FGSM, formatted from the features here for any other dataset."""
+        rows = zip(self.features.tolist(), self.labels.tolist(), self.sensitive.tolist())
+        return _csv_bytes(self.schema, (",".join([*map(decimal_string, x), str(y), str(z)]) for x, y, z in rows))
 
     @cached_property
     def digest(self) -> Digest:
@@ -124,26 +154,49 @@ class Dataset:
         if len(header) < 3 or tuple(header[-2:]) != _RESERVED_COLUMNS:
             raise DomainError("CSV header must end with 'label,sensitive'")
         schema = tuple(header[:-2])
-        features, labels, sensitive = [], [], []
+        features, labels, sensitive, canonical = [], [], [], []
         for lineno, line in enumerate(lines[1:], start=2):
             cells = line.split(",")
             if len(cells) != len(header):
                 raise DomainError(f"CSV line {lineno}: expected {len(header)} cells, got {len(cells)}")
             try:
-                features.append([parse_decimal_string(c) for c in cells[:-2]])
-                labels.append(int(cells[-2]))
-                sensitive.append(int(cells[-1]))
+                texts, values = _feature_cells(cells[:-2])
+                label, group = int(cells[-2]), int(cells[-1])
             except ValueError:
                 raise _cell_error(header, cells, lineno) from None
-        return cls.from_rows(schema, features, labels, sensitive)
-
-    def replace_features(self, features: np.ndarray) -> "Dataset":
-        return Dataset(
-            schema=self.schema,
-            features=features,
-            labels=self.labels,
-            sensitive=self.sensitive,
+            features.append(values)
+            labels.append(label)
+            sensitive.append(group)
+            canonical.append(",".join([*texts, str(label), str(group)]))
+        dataset = cls(
+            schema=schema,
+            features=np.array(features, dtype=np.float64).reshape(len(features), len(schema)),
+            labels=np.array(labels, dtype=np.int64),
+            sensitive=np.array(sensitive, dtype=np.int64),
         )
+        dataset._seed_canonical_bytes(canonical)
+        return dataset
+
+
+def _csv_bytes(schema: tuple[str, ...], lines: Iterable[str]) -> bytes:
+    """Canonical CSV: the header, then one data line per row, each ended by a newline."""
+    return "\n".join([",".join(schema + _RESERVED_COLUMNS), *lines, ""]).encode("utf-8")
+
+
+def _feature_cells(cells: list[str]) -> tuple[list[str], list[float]]:
+    """The canonical strings and quantized floats of a CSV row's feature
+    cells. A row whose cells are all canonical (finite, and equal to their
+    own 6-digit formatting) is taken as it is; any other row goes through
+    parse_decimal_string and quantize, the rule that decides which cells are
+    accepted and what they mean."""
+    try:
+        values = list(map(float, cells))
+    except ValueError:
+        pass
+    else:
+        if all(map(isfinite, values)) and [format(v, ".6f") for v in values] == cells:
+            return cells, values
+    return quantize([parse_decimal_string(c) for c in cells])
 
 
 def _cell_error(header: list[str], cells: list[str], lineno: int) -> DomainError:

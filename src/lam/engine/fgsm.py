@@ -45,6 +45,10 @@ def fgsm_dataset(model: Model, dataset: Dataset, eps: str) -> Dataset:
     Labels and sensitive attributes are unchanged; canonical bytes and digest
     are those of the perturbed features. eps is a decimal string and is
     quantized to the canonical 6-digit form before use.
+
+    The base decimals are the cells of the source dataset's canonical CSV,
+    and the robust set's canonical CSV is joined here from the strings each
+    perturbed value is formatted to, so no feature is formatted twice.
     """
     if dataset.num_rows == 0:
         raise DomainError("cannot perturb an empty dataset")
@@ -60,14 +64,28 @@ def fgsm_dataset(model: Model, dataset: Dataset, eps: str) -> Dataset:
     grads = input_gradients(model, dataset.features, dataset.labels)
     signs = np.sign(grads)
 
-    perturbed = np.empty_like(dataset.features)
-    for i in range(dataset.num_rows):
-        for j in range(dataset.num_features):
-            s = signs[i, j]
-            base = Decimal(decimal_string(float(dataset.features[i, j])))
+    perturbed, lines = [], []
+    for line, row_signs in zip(dataset._canonical_lines(), signs.tolist()):
+        cells = line.split(",")
+        values = []
+        for j, s in enumerate(row_signs):
             if s > 0:
-                base += eps_dec
+                base = Decimal(cells[j]) + eps_dec
             elif s < 0:
-                base -= eps_dec
-            perturbed[i, j] = float(base)
-    return dataset.replace_features(perturbed)
+                base = Decimal(cells[j]) - eps_dec
+            else:
+                values.append(float(cells[j]))
+                continue
+            value = float(base)
+            values.append(value)
+            cells[j] = decimal_string(value)
+        perturbed.append(values)
+        lines.append(",".join(cells))
+    d_rob = Dataset(
+        schema=dataset.schema,
+        features=np.array(perturbed, dtype=np.float64),
+        labels=dataset.labels,
+        sensitive=dataset.sensitive,
+    )
+    d_rob._seed_canonical_bytes(lines)
+    return d_rob

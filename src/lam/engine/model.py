@@ -24,6 +24,7 @@ from ..hashcore import (
     hash_bytes,
     parse_canonical,
     parse_decimal_string,
+    quantize,
 )
 from .data import Architecture, Dataset, InferenceRecord, TrainingConfig, config_int
 from .rng import Xoshiro256StarStar
@@ -90,11 +91,10 @@ class Model:
         biases: Sequence[np.ndarray],
     ) -> "Model":
         """Build a Model whose parameters are canonical-quantized."""
-        q = lambda a: np.vectorize(lambda v: float(decimal_string(float(v))))(a).astype(np.float64)
         return cls(
             architecture=architecture,
-            weights=tuple(q(np.asarray(w, dtype=np.float64)) for w in weights),
-            biases=tuple(q(np.asarray(b, dtype=np.float64)) for b in biases),
+            weights=tuple(_quantized_array(w) for w in weights),
+            biases=tuple(_quantized_array(b) for b in biases),
         )
 
     def to_json_value(self) -> dict[str, Any]:
@@ -154,14 +154,19 @@ def class_scores(model: Model, x: np.ndarray) -> np.ndarray:
     return softmax(forward(model, x))
 
 
+def _quantized_array(values: Any) -> np.ndarray:
+    """`values` as a float64 array of the same shape, each quantized."""
+    a = np.asarray(values, dtype=np.float64)
+    return np.array(quantize(a.ravel().tolist())[1], dtype=np.float64).reshape(a.shape)
+
+
 def _argmax_quantized(score_row: np.ndarray) -> tuple[int, tuple[str, ...]]:
-    strings = tuple(decimal_string(float(s)) for s in score_row)
-    quantized = [parse_decimal_string(s) for s in strings]
+    strings, quantized = quantize(score_row.tolist())
     best = 0
     for k in range(1, len(quantized)):
         if quantized[k] > quantized[best]:
             best = k
-    return best, strings
+    return best, tuple(strings)
 
 
 def predicted_classes(model: Model, x: np.ndarray) -> np.ndarray:
@@ -171,7 +176,7 @@ def predicted_classes(model: Model, x: np.ndarray) -> np.ndarray:
 
 
 def predict(model: Model, features: Sequence[float]) -> InferenceRecord:
-    feats = tuple(float(decimal_string(float(v))) for v in features)
+    feats = tuple(quantize([float(v) for v in features])[1])
     if len(feats) != model.architecture.num_features:
         raise DomainError(
             f"input arity {len(feats)} does not match architecture input width "

@@ -74,8 +74,30 @@ class Xoshiro256StarStar:
                 return r % n
 
     def shuffled_indices(self, n: int) -> list[int]:
+        """Fisher-Yates from the top index down, j = randbelow(i + 1).
+
+        This is next_u64 and randbelow's rejection rule inlined, with the
+        state in locals and written back once at the end: the same order
+        and the same final state as calling them in a loop.
+        """
         order = list(range(n))
+        s0, s1, s2, s3 = self._s
         for i in range(n - 1, 0, -1):
-            j = self.randbelow(i + 1)
+            bound = i + 1
+            threshold = (2**64 // bound) * bound
+            while True:
+                x = (s1 * 5) & _MASK64
+                r = (((x << 7) | (x >> 57)) * 9) & _MASK64
+                t = (s1 << 17) & _MASK64
+                s2 ^= s0
+                s3 ^= s1
+                s1 ^= s2
+                s0 ^= s3
+                s2 ^= t
+                s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+                if r < threshold:
+                    break
+            j = r % bound
             order[i], order[j] = order[j], order[i]
+        self._s = [s0, s1, s2, s3]
         return order

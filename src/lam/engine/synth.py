@@ -112,18 +112,7 @@ def synthetic_census(n_rows: int, seed: int) -> Dataset:
 
 def census_split(n_train: int = 6000, n_test: int = 2000, seed: int = 2026) -> tuple[Dataset, Dataset]:
     """Documented split for the reference experiment: one generator stream,
-    first n_train rows train, next n_test rows test."""
+    first n_train rows train, next n_test rows test. Each half takes its
+    canonical CSV lines from the full set's, so no feature is formatted twice."""
     full = synthetic_census(n_train + n_test, seed)
-    train = Dataset(
-        schema=full.schema,
-        features=full.features[:n_train],
-        labels=full.labels[:n_train],
-        sensitive=full.sensitive[:n_train],
-    )
-    test = Dataset(
-        schema=full.schema,
-        features=full.features[n_train:],
-        labels=full.labels[n_train:],
-        sensitive=full.sensitive[n_train:],
-    )
-    return train, test
+    return full._rows(slice(None, n_train)), full._rows(slice(n_train, None))

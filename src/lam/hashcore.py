@@ -52,6 +52,14 @@ class Digest:
         return self.hex
 
 
+def hex_bytes(text: str) -> bytes:
+    """The bytes written as lower-case hex with no spaces, the one form
+    bytes.hex() gives; ValueError for upper case, spaces or other text."""
+    if not set(text) <= _HEX_DIGITS:
+        raise ValueError(f"not lower-case hex: {text!r}")
+    return bytes.fromhex(text)
+
+
 def hash_bytes(data: bytes) -> Digest:
     """SHA-256 of a byte string."""
     return Digest(hashlib.sha256(data).digest())
@@ -188,6 +196,18 @@ def decimal_string(value: float | int | Decimal) -> str:
     with localcontext() as ctx:
         ctx.prec = 50
         return str(number.quantize(_QUANTUM, rounding=ROUND_HALF_EVEN))
+
+
+def quantize(values: Iterable[float]) -> tuple[list[str], list[float]]:
+    """The canonical decimal strings of `values` and the floats they parse to.
+
+    A quantized number is the float of its own canonical string, so a round
+    trip through any canonical file gives back the same float. The float is
+    taken from the string just formatted: a string lam wrote needs no second
+    parse through Decimal.
+    """
+    texts = list(map(decimal_string, values))
+    return texts, list(map(float, texts))
 
 
 def ratio_string(numerator: int, denominator: int) -> str:

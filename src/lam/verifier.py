@@ -219,6 +219,9 @@ class AssertionBundle:
         """Parse a bundle; quotes whose platform certificates are equal share
         one PlatformCertificate, so each is checked against a root once, and
         every quote's signature is checked here, in bulk."""
+        for key in ("envelopes", "external_certificates"):
+            if not isinstance(value.get(key), list):
+                raise LamError(f"assertion bundle {key!r} must be a JSON array")
         shared: dict[PlatformCertificate, PlatformCertificate] = {}
         envelopes = []
         for item in value["envelopes"]:
@@ -239,7 +242,7 @@ class AssertionBundle:
     @classmethod
     def read(cls, path: str | Path) -> "AssertionBundle":
         value = read_canonical(path)
-        if not isinstance(value, dict) or "envelopes" not in value:
+        if not isinstance(value, dict):
             raise LamError(f"not an assertion bundle: {path}")
         version = value.get("version")
         if type(version) is not int or version != BUNDLE_VERSION:

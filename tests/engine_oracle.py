@@ -1,11 +1,21 @@
 """Independent brute-force reimplementation used as the oracle side of
 dual-route checks. Pure Python over the canonical JSON/CSV forms: no numpy,
-no imports from the engine's compute path."""
+no imports from the engine's compute path.
+
+The last section is the exception: it keeps the number path the dataset
+loaders and FGSM used before datasets carried their canonical CSV from
+construction, as the reference the single-formatting path must match."""
 
 from __future__ import annotations
 
 import math
 from decimal import ROUND_HALF_EVEN, Decimal
+
+import numpy as np
+
+from lam.engine.data import Dataset
+from lam.errors import DomainError
+from lam.hashcore import decimal_string, parse_decimal_string
 
 
 def _fmt6(x: float) -> str:
@@ -116,3 +126,87 @@ def input_gradient_fd(model, features: list[float], label: int, h: float = 1e-3)
         minus[i] -= h
         grad.append((cross_entropy(model, plus, label) - cross_entropy(model, minus, label)) / (2 * h))
     return grad
+
+
+# --- The Decimal round-trip number path ---------------------------------------
+# Every CSV cell parsed with parse_decimal_string, every value quantized by
+# formatting it and parsing the string back, and the canonical CSV formatted
+# again from the stored floats.
+
+_RESERVED = ("label", "sensitive")
+
+
+def reference_from_rows(schema, features, labels, sensitive) -> Dataset:
+    feats = np.array(
+        [[float(decimal_string(float(v))) for v in row] for row in features],
+        dtype=np.float64,
+    ).reshape(len(features), len(schema))
+    return Dataset(
+        schema=tuple(schema),
+        features=feats,
+        labels=np.array(labels, dtype=np.int64),
+        sensitive=np.array(sensitive, dtype=np.int64),
+    )
+
+
+def reference_canonical_bytes(dataset) -> bytes:
+    lines = [",".join(dataset.schema + _RESERVED)]
+    for i in range(dataset.num_rows):
+        cells = [decimal_string(float(v)) for v in dataset.features[i]]
+        cells.append(str(int(dataset.labels[i])))
+        cells.append(str(int(dataset.sensitive[i])))
+        lines.append(",".join(cells))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _reference_cell_error(header, cells, lineno) -> DomainError:
+    for i, (name, cell) in enumerate(zip(header, cells)):
+        integer = i >= len(header) - len(_RESERVED)
+        try:
+            int(cell) if integer else parse_decimal_string(cell)
+        except ValueError:
+            kind = "an integer" if integer else "a decimal number"
+            return DomainError(f"CSV line {lineno}, column {name!r}: {cell!r} is not {kind}")
+    return DomainError(f"CSV line {lineno}: malformed row")
+
+
+def reference_from_csv_bytes(data: bytes) -> Dataset:
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"CSV is not UTF-8: {exc}") from None
+    lines = [line for line in text.replace("\r\n", "\n").split("\n") if line != ""]
+    if not lines:
+        raise DomainError("empty CSV: missing header")
+    header = lines[0].split(",")
+    if len(header) < 3 or tuple(header[-2:]) != _RESERVED:
+        raise DomainError("CSV header must end with 'label,sensitive'")
+    features, labels, sensitive = [], [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise DomainError(f"CSV line {lineno}: expected {len(header)} cells, got {len(cells)}")
+        try:
+            features.append([parse_decimal_string(c) for c in cells[:-2]])
+            labels.append(int(cells[-2]))
+            sensitive.append(int(cells[-1]))
+        except ValueError:
+            raise _reference_cell_error(header, cells, lineno) from None
+    return reference_from_rows(tuple(header[:-2]), features, labels, sensitive)
+
+
+def reference_fgsm_features(dataset, signs, eps: str):
+    """The perturbed features: each stored float formatted to its canonical
+    string, moved by eps in Decimal, and converted back."""
+    eps_dec = Decimal(decimal_string(parse_decimal_string(eps)))
+    perturbed = np.empty_like(dataset.features)
+    for i in range(dataset.num_rows):
+        for j in range(dataset.num_features):
+            s = signs[i, j]
+            base = Decimal(decimal_string(float(dataset.features[i, j])))
+            if s > 0:
+                base += eps_dec
+            elif s < 0:
+                base -= eps_dec
+            perturbed[i, j] = float(base)
+    return perturbed

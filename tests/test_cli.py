@@ -663,6 +663,85 @@ def test_verify_malformed_external_certificate_exits_2(cli_ws, capsys, tmp_path)
     assert not (tmp_path / "cards").exists()
 
 
+def _space_pairs(text: str) -> str:
+    return " ".join(text[i : i + 2] for i in range(0, len(text), 2))
+
+
+NON_CANONICAL_HEX = pytest.mark.parametrize("rewrite", [str.upper, _space_pairs], ids=["upper-case", "spaced"])
+
+
+@NON_CANONICAL_HEX
+def test_verify_non_canonical_certification_signature_exits_2(cli_ws, capsys, tmp_path, rewrite):
+    """A signature parses only in the lower-case form .hex() writes, so a
+    record's digest always names the bytes as written."""
+    from lam.hashcore import canonicalize
+
+    ws = cli_ws["ws"]
+    store = parse_canonical((ws / "certifications.json").read_bytes())
+    signature = rewrite(store[1]["signature"])
+    assert signature != store[1]["signature"]
+    store[1]["signature"] = signature
+    store_file = tmp_path / "certifications.json"
+    store_file.write_bytes(canonicalize(store))
+    code = run(*_verify_args(ws, tmp_path / "cards", certstore=store_file))
+    assert code == 2
+    message = f"certification store entry 1: certification field 'signature' is malformed: {signature!r}"
+    assert capsys.readouterr().err == f"error: {message}: {store_file}\n"
+    assert not (tmp_path / "cards").exists()
+
+
+@NON_CANONICAL_HEX
+def test_verify_non_canonical_external_certificate_signature_exits_2(cli_ws, capsys, tmp_path, rewrite):
+    from lam.hashcore import canonicalize
+
+    ws = cli_ws["ws"]
+    bundle_value = parse_canonical((ws / "bundle.json").read_bytes())
+    signature = rewrite(bundle_value["external_certificates"][0]["signature"])
+    bundle_value["external_certificates"][0]["signature"] = signature
+    bundle = tmp_path / "bundle.json"
+    bundle.write_bytes(canonicalize(bundle_value))
+    code = run(*_verify_args(ws, tmp_path / "cards", bundle=bundle))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: external certificate field 'signature' is malformed: {signature!r}\n"
+    assert not (tmp_path / "cards").exists()
+
+
+@pytest.fixture(scope="module")
+def sixrow_files(tmp_path_factory) -> Path:
+    """The six-row pipeline's bundle, certification store and trust file."""
+    from lam.hashcore import canonicalize
+    from pipeline import sixrow_pipeline
+
+    pipe = sixrow_pipeline()
+    out = tmp_path_factory.mktemp("sixrow")
+    pipe.bundle().write(out / "bundle.json")
+    pipe.store.save(out / "certifications.json")
+    trust = {"endorser_keys": pipe.endorser_keys, "manufacturer_roots": [pipe.root.public_hex]}
+    (out / "trust.json").write_bytes(canonicalize(trust))
+    return out
+
+
+@pytest.mark.parametrize("key", ["envelopes", "external_certificates"])
+@pytest.mark.parametrize("replacement", [None, {}, 5], ids=["deleted", "object", "number"])
+def test_verify_bundle_without_an_array_exits_2(sixrow_files, capsys, tmp_path, key, replacement):
+    from lam.hashcore import canonicalize
+
+    bundle_value = parse_canonical((sixrow_files / "bundle.json").read_bytes())
+    if replacement is None:
+        del bundle_value[key]
+    else:
+        bundle_value[key] = replacement
+    bundle = tmp_path / "bundle.json"
+    bundle.write_bytes(canonicalize(bundle_value))
+    code = run(
+        "verify", "--bundle", str(bundle), "--certstore", str(sixrow_files / "certifications.json"),
+        "--roots", str(sixrow_files / "trust.json"), "--out", str(tmp_path / "cards"),
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: assertion bundle {key!r} must be a JSON array\n"
+    assert not (tmp_path / "cards").exists()
+
+
 def test_verify_deeply_nested_card_exits_2_and_writes_nothing(capsys, tmp_path):
     """An external certificate's claims reach its subject's card unchanged;
     claims too deep to write as YAML are an input error found before any

@@ -117,3 +117,22 @@ def test_shuffled_indices_is_permutation():
 def test_negative_seed_rejected():
     with pytest.raises(ValueError):
         Xoshiro256StarStar(-1)
+
+
+def _randbelow_shuffle(rng: Xoshiro256StarStar, n: int) -> list[int]:
+    """The shuffle rule spelled with the public draws: Fisher-Yates from the
+    top index down, j = randbelow(i + 1)."""
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.randbelow(i + 1)
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**61])
+def test_shuffled_indices_matches_the_randbelow_loop(seed):
+    fast, reference = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+    for n in (0, 1, 2, 3, 255, 256, 6000):
+        assert fast.shuffled_indices(n) == _randbelow_shuffle(reference, n)
+        assert fast._s == reference._s
+    assert fast.next_u64() == reference.next_u64()
