@@ -24,7 +24,7 @@ from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
 
 from .errors import LamError
-from .hashcore import Digest, TrustedManifest, canonicalize, hash_bytes
+from .hashcore import Digest, TrustedManifest, canonicalize, hash_bytes, parse_record
 
 SIG_ALG = "ed25519"
 # Fewest signatures verify_signatures splits across CPUs; each slice then
@@ -150,12 +150,8 @@ class PlatformCertificate:
         }
 
     @classmethod
-    def from_json_value(cls, value: dict[str, Any]) -> "PlatformCertificate":
-        return cls(
-            platform_id=value["platform_id"],
-            pubkey=value["pubkey"],
-            root_signature=bytes.fromhex(value["root_signature"]),
-        )
+    def from_json_value(cls, value: Any) -> "PlatformCertificate":
+        return parse_record(cls, value, "platform certificate")
 
 
 @dataclass(frozen=True)
@@ -199,16 +195,8 @@ class Quote:
         }
 
     @classmethod
-    def from_json_value(cls, value: dict[str, Any]) -> "Quote":
-        return cls(
-            enclave_measurement=Digest.from_hex(value["enclave_measurement"]),
-            report_data=Digest.from_hex(value["report_data"]),
-            debug=bool(value["debug"]),
-            sig_alg=value["sig_alg"],
-            signature=bytes.fromhex(value["signature"]),
-            attestation_pubkey=value["attestation_pubkey"],
-            platform_certificate=PlatformCertificate.from_json_value(value["platform_certificate"]),
-        )
+    def from_json_value(cls, value: Any) -> "Quote":
+        return parse_record(cls, value, "quote")
 
     def signed(self) -> tuple[str, bytes, bytes]:
         """(public key hex, signature, message) of the quote's signature."""

@@ -8,16 +8,16 @@ signed. Both record kinds are canonical JSON and signature-checked at load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
-from .backend import _public_hex, _verify_hex, key_from_seed
+from .backend import _public_hex, _verify_hex, key_from_seed, verify_signatures
 from .errors import InvalidCertificationError, LamError
-from .hashcore import Digest, canonicalize, hash_bytes, hex_bytes, read_canonical
+from .hashcore import Digest, canonicalize, hash_bytes, parse_record, read_canonical
 
 SUBJECT_KINDS = ("dataset", "model")
 
@@ -38,39 +38,6 @@ def validate_template(template: Any, path: str = "") -> None:
     raise InvalidCertificationError(
         path, f"disallowed template value of type {type(template).__name__}"
     )
-
-
-def _text(value: Any) -> str:
-    if not isinstance(value, str):
-        raise TypeError(value)
-    return value
-
-
-# How a record field is read from JSON, by its annotated type (a string:
-# this module postpones annotations).
-_FIELD_PARSERS: dict[str, Callable[[Any], Any]] = {
-    "Digest": Digest.from_hex,
-    "str": _text,
-    "bytes": hex_bytes,
-    "Any": lambda value: value,
-}
-
-
-def _from_json_value(cls: type, value: Any, record: str) -> Any:
-    """The `cls` record whose fields are parsed from the JSON object `value`
-    by their annotated types; a LamError naming the field when `value` is
-    not an object, or a field is missing or does not parse."""
-    if not isinstance(value, dict):
-        raise LamError(f"{record} must be a JSON object")
-    parsed = {}
-    for field in fields(cls):
-        if field.name not in value:
-            raise LamError(f"{record} has no {field.name!r} field")
-        try:
-            parsed[field.name] = _FIELD_PARSERS[field.type](value[field.name])
-        except (TypeError, ValueError):
-            raise LamError(f"{record} field {field.name!r} is malformed: {value[field.name]!r}") from None
-    return cls(**parsed)
 
 
 @dataclass(frozen=True)
@@ -116,7 +83,7 @@ class Certification:
 
     @classmethod
     def from_json_value(cls, value: Any) -> "Certification":
-        return _from_json_value(cls, value, "certification")
+        return parse_record(cls, value, "certification")
 
     @cached_property
     def certification_sha256(self) -> Digest:
@@ -139,6 +106,17 @@ def make_certification(endorser: Endorser, measurement: Digest, template: Any) -
     return replace(unsigned, signature=endorser.private_key.sign(unsigned.signed_bytes()))
 
 
+class _Memo:
+    """An external certificate's verdict by endorser key, and the
+    certificates parsed together with it (see check_together)."""
+
+    __slots__ = ("verdicts", "batch")
+
+    def __init__(self) -> None:
+        self.verdicts: dict[str, bool] = {}
+        self.batch: tuple[ExternalCertificate, ...] = ()
+
+
 @dataclass(frozen=True)
 class ExternalCertificate:
     """Endorser-signed statement about a dataset or model digest."""
@@ -149,6 +127,9 @@ class ExternalCertificate:
     claims: Any
     endorser_id: str
     signature: bytes
+    # Not an init field, so dataclasses.replace starts a changed certificate
+    # with an empty memo and no batch.
+    _memo: _Memo = field(default_factory=_Memo, init=False, compare=False, repr=False)
 
     def signed_bytes(self) -> bytes:
         return canonicalize(
@@ -162,7 +143,22 @@ class ExternalCertificate:
         )
 
     def verifies_under(self, endorser_pubkey_hex: str) -> bool:
-        return _verify_hex(endorser_pubkey_hex, self.signature, self.signed_bytes())
+        """Whether the signature verifies under the key, memoized per key.
+        The first question under a key answers it, in one verify_signatures
+        call, for every certificate of this one's batch that names the same
+        endorser and has no verdict under that key yet."""
+        verdict = self._memo.verdicts.get(endorser_pubkey_hex)
+        if verdict is None:
+            pending = [
+                c
+                for c in self._memo.batch
+                if c.endorser_id == self.endorser_id and endorser_pubkey_hex not in c._memo.verdicts
+            ] or [self]
+            triples = [(endorser_pubkey_hex, c.signature, c.signed_bytes()) for c in pending]
+            for cert, ok in zip(pending, verify_signatures(triples)):
+                cert._memo.verdicts[endorser_pubkey_hex] = ok
+            verdict = self._memo.verdicts[endorser_pubkey_hex]
+        return verdict
 
     def to_json_value(self) -> dict[str, Any]:
         return {
@@ -176,11 +172,19 @@ class ExternalCertificate:
 
     @classmethod
     def from_json_value(cls, value: Any) -> "ExternalCertificate":
-        return _from_json_value(cls, value, "external certificate")
+        return parse_record(cls, value, "external certificate")
 
     @cached_property
     def certificate_sha256(self) -> Digest:
         return hash_bytes(canonicalize(self.to_json_value()))
+
+
+def check_together(certificates: Sequence[ExternalCertificate]) -> None:
+    """Make the certificates one batch, whose signatures are checked in bulk
+    (see ExternalCertificate.verifies_under)."""
+    batch = tuple(certificates)
+    for cert in batch:
+        cert._memo.batch = batch
 
 
 def make_external_certificate(

@@ -10,21 +10,25 @@ Three commitments live here and nowhere else:
   round-half-even formatting rule).
 * Trusted manifests: sorted (path, digest) entries over a directory tree,
   with read-once file hashing so callers never operate on re-read bytes.
+
+Wire records (quotes, certificates, certifications) are read from their
+canonical JSON by one typed parser, parse_record, driven by each record's
+field annotations.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from functools import cache
 from math import isfinite
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, get_type_hints
 
-from .errors import CanonicalizationError, DomainError, FileReadError, ManifestMismatchError
+from .errors import CanonicalizationError, DomainError, FileReadError, LamError, ManifestMismatchError
 
-_HEX_DIGITS = set("0123456789abcdef")
 _QUANTUM = Decimal("0.000001")
 
 
@@ -44,20 +48,89 @@ class Digest:
 
     @classmethod
     def from_hex(cls, text: str) -> "Digest":
-        if len(text) != 64 or not set(text) <= _HEX_DIGITS:
+        value = _lower_hex(text) if len(text) == 64 else None
+        if value is None:
             raise ValueError(f"not a lowercase 64-char hex digest: {text!r}")
-        return cls(bytes.fromhex(text))
+        return cls(value)
 
     def __str__(self) -> str:
         return self.hex
 
 
+def _lower_hex(text: str) -> bytes | None:
+    """The bytes `text` writes in the one form bytes.hex() gives (lower
+    case, no spaces), or None; TypeError when `text` is not a string."""
+    try:
+        value = bytes.fromhex(text)
+    except ValueError:
+        return None
+    return value if value.hex() == text else None
+
+
 def hex_bytes(text: str) -> bytes:
     """The bytes written as lower-case hex with no spaces, the one form
     bytes.hex() gives; ValueError for upper case, spaces or other text."""
-    if not set(text) <= _HEX_DIGITS:
+    value = _lower_hex(text)
+    if value is None:
         raise ValueError(f"not lower-case hex: {text!r}")
-    return bytes.fromhex(text)
+    return value
+
+
+def _text(value: Any) -> str:
+    if not isinstance(value, str):
+        raise TypeError(value)
+    return value
+
+
+def _boolean(value: Any) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(value)
+    return value
+
+
+# How a record field is read from JSON, by its annotated type. A field of
+# any other type is a nested record, read by that type's from_json_value.
+_FIELD_PARSERS: dict[Any, Callable[[Any], Any]] = {
+    Digest: Digest.from_hex,
+    str: _text,
+    bytes: hex_bytes,
+    bool: _boolean,
+    Any: lambda value: value,
+}
+
+
+@cache
+def _field_table(cls: type) -> tuple[tuple[str, Callable[[Any], Any]], ...]:
+    """(name, parser) of each init field of the dataclass `cls`, worked out
+    once per class."""
+    hints = get_type_hints(cls)
+    return tuple(
+        (f.name, _FIELD_PARSERS.get(hints[f.name]) or hints[f.name].from_json_value)
+        for f in fields(cls)
+        if f.init
+    )
+
+
+def record_fields(cls: type, value: Any, record: str) -> dict[str, Any]:
+    """The init fields of the `cls` record, parsed from the JSON object
+    `value` by their annotated types; a LamError naming the field when
+    `value` is not an object, or a field is missing or does not parse."""
+    if not isinstance(value, dict):
+        raise LamError(f"{record} must be a JSON object")
+    parsed = {}
+    for name, parse in _field_table(cls):
+        if name not in value:
+            raise LamError(f"{record} has no {name!r} field")
+        try:
+            parsed[name] = parse(value[name])
+        except (TypeError, ValueError):
+            raise LamError(f"{record} field {name!r} is malformed: {value[name]!r}") from None
+    return parsed
+
+
+def parse_record(cls: type, value: Any, record: str) -> Any:
+    """The `cls` record read from its JSON object (see record_fields)."""
+    return cls(**record_fields(cls, value, record))
 
 
 def hash_bytes(data: bytes) -> Digest:
@@ -92,7 +165,7 @@ def canonicalize(value: Any) -> bytes:
     try:
         try:
             _check_canonical(value, "", _LEAF_TYPES)
-            return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+            return _ENCODER.encode(value).encode("utf-8")
         except (CanonicalizationError, UnicodeEncodeError):
             # Only the encoding notices a lone surrogate. Walk again, into
             # every string, for the first offence in emission order.
@@ -102,6 +175,10 @@ def canonicalize(value: Any) -> bytes:
         raise CanonicalizationError("", "value is nested too deeply") from None
 
 
+# Built once: json.dumps and json.loads build a new encoder or decoder on
+# every call that passes options. No NaN or infinity reaches the encoder
+# from canonicalize; from parse_canonical_exact one raises ValueError.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False)
 # bool is an int subclass, so it is a leaf too.
 _LEAF_TYPES = (str, int, type(None))
 _NON_TEXT_LEAVES = (int, type(None))
@@ -150,10 +227,16 @@ def _reject_float(text: str) -> Any:
     raise CanonicalizationError("", f"float token {text!r} in canonical JSON")
 
 
+_DECODER = json.JSONDecoder(parse_float=_reject_float)
+
+
 def parse_canonical(data: bytes) -> Any:
     """Parse canonical JSON bytes, rejecting float tokens outright."""
     try:
-        return json.loads(data.decode("utf-8"), parse_float=_reject_float)
+        text = data.decode("utf-8")
+        if text.startswith("\ufeff"):  # as json.loads words it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except CanonicalizationError:
         raise
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -168,12 +251,33 @@ def read_canonical(path: str | Path) -> Any:
     return parse_canonical(content)
 
 
+def parse_canonical_exact(data: bytes) -> Any:
+    """The value of data, which must be canonical JSON: it parses (see
+    parse_canonical) and re-serializes to exactly these bytes.
+
+    A parsed value holds only string keys and no float but NaN or an
+    infinity (the NaN and Infinity tokens), so it is re-encoded without
+    canonicalize's walk. Those floats, and lone surrogates (from a \\ud800
+    escape), fail the encoding, and canonicalize then names the offence.
+    """
+    value = parse_canonical(data)
+    try:
+        encoded = _ENCODER.encode(value).encode("utf-8")
+    except (ValueError, RecursionError):  # UnicodeEncodeError is a ValueError
+        canonicalize(value)  # raises the CanonicalizationError naming the offence
+        raise
+    if encoded != data:
+        raise CanonicalizationError("", "bytes are not in canonical form")
+    return value
+
+
 def is_canonical(data: bytes) -> bool:
     """True iff data parses as JSON with no floats and re-serializes identically."""
     try:
-        return canonicalize(parse_canonical(data)) == data
+        parse_canonical_exact(data)
     except CanonicalizationError:
         return False
+    return True
 
 
 def decimal_string(value: float | int | Decimal) -> str:

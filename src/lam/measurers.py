@@ -20,7 +20,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from .backend import EnclaveMeasurement, PlatformIdentity, Quote, issue_quote, measure_enclave
+from .backend import EnclaveMeasurement, PlatformCertificate, PlatformIdentity, Quote, issue_quote, measure_enclave
 from .engine.data import Dataset, InferenceRecord, TrainingConfig
 from .engine.fgsm import fgsm_dataset
 from .engine.metrics import accuracy, demographic_parity, distribution, robust_accuracy
@@ -35,6 +35,7 @@ from .hashcore import (
     parse_canonical,
     parse_decimal_string,
     read_canonical,
+    record_fields,
     require_in_manifest,
 )
 
@@ -185,14 +186,34 @@ class AttestationEnvelope:
         return value
 
     @classmethod
-    def from_json_value(cls, value: dict[str, Any]) -> "AttestationEnvelope":
-        try:
-            # without validate, the decoder skips characters outside the
-            # alphabet, so an altered payload_b64 could still be accepted
-            payload = base64.b64decode(value["payload_b64"], validate=True)
-        except ValueError as exc:  # binascii.Error, or a non-ASCII string
-            raise LamError(f"envelope payload_b64 is not strict base64: {exc}") from exc
-        return cls(payload=payload, quote=Quote.from_json_value(value["quote"]))
+    def from_json_value(cls, value: Any) -> "AttestationEnvelope":
+        [envelope] = cls.from_json_values([value])
+        return envelope
+
+    @classmethod
+    def from_json_values(cls, values: Iterable[Any]) -> list["AttestationEnvelope"]:
+        """The envelopes of JSON values, each built once; quotes whose
+        platform certificates are equal share one PlatformCertificate, so
+        each is checked against a root once."""
+        certificates: dict[PlatformCertificate, PlatformCertificate] = {}
+        envelopes = []
+        for value in values:
+            if not isinstance(value, dict):
+                raise LamError("envelope must be a JSON object")
+            for key in ("payload_b64", "quote"):
+                if key not in value:
+                    raise LamError(f"envelope has no {key!r} field")
+            try:
+                # without validate, the decoder skips characters outside the
+                # alphabet, so an altered payload_b64 could still be accepted
+                payload = base64.b64decode(value["payload_b64"], validate=True)
+            except (TypeError, ValueError) as exc:  # not a string, binascii.Error, or non-ASCII
+                raise LamError(f"envelope payload_b64 is not strict base64: {exc}") from exc
+            quote = record_fields(Quote, value["quote"], "quote")
+            cert = quote["platform_certificate"]
+            quote["platform_certificate"] = certificates.setdefault(cert, cert)
+            envelopes.append(cls(payload=payload, quote=Quote(**quote)))
+        return envelopes
 
     @classmethod
     def from_file_value(cls, value: dict[str, Any]) -> "AttestationEnvelope":

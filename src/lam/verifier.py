@@ -8,15 +8,15 @@ instances produce identical output for the same inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from .backend import PlatformCertificate, check_quote_signatures, verify_quote, verify_signatures
+from .backend import check_quote_signatures, verify_quote
 from .cards import PropertyCard, assemble_cards
-from .certs import Certification, CertificationStore, ExternalCertificate, validate_template
+from .certs import Certification, CertificationStore, ExternalCertificate, check_together, validate_template
 from .errors import CanonicalizationError, InvalidCertificationError, LamError
-from .hashcore import Digest, canonicalize, hash_bytes, parse_canonical, read_canonical
+from .hashcore import Digest, canonicalize, hash_bytes, parse_canonical_exact, read_canonical
 from .measurers import ATT_SPECS, AttestationEnvelope, index_fragments
 
 BUNDLE_VERSION = 1
@@ -42,54 +42,64 @@ def match_template(template: Any, payload: Any) -> TemplateMatch:
     universal, so empty arrays match.
     """
     validate_template(template)
-    return _match(template, payload, "")
+    return _match(template, payload)
 
 
-def _mismatch(path: str, reason: str) -> TemplateMatch:
-    return TemplateMatch(False, path=path, reason=reason)
+_MATCHED = TemplateMatch(True)
 
 
-def _match(template: Any, payload: Any, path: str) -> TemplateMatch:
+def _under(step: str | int, result: TemplateMatch) -> TemplateMatch:
+    """A mismatch found at `step` below the current node, seen from the node."""
+    return TemplateMatch(False, path=f"/{step}{result.path}", reason=result.reason)
+
+
+def _match(template: Any, payload: Any) -> TemplateMatch:
+    """match_template's rules at one node, the template not validated first:
+    _MATCHED, or the first mismatch with its path below this node; raises
+    InvalidCertificationError on reaching a disallowed template value. Paths
+    are built only on failure, so a match allocates no result or path."""
     if template is None:
-        return TemplateMatch(True)
+        return _MATCHED
 
     if isinstance(template, dict):
         if isinstance(payload, list):
             for i, item in enumerate(payload):
                 if not isinstance(item, dict):
-                    return _mismatch(f"{path}/{i}", "expected an object in array")
-                result = _match(template, item, f"{path}/{i}")
-                if not result.matched:
-                    return result
-            return TemplateMatch(True)
+                    return TemplateMatch(False, path=f"/{i}", reason="expected an object in array")
+                try:
+                    result = _match(template, item)
+                except InvalidCertificationError as exc:
+                    raise InvalidCertificationError(f"/{i}{exc.path}", exc.reason) from None
+                if result is not _MATCHED:
+                    return _under(i, result)
+            return _MATCHED
         if not isinstance(payload, dict):
-            return _mismatch(path, "expected an object")
-        if set(payload.keys()) != set(template.keys()):
+            return TemplateMatch(False, reason="expected an object")
+        if payload.keys() != template.keys():
             missing = sorted(set(template) - set(payload))
             extra = sorted(set(payload) - set(template))
-            return _mismatch(path, f"key set differs (missing={missing}, extra={extra})")
+            return TemplateMatch(False, reason=f"key set differs (missing={missing}, extra={extra})")
         for key in sorted(template):
-            result = _match(template[key], payload[key], f"{path}/{key}")
-            if not result.matched:
-                return result
-        return TemplateMatch(True)
+            try:
+                result = _match(template[key], payload[key])
+            except InvalidCertificationError as exc:
+                raise InvalidCertificationError(f"/{key}{exc.path}", exc.reason) from None
+            if result is not _MATCHED:
+                return _under(key, result)
+        return _MATCHED
 
-    if isinstance(template, (str, bool)) or isinstance(template, int):
-        def identical(p: Any) -> bool:
-            if isinstance(template, bool) or isinstance(p, bool):
-                return isinstance(p, bool) and isinstance(template, bool) and p == template
-            return type(p) is type(template) and p == template
-
+    if isinstance(template, (str, bool, int)):
+        # identical means the same type, so a boolean never matches an integer
         if isinstance(payload, list):
             for i, item in enumerate(payload):
-                if not identical(item):
-                    return _mismatch(f"{path}/{i}", f"value differs from template {template!r}")
-            return TemplateMatch(True)
-        if identical(payload):
-            return TemplateMatch(True)
-        return _mismatch(path, f"value differs from template {template!r}")
+                if type(item) is not type(template) or item != template:
+                    return TemplateMatch(False, path=f"/{i}", reason=f"value differs from template {template!r}")
+            return _MATCHED
+        if type(payload) is type(template) and payload == template:
+            return _MATCHED
+        return TemplateMatch(False, reason=f"value differs from template {template!r}")
 
-    raise InvalidCertificationError(path, f"disallowed template value of type {type(template).__name__}")
+    raise InvalidCertificationError("", f"disallowed template value of type {type(template).__name__}")
 
 
 @dataclass(frozen=True)
@@ -135,9 +145,7 @@ def verify_envelope(
         )
 
     try:
-        payload = parse_canonical(envelope.payload)
-        if canonicalize(payload) != envelope.payload:
-            raise CanonicalizationError("", "bytes are not in canonical form")
+        payload = parse_canonical_exact(envelope.payload)
     except CanonicalizationError as exc:
         return EnvelopeVerdict(False, reason="template-mismatch", detail=f"payload is not canonical JSON: {exc}")
 
@@ -155,7 +163,7 @@ def verify_envelope(
         if cert.template_error is not None:
             invalid = cert.template_error
             continue
-        result = _match(cert.template, payload, "")
+        result = _match(cert.template, payload)
         if result.matched:
             att_type = payload.get("att_type") if isinstance(payload, dict) else None
             if not isinstance(att_type, str):
@@ -217,27 +225,17 @@ class AssertionBundle:
     @classmethod
     def from_file_value(cls, value: dict[str, Any]) -> "AssertionBundle":
         """Parse a bundle; quotes whose platform certificates are equal share
-        one PlatformCertificate, so each is checked against a root once, and
-        every quote's signature is checked here, in bulk."""
+        one PlatformCertificate, so each is checked against a root once,
+        every quote's signature is checked here, in bulk, and the external
+        certificates form one batch, checked in bulk when first asked."""
         for key in ("envelopes", "external_certificates"):
             if not isinstance(value.get(key), list):
                 raise LamError(f"assertion bundle {key!r} must be a JSON array")
-        shared: dict[PlatformCertificate, PlatformCertificate] = {}
-        envelopes = []
-        for item in value["envelopes"]:
-            envelope = AttestationEnvelope.from_json_value(item)
-            cert = envelope.quote.platform_certificate
-            first = shared.setdefault(cert, cert)
-            if first is not cert:
-                envelope = replace(envelope, quote=replace(envelope.quote, platform_certificate=first))
-            envelopes.append(envelope)
+        envelopes = AttestationEnvelope.from_json_values(value["envelopes"])
         check_quote_signatures([e.quote for e in envelopes])
-        return cls(
-            envelopes=tuple(envelopes),
-            external_certificates=tuple(
-                ExternalCertificate.from_json_value(c) for c in value["external_certificates"]
-            ),
-        )
+        externals = tuple(ExternalCertificate.from_json_value(c) for c in value["external_certificates"])
+        check_together(externals)
+        return cls(envelopes=tuple(envelopes), external_certificates=externals)
 
     @classmethod
     def read(cls, path: str | Path) -> "AssertionBundle":
@@ -502,10 +500,10 @@ def verify_bundle(
     fragments assert different values for one claim."""
     roots = set(trusted_roots)
     verdicts = tuple(verify_envelope(envelope, store, roots) for envelope in bundle.envelopes)
-    certs = bundle.external_certificates
-    known = [c for c in certs if c.endorser_id in endorser_keys]
-    signed = iter(verify_signatures([(endorser_keys[c.endorser_id], c.signature, c.signed_bytes()) for c in known]))
-    externals = tuple((c, c.endorser_id in endorser_keys and next(signed)) for c in certs)
+    externals = tuple(
+        (c, c.endorser_id in endorser_keys and c.verifies_under(endorser_keys[c.endorser_id]))
+        for c in bundle.external_certificates
+    )
     fragments = [v.fragment for v in verdicts if v.accepted]
     valid_externals = [cert for cert, ok in externals if ok]
     report = resolve_chains(fragments, valid_externals)

@@ -53,3 +53,30 @@ def _write_canonical(value: Any, path: str, out: list[str]) -> None:
         out.append("}")
     else:
         raise CanonicalizationError(path, f"unsupported type {type(value).__name__}")
+
+
+def _reject_float(text: str) -> Any:
+    raise CanonicalizationError("", f"float token {text!r} in canonical JSON")
+
+
+def reference_parse_canonical(data: bytes) -> Any:
+    """lam's canonical parser as a plain json.loads call."""
+    try:
+        return json.loads(data.decode("utf-8"), parse_float=_reject_float)
+    except CanonicalizationError:
+        raise
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CanonicalizationError("", f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise CanonicalizationError("", "JSON is nested too deeply") from None
+
+
+def reference_parse_canonical_exact(data: bytes) -> Any:
+    """The value of canonical bytes by the two-step rule: parse, then
+    canonicalize must give the same bytes back."""
+    from lam.hashcore import canonicalize
+
+    value = reference_parse_canonical(data)
+    if canonicalize(value) != data:
+        raise CanonicalizationError("", "bytes are not in canonical form")
+    return value

@@ -3,16 +3,17 @@ byte, and rejects what it rejects at the same JSON path."""
 
 from __future__ import annotations
 
+import json
 from typing import Any
 
 import numpy as np
 import pytest
-from canonical_reference import reference_canonicalize
+from canonical_reference import reference_canonicalize, reference_parse_canonical_exact
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lam.errors import CanonicalizationError
-from lam.hashcore import canonicalize, is_canonical, parse_canonical
+from lam.hashcore import canonicalize, is_canonical, parse_canonical, parse_canonical_exact
 
 # No per-example deadline: timings on a loaded host say nothing about correctness.
 relaxed = settings(deadline=None)
@@ -146,3 +147,59 @@ def test_parsed_lone_surrogate_is_not_canonical():
     assert parse_canonical(data) == {"\ud800": None}
     assert not is_canonical(data)
     assert not is_canonical(b'["\\udc00"]')
+
+
+# --- the one-pass canonical re-check against parse-then-canonicalize ----------
+
+_ODD_TEXT = st.sampled_from(["\ud800", "a\udc00b", "\udfff", "é", "\u2028", "/", "\x7f", ""])
+_NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+_odd_leaves = st.one_of(leaves, st.floats(), _NON_FINITE, _ODD_TEXT, strings)
+_odd_values = st.recursive(
+    _odd_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(strings | _ODD_TEXT, children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@st.composite
+def _candidate_bytes(draw) -> bytes:
+    """JSON text near canonical form: json.dumps of values with floats (NaN
+    and infinities too) and lone surrogates, written with or without sorted
+    keys, ASCII escapes or spaces, then maybe given a duplicate key, a BOM,
+    or one flipped, inserted or deleted byte."""
+    value = draw(_odd_values)
+    text = json.dumps(
+        value,
+        sort_keys=draw(st.booleans()),
+        ensure_ascii=draw(st.booleans()),
+        separators=draw(st.sampled_from([(",", ":"), (",", ":"), (", ", ": "), (",", " :")])),
+    )
+    if isinstance(value, dict) and value and draw(st.booleans()):
+        text = "{" + json.dumps(next(iter(value)), ensure_ascii=False) + ":0," + text[1:]
+    data = text.encode("utf-8", "surrogatepass")
+    edit = draw(st.sampled_from(["none", "none", "bom", "flip", "insert", "delete"]))
+    if edit == "bom":
+        return b"\xef\xbb\xbf" + data
+    if edit != "none" and data:
+        i = draw(st.integers(0, len(data) - 1))
+        byte = bytes([draw(st.sampled_from(b' \t",:.0e{}[]\\u-\xff'))])
+        data = {"flip": data[:i] + byte + data[i + 1 :], "insert": data[:i] + byte + data[i:], "delete": data[:i] + data[i + 1 :]}[edit]
+    return data
+
+
+def _exact_outcome(parse, data: bytes):
+    try:
+        return ("value", parse(data))
+    except CanonicalizationError as exc:
+        return ("error", exc.path, str(exc))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_candidate_bytes())
+def test_exact_parse_agrees_with_parse_then_canonicalize(data):
+    outcome = _exact_outcome(parse_canonical_exact, data)
+    assert outcome == _exact_outcome(reference_parse_canonical_exact, data)
+    assert is_canonical(data) == (outcome[0] == "value")

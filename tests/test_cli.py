@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 import yaml
+from wire_cases import QUOTE_FIELD_CASES, edit_envelope
 
 from lam.cli import main
 from lam.engine.data import Architecture, TrainingConfig
@@ -821,3 +822,20 @@ def test_cli_output_bytes_are_pinned(tmp_path):
         if p.is_file()
     }
     assert written == CLI_OUTPUT_SHA256
+
+
+@pytest.mark.parametrize(("path", "new"), [c[1:] for c in QUOTE_FIELD_CASES], ids=[c[0] for c in QUOTE_FIELD_CASES])
+def test_verify_malformed_quote_field_exits_2(sixrow_files, capsys, tmp_path, path, new):
+    from lam.hashcore import canonicalize
+
+    bundle_value = parse_canonical((sixrow_files / "bundle.json").read_bytes())
+    message = edit_envelope(bundle_value["envelopes"][0], path, new)
+    bundle = tmp_path / "bundle.json"
+    bundle.write_bytes(canonicalize(bundle_value))
+    code = run(
+        "verify", "--bundle", str(bundle), "--certstore", str(sixrow_files / "certifications.json"),
+        "--roots", str(sixrow_files / "trust.json"), "--out", str(tmp_path / "cards"),
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "cards").exists()

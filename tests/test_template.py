@@ -5,11 +5,14 @@ key-set-equality decision."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from template_reference import reference_match
 
 from lam.certs import validate_template
 from lam.engine.rng import Xoshiro256StarStar
 from lam.errors import InvalidCertificationError
-from lam.verifier import match_template
+from lam.verifier import _match, match_template
 
 # (name, template, payload, expected match)
 CASES = [
@@ -155,3 +158,58 @@ def test_replacing_subtrees_with_null_preserves_matches():
         assert match_template(template, payload).matched
         weakened = _null_out_random_subtree(rng, template)
         assert match_template(weakened, payload).matched
+
+
+# --- the matcher against the reference matcher --------------------------------
+
+KEYS = st.sampled_from(["a", "b", "c", "att_type"])
+SCALARS = st.one_of(st.sampled_from(["x", "y", ""]), st.booleans(), st.integers(-2, 2))
+# kinds a template may not hold, so that the matcher reaches its raise
+DISALLOWED = st.one_of(st.floats(allow_nan=False), st.lists(SCALARS, max_size=2))
+TEMPLATES = st.recursive(
+    st.one_of(st.none(), SCALARS, SCALARS, DISALLOWED),
+    lambda children: st.dictionaries(KEYS, children, max_size=4),
+    max_leaves=12,
+)
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), SCALARS),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(KEYS, children, max_size=3),
+    max_leaves=8,
+)
+
+
+def _payload_for(template, data: st.DataObject):
+    """A payload that mostly follows the template's shape, with drawn
+    departures: any value, arrays, a dropped or an extra key, other scalars."""
+    choice = data.draw(st.integers(0, 9))
+    if choice == 0 or template is None or isinstance(template, (float, list)):
+        return data.draw(JSON_VALUES)
+    if isinstance(template, dict):
+        if choice == 1:
+            return [_payload_for(template, data) for _ in range(data.draw(st.integers(0, 3)))]
+        payload = {key: _payload_for(value, data) for key, value in template.items()}
+        if choice == 2 and payload:
+            del payload[data.draw(st.sampled_from(sorted(payload)))]
+        elif choice == 3:
+            payload[data.draw(KEYS)] = data.draw(SCALARS)
+        return payload
+    if choice == 1:
+        return data.draw(st.lists(st.just(template) | SCALARS, max_size=4))
+    if choice == 2:
+        return data.draw(SCALARS)
+    return template
+
+
+def _outcome(match, template, payload):
+    try:
+        result = match(template, payload)
+    except InvalidCertificationError as exc:
+        return ("raised", exc.path, str(exc))
+    return (result.matched, result.path, result.reason)
+
+
+@settings(max_examples=600, deadline=None)
+@given(TEMPLATES, st.data())
+def test_matcher_agrees_with_the_reference(template, data):
+    payload = _payload_for(template, data)
+    assert _outcome(_match, template, payload) == _outcome(reference_match, template, payload)
