@@ -8,6 +8,7 @@ signed. Both record kinds are canonical JSON and signature-checked at load.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -107,14 +108,15 @@ def make_certification(endorser: Endorser, measurement: Digest, template: Any) -
 
 
 class _Memo:
-    """An external certificate's verdict by endorser key, and the
-    certificates parsed together with it (see check_together)."""
+    """An external certificate's verdict by endorser key, and weak references
+    to the certificates parsed together with it (see check_together), so a
+    batch keeps none of them alive."""
 
     __slots__ = ("verdicts", "batch")
 
     def __init__(self) -> None:
         self.verdicts: dict[str, bool] = {}
-        self.batch: tuple[ExternalCertificate, ...] = ()
+        self.batch: tuple[weakref.ref[ExternalCertificate], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -144,19 +146,19 @@ class ExternalCertificate:
 
     def verifies_under(self, endorser_pubkey_hex: str) -> bool:
         """Whether the signature verifies under the key, memoized per key.
-        The first question under a key answers it, in one verify_signatures
-        call, for every certificate of this one's batch that names the same
-        endorser and has no verdict under that key yet."""
+        For callers that ask one certificate at a time, the first question
+        under a key answers it, in one verify_signatures call, for every
+        certificate of this one's batch that names the same endorser and has
+        no verdict under that key yet (verify_external_certificates answers
+        a whole bundle across endorsers)."""
         verdict = self._memo.verdicts.get(endorser_pubkey_hex)
         if verdict is None:
             pending = [
                 c
-                for c in self._memo.batch
-                if c.endorser_id == self.endorser_id and endorser_pubkey_hex not in c._memo.verdicts
-            ] or [self]
-            triples = [(endorser_pubkey_hex, c.signature, c.signed_bytes()) for c in pending]
-            for cert, ok in zip(pending, verify_signatures(triples)):
-                cert._memo.verdicts[endorser_pubkey_hex] = ok
+                for c in (ref() for ref in self._memo.batch)
+                if c is not None and c.endorser_id == self.endorser_id and endorser_pubkey_hex not in c._memo.verdicts
+            ]
+            _check([(c, endorser_pubkey_hex) for c in pending or [self]])
             verdict = self._memo.verdicts[endorser_pubkey_hex]
         return verdict
 
@@ -181,10 +183,29 @@ class ExternalCertificate:
 
 def check_together(certificates: Sequence[ExternalCertificate]) -> None:
     """Make the certificates one batch, whose signatures are checked in bulk
-    (see ExternalCertificate.verifies_under)."""
-    batch = tuple(certificates)
-    for cert in batch:
+    when one of them is asked about (see ExternalCertificate.verifies_under)."""
+    batch = tuple(weakref.ref(cert) for cert in certificates)
+    for cert in certificates:
         cert._memo.batch = batch
+
+
+def verify_external_certificates(
+    certificates: Sequence[ExternalCertificate], endorser_keys: Mapping[str, str]
+) -> list[bool]:
+    """Whether each certificate verifies under its endorser's key (False for
+    an endorser without one). Every verdict not yet memoized, whatever its
+    endorser, is checked in one verify_signatures call."""
+    keyed = [(cert, endorser_keys.get(cert.endorser_id)) for cert in certificates]
+    _check([(cert, key) for cert, key in keyed if key is not None and key not in cert._memo.verdicts])
+    return [key is not None and cert._memo.verdicts[key] for cert, key in keyed]
+
+
+def _check(pending: Sequence[tuple[ExternalCertificate, str]]) -> None:
+    """Memoize each certificate's verdict under its key, all checked in one
+    verify_signatures call."""
+    triples = [(key, cert.signature, cert.signed_bytes()) for cert, key in pending]
+    for (cert, key), ok in zip(pending, verify_signatures(triples)):
+        cert._memo.verdicts[key] = ok
 
 
 def make_external_certificate(

@@ -14,7 +14,14 @@ from typing import Any, Iterable, Mapping
 
 from .backend import check_quote_signatures, verify_quote
 from .cards import PropertyCard, assemble_cards
-from .certs import Certification, CertificationStore, ExternalCertificate, check_together, validate_template
+from .certs import (
+    Certification,
+    CertificationStore,
+    ExternalCertificate,
+    check_together,
+    validate_template,
+    verify_external_certificates,
+)
 from .errors import CanonicalizationError, InvalidCertificationError, LamError
 from .hashcore import Digest, canonicalize, hash_bytes, parse_canonical_exact, read_canonical
 from .measurers import ATT_SPECS, AttestationEnvelope, index_fragments
@@ -500,10 +507,8 @@ def verify_bundle(
     fragments assert different values for one claim."""
     roots = set(trusted_roots)
     verdicts = tuple(verify_envelope(envelope, store, roots) for envelope in bundle.envelopes)
-    externals = tuple(
-        (c, c.endorser_id in endorser_keys and c.verifies_under(endorser_keys[c.endorser_id]))
-        for c in bundle.external_certificates
-    )
+    certs = bundle.external_certificates
+    externals = tuple(zip(certs, verify_external_certificates(certs, endorser_keys)))
     fragments = [v.fragment for v in verdicts if v.accepted]
     valid_externals = [cert for cert, ok in externals if ok]
     report = resolve_chains(fragments, valid_externals)

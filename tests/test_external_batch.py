@@ -1,13 +1,17 @@
 """External certificates parsed together are checked in bulk: their verdicts
 equal one signature check per certificate, whatever the endorsers, keys or
-forks, and asking about one endorser checks no other's certificates."""
+forks; verify_bundle checks every endorser's certificates in one call, and
+asking about one certificate checks no other endorser's."""
 
 from __future__ import annotations
 
+import gc
 import os
+import weakref
 from dataclasses import replace
 
 import lam.backend as backend
+import lam.certs as certs_module
 from lam.backend import PARALLEL_MIN, _verify_hex
 from lam.certs import CertificationStore, Endorser, ExternalCertificate, make_external_certificate
 from lam.hashcore import hash_bytes
@@ -81,7 +85,7 @@ def test_replaced_certificate_starts_with_an_empty_memo_and_no_batch():
     renamed = replace(cert, name="renamed")
     assert renamed._memo.verdicts == {} and renamed._memo.batch == ()
     assert not renamed.verifies_under(ALICE.public_hex)  # the name is signed
-    assert renamed._memo.batch == () and all(c is not renamed for c in cert._memo.batch)
+    assert renamed._memo.batch == () and all(ref() is not renamed for ref in cert._memo.batch)
     assert cert.verifies_under(ALICE.public_hex)
     restored = replace(renamed, name=cert.name)
     assert restored == cert and restored.verifies_under(ALICE.public_hex)
@@ -108,3 +112,46 @@ def test_forked_batch_equals_the_serial_check(monkeypatch):
     assert len(forks) == 3
     assert [ok for _, ok in result.externals] == _one_by_one(certs, KEYS)
     assert [i for i, (_, ok) in enumerate(result.externals) if not ok] == sorted(forged)
+
+
+def _counting_verify_signatures(monkeypatch) -> list[int]:
+    """Record the size of each verify_signatures call the certificates make."""
+    calls = []
+    real = certs_module.verify_signatures
+
+    def counting(triples):
+        calls.append(len(triples))
+        return real(triples)
+
+    monkeypatch.setattr(certs_module, "verify_signatures", counting)
+    return calls
+
+
+def test_verify_bundle_checks_every_endorser_in_one_call(monkeypatch):
+    certs = _certificates([ALICE, BOB, CAROL] * 4, forged={2, 7})
+    calls = _counting_verify_signatures(monkeypatch)
+    result = verify_bundle(AssertionBundle((), _parsed(certs)), CertificationStore(), (), KEYS)
+    assert calls == [8]  # carol has no registered key
+    assert [ok for _, ok in result.externals] == _one_by_one(certs, KEYS)
+
+
+def test_bulk_check_skips_memoized_verdicts(monkeypatch):
+    parsed = _parsed(_certificates([ALICE, BOB] * 3, forged={3}))
+    calls = _counting_verify_signatures(monkeypatch)
+    assert parsed[0].verifies_under(ALICE.public_hex)
+    result = verify_bundle(AssertionBundle((), parsed), CertificationStore(), (), KEYS)
+    assert calls == [3, 3]  # alice's three when asked, then bob's three
+    assert [ok for _, ok in result.externals] == [True, True, True, False, True, True]
+
+
+def test_a_batch_holds_no_reference_cycle():
+    """Dropping the parsed certificates frees them without the cyclic GC."""
+    parsed = _parsed(_certificates([ALICE, BOB] * 2, forged=set()))
+    assert parsed[0].verifies_under(ALICE.public_hex)
+    refs = [weakref.ref(c) for c in parsed]
+    gc.disable()
+    try:
+        del parsed
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
