@@ -420,7 +420,7 @@ def assemble_cards(
 
         for att in ("AccAtt", "FairAtt", "RobustAtt-B"):
             for f in index[att].get(m, []):
-                ds = f.payload.get("dataset_sha256") or f.payload["robust_dataset_sha256"]
+                ds = f.payload["robust_dataset_sha256" if att == "RobustAtt-B" else "dataset_sha256"]
                 claims = []
                 for metric in f.payload["results"]["metrics"]:
                     key = f"metric:{m}:{ds}:{metric['type']}"

@@ -346,13 +346,20 @@ def _load_claims(path: str | None) -> Any:
     return {} if path is None else read_canonical(path)
 
 
+def _digest_arg(name: str, text: str) -> Digest:
+    try:
+        return Digest.from_hex(text)
+    except ValueError as exc:
+        raise LamError(f"{name}: {exc}") from None
+
+
 def cmd_endorse(args: argparse.Namespace) -> int:
     ws = Workspace(args.workspace)
     endorser = ws.load_endorser(args.endorser)
 
     if args.kind == "enclave":
         if args.measurement:
-            measurement = Digest.from_hex(args.measurement)
+            measurement = _digest_arg("--measurement", args.measurement)
         elif args.enclave_kind:
             ctx = _enclave(args, args.enclave_kind)
             measurement = ctx.measurement
@@ -373,7 +380,7 @@ def cmd_endorse(args: argparse.Namespace) -> int:
         print(f"certified enclave {measurement.hex[:12]} -> {store_path}")
         return EXIT_OK
 
-    subject = Digest.from_hex(args.subject)
+    subject = _digest_arg("subject", args.subject)
     cert = make_external_certificate(
         endorser, subject, args.kind, args.name, _load_claims(args.claims)
     )

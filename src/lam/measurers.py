@@ -14,7 +14,6 @@ through external certificates at verification time, never here.
 from __future__ import annotations
 
 import base64
-import copy
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -51,59 +50,37 @@ class AttSpec:
     """What the toolkit knows about one builtin attestation type."""
 
     enclave_kind: str  # the builtin enclave identity that produces it
-    # Exactly these digest fields; the first is the one chains and cards look
-    # fragments of this type up by.
-    digest_fields: tuple[str, ...]
-    # The other fields, each with its certification template value: null
-    # wildcards for attested values, pinned structure and metric types.
-    content: dict[str, Any]
-    # Content paths chains and cards read as strings, besides the digests.
-    content_strings: tuple[tuple[str, ...], ...] = ()
-    # Content paths cards iterate as arrays. A dict template matches a lone
-    # object as well as an array of objects, so the matcher lets either in.
-    content_arrays: tuple[tuple[str, ...], ...] = ()
-
-    @cached_property
-    def string_paths(self) -> tuple[tuple[str, ...], ...]:
-        """Every path chains and cards read as a string, digests first."""
-        return tuple((f,) for f in self.digest_fields) + self.content_strings
+    lookup: str  # the digest field chains and cards look its fragments up by
+    # Its fragment's one shape, read by builtin_template, validate_fragment
+    # and verify_envelope: None is any value, str any string, a literal
+    # string itself; a dict is an object with exactly its keys (at least
+    # them if one is `...`: the template leaves it open); [s] an array of s.
+    shape: dict[str, Any]
 
 
-def _metric_content(metric_type: str, *fields: str) -> dict[str, Any]:
-    return {"results": {"task": TASK, "metrics": {"type": metric_type, **dict.fromkeys(fields)}}}
+def _metric(dataset_field: str, metric_type: str, *fields: str) -> dict[str, Any]:
+    metrics = [{"type": metric_type, **dict.fromkeys(fields)}]
+    return {"model_sha256": str, dataset_field: str, "results": {"task": TASK, "metrics": metrics}}
 
 
-_METRICS = (("results", "metrics"),)
-
-
+# Chains and cards read only what these shapes spell out, and a builtin type
+# is held to its shape under any certification, so it is always there. Each
+# type's first field is its lookup digest.
 ATT_SPECS: dict[str, AttSpec] = {
-    "DistAtt": AttSpec("dataset", ("dataset_sha256",), {"property": None}, (("property", "kind"),)),
-    "PoT": AttSpec("training", ("model_sha256", "arch_sha256", "dataset_sha256", "config_sha256"), {}),
-    "AccAtt": AttSpec(
-        "metric",
-        ("model_sha256", "dataset_sha256"),
-        _metric_content("accuracy", "value", "numerator", "denominator"),
-        content_arrays=_METRICS,
-    ),
-    "FairAtt": AttSpec(
-        "metric",
-        ("model_sha256", "dataset_sha256"),
-        _metric_content("demographic_parity", "value", "parameters"),
-        content_arrays=_METRICS,
-    ),
-    "RobustAtt-A": AttSpec(
-        "metric",
-        ("robust_dataset_sha256", "dataset_sha256"),
-        {"parameters": None},
-        (("parameters", "epsilon"),),
-    ),
-    "RobustAtt-B": AttSpec(
-        "metric",
-        ("model_sha256", "robust_dataset_sha256"),
-        _metric_content("robust_accuracy", "value", "numerator", "denominator", "parameters"),
-        content_arrays=_METRICS,
-    ),
-    "IOAtt": AttSpec("inference", ("model_sha256", "input_sha256", "output_sha256"), {"output": None}),
+    att_type: AttSpec(enclave_kind, next(iter(fields)), {"att_type": att_type, **fields})
+    for att_type, enclave_kind, fields in (
+        ("DistAtt", "dataset", {"dataset_sha256": str, "property": {"kind": str, ...: None}}),
+        ("PoT", "training", dict.fromkeys(("model_sha256", "arch_sha256", "dataset_sha256", "config_sha256"), str)),
+        ("AccAtt", "metric", _metric("dataset_sha256", "accuracy", "value", "numerator", "denominator")),
+        ("FairAtt", "metric", _metric("dataset_sha256", "demographic_parity", "value", "parameters")),
+        ("RobustAtt-A", "metric", {
+            "robust_dataset_sha256": str, "dataset_sha256": str, "parameters": {"epsilon": str, ...: None}
+        }),
+        ("RobustAtt-B", "metric", _metric(
+            "robust_dataset_sha256", "robust_accuracy", "value", "numerator", "denominator", "parameters"
+        )),
+        ("IOAtt", "inference", {"model_sha256": str, "input_sha256": str, "output_sha256": str, "output": None}),
+    )
 }
 
 ATT_TYPES = tuple(ATT_SPECS)
@@ -232,24 +209,53 @@ class AttestationEnvelope:
 
 
 def validate_fragment(value: Any) -> str:
-    """Check a parsed fragment against its att_type schema; returns the type."""
+    """Check a parsed fragment against its att_type's shape; returns the type."""
     if not isinstance(value, dict):
         raise DomainError("fragment must be a JSON object")
     att_type = value.get("att_type")
     spec = ATT_SPECS.get(att_type)
     if spec is None:
         raise DomainError(f"unknown att_type {att_type!r}")
-    digest_fields = {k for k in value if k.endswith("_sha256")}
-    if digest_fields != set(spec.digest_fields):
-        raise DomainError(
-            f"{att_type} fragment digest fields {sorted(digest_fields)} != expected {sorted(spec.digest_fields)}"
-        )
-    other = set(value) - digest_fields - {"att_type"}
-    if other != set(spec.content):
-        raise DomainError(
-            f"{att_type} fragment content fields {sorted(other)} != expected {sorted(spec.content)}"
-        )
+    if value.keys() != spec.shape.keys():
+        raise DomainError(f"{att_type} fragment fields {sorted(value)} != expected {sorted(spec.shape)}")
+    detail = shape_mismatch(att_type, value)
+    if detail is not None:
+        raise DomainError(detail)
     return att_type
+
+
+def shape_mismatch(att_type: str, value: Any) -> str | None:
+    """Where a fragment of a builtin type departs from its shape, as in
+    'PoT field is not a string at /dataset_sha256', or None where it fits."""
+    found = _walk(ATT_SPECS[att_type].shape, value)
+    return None if found is None else f"{att_type} field is not {found[1]} at {found[0] or '/'}"
+
+
+def _walk(shape: Any, value: Any) -> tuple[str, str] | None:
+    """(path, what it should be) where `value` first departs from `shape`,
+    or None; members are walked before key sets, a missing one as null."""
+    if shape is None:
+        return None
+    if shape is str:
+        return None if isinstance(value, str) else ("", "a string")
+    if isinstance(shape, str):
+        return None if isinstance(value, str) and value == shape else ("", repr(shape))
+    if isinstance(shape, list):
+        if not isinstance(value, list):
+            return ("", "an array")
+        for i, item in enumerate(value):
+            found = _walk(shape[0], item)
+            if found is not None:
+                return (f"/{i}{found[0]}", found[1])
+        return None
+    fields = value if isinstance(value, dict) else {}
+    for key, member in shape.items():
+        found = _walk(member, fields.get(key))
+        if found is not None:
+            return (f"/{key}{found[0]}", found[1])
+    if fields is not value or (... not in shape and value.keys() != shape.keys()):
+        return ("", f"an object with keys {sorted(k for k in shape if k is not ...)}")
+    return None
 
 
 def _seal(enclave: EnclaveContext, platform: PlatformIdentity, fragment: dict[str, Any]) -> AttestationEnvelope:
@@ -389,16 +395,22 @@ def attest_inference(
 
 
 def builtin_template(att_type: str) -> Any:
-    """Default certification template for an attestation type, a fresh copy.
-
-    Template dictionaries pin structural fields and the metric type, leaving
-    attested values as null wildcards; key-set equality in the matcher keeps
-    a certified enclave from smuggling extra claims.
-    """
+    """Default certification template for an attestation type, a fresh copy
+    made from its shape: pinned strings and objects, null wildcards for the
+    attested values. Key-set equality in the matcher keeps a certified
+    enclave from smuggling extra claims."""
     spec = ATT_SPECS.get(att_type)
     if spec is None:
         raise DomainError(f"unknown att_type {att_type!r}")
-    return {"att_type": att_type, **dict.fromkeys(spec.digest_fields), **copy.deepcopy(spec.content)}
+    return _template(spec.shape)
+
+
+def _template(shape: Any) -> Any:
+    if isinstance(shape, list):  # a template object matches an array of objects too
+        return _template(shape[0])
+    if isinstance(shape, dict):
+        return None if ... in shape else {key: _template(member) for key, member in shape.items()}
+    return shape if isinstance(shape, str) else None
 
 
 def enclave_kind_for(att_type: str) -> str:
@@ -407,11 +419,11 @@ def enclave_kind_for(att_type: str) -> str:
 
 
 def index_fragments(fragments: Iterable[VerifiedFragment]) -> dict[str, dict[str, list[VerifiedFragment]]]:
-    """att_type -> lookup digest (its first digest field) -> fragments, each
-    list in input order. Fragments of other types are left out."""
+    """att_type -> lookup digest -> fragments, each list in input order.
+    Fragments of other types are left out."""
     index: dict[str, dict[str, list[VerifiedFragment]]] = {att: {} for att in ATT_SPECS}
     for f in fragments:
         spec = ATT_SPECS.get(f.att_type)
         if spec is not None:
-            index[f.att_type].setdefault(f.payload[spec.digest_fields[0]], []).append(f)
+            index[f.att_type].setdefault(f.payload[spec.lookup], []).append(f)
     return index

@@ -24,7 +24,7 @@ from .certs import (
 )
 from .errors import CanonicalizationError, InvalidCertificationError, LamError
 from .hashcore import Digest, canonicalize, hash_bytes, parse_canonical_exact, read_canonical
-from .measurers import ATT_SPECS, AttestationEnvelope, index_fragments
+from .measurers import ATT_SPECS, AttestationEnvelope, index_fragments, shape_mismatch
 
 BUNDLE_VERSION = 1
 
@@ -136,9 +136,9 @@ def verify_envelope(
 ) -> EnvelopeVerdict:
     """Accept iff the quote verifies, the payload digest equals the quote's
     report data, the enclave measurement has a certification, and the payload
-    matches its template and holds a string at every path that chains and
-    cards read for its attestation type, and an array at every path cards
-    iterate (see AttSpec.string_paths and AttSpec.content_arrays)."""
+    matches its template and, if its att_type is a builtin one, that type's
+    shape (AttSpec.shape), whatever the template: the detail of a shape
+    mismatch names its path (`PoT field is not a string at /dataset_sha256`)."""
     quote_result = verify_quote(envelope.quote, trusted_roots)
     if not quote_result.accepted:
         return EnvelopeVerdict(False, reason="bad-quote", detail=quote_result.reason)
@@ -175,22 +175,10 @@ def verify_envelope(
             att_type = payload.get("att_type") if isinstance(payload, dict) else None
             if not isinstance(att_type, str):
                 att_type = None
-            # null wildcards in a template let any JSON value through, but
-            # chains and cards read these paths as strings or arrays
-            spec = ATT_SPECS.get(att_type)
-            if spec is not None:
-                shapes = ((spec.string_paths, str, "a string"), (spec.content_arrays, list, "an array"))
-                for paths, kind, what in shapes:
-                    for path in paths:
-                        value = payload
-                        for key in path:
-                            value = value.get(key) if isinstance(value, dict) else None
-                        if not isinstance(value, kind):
-                            return EnvelopeVerdict(
-                                False,
-                                reason="template-mismatch",
-                                detail=f"{att_type} field is not {what} at /{'/'.join(path)}",
-                            )
+            # a builtin type is held to its shape under any certification
+            detail = shape_mismatch(att_type, payload) if att_type in ATT_SPECS else None
+            if detail is not None:
+                return EnvelopeVerdict(False, reason="template-mismatch", detail=detail)
             return EnvelopeVerdict(
                 True,
                 fragment=VerifiedFragment(

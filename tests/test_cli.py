@@ -302,6 +302,24 @@ def test_endorse_float_template_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    ("args", "name"),
+    [
+        (("dataset", "ZZ", "--name", "x"), "subject"),
+        (("model", "ZZ", "--name", "x"), "subject"),
+        (("enclave", "--measurement", "ZZ", "--att-type", "AccAtt"), "--measurement"),
+    ],
+    ids=["dataset", "model", "enclave"],
+)
+def test_endorse_bad_digest_exits_2(tmp_path, capsys, args, name):
+    _setup_keys(tmp_path)
+    capsys.readouterr()
+    code = run("endorse", *args, "--endorser", "acme", "-w", str(tmp_path))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {name}: not a lowercase 64-char hex digest: 'ZZ'\n"
+    assert not (tmp_path / "certifications.json").exists()
+
+
 def test_verify_full_bundle_exit_0(cli_ws, capsys, tmp_path):
     ws = cli_ws["ws"]
     out_dir = tmp_path / "cards"

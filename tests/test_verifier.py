@@ -421,3 +421,86 @@ def test_invalid_certification_detail_names_the_template_path(pipe):
         verdict = verify_envelope(pipe.envelopes["acc"], CertificationStore([corrupt]), pipe.roots)
         assert verdict.reason == "invalid-certification"
         assert verdict.detail == "disallowed template value of type float at /threshold"
+
+
+def _requote(pipe, name, payload_value):
+    from lam.hashcore import canonicalize
+
+    payload = canonicalize(payload_value)
+    measurement = pipe.envelopes[name].quote.enclave_measurement
+    return AttestationEnvelope(payload=payload, quote=issue_quote(pipe.platform, measurement, hash_bytes(payload)))
+
+
+def _set(path, value):
+    def mutate(fragment):
+        for key in path[:-1]:
+            fragment = fragment[key]
+        fragment[path[-1]] = value(fragment[path[-1]]) if callable(value) else value
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    ("name", "mutate", "detail"),
+    [
+        pytest.param(
+            "dist-marginal", _set(("property", "kind"), 5), "DistAtt field is not a string at /property/kind", id="kind"
+        ),
+        pytest.param("pot", _set(("dataset_sha256",), ["x"]), "PoT field is not a string at /dataset_sha256", id="pot"),
+        pytest.param(
+            "acc",
+            _set(("results", "metrics"), lambda metrics: metrics[0]),
+            "AccAtt field is not an array at /results/metrics",
+            id="lone-metrics",
+        ),
+        pytest.param(
+            "fair",
+            _set(("results", "metrics", 0, "type"), []),
+            "FairAtt field is not 'demographic_parity' at /results/metrics/0/type",
+            id="metric-type",
+        ),
+        pytest.param(
+            "robgen",
+            _set(("parameters", "epsilon"), 1),
+            "RobustAtt-A field is not a string at /parameters/epsilon",
+            id="epsilon",
+        ),
+        pytest.param("io", _set(("output_sha256",), 7), "IOAtt field is not a string at /output_sha256", id="io"),
+    ],
+)
+def test_prover_and_verifier_agree_on_fragment_shape(pipe, name, mutate, detail):
+    """Each fragment the builtin template lets through but the verifier
+    rejects for its shape is one the prover refuses to seal, with the same
+    words."""
+    import json
+
+    from lam.errors import DomainError
+    from lam.measurers import validate_fragment
+
+    payload_value = json.loads(pipe.envelopes[name].payload)
+    mutate(payload_value)
+    with pytest.raises(DomainError) as refused:
+        validate_fragment(payload_value)
+    assert str(refused.value) == detail
+
+    verdict = verify_envelope(_requote(pipe, name, payload_value), pipe.store, pipe.roots)
+    assert (verdict.accepted, verdict.reason, verdict.detail) == (False, "template-mismatch", detail)
+
+
+@pytest.mark.parametrize("name", ["acc", "fair"])
+def test_empty_metric_dataset_digest_gets_a_card(pipe, name):
+    """The builtin template lets an empty dataset digest through; cards pick
+    a metric's dataset field by attestation type, so it is carried, not a
+    crash."""
+    import json
+
+    from lam.verifier import verify_bundle
+
+    payload_value = json.loads(pipe.envelopes[name].payload)
+    payload_value["dataset_sha256"] = ""
+    envelopes = {**pipe.envelopes, name: _requote(pipe, name, payload_value)}
+    bundle = AssertionBundle(tuple(envelopes.values()), tuple(pipe.externals))
+    result = verify_bundle(bundle, pipe.store, pipe.roots, pipe.endorser_keys)
+    assert result.failures == 0
+    [card] = [c for c in result.cards if c.card_kind == "model"]
+    assert "" in [entry["dataset"]["sha256"] for entry in card.body["model-index"][0]["results"]]
