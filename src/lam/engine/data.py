@@ -6,19 +6,22 @@ the 6-fractional-digit decimal rule on construction, which makes the in-memory
 floats exactly the values a round trip through the file yields.
 
 The canonical CSV text is built where the features are quantized, once:
-`Dataset.from_rows` formats each value, and `Dataset.from_csv_bytes` takes a
-cell that is already canonical as it is and formats any other (loose) cell
-after parsing it. Both join the canonical text there, so `canonical_bytes`
-formats nothing again; only a dataset built directly from arrays formats its
-features, when its canonical bytes are first asked for.
+`Dataset.from_rows` formats each value, and `Dataset.from_csv_bytes` keeps a
+file that is already canonical as it stands. It checks the whole file once,
+line by line, and parses every number with one `np.fromstring` call; any
+other file is read row by row, where a canonical cell is kept as written and
+a loose cell is formatted after parsing it. Only a dataset built directly
+from arrays formats its features, when its canonical bytes are first asked
+for, one `%`-format per row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from functools import cached_property
 from math import isfinite
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +40,12 @@ ACTIVATIONS = ("tanh", "relu")
 OPTIMIZERS = ("sgd", "adam")
 
 _RESERVED_COLUMNS = ("label", "sensitive")
+
+# The cells of a file kept as it stands. A feature cell of at most 15
+# significant digits is the 6-digit formatting of its own float, and an
+# integer of at most 15 digits is exact as a double and fits int64.
+_SMALL_DECIMAL = rb"-?(?:0|[1-9][0-9]{0,8})\.[0-9]{6}"
+_SMALL_INTEGER = rb"(?:0|-?[1-9][0-9]{0,14})"
 
 
 @dataclass(frozen=True)
@@ -81,11 +90,12 @@ class Dataset:
             texts, row_values = quantize(map(float, row))
             values.append(row_values)
             prefixes.append(",".join([*texts, ""]))
+        labels_array, sensitive_array = _int64_columns(labels, sensitive, lambda i: f"row {i}")
         dataset = cls(
             schema=tuple(schema),
             features=np.array(values, dtype=np.float64).reshape(len(values), len(schema)),
-            labels=np.array(labels, dtype=np.int64),
-            sensitive=np.array(sensitive, dtype=np.int64),
+            labels=labels_array,
+            sensitive=sensitive_array,
         )
         ys, zs = dataset.labels.tolist(), dataset.sensitive.tolist()
         dataset._seed_canonical_bytes(f"{prefix}{y},{z}" for prefix, y, z in zip(prefixes, ys, zs))
@@ -132,10 +142,10 @@ class Dataset:
 
     @cached_property
     def canonical_bytes(self) -> bytes:
-        """The canonical CSV; set at construction by from_rows, from_csv_bytes
-        and FGSM, formatted from the features here for any other dataset."""
-        rows = zip(self.features.tolist(), self.labels.tolist(), self.sensitive.tolist())
-        return _csv_bytes(self.schema, (",".join([*map(decimal_string, x), str(y), str(z)]) for x, y, z in rows))
+        """The canonical CSV; set at construction by from_rows,
+        from_csv_bytes and FGSM's Decimal path, formatted from the features
+        here for any other dataset."""
+        return _csv_bytes(self.schema, _formatted_lines(self.features, self.labels, self.sensitive))
 
     @cached_property
     def digest(self) -> Digest:
@@ -143,6 +153,18 @@ class Dataset:
 
     @classmethod
     def from_csv_bytes(cls, data: bytes) -> "Dataset":
+        canonical = _canonical_cells(data)
+        if canonical is not None:
+            schema, cells = canonical
+            k = len(schema)
+            dataset = cls(
+                schema=schema,
+                features=cells[:, :k].copy(),
+                labels=cells[:, k].astype(np.int64),
+                sensitive=cells[:, k + 1].astype(np.int64),
+            )
+            dataset.__dict__["canonical_bytes"] = bytes(data)
+            return dataset
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -154,7 +176,7 @@ class Dataset:
         if len(header) < 3 or tuple(header[-2:]) != _RESERVED_COLUMNS:
             raise DomainError("CSV header must end with 'label,sensitive'")
         schema = tuple(header[:-2])
-        features, labels, sensitive, canonical = [], [], [], []
+        features, labels, sensitive, canonical_lines = [], [], [], []
         for lineno, line in enumerate(lines[1:], start=2):
             cells = line.split(",")
             if len(cells) != len(header):
@@ -167,20 +189,67 @@ class Dataset:
             features.append(values)
             labels.append(label)
             sensitive.append(group)
-            canonical.append(",".join([*texts, str(label), str(group)]))
+            canonical_lines.append(",".join([*texts, str(label), str(group)]))
+        labels_array, sensitive_array = _int64_columns(labels, sensitive, lambda i: f"CSV line {i + 2}")
         dataset = cls(
             schema=schema,
             features=np.array(features, dtype=np.float64).reshape(len(features), len(schema)),
-            labels=np.array(labels, dtype=np.int64),
-            sensitive=np.array(sensitive, dtype=np.int64),
+            labels=labels_array,
+            sensitive=sensitive_array,
         )
-        dataset._seed_canonical_bytes(canonical)
+        dataset._seed_canonical_bytes(canonical_lines)
         return dataset
 
 
 def _csv_bytes(schema: tuple[str, ...], lines: Iterable[str]) -> bytes:
     """Canonical CSV: the header, then one data line per row, each ended by a newline."""
     return "\n".join([",".join(schema + _RESERVED_COLUMNS), *lines, ""]).encode("utf-8")
+
+
+def _canonical_cells(data: bytes) -> tuple[tuple[str, ...], np.ndarray] | None:
+    """The schema and the cell values, one row per data line, of a CSV that is
+    canonical as it stands and whose cells all match _SMALL_DECIMAL and
+    _SMALL_INTEGER; None for any other CSV. The file is checked line by line
+    and parsed with one np.fromstring call, which reads each such number to
+    the float that float() gives."""
+    if not data.isascii() or b"\r" in data or not data.endswith(b"\n"):
+        return None
+    header, _, body = data[:-1].partition(b"\n")
+    names = header.decode("ascii").split(",")
+    if len(names) < 3 or tuple(names[-2:]) != _RESERVED_COLUMNS or not body:
+        return None
+    line = re.compile(rb"(?:%s,){%d}%s,%s" % (_SMALL_DECIMAL, len(names) - 2, _SMALL_INTEGER, _SMALL_INTEGER))
+    lines = body.split(b"\n")
+    if not all(map(line.fullmatch, lines)):
+        return None
+    cells = np.fromstring(body.replace(b"\n", b","), dtype=np.float64, sep=",")
+    return tuple(names[:-2]), cells.reshape(len(lines), len(names))
+
+
+def _formatted_lines(features: np.ndarray, labels: np.ndarray, sensitive: np.ndarray) -> Iterator[str]:
+    """The canonical CSV data lines of the arrays, formatted one row at a
+    time by the 6-digit rule decimal_string applies to each float."""
+    finite = np.isfinite(features)
+    if not finite.all():
+        decimal_string(float(features[~finite][0]))  # raises: NaN and infinities have no canonical form
+    line = ",".join(["%.6f"] * features.shape[1] + ["%d", "%d"])
+    return map(line.__mod__, zip(*features.T.tolist(), labels.tolist(), sensitive.tolist()))
+
+
+def _int64_columns(
+    labels: Sequence[int], sensitive: Sequence[int], row: Callable[[int], str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The label and sensitive columns as int64 arrays; a DomainError naming
+    the first cell, in row order, that int64 cannot hold, with `row(i)`
+    naming the row it is on."""
+    try:
+        return np.array(labels, dtype=np.int64), np.array(sensitive, dtype=np.int64)
+    except OverflowError:
+        for i, cells in enumerate(zip(labels, sensitive)):
+            for name, value in zip(_RESERVED_COLUMNS, cells):
+                if not -(2**63) <= value < 2**63:
+                    raise DomainError(f"{row(i)}, column {name!r}: {value} is outside the int64 range") from None
+        raise
 
 
 def _feature_cells(cells: list[str]) -> tuple[list[str], list[float]]:
@@ -336,15 +405,16 @@ class InferenceRecord:
 
     The predicted class is the argmax of the quantized score strings with
     ties broken toward the lowest class index, so the record is checkable
-    from its serialized form alone.
+    from its serialized form alone. Features and scores are kept as the
+    canonical strings they were quantized to.
     """
 
-    features: tuple[float, ...]
+    features: tuple[str, ...]
     predicted_class: int
-    scores: tuple[str, ...] = field(default_factory=tuple)
+    scores: tuple[str, ...]
 
     def input_json_value(self) -> dict[str, Any]:
-        return {"features": [decimal_string(v) for v in self.features]}
+        return {"features": list(self.features)}
 
     def output_json_value(self) -> dict[str, Any]:
         return {"predicted_class": self.predicted_class, "scores": list(self.scores)}

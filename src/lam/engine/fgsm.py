@@ -4,6 +4,13 @@ x' = x + eps * sign(dL/dx) with softmax cross-entropy loss and sign(0) = 0.
 The perturbation is applied in exact decimal arithmetic on the canonical
 feature strings, so |x' - x| equals eps digit-for-digit wherever the gradient
 sign is nonzero; no float round-trip can smear the bound.
+
+Where every feature is below 1e9 in magnitude and is the float of its own
+canonical cell, the cells move as whole arrays in integer micro-units, held
+exactly in float64: one addition per cell and one correctly rounded division
+give the float the decimal sum converts to, with the sign of a zero sum as
+Decimal gives it. Any other dataset, or an eps of 1e9 or more, is moved cell
+by cell in Decimal.
 """
 
 from __future__ import annotations
@@ -46,9 +53,11 @@ def fgsm_dataset(model: Model, dataset: Dataset, eps: str) -> Dataset:
     are those of the perturbed features. eps is a decimal string and is
     quantized to the canonical 6-digit form before use.
 
-    The base decimals are the cells of the source dataset's canonical CSV,
-    and the robust set's canonical CSV is joined here from the strings each
-    perturbed value is formatted to, so no feature is formatted twice.
+    The base decimals are the cells of the source dataset's canonical CSV.
+    On the Decimal path the robust set's canonical CSV is joined here from
+    the strings each perturbed value is formatted to, so no feature is
+    formatted twice; on the micro-unit path it is formatted from the
+    perturbed floats when first asked for.
     """
     if dataset.num_rows == 0:
         raise DomainError("cannot perturb an empty dataset")
@@ -63,6 +72,20 @@ def fgsm_dataset(model: Model, dataset: Dataset, eps: str) -> Dataset:
 
     grads = input_gradients(model, dataset.features, dataset.labels)
     signs = np.sign(grads)
+
+    # A float below 1e9 whose micro-units round-trip is the float of the
+    # decimal those micro-units spell, and its canonical cell spells them.
+    features = dataset.features
+    micro = np.rint(features * 1e6)
+    eps_micro = float(eps_dec.scaleb(6))
+    if abs(eps_micro) < 1e15 and (np.abs(micro) < 1e15).all() and np.array_equal(micro / 1e6, features):
+        moved = np.where(signs > 0, micro + eps_micro, micro - eps_micro) / 1e6
+        return Dataset(
+            schema=dataset.schema,
+            features=np.where((signs > 0) | (signs < 0), moved, features),
+            labels=dataset.labels,
+            sensitive=dataset.sensitive,
+        )
 
     perturbed, lines = [], []
     for line, row_signs in zip(dataset._canonical_lines(), signs.tolist()):

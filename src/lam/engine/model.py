@@ -3,9 +3,16 @@
 Everything downstream hashes the model file, so the in-memory weights are the
 quantized values the file round-trips to: after training, weights are pushed
 through the 6-decimal formatting rule and parsed back before the Model is
-constructed. Training order is fixed (seeded init, seeded per-epoch
-shuffles, sequential batch updates), making the output a pure function of
-(dataset, config).
+constructed, and the model file is joined from those very strings. Training
+order is fixed (seeded init, seeded per-epoch shuffles, sequential batch
+updates), making the output a pure function of (dataset, config).
+
+The trainer keeps parameters, gradients and Adam moments in flat float64
+buffers, with per-layer views for the forward and backward passes, so each
+optimizer step is a few whole-buffer expressions that apply to every
+element the same IEEE operations, in the same order, as a per-layer update.
+Predicted classes take the raw argmax of a row's scores where quantization
+cannot change it, and quantize only the rows whose top two scores are close.
 """
 
 from __future__ import annotations
@@ -32,6 +39,10 @@ from .rng import Xoshiro256StarStar
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
+# Quantizing a score moves it by at most 5e-7, so a top score that leads the
+# runner-up by more than 1e-6 still leads once both are quantized; the
+# margin doubles that, leaving room for rounding in the subtraction.
+_ARGMAX_MARGIN = 2e-6
 
 
 def _activate(z: np.ndarray, activation: str) -> np.ndarray:
@@ -90,20 +101,31 @@ class Model:
         weights: Sequence[np.ndarray],
         biases: Sequence[np.ndarray],
     ) -> "Model":
-        """Build a Model whose parameters are canonical-quantized."""
-        return cls(
+        """Build a Model whose parameters are canonical-quantized; its
+        canonical bytes are joined from the strings the parameters were
+        quantized to, so no parameter is formatted twice."""
+        quantized_weights = [_quantized_array(w) for w in weights]
+        quantized_biases = [_quantized_array(b) for b in biases]
+        model = cls(
             architecture=architecture,
-            weights=tuple(_quantized_array(w) for w in weights),
-            biases=tuple(_quantized_array(b) for b in biases),
+            weights=tuple(values for _, values in quantized_weights),
+            biases=tuple(values for _, values in quantized_biases),
         )
+        model.__dict__["canonical_bytes"] = canonicalize(
+            _json_value(
+                architecture,
+                [texts for texts, _ in quantized_weights],
+                [texts for texts, _ in quantized_biases],
+            )
+        )
+        return model
 
     def to_json_value(self) -> dict[str, Any]:
-        return {
-            "activation": self.architecture.activation,
-            "arch": list(self.architecture.layer_widths),
-            "biases": [[decimal_string(float(v)) for v in b] for b in self.biases],
-            "weights": [[[decimal_string(float(v)) for v in row] for row in w] for w in self.weights],
-        }
+        return _json_value(
+            self.architecture,
+            [[[decimal_string(float(v)) for v in row] for row in w] for w in self.weights],
+            [[decimal_string(float(v)) for v in b] for b in self.biases],
+        )
 
     @classmethod
     def from_json_value(cls, value: dict[str, Any]) -> "Model":
@@ -139,6 +161,16 @@ class Model:
         return cls.from_json_value(parse_canonical(data))
 
 
+def _json_value(architecture: Architecture, weights: list, biases: list) -> dict[str, Any]:
+    """The model file's JSON value, given each layer's parameter strings."""
+    return {
+        "activation": architecture.activation,
+        "arch": list(architecture.layer_widths),
+        "biases": biases,
+        "weights": weights,
+    }
+
+
 def forward(model: Model, x: np.ndarray) -> np.ndarray:
     """Logits for a batch of inputs (n, num_features) -> (n, num_classes)."""
     a = np.asarray(x, dtype=np.float64)
@@ -154,10 +186,12 @@ def class_scores(model: Model, x: np.ndarray) -> np.ndarray:
     return softmax(forward(model, x))
 
 
-def _quantized_array(values: Any) -> np.ndarray:
-    """`values` as a float64 array of the same shape, each quantized."""
+def _quantized_array(values: Any) -> tuple[list, np.ndarray]:
+    """`values` quantized: their canonical strings, nested as `values` is,
+    and the float64 array of the same shape that the strings parse to."""
     a = np.asarray(values, dtype=np.float64)
-    return np.array(quantize(a.ravel().tolist())[1], dtype=np.float64).reshape(a.shape)
+    texts, floats = quantize(a.ravel().tolist())
+    return np.array(texts, dtype=object).reshape(a.shape).tolist(), np.array(floats, dtype=np.float64).reshape(a.shape)
 
 
 def _argmax_quantized(score_row: np.ndarray) -> tuple[int, tuple[str, ...]]:
@@ -169,14 +203,24 @@ def _argmax_quantized(score_row: np.ndarray) -> tuple[int, tuple[str, ...]]:
     return best, tuple(strings)
 
 
+def quantized_argmax(scores: np.ndarray) -> np.ndarray:
+    """The class _argmax_quantized picks for each row of `scores`: the raw
+    argmax where the top score leads the runner-up by more than
+    _ARGMAX_MARGIN, and the quantized rule for every other row."""
+    best = scores.argmax(axis=1)
+    top_two = np.sort(scores, axis=1)[:, -2:]
+    for i in np.flatnonzero(~(top_two[:, 1] - top_two[:, 0] > _ARGMAX_MARGIN)):  # NaN rows too
+        best[i] = _argmax_quantized(scores[i])[0]
+    return best.astype(np.int64, copy=False)
+
+
 def predicted_classes(model: Model, x: np.ndarray) -> np.ndarray:
     """Predicted class per row, using the quantized-score tie-break rule."""
-    scores = class_scores(model, x)
-    return np.array([_argmax_quantized(row)[0] for row in scores], dtype=np.int64)
+    return quantized_argmax(class_scores(model, x))
 
 
 def predict(model: Model, features: Sequence[float]) -> InferenceRecord:
-    feats = tuple(quantize([float(v) for v in features])[1])
+    texts, feats = quantize([float(v) for v in features])
     if len(feats) != model.architecture.num_features:
         raise DomainError(
             f"input arity {len(feats)} does not match architecture input width "
@@ -184,22 +228,32 @@ def predict(model: Model, features: Sequence[float]) -> InferenceRecord:
         )
     scores = class_scores(model, np.array([feats], dtype=np.float64))[0]
     cls_idx, strings = _argmax_quantized(scores)
-    return InferenceRecord(features=feats, predicted_class=cls_idx, scores=strings)
+    return InferenceRecord(features=tuple(texts), predicted_class=cls_idx, scores=strings)
 
 
-def _init_params(arch: Architecture, rng: Xoshiro256StarStar) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    weights, biases = [], []
-    widths = arch.layer_widths
-    for i in range(len(widths) - 1):
-        fan_in, fan_out = widths[i], widths[i + 1]
-        limit = (6.0 / (fan_in + fan_out)) ** 0.5
-        w = np.array(
-            [rng.uniform_in(-limit, limit) for _ in range(fan_in * fan_out)],
-            dtype=np.float64,
-        ).reshape(fan_in, fan_out)
-        weights.append(w)
-        biases.append(np.zeros(fan_out, dtype=np.float64))
+def _layer_views(buffer: np.ndarray, widths: Sequence[int]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer views of a flat buffer laid out as each layer's weights,
+    (fan_in, fan_out) row-major, followed by its biases."""
+    weights, biases, offset = [], [], 0
+    for fan_in, fan_out in zip(widths, widths[1:]):
+        weights.append(buffer[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
+        offset += fan_in * fan_out
+        biases.append(buffer[offset : offset + fan_out])
+        offset += fan_out
     return weights, biases
+
+
+def _init_params(arch: Architecture, rng: Xoshiro256StarStar) -> np.ndarray:
+    """The flat parameter buffer training starts from: each layer's weights
+    drawn from the seeded stream, layer by layer and row-major, and zero
+    biases."""
+    widths = arch.layer_widths
+    params = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(widths, widths[1:])))
+    for w in _layer_views(params, widths)[0]:
+        fan_in, fan_out = w.shape
+        limit = (6.0 / (fan_in + fan_out)) ** 0.5
+        w[:] = np.reshape([rng.uniform_in(-limit, limit) for _ in range(w.size)], w.shape)
+    return params
 
 
 def train(dataset: Dataset, config: TrainingConfig) -> Model:
@@ -225,7 +279,10 @@ def train(dataset: Dataset, config: TrainingConfig) -> Model:
         )
 
     rng = Xoshiro256StarStar(config.rng_seed)
-    weights, biases = _init_params(arch, rng)
+    params = _init_params(arch, rng)
+    grads = np.zeros_like(params)
+    weights, biases = _layer_views(params, arch.layer_widths)
+    grads_w, grads_b = _layer_views(grads, arch.layer_widths)
     lr = parse_decimal_string(config.learning_rate)
     act = arch.activation
     last = len(weights) - 1
@@ -233,10 +290,7 @@ def train(dataset: Dataset, config: TrainingConfig) -> Model:
     onehot = np.eye(arch.num_classes, dtype=np.float64)[dataset.labels]
 
     if config.optimizer == "adam":
-        m_w = [np.zeros_like(w) for w in weights]
-        v_w = [np.zeros_like(w) for w in weights]
-        m_b = [np.zeros_like(b) for b in biases]
-        v_b = [np.zeros_like(b) for b in biases]
+        m, v = np.zeros_like(params), np.zeros_like(params)
     step = 0
 
     for _ in range(config.epochs):
@@ -258,28 +312,22 @@ def train(dataset: Dataset, config: TrainingConfig) -> Model:
 
             # backward
             delta = (softmax(activations[-1]) - t) / len(batch)
-            grads_w = [np.empty(0)] * len(weights)
-            grads_b = [np.empty(0)] * len(weights)
             for i in range(last, -1, -1):
-                grads_w[i] = activations[i].T @ delta
-                grads_b[i] = delta.sum(axis=0)
+                np.matmul(activations[i].T, delta, out=grads_w[i])
+                np.sum(delta, axis=0, out=grads_b[i])
                 if i > 0:
                     delta = (delta @ weights[i].T) * _activate_grad(activations[i], zs[i - 1], act)
 
             step += 1
             if config.optimizer == "sgd":
-                for i in range(len(weights)):
-                    weights[i] -= lr * grads_w[i]
-                    biases[i] -= lr * grads_b[i]
+                params -= lr * grads
             else:
                 correction1 = 1.0 - _ADAM_BETA1**step
                 correction2 = 1.0 - _ADAM_BETA2**step
-                for i in range(len(weights)):
-                    m_w[i] = _ADAM_BETA1 * m_w[i] + (1.0 - _ADAM_BETA1) * grads_w[i]
-                    v_w[i] = _ADAM_BETA2 * v_w[i] + (1.0 - _ADAM_BETA2) * grads_w[i] ** 2
-                    m_b[i] = _ADAM_BETA1 * m_b[i] + (1.0 - _ADAM_BETA1) * grads_b[i]
-                    v_b[i] = _ADAM_BETA2 * v_b[i] + (1.0 - _ADAM_BETA2) * grads_b[i] ** 2
-                    weights[i] -= lr * (m_w[i] / correction1) / (np.sqrt(v_w[i] / correction2) + _ADAM_EPS)
-                    biases[i] -= lr * (m_b[i] / correction1) / (np.sqrt(v_b[i] / correction2) + _ADAM_EPS)
+                m *= _ADAM_BETA1
+                m += (1.0 - _ADAM_BETA1) * grads
+                v *= _ADAM_BETA2
+                v += (1.0 - _ADAM_BETA2) * grads**2
+                params -= lr * (m / correction1) / (np.sqrt(v / correction2) + _ADAM_EPS)
 
     return Model.from_float_params(arch, weights, biases)

@@ -2,9 +2,11 @@
 dual-route checks. Pure Python over the canonical JSON/CSV forms: no numpy,
 no imports from the engine's compute path.
 
-The last section is the exception: it keeps the number path the dataset
-loaders and FGSM used before datasets carried their canonical CSV from
-construction, as the reference the single-formatting path must match."""
+The last sections are the exception: they keep, as references the engine
+must match bit for bit, the number path the dataset loaders and FGSM used
+before datasets carried their canonical CSV from construction, and the
+per-layer optimizer loop and per-row argmax the trainer and predicted_classes
+used before they ran on whole arrays."""
 
 from __future__ import annotations
 
@@ -14,6 +16,18 @@ from decimal import ROUND_HALF_EVEN, Decimal
 import numpy as np
 
 from lam.engine.data import Dataset
+from lam.engine.model import (
+    _ADAM_BETA1,
+    _ADAM_BETA2,
+    _ADAM_EPS,
+    Model,
+    _activate,
+    _activate_grad,
+    _argmax_quantized,
+    class_scores,
+    softmax,
+)
+from lam.engine.rng import Xoshiro256StarStar
 from lam.errors import DomainError
 from lam.hashcore import decimal_string, parse_decimal_string
 
@@ -192,6 +206,10 @@ def reference_from_csv_bytes(data: bytes) -> Dataset:
             sensitive.append(int(cells[-1]))
         except ValueError:
             raise _reference_cell_error(header, cells, lineno) from None
+    for lineno, cells in enumerate(zip(labels, sensitive), start=2):
+        for name, value in zip(_RESERVED, cells):
+            if not -(2**63) <= value < 2**63:
+                raise DomainError(f"CSV line {lineno}, column {name!r}: {value} is outside the int64 range")
     return reference_from_rows(tuple(header[:-2]), features, labels, sensitive)
 
 
@@ -210,3 +228,93 @@ def reference_fgsm_features(dataset, signs, eps: str):
                 base -= eps_dec
             perturbed[i, j] = float(base)
     return perturbed
+
+
+# --- The per-layer trainer and the per-row argmax -----------------------------
+
+
+def reference_predicted_classes(model, x) -> np.ndarray:
+    """Predicted class per row, each row's scores quantized and compared."""
+    return reference_quantized_argmax(class_scores(model, x))
+
+
+def reference_quantized_argmax(scores) -> np.ndarray:
+    return np.array([_argmax_quantized(row)[0] for row in scores], dtype=np.int64)
+
+
+def _reference_init_params(arch, rng):
+    weights, biases = [], []
+    widths = arch.layer_widths
+    for i in range(len(widths) - 1):
+        fan_in, fan_out = widths[i], widths[i + 1]
+        limit = (6.0 / (fan_in + fan_out)) ** 0.5
+        w = np.array(
+            [rng.uniform_in(-limit, limit) for _ in range(fan_in * fan_out)],
+            dtype=np.float64,
+        ).reshape(fan_in, fan_out)
+        weights.append(w)
+        biases.append(np.zeros(fan_out, dtype=np.float64))
+    return weights, biases
+
+
+def reference_train(dataset, config) -> Model:
+    """Mini-batch training with a separate array per layer for every
+    parameter, gradient and Adam moment, updated layer by layer."""
+    arch = config.architecture
+    rng = Xoshiro256StarStar(config.rng_seed)
+    weights, biases = _reference_init_params(arch, rng)
+    lr = parse_decimal_string(config.learning_rate)
+    act = arch.activation
+    last = len(weights) - 1
+    n = dataset.num_rows
+    onehot = np.eye(arch.num_classes, dtype=np.float64)[dataset.labels]
+
+    if config.optimizer == "adam":
+        m_w = [np.zeros_like(w) for w in weights]
+        v_w = [np.zeros_like(w) for w in weights]
+        m_b = [np.zeros_like(b) for b in biases]
+        v_b = [np.zeros_like(b) for b in biases]
+    step = 0
+
+    for _ in range(config.epochs):
+        order = rng.shuffled_indices(n)
+        for start in range(0, n, config.batch_size):
+            batch = order[start : start + config.batch_size]
+            x = dataset.features[batch]
+            t = onehot[batch]
+
+            activations = [x]
+            zs = []
+            a = x
+            for i in range(len(weights)):
+                z = a @ weights[i] + biases[i]
+                zs.append(z)
+                a = z if i == last else _activate(z, act)
+                activations.append(a)
+
+            delta = (softmax(activations[-1]) - t) / len(batch)
+            grads_w = [np.empty(0)] * len(weights)
+            grads_b = [np.empty(0)] * len(weights)
+            for i in range(last, -1, -1):
+                grads_w[i] = activations[i].T @ delta
+                grads_b[i] = delta.sum(axis=0)
+                if i > 0:
+                    delta = (delta @ weights[i].T) * _activate_grad(activations[i], zs[i - 1], act)
+
+            step += 1
+            if config.optimizer == "sgd":
+                for i in range(len(weights)):
+                    weights[i] -= lr * grads_w[i]
+                    biases[i] -= lr * grads_b[i]
+            else:
+                correction1 = 1.0 - _ADAM_BETA1**step
+                correction2 = 1.0 - _ADAM_BETA2**step
+                for i in range(len(weights)):
+                    m_w[i] = _ADAM_BETA1 * m_w[i] + (1.0 - _ADAM_BETA1) * grads_w[i]
+                    v_w[i] = _ADAM_BETA2 * v_w[i] + (1.0 - _ADAM_BETA2) * grads_w[i] ** 2
+                    m_b[i] = _ADAM_BETA1 * m_b[i] + (1.0 - _ADAM_BETA1) * grads_b[i]
+                    v_b[i] = _ADAM_BETA2 * v_b[i] + (1.0 - _ADAM_BETA2) * grads_b[i] ** 2
+                    weights[i] -= lr * (m_w[i] / correction1) / (np.sqrt(v_w[i] / correction2) + _ADAM_EPS)
+                    biases[i] -= lr * (m_b[i] / correction1) / (np.sqrt(v_b[i] / correction2) + _ADAM_EPS)
+
+    return Model.from_float_params(arch, weights, biases)

@@ -2,11 +2,14 @@
 CSV, loaded back, trained on, and taken through all seven prover
 attestations. The SHA-256 of every output is fixed, so a change to dataset
 loading, quantization, training, FGSM or the measurers that moves a single
-byte fails here without the full-size benchmark."""
+byte fails here without the full-size benchmark. Two training setups are
+pinned: Adam with tanh, and SGD with relu on batches that do not divide the
+row count."""
 
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 from lam.backend import create_root, provision_platform
 from lam.engine.data import Architecture, Dataset, TrainingConfig
@@ -45,12 +48,33 @@ CENSUS_OUTPUT_SHA256 = {
     "payload/robacc": "3ba1d631579ab7aa4d829b86e0a537bd165039877e08ce572ac2b98c5a71893d",
 }
 
+SGD_RELU_CONFIG = replace(
+    CONFIG,
+    architecture=replace(CONFIG.architecture, activation="relu"),
+    learning_rate="0.050000",
+    batch_size=64,
+    optimizer="sgd",
+)
+
+# Recorded before the optimizer moved onto flat parameter buffers; that
+# change kept every byte.
+SGD_RELU_OUTPUT_SHA256 = {
+    **CENSUS_OUTPUT_SHA256,
+    "model.json": "ec1e99181f2639cf420e46b6679067d0bfb434a38c8450ca029ee4e0303ccbfc",
+    "robust.csv": "e0de04429350f5ff698c295527013e34dc0cb3b3c0f26905fa747d845c3c1452",
+    "payload/pot": "f918f96c54c5eeb58914aae87f2402c2eb66cb1b7e8f5a596f301af1468790c1",
+    "payload/acc": "406f1843d1b53804b1c6e6870628b652e38f9dd98224095a059a6bce6f05668d",
+    "payload/fair": "47760df970431962ba48ec36ea532483795fdd7b8133d0f45604901387278ad5",
+    "payload/robgen": "d91ffed210511cbb4bf60d709c8db29109319b59adaba8bc2346807ef56a63d3",
+    "payload/robacc": "4bb80e1f202f4688dc6207b3f074ae89b4d3cd9ba8ff3378d8d687cfff69c45b",
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def census_outputs() -> dict[str, str]:
+def census_outputs(config: TrainingConfig = CONFIG) -> dict[str, str]:
     train_ds, test_ds = census_split(300, 100, seed=7)
     train = Dataset.from_csv_bytes(train_ds.canonical_bytes)
     test = Dataset.from_csv_bytes(test_ds.canonical_bytes)
@@ -64,7 +88,7 @@ def census_outputs() -> dict[str, str]:
         kind: attest_distribution(train, kind, enclave=enclaves["dataset"], platform=platform)
         for kind in ("marginal", "conditional")
     }
-    model, envelopes["pot"] = attest_training(train, CONFIG, enclave=enclaves["training"], platform=platform)
+    model, envelopes["pot"] = attest_training(train, config, enclave=enclaves["training"], platform=platform)
     envelopes["acc"] = attest_accuracy(model, test, enclave=enclaves["metric"], platform=platform)
     envelopes["fair"] = attest_fairness(model, test, enclave=enclaves["metric"], platform=platform)
     d_rob, envelopes["robgen"], envelopes["robacc"] = attest_robustness(
@@ -82,3 +106,7 @@ def census_outputs() -> dict[str, str]:
 
 def test_census_prover_output_bytes_are_pinned():
     assert census_outputs() == CENSUS_OUTPUT_SHA256
+
+
+def test_census_sgd_relu_output_bytes_are_pinned():
+    assert census_outputs(SGD_RELU_CONFIG) == SGD_RELU_OUTPUT_SHA256

@@ -207,6 +207,14 @@ def test_attest_inference_non_finite_input_exits_2(cli_ws, capsys, tmp_path, fea
         ("0.5,abc,0,1", "CSV line 2, column 'f2': 'abc' is not a decimal number"),
         ("0.5,1.0,x,1", "CSV line 2, column 'label': 'x' is not an integer"),
         ("0.5,1.0,0,", "CSV line 2, column 'sensitive': '' is not an integer"),
+        (
+            "0.5,1.0,100000000000000000000,1",
+            "CSV line 2, column 'label': 100000000000000000000 is outside the int64 range",
+        ),
+        (
+            "0.500000,1.000000,0,-99999999999999999999",
+            "CSV line 2, column 'sensitive': -99999999999999999999 is outside the int64 range",
+        ),
     ],
 )
 def test_attest_dist_junk_csv_cell_exits_2(tmp_path, capsys, row, message):

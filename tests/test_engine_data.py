@@ -23,6 +23,19 @@ def test_dataset_csv_round_trip(fixture_a):
     assert restored.digest == fixture_a.digest
 
 
+@pytest.mark.parametrize(
+    ("labels", "sensitive", "message"),
+    [
+        ([0, 2**63], [0, 0], "row 1, column 'label': 9223372036854775808 is outside the int64 range"),
+        ([0, 1], [-(2**63) - 1, 2**70], "row 0, column 'sensitive': -9223372036854775809 is outside the int64 range"),
+    ],
+)
+def test_from_rows_names_an_integer_outside_int64(labels, sensitive, message):
+    with pytest.raises(DomainError) as excinfo:
+        Dataset.from_rows(("a",), [[0.0], [1.0]], labels, sensitive)
+    assert str(excinfo.value) == message
+
+
 def test_dataset_digest_tracks_content(fixture_a, fixture_b):
     assert fixture_a.digest != fixture_b.digest  # labels differ
     again = Dataset.from_csv_bytes(fixture_a.canonical_bytes)

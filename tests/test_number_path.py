@@ -1,6 +1,8 @@
 """The single-formatting number path gives what the Decimal round-trip path
 gives: bit-identical features, identical canonical CSV bytes, and the same
-exception, with the same message, for every cell it rejects."""
+exception, with the same message, for every cell it rejects. That holds for
+the whole-file loader of canonical CSVs and the row-by-row loader of any
+other, and for FGSM's micro-unit and Decimal paths."""
 
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from engine_oracle import (
     reference_from_csv_bytes,
     reference_from_rows,
 )
-from lam.engine.data import Architecture, Dataset
+from lam.engine.data import Architecture, Dataset, _canonical_cells
 from lam.engine.fgsm import fgsm_dataset, input_gradients
 from lam.engine.model import Model
 
@@ -87,6 +89,64 @@ def test_csv_loading_matches_the_round_trip_path(data):
         _assert_same_dataset(got, want)
 
 
+# Cells the whole-file loader takes: at most 15 significant digits.
+SMALL_FEATURE_CELLS = ["-0.000000", "0.000000", "0.000001", "-0.000001", "999999999.999999", "-999999999.999999"]
+SMALL_INTEGER_CELLS = ["0", "1", "3", "-1", "999999999999999", "-999999999999999"]
+# Cells it leaves to the row-by-row loader: canonical with more digits, or loose.
+LARGE_CELLS = ["1000000000.000000", "-1000000000.000000", "12345678901234567890.000000"]
+LARGE_INTEGER_CELLS = ["1000000000000000", "-1000000000000000", "100000000000000000000"]
+LOOSE_FEATURE_CELLS = ["1.5", "-0.0000001", "01.000000", "+1.000000", "1.0000000", "-.500000"]
+LOOSE_INTEGER_CELLS = ["-0", "01", "+1", "00", "1.0"]
+small_feature_cells = st.one_of(
+    st.floats(min_value=-1e9, max_value=1e9).map(lambda v: format(v, ".6f")).filter(lambda c: abs(float(c)) < 1e9),
+    st.sampled_from(SMALL_FEATURE_CELLS),
+)
+small_integer_cells = st.one_of(st.sampled_from(["0", "1", "2"]), st.sampled_from(SMALL_INTEGER_CELLS))
+
+
+@st.composite
+def canonical_csv_documents(draw) -> tuple[bytes, str]:
+    """A CSV of 50 to 80 rows, and its kind: "small" when every cell is
+    small and canonical, else "large" or "loose" after the one cell that
+    is not."""
+    width = draw(st.integers(1, 3))
+    header = [f"f{i}" for i in range(width)] + ["label", "sensitive"]
+    rows = [
+        [*cells, y, z]
+        for cells, y, z in draw(
+            st.lists(
+                st.tuples(
+                    st.lists(small_feature_cells, min_size=width, max_size=width),
+                    small_integer_cells,
+                    small_integer_cells,
+                ),
+                min_size=50,
+                max_size=80,
+            )
+        )
+    ]
+    kind = draw(st.sampled_from(["small", "small", "large", "loose"]))
+    if kind != "small":
+        column = draw(st.integers(0, width + 1))
+        integer = column >= width
+        cells = {"large": (LARGE_CELLS, LARGE_INTEGER_CELLS), "loose": (LOOSE_FEATURE_CELLS, LOOSE_INTEGER_CELLS)}
+        draw(st.sampled_from(rows))[column] = draw(st.sampled_from(cells[kind][integer]))
+    return ("\n".join([",".join(header), *map(",".join, rows)]) + "\n").encode("ascii"), kind
+
+
+@settings(max_examples=100, deadline=None)
+@given(canonical_csv_documents())
+def test_whole_file_loading_matches_the_round_trip_path(document):
+    data, kind = document
+    assert (_canonical_cells(data) is not None) == (kind == "small")
+    got, got_error = _outcome(Dataset.from_csv_bytes, data)
+    want, want_error = _outcome(reference_from_csv_bytes, data)
+    assert got_error == want_error
+    if want is not None:
+        _assert_same_dataset(got, want)
+        assert (got.canonical_bytes == data) == (kind != "loose")
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.lists(floats, min_size=2, max_size=2), max_size=5), st.data())
 def test_from_rows_matches_the_round_trip_path(rows, data):
@@ -107,6 +167,7 @@ weights = st.lists(st.sampled_from([0.0, 1.0, -1.0, 0.25, -2.5]), min_size=4, ma
 features = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6),
     st.sampled_from([1e10 + 0.5, -3e15, 7.5e20, 1.2345678901234567e25]),
+    st.sampled_from([-0.0, 999999999.999999, -999999999.999999, 1e9, 0.1000005]),
 )
 
 
@@ -114,7 +175,7 @@ features = st.one_of(
 @given(
     weights,
     st.lists(st.lists(features, min_size=2, max_size=2), min_size=1, max_size=5),
-    st.sampled_from(["0.100000", "0.000001", "0", "1.5", "0.0000004"]),
+    st.sampled_from(["0.100000", "0.000001", "0", "-0", "1.5", "0.0000004", "999999999.999999", "1e9"]),
     st.booleans(),
 )
 def test_fgsm_matches_the_round_trip_path(w, rows, eps, quantized):
