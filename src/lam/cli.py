@@ -38,6 +38,7 @@ from .hashcore import (
     Digest,
     build_manifest,
     canonicalize,
+    parse_decimal_string,
     read_canonical,
 )
 from .measurers import (
@@ -236,9 +237,9 @@ def _write_envelope(out_dir: Path, prefix: str, subject_hex: str, env: Attestati
     return path
 
 
-def _inference_features(data: bytes, path: str) -> list[int | float]:
+def _inference_features(data: bytes, path: str) -> list[float]:
     """The features of an inference input file {"features": [...]}: JSON
-    numbers as they are, decimal strings as floats."""
+    numbers and decimal strings, as floats."""
     try:
         value = json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
@@ -248,14 +249,14 @@ def _inference_features(data: bytes, path: str) -> list[int | float]:
         raise DomainError(f'inference input must be an object {{"features": [...]}}: {path}')
     out = []
     for i, v in enumerate(features):
-        if isinstance(v, str):
-            try:
-                v = float(v)
-            except ValueError:
-                raise DomainError(f"inference input features[{i}] is not a decimal string: {v!r}") from None
-        elif type(v) not in (int, float):  # a bool is not a feature value
+        if type(v) not in (str, int, float):  # a bool is not a feature value
             raise DomainError(f"inference input features[{i}] must be a number or a decimal string, not {v!r}")
-        out.append(v)
+        try:
+            out.append(float(v))
+        except ValueError:
+            raise DomainError(f"inference input features[{i}] is not a decimal string: {v!r}") from None
+        except OverflowError:  # an integer beyond the float range
+            raise DomainError(f"inference input features[{i}] is outside the float range") from None
     return out
 
 
@@ -303,6 +304,10 @@ def cmd_attest(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.kind == "robustness":
+        try:
+            parse_decimal_string(args.eps)
+        except (ValueError, DomainError) as exc:
+            raise DomainError(f"--eps: {exc}") from None
         ctx = _enclave(args, "metric")
         model = Model.from_json_bytes(ctx.read_input(args.model))
         dataset = Dataset.from_csv_bytes(ctx.read_input(args.data))

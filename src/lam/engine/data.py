@@ -5,14 +5,15 @@ identity is the digest of its canonical JSON. Feature values are quantized to
 the 6-fractional-digit decimal rule on construction, which makes the in-memory
 floats exactly the values a round trip through the file yields.
 
-The canonical CSV text is built where the features are quantized, once:
-`Dataset.from_rows` formats each value, and `Dataset.from_csv_bytes` keeps a
-file that is already canonical as it stands. It checks the whole file once,
-line by line, and parses every number with one `np.fromstring` call; any
-other file is read row by row, where a canonical cell is kept as written and
-a loose cell is formatted after parsing it. Only a dataset built directly
-from arrays formats its features, when its canonical bytes are first asked
-for, one `%`-format per row.
+A dataset's features are quantized in one place, `hashcore.quantize_rows`,
+and its canonical CSV lines are the row strings that quantizer formats.
+`Dataset.from_rows` calls it, and so does every loader that is not handed a
+canonical file: `Dataset.from_csv_bytes` keeps a file that is already
+canonical as it stands, checking it line by line and parsing every number
+with one `np.fromstring` call, and passes the parsed cells of any other file
+to `from_rows`. A dataset built directly from quantized arrays formats its
+features through the same quantizer when its canonical bytes are first
+asked for.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from math import isfinite
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -29,11 +29,10 @@ from ..errors import ConfigError, DomainError
 from ..hashcore import (
     Digest,
     canonicalize,
-    decimal_string,
     hash_bytes,
     parse_canonical,
     parse_decimal_string,
-    quantize,
+    quantize_rows,
 )
 
 ACTIVATIONS = ("tanh", "relu")
@@ -62,6 +61,8 @@ class Dataset:
     sensitive: np.ndarray  # (N,) int64
 
     def __post_init__(self) -> None:
+        if not self.schema:
+            raise DomainError("a dataset needs at least one feature column")
         for name in self.schema:
             if not name or any(c in name for c in ",\n\r") or name in _RESERVED_COLUMNS:
                 raise DomainError(f"invalid feature name: {name!r}")
@@ -85,42 +86,14 @@ class Dataset:
         labels: Sequence[int],
         sensitive: Sequence[int],
     ) -> "Dataset":
-        values, prefixes = [], []  # per row: quantized floats, canonical cells up to the label
-        for row in features:
-            texts, row_values = quantize(map(float, row))
-            values.append(row_values)
-            prefixes.append(",".join([*texts, ""]))
+        """A dataset of the rows' features quantized by hashcore.quantize_rows;
+        its canonical CSV is joined from the row strings they were quantized
+        from, so no feature is formatted twice."""
+        texts, values = quantize_rows(np.asarray(features, dtype=np.float64).reshape(len(features), len(schema)))
         labels_array, sensitive_array = _int64_columns(labels, sensitive, lambda i: f"row {i}")
-        dataset = cls(
-            schema=tuple(schema),
-            features=np.array(values, dtype=np.float64).reshape(len(values), len(schema)),
-            labels=labels_array,
-            sensitive=sensitive_array,
-        )
-        ys, zs = dataset.labels.tolist(), dataset.sensitive.tolist()
-        dataset._seed_canonical_bytes(f"{prefix}{y},{z}" for prefix, y, z in zip(prefixes, ys, zs))
+        dataset = cls(schema=tuple(schema), features=values, labels=labels_array, sensitive=sensitive_array)
+        dataset.__dict__["canonical_bytes"] = _csv_bytes(dataset.schema, texts, dataset.labels, dataset.sensitive)
         return dataset
-
-    def _seed_canonical_bytes(self, lines: Iterable[str]) -> None:
-        """Set canonical_bytes from the canonical CSV data `lines`, which the
-        caller built from the very strings its features were quantized from."""
-        self.__dict__["canonical_bytes"] = _csv_bytes(self.schema, lines)
-
-    def _canonical_lines(self) -> list[str]:
-        """The canonical CSV's data lines, one per row: the feature cells,
-        then the label and the group."""
-        return self.canonical_bytes.decode("utf-8").split("\n")[1:-1]
-
-    def _rows(self, part: slice) -> "Dataset":
-        """The rows `part`, with their lines of this dataset's canonical CSV."""
-        rows = Dataset(
-            schema=self.schema,
-            features=self.features[part],
-            labels=self.labels[part],
-            sensitive=self.sensitive[part],
-        )
-        rows._seed_canonical_bytes(self._canonical_lines()[part])
-        return rows
 
     @property
     def num_rows(self) -> int:
@@ -142,10 +115,10 @@ class Dataset:
 
     @cached_property
     def canonical_bytes(self) -> bytes:
-        """The canonical CSV; set at construction by from_rows,
-        from_csv_bytes and FGSM's Decimal path, formatted from the features
-        here for any other dataset."""
-        return _csv_bytes(self.schema, _formatted_lines(self.features, self.labels, self.sensitive))
+        """The canonical CSV; set at construction by from_rows and by
+        from_csv_bytes, formatted from the features here for any other
+        dataset."""
+        return _csv_bytes(self.schema, quantize_rows(self.features)[0], self.labels, self.sensitive)
 
     @cached_property
     def digest(self) -> Digest:
@@ -176,33 +149,25 @@ class Dataset:
         if len(header) < 3 or tuple(header[-2:]) != _RESERVED_COLUMNS:
             raise DomainError("CSV header must end with 'label,sensitive'")
         schema = tuple(header[:-2])
-        features, labels, sensitive, canonical_lines = [], [], [], []
+        features, labels, sensitive = [], [], []
         for lineno, line in enumerate(lines[1:], start=2):
             cells = line.split(",")
             if len(cells) != len(header):
                 raise DomainError(f"CSV line {lineno}: expected {len(header)} cells, got {len(cells)}")
             try:
-                texts, values = _feature_cells(cells[:-2])
-                label, group = int(cells[-2]), int(cells[-1])
+                features.append([parse_decimal_string(cell) for cell in cells[:-2]])
+                labels.append(int(cells[-2]))
+                sensitive.append(int(cells[-1]))
             except ValueError:
                 raise _cell_error(header, cells, lineno) from None
-            features.append(values)
-            labels.append(label)
-            sensitive.append(group)
-            canonical_lines.append(",".join([*texts, str(label), str(group)]))
         labels_array, sensitive_array = _int64_columns(labels, sensitive, lambda i: f"CSV line {i + 2}")
-        dataset = cls(
-            schema=schema,
-            features=np.array(features, dtype=np.float64).reshape(len(features), len(schema)),
-            labels=labels_array,
-            sensitive=sensitive_array,
-        )
-        dataset._seed_canonical_bytes(canonical_lines)
-        return dataset
+        return cls.from_rows(schema, features, labels_array, sensitive_array)
 
 
-def _csv_bytes(schema: tuple[str, ...], lines: Iterable[str]) -> bytes:
-    """Canonical CSV: the header, then one data line per row, each ended by a newline."""
+def _csv_bytes(schema: tuple[str, ...], rows: Iterable[str], labels: np.ndarray, sensitive: np.ndarray) -> bytes:
+    """Canonical CSV: the header, then one data line per row, each ended by a
+    newline: the row's quantized feature text, its label and its group."""
+    lines = map("%s,%d,%d".__mod__, zip(rows, labels.tolist(), sensitive.tolist()))
     return "\n".join([",".join(schema + _RESERVED_COLUMNS), *lines, ""]).encode("utf-8")
 
 
@@ -226,16 +191,6 @@ def _canonical_cells(data: bytes) -> tuple[tuple[str, ...], np.ndarray] | None:
     return tuple(names[:-2]), cells.reshape(len(lines), len(names))
 
 
-def _formatted_lines(features: np.ndarray, labels: np.ndarray, sensitive: np.ndarray) -> Iterator[str]:
-    """The canonical CSV data lines of the arrays, formatted one row at a
-    time by the 6-digit rule decimal_string applies to each float."""
-    finite = np.isfinite(features)
-    if not finite.all():
-        decimal_string(float(features[~finite][0]))  # raises: NaN and infinities have no canonical form
-    line = ",".join(["%.6f"] * features.shape[1] + ["%d", "%d"])
-    return map(line.__mod__, zip(*features.T.tolist(), labels.tolist(), sensitive.tolist()))
-
-
 def _int64_columns(
     labels: Sequence[int], sensitive: Sequence[int], row: Callable[[int], str]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -250,22 +205,6 @@ def _int64_columns(
                 if not -(2**63) <= value < 2**63:
                     raise DomainError(f"{row(i)}, column {name!r}: {value} is outside the int64 range") from None
         raise
-
-
-def _feature_cells(cells: list[str]) -> tuple[list[str], list[float]]:
-    """The canonical strings and quantized floats of a CSV row's feature
-    cells. A row whose cells are all canonical (finite, and equal to their
-    own 6-digit formatting) is taken as it is; any other row goes through
-    parse_decimal_string and quantize, the rule that decides which cells are
-    accepted and what they mean."""
-    try:
-        values = list(map(float, cells))
-    except ValueError:
-        pass
-    else:
-        if all(map(isfinite, values)) and [format(v, ".6f") for v in values] == cells:
-            return cells, values
-    return quantize([parse_decimal_string(c) for c in cells])
 
 
 def _cell_error(header: list[str], cells: list[str], lineno: int) -> DomainError:

@@ -5,12 +5,14 @@ The perturbation is applied in exact decimal arithmetic on the canonical
 feature strings, so |x' - x| equals eps digit-for-digit wherever the gradient
 sign is nonzero; no float round-trip can smear the bound.
 
-Where every feature is below 1e9 in magnitude and is the float of its own
-canonical cell, the cells move as whole arrays in integer micro-units, held
-exactly in float64: one addition per cell and one correctly rounded division
-give the float the decimal sum converts to, with the sign of a zero sum as
-Decimal gives it. Any other dataset, or an eps of 1e9 or more, is moved cell
-by cell in Decimal.
+Two paths, chosen by the input. Where every feature is below 1e9 in
+magnitude and is the float of its own canonical cell, the cells move as whole
+arrays in integer micro-units, held exactly in float64: one addition per cell
+and one correctly rounded division give the float the decimal sum converts
+to, with the sign of a zero sum as Decimal gives it. Any other dataset, or an
+eps of 1e9 or more, is moved cell by cell in Decimal, from the cells
+`hashcore.quantize_rows` formats, and the perturbed rows are built into a
+dataset by `Dataset.from_rows`, which quantizes them with that same quantizer.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from decimal import Decimal
 import numpy as np
 
 from ..errors import DomainError
-from ..hashcore import decimal_string, parse_decimal_string
+from ..hashcore import decimal_string, parse_decimal_string, quantize_rows
 from .data import Dataset
 from .model import Model, _activate, _activate_grad, softmax
 
@@ -54,10 +56,10 @@ def fgsm_dataset(model: Model, dataset: Dataset, eps: str) -> Dataset:
     quantized to the canonical 6-digit form before use.
 
     The base decimals are the cells of the source dataset's canonical CSV.
-    On the Decimal path the robust set's canonical CSV is joined here from
-    the strings each perturbed value is formatted to, so no feature is
-    formatted twice; on the micro-unit path it is formatted from the
-    perturbed floats when first asked for.
+    On the Decimal path the robust set is built by Dataset.from_rows, and
+    its canonical CSV is the quantizer's text of the perturbed rows; on the
+    micro-unit path it is formatted from the perturbed floats when first
+    asked for.
     """
     if dataset.num_rows == 0:
         raise DomainError("cannot perturb an empty dataset")
@@ -87,28 +89,15 @@ def fgsm_dataset(model: Model, dataset: Dataset, eps: str) -> Dataset:
             sensitive=dataset.sensitive,
         )
 
-    perturbed, lines = [], []
-    for line, row_signs in zip(dataset._canonical_lines(), signs.tolist()):
-        cells = line.split(",")
-        values = []
-        for j, s in enumerate(row_signs):
+    perturbed = []
+    for line, row_signs in zip(quantize_rows(features)[0], signs.tolist()):
+        row = []
+        for cell, s in zip(line.split(","), row_signs):
             if s > 0:
-                base = Decimal(cells[j]) + eps_dec
+                row.append(float(Decimal(cell) + eps_dec))
             elif s < 0:
-                base = Decimal(cells[j]) - eps_dec
+                row.append(float(Decimal(cell) - eps_dec))
             else:
-                values.append(float(cells[j]))
-                continue
-            value = float(base)
-            values.append(value)
-            cells[j] = decimal_string(value)
-        perturbed.append(values)
-        lines.append(",".join(cells))
-    d_rob = Dataset(
-        schema=dataset.schema,
-        features=np.array(perturbed, dtype=np.float64),
-        labels=dataset.labels,
-        sensitive=dataset.sensitive,
-    )
-    d_rob._seed_canonical_bytes(lines)
-    return d_rob
+                row.append(float(cell))
+        perturbed.append(row)
+    return Dataset.from_rows(dataset.schema, perturbed, dataset.labels, dataset.sensitive)

@@ -1,11 +1,13 @@
 """MLP model with a canonical JSON file form and a fully deterministic trainer.
 
 Everything downstream hashes the model file, so the in-memory weights are the
-quantized values the file round-trips to: after training, weights are pushed
-through the 6-decimal formatting rule and parsed back before the Model is
-constructed, and the model file is joined from those very strings. Training
-order is fixed (seeded init, seeded per-epoch shuffles, sequential batch
-updates), making the output a pure function of (dataset, config).
+quantized values the file round-trips to. A trained model and a loaded model
+file are both built by `Model.from_float_params`, which quantizes every
+parameter with `hashcore.quantize_rows`, the one quantizer; the model file is
+formatted from the parameters by the same quantizer, and inference quantizes
+its input and its scores with it too. Training order is fixed (seeded init,
+seeded per-epoch shuffles, sequential batch updates), making the output a
+pure function of (dataset, config).
 
 The trainer keeps parameters, gradients and Adam moments in flat float64
 buffers, with per-layer views for the forward and backward passes, so each
@@ -27,11 +29,10 @@ from ..errors import ConfigError, DomainError
 from ..hashcore import (
     Digest,
     canonicalize,
-    decimal_string,
     hash_bytes,
     parse_canonical,
     parse_decimal_string,
-    quantize,
+    quantize_rows,
 )
 from .data import Architecture, Dataset, InferenceRecord, TrainingConfig, config_int
 from .rng import Xoshiro256StarStar
@@ -101,31 +102,22 @@ class Model:
         weights: Sequence[np.ndarray],
         biases: Sequence[np.ndarray],
     ) -> "Model":
-        """Build a Model whose parameters are canonical-quantized; its
-        canonical bytes are joined from the strings the parameters were
-        quantized to, so no parameter is formatted twice."""
-        quantized_weights = [_quantized_array(w) for w in weights]
-        quantized_biases = [_quantized_array(b) for b in biases]
-        model = cls(
+        """Build a Model whose parameters are quantized by
+        hashcore.quantize_rows: each weight matrix row by row, each bias
+        vector as one row."""
+        return cls(
             architecture=architecture,
-            weights=tuple(values for _, values in quantized_weights),
-            biases=tuple(values for _, values in quantized_biases),
+            weights=tuple(quantize_rows(w)[1] for w in weights),
+            biases=tuple(quantize_rows([b])[1][0] for b in biases),
         )
-        model.__dict__["canonical_bytes"] = canonicalize(
-            _json_value(
-                architecture,
-                [texts for texts, _ in quantized_weights],
-                [texts for texts, _ in quantized_biases],
-            )
-        )
-        return model
 
     def to_json_value(self) -> dict[str, Any]:
-        return _json_value(
-            self.architecture,
-            [[[decimal_string(float(v)) for v in row] for row in w] for w in self.weights],
-            [[decimal_string(float(v)) for v in b] for b in self.biases],
-        )
+        return {
+            "activation": self.architecture.activation,
+            "arch": list(self.architecture.layer_widths),
+            "biases": [quantize_rows([b])[0][0].split(",") for b in self.biases],
+            "weights": [[row.split(",") for row in quantize_rows(w)[0]] for w in self.weights],
+        }
 
     @classmethod
     def from_json_value(cls, value: dict[str, Any]) -> "Model":
@@ -146,7 +138,7 @@ class Model:
             )
         except (KeyError, TypeError, IndexError, ValueError) as exc:  # ValueError: rows of unequal length
             raise ConfigError(f"malformed model file: {exc}") from exc
-        return cls(architecture=arch, weights=weights, biases=biases)
+        return cls.from_float_params(arch, weights, biases)
 
     @cached_property
     def canonical_bytes(self) -> bytes:
@@ -159,16 +151,6 @@ class Model:
     @classmethod
     def from_json_bytes(cls, data: bytes) -> "Model":
         return cls.from_json_value(parse_canonical(data))
-
-
-def _json_value(architecture: Architecture, weights: list, biases: list) -> dict[str, Any]:
-    """The model file's JSON value, given each layer's parameter strings."""
-    return {
-        "activation": architecture.activation,
-        "arch": list(architecture.layer_widths),
-        "biases": biases,
-        "weights": weights,
-    }
 
 
 def forward(model: Model, x: np.ndarray) -> np.ndarray:
@@ -186,21 +168,11 @@ def class_scores(model: Model, x: np.ndarray) -> np.ndarray:
     return softmax(forward(model, x))
 
 
-def _quantized_array(values: Any) -> tuple[list, np.ndarray]:
-    """`values` quantized: their canonical strings, nested as `values` is,
-    and the float64 array of the same shape that the strings parse to."""
-    a = np.asarray(values, dtype=np.float64)
-    texts, floats = quantize(a.ravel().tolist())
-    return np.array(texts, dtype=object).reshape(a.shape).tolist(), np.array(floats, dtype=np.float64).reshape(a.shape)
-
-
 def _argmax_quantized(score_row: np.ndarray) -> tuple[int, tuple[str, ...]]:
-    strings, quantized = quantize(score_row.tolist())
-    best = 0
-    for k in range(1, len(quantized)):
-        if quantized[k] > quantized[best]:
-            best = k
-    return best, tuple(strings)
+    """The first class with the highest quantized score, and the scores'
+    canonical strings."""
+    texts, quantized = quantize_rows(score_row[np.newaxis])
+    return int(quantized.argmax()), tuple(texts[0].split(","))
 
 
 def quantized_argmax(scores: np.ndarray) -> np.ndarray:
@@ -220,15 +192,14 @@ def predicted_classes(model: Model, x: np.ndarray) -> np.ndarray:
 
 
 def predict(model: Model, features: Sequence[float]) -> InferenceRecord:
-    texts, feats = quantize([float(v) for v in features])
-    if len(feats) != model.architecture.num_features:
+    texts, feats = quantize_rows([features])
+    if feats.shape[1] != model.architecture.num_features:
         raise DomainError(
-            f"input arity {len(feats)} does not match architecture input width "
+            f"input arity {feats.shape[1]} does not match architecture input width "
             f"{model.architecture.num_features}"
         )
-    scores = class_scores(model, np.array([feats], dtype=np.float64))[0]
-    cls_idx, strings = _argmax_quantized(scores)
-    return InferenceRecord(features=tuple(texts), predicted_class=cls_idx, scores=strings)
+    cls_idx, strings = _argmax_quantized(class_scores(model, feats)[0])
+    return InferenceRecord(features=tuple(texts[0].split(",")), predicted_class=cls_idx, scores=strings)
 
 
 def _layer_views(buffer: np.ndarray, widths: Sequence[int]) -> tuple[list[np.ndarray], list[np.ndarray]]:

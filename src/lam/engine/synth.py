@@ -39,8 +39,9 @@ def linearly_separable(n_rows: int = 200, margin: float = 1.0, seed: int = 7) ->
     return Dataset.from_rows(("f1", "f2"), features, labels, sensitive)
 
 
-def synthetic_census(n_rows: int, seed: int) -> Dataset:
-    """Census-like tabular rows: 12 features, binary income label, binary group.
+def _census_rows(n_rows: int, seed: int) -> tuple[tuple[str, ...], list[list[float]], list[int], list[int]]:
+    """Census-like tabular rows: the schema of 12 features, the features, a
+    binary income label and a binary group per row.
 
     The label follows a noisy nonlinear score of the demographic features
     (sigmoid steepness 3.0 puts the noise ceiling in the high 0.80s), and the
@@ -107,12 +108,16 @@ def synthetic_census(n_rows: int, seed: int) -> Dataset:
         features.append(row)
         labels.append(label)
         sensitive.append(z)
-    return Dataset.from_rows(schema, features, labels, sensitive)
+    return schema, features, labels, sensitive
 
 
 def census_split(n_train: int = 6000, n_test: int = 2000, seed: int = 2026) -> tuple[Dataset, Dataset]:
     """Documented split for the reference experiment: one generator stream,
-    first n_train rows train, next n_test rows test. Each half takes its
-    canonical CSV lines from the full set's, so no feature is formatted twice."""
-    full = synthetic_census(n_train + n_test, seed)
-    return full._rows(slice(None, n_train)), full._rows(slice(n_train, None))
+    first n_train rows train, next n_test rows test. The rows are generated
+    once, and each half is built from its own rows by Dataset.from_rows."""
+    schema, features, labels, sensitive = _census_rows(n_train + n_test, seed)
+    train, test = slice(None, n_train), slice(n_train, None)
+    return (
+        Dataset.from_rows(schema, features[train], labels[train], sensitive[train]),
+        Dataset.from_rows(schema, features[test], labels[test], sensitive[test]),
+    )

@@ -7,7 +7,8 @@ Three commitments live here and nowhere else:
 * Canonical JSON: UTF-8, object keys sorted by code point, no insignificant
   whitespace, and no float tokens: non-integer numbers must be decimal
   strings (see decimal_string / ratio_string for the 6-fractional-digit,
-  round-half-even formatting rule).
+  round-half-even formatting rule, and quantize_rows for the arrays of
+  features and parameters it applies to).
 * Trusted manifests: sorted (path, digest) entries over a directory tree,
   with read-once file hashing so callers never operate on re-read bytes.
 
@@ -26,6 +27,8 @@ from functools import cache
 from math import isfinite
 from pathlib import Path
 from typing import Any, Callable, Iterable, get_type_hints
+
+import numpy as np
 
 from .errors import CanonicalizationError, DomainError, FileReadError, LamError, ManifestMismatchError
 
@@ -302,16 +305,27 @@ def decimal_string(value: float | int | Decimal) -> str:
         return str(number.quantize(_QUANTUM, rounding=ROUND_HALF_EVEN))
 
 
-def quantize(values: Iterable[float]) -> tuple[list[str], list[float]]:
-    """The canonical decimal strings of `values` and the floats they parse to.
+def quantize_rows(rows: Any) -> tuple[list[str], np.ndarray]:
+    """The canonical text of each row of a float array, its cells joined by
+    commas, and the float64 array the cells parse to.
 
-    A quantized number is the float of its own canonical string, so a round
-    trip through any canonical file gives back the same float. The float is
-    taken from the string just formatted: a string lam wrote needs no second
-    parse through Decimal.
+    This is the one quantizer of dataset features, model parameters and
+    inference inputs and scores. Each row is formatted with one `%`-format,
+    by the rule decimal_string applies to a float, and all cells are read
+    back by one cast of their strings to float64, which gives each the float
+    that float() gives. Quantizing is idempotent, so a round trip through
+    any canonical file gives back the same floats. NaN and infinities raise
+    decimal_string's DomainError, for the first in row order.
     """
-    texts = list(map(decimal_string, values))
-    return texts, list(map(float, texts))
+    array = np.asarray(rows, dtype=np.float64)
+    line = ",".join(["%.6f"] * array.shape[-1])
+    texts = [line % tuple(row) for row in array.tolist()]
+    joined = ",".join(texts)
+    if "n" in joined:  # "nan" or "inf": no finite number's text has an n
+        decimal_string(float(array[~np.isfinite(array)][0]))
+    if not array.size:  # rows of no cells, which join to bare commas
+        return texts, np.empty(array.shape)
+    return texts, np.array(joined.split(","), dtype=np.float64).reshape(array.shape)
 
 
 def ratio_string(numerator: int, denominator: int) -> str:

@@ -4,9 +4,10 @@ no imports from the engine's compute path.
 
 The last sections are the exception: they keep, as references the engine
 must match bit for bit, the number path the dataset loaders and FGSM used
-before datasets carried their canonical CSV from construction, and the
-per-layer optimizer loop and per-row argmax the trainer and predicted_classes
-used before they ran on whole arrays."""
+before datasets carried their canonical CSV from construction, the
+per-weight number path of model parameters, and the per-layer optimizer loop
+and per-row argmax the trainer and predicted_classes used before they ran on
+whole arrays."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from decimal import ROUND_HALF_EVEN, Decimal
 
 import numpy as np
 
-from lam.engine.data import Dataset
+from lam.engine.data import Architecture, Dataset
 from lam.engine.model import (
     _ADAM_BETA1,
     _ADAM_BETA2,
@@ -28,8 +29,8 @@ from lam.engine.model import (
     softmax,
 )
 from lam.engine.rng import Xoshiro256StarStar
-from lam.errors import DomainError
-from lam.hashcore import decimal_string, parse_decimal_string
+from lam.errors import ConfigError, DomainError
+from lam.hashcore import canonicalize, decimal_string, parse_canonical, parse_decimal_string
 
 
 def _fmt6(x: float) -> str:
@@ -228,6 +229,58 @@ def reference_fgsm_features(dataset, signs, eps: str):
                 base -= eps_dec
             perturbed[i, j] = float(base)
     return perturbed
+
+
+# --- The per-weight model number path ----------------------------------------
+# Every model parameter quantized by formatting it and parsing the string
+# back, one weight at a time, and the model file formatted again from the
+# stored floats.
+
+
+def reference_model_from_float_params(architecture, weights, biases) -> Model:
+    return Model(
+        architecture=architecture,
+        weights=tuple(
+            np.array([[float(decimal_string(float(v))) for v in row] for row in w], dtype=np.float64)
+            for w in weights
+        ),
+        biases=tuple(np.array([float(decimal_string(float(v))) for v in b], dtype=np.float64) for b in biases),
+    )
+
+
+def _reference_parameter(cell, name: str) -> float:
+    try:
+        return float(decimal_string(parse_decimal_string(cell)))
+    except ValueError:
+        raise ConfigError(f"{name} entry is not a decimal string: {cell!r}") from None
+
+
+def reference_model_from_json_bytes(data: bytes) -> Model:
+    doc = parse_canonical(data)
+    widths = doc["arch"]
+    return Model(
+        architecture=Architecture(
+            num_features=widths[0], num_classes=widths[-1], hidden=tuple(widths[1:-1]), activation=doc["activation"]
+        ),
+        weights=tuple(
+            np.array([[_reference_parameter(c, "weights") for c in row] for row in w], dtype=np.float64)
+            for w in doc["weights"]
+        ),
+        biases=tuple(
+            np.array([_reference_parameter(c, "biases") for c in b], dtype=np.float64) for b in doc["biases"]
+        ),
+    )
+
+
+def reference_model_canonical_bytes(model) -> bytes:
+    return canonicalize(
+        {
+            "activation": model.architecture.activation,
+            "arch": list(model.architecture.layer_widths),
+            "biases": [[decimal_string(float(v)) for v in b] for b in model.biases],
+            "weights": [[[decimal_string(float(v)) for v in row] for row in w] for w in model.weights],
+        }
+    )
 
 
 # --- The per-layer trainer and the per-row argmax -----------------------------

@@ -250,6 +250,7 @@ def _attest_inference(cli_ws, tmp_path, content: bytes, name: str) -> tuple[int,
         (b'{"features":[1,"x"]}', "inference input features[1] is not a decimal string: 'x'"),
         (b'{"features":[true,1]}', "inference input features[0] must be a number or a decimal string, not True"),
         (b'{"features":[[1],1]}', "inference input features[0] must be a number or a decimal string, not [1]"),
+        (b'{"features":[1' + b"0" * 400 + b',1]}', "inference input features[0] is outside the float range"),
         (b"features: [1, 2]", "inference input is not JSON: "),
         (b"\xff\xfe", "inference input is not JSON: "),
     ],
@@ -270,6 +271,60 @@ def test_attest_inference_numbers_and_decimal_strings_give_one_envelope(cli_ws, 
         assert code == 0
         written.append(sorted((p.name, p.read_bytes()) for p in out.iterdir()))
     assert written[0] == written[1] == written[2]
+
+
+def test_attest_inference_loose_and_canonical_model_files_give_one_envelope(cli_ws, tmp_path):
+    """A model file's weights are the ones its digest names: seven-digit
+    weights act as the six-digit weights of the canonical file they
+    quantize to, so both files give one envelope, which verifies."""
+    from lam.hashcore import canonicalize
+
+    ws = cli_ws["ws"]
+    loose = {
+        "activation": "tanh",
+        "arch": [2, 2],
+        "biases": [["0.0000004", "-0.0000004"]],
+        "weights": [[["0.0000004", "-0.0000004"], ["0.0000004", "-0.0000004"]]],
+    }
+    canonical = {
+        "activation": "tanh",
+        "arch": [2, 2],
+        "biases": [["0.000000", "-0.000000"]],
+        "weights": [[["0.000000", "-0.000000"], ["0.000000", "-0.000000"]]],
+    }
+    (tmp_path / "input.json").write_bytes(b'{"features":[10,10]}')
+    envelopes = []
+    for name, doc in (("loose", loose), ("canonical", canonical)):
+        (tmp_path / f"{name}.json").write_bytes(canonicalize(doc))
+        out = tmp_path / name
+        code = run(
+            "attest", "inference", "--model", str(tmp_path / f"{name}.json"), "--input", str(tmp_path / "input.json"),
+            "--out", str(out), "--record-out", str(out / "record.json"), "-w", str(ws),
+        )
+        assert code == 0
+        (envelope,) = out.glob("io-*.envelope.json")
+        envelopes.append(envelope)
+    assert envelopes[0].name == envelopes[1].name
+    assert envelopes[0].read_bytes() == envelopes[1].read_bytes()
+
+    bundle = tmp_path / "bundle.json"
+    assert run("bundle", *map(str, envelopes), "--out", str(bundle)) == 0
+    assert run(*_verify_args(ws, tmp_path / "cards", bundle=bundle)) == 0
+
+
+@pytest.mark.parametrize(
+    ("eps", "message"),
+    [("abc", "not a decimal string: 'abc'"), ("1e999", "not a finite decimal string: '1e999'")],
+)
+def test_attest_robustness_junk_eps_exits_2(cli_ws, capsys, tmp_path, eps, message):
+    ws = cli_ws["ws"]
+    code = run(
+        "attest", "robustness", "--model", cli_ws["model"], "--data", str(ws / "test.csv"), "--eps", eps,
+        "--robust-out", str(tmp_path / "drob.csv"), "--out", str(tmp_path / "att"), "-w", str(ws),
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: --eps: {message}\n"
+    assert not (tmp_path / "drob.csv").exists() and not (tmp_path / "att").exists()
 
 
 @pytest.mark.parametrize(

@@ -54,6 +54,8 @@ def test_dataset_validation_errors():
     with pytest.raises(DomainError):
         Dataset.from_rows(("a", "a"), [[1.0, 2.0]], [0], [0])  # duplicate
     with pytest.raises(DomainError):
+        Dataset.from_rows((), [[], []], [0, 1], [0, 0])  # no feature column: no CSV can hold it
+    with pytest.raises(DomainError):
         Dataset.from_rows(("a",), [[1.0]], [-1], [0])  # negative label
     with pytest.raises(DomainError):
         Dataset.from_csv_bytes(b"f1,label\n1,0\n")  # header missing sensitive

@@ -2,7 +2,8 @@
 gives: bit-identical features, identical canonical CSV bytes, and the same
 exception, with the same message, for every cell it rejects. That holds for
 the whole-file loader of canonical CSVs and the row-by-row loader of any
-other, and for FGSM's micro-unit and Decimal paths."""
+other, for FGSM's micro-unit and Decimal paths, and for model parameters,
+built from floats or loaded from a model file."""
 
 from __future__ import annotations
 
@@ -15,10 +16,14 @@ from engine_oracle import (
     reference_fgsm_features,
     reference_from_csv_bytes,
     reference_from_rows,
+    reference_model_canonical_bytes,
+    reference_model_from_float_params,
+    reference_model_from_json_bytes,
 )
 from lam.engine.data import Architecture, Dataset, _canonical_cells
 from lam.engine.fgsm import fgsm_dataset, input_gradients
 from lam.engine.model import Model
+from lam.hashcore import canonicalize
 
 LOOSE_CELLS = [
     "1.5", "1e3", " 2.0 ", "+.5", "-0", "-0.0000004", "0.0000005", "1_0", "٥",
@@ -188,3 +193,52 @@ def test_fgsm_matches_the_round_trip_path(w, rows, eps, quantized):
     signs = np.sign(input_gradients(model, dataset.features, dataset.labels))
     want = Dataset(dataset.schema, reference_fgsm_features(dataset, signs, eps), dataset.labels, dataset.sensitive)
     _assert_same_dataset(fgsm_dataset(model, dataset, eps), want)
+
+
+MODEL_ARCH = Architecture(num_features=2, num_classes=2, hidden=(1,), activation="tanh")
+
+
+def model_params(cells):
+    """MODEL_ARCH's weight matrices and bias vectors, as nested lists of `cells`."""
+    def matrix(rows: int, columns: int):
+        return st.lists(st.lists(cells, min_size=columns, max_size=columns), min_size=rows, max_size=rows)
+
+    def vector(size: int):
+        return st.lists(cells, min_size=size, max_size=size)
+
+    return st.tuples(st.tuples(matrix(2, 1), matrix(1, 2)), st.tuples(vector(1), vector(2)))
+
+
+def _assert_same_model(got: Model, want: Model) -> None:
+    assert got.architecture == want.architecture
+    assert [_bits(w) for w in got.weights] == [_bits(w) for w in want.weights]
+    assert [_bits(b) for b in got.biases] == [_bits(b) for b in want.biases]
+    assert got.canonical_bytes == reference_model_canonical_bytes(want)
+    loaded = Model.from_json_bytes(got.canonical_bytes)
+    assert [_bits(w) for w in loaded.weights] == [_bits(w) for w in got.weights]
+    assert [_bits(b) for b in loaded.biases] == [_bits(b) for b in got.biases]
+    assert loaded.canonical_bytes == got.canonical_bytes
+
+
+@settings(max_examples=200, deadline=None)
+@given(model_params(floats))
+def test_model_from_float_params_matches_the_round_trip_path(params):
+    weights, biases = params
+    arrays = [np.array(w, dtype=np.float64) for w in weights], [np.array(b, dtype=np.float64) for b in biases]
+    got, got_error = _outcome(Model.from_float_params, MODEL_ARCH, *arrays)
+    want, want_error = _outcome(reference_model_from_float_params, MODEL_ARCH, *arrays)
+    assert got_error == want_error
+    if want is not None:
+        _assert_same_model(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(model_params(st.one_of(canonical_cells, st.sampled_from(LOOSE_CELLS))))
+def test_model_file_loading_matches_the_round_trip_path(params):
+    weights, biases = params
+    data = canonicalize({"activation": "tanh", "arch": [2, 1, 2], "biases": list(biases), "weights": list(weights)})
+    got, got_error = _outcome(Model.from_json_bytes, data)
+    want, want_error = _outcome(reference_model_from_json_bytes, data)
+    assert got_error == want_error
+    if want is not None:
+        _assert_same_model(got, want)
