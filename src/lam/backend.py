@@ -7,6 +7,10 @@ measure / issue / verify surface is the seam where a hardware-backed
 implementation can be substituted; everything above it only sees Quote values
 and their canonical JSON wire form.
 
+Every signed record (platform certificate, quote, certification, external
+certificate) is a Signed: made by signed_by, checked by verifies_under or in
+bulk by check_signatures, its verdicts memoized per key. Nothing else signs.
+
 Quotes carry no nonce or timestamp: every attested payload binds content
 digests only, so replaying a genuine quote re-asserts a true statement.
 """
@@ -16,9 +20,8 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
-from dataclasses import dataclass, field, replace
-from functools import cached_property
-from typing import Any, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Any, ClassVar, Iterable, Sequence, TypeVar
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
@@ -30,6 +33,12 @@ SIG_ALG = "ed25519"
 # Fewest signatures verify_signatures splits across CPUs; each slice then
 # holds at least half this many, so a fork pays for itself many times over.
 PARALLEL_MIN = 512
+
+# A record's verdict under a key lives in its instance dict under this prefix
+# plus the key, as a cached_property keeps its value: not a field, so eq, hash,
+# repr, the wire form and dataclasses.replace never see it, and not read as an
+# attribute, whose lookup would put a fresh name in the type's method cache.
+_VERDICT = "verdict under "
 
 # An enclave measurement is a Digest; the alias marks intent at call sites.
 EnclaveMeasurement = Digest
@@ -121,26 +130,61 @@ def _read_child(child: tuple[int, int] | None) -> bytes:
     return answer if os.waitstatus_to_exitcode(status) == 0 else b""
 
 
+_S = TypeVar("_S", bound="Signed")
+
+
+class Signed:
+    """A record signed over its signed_bytes(), the signature held in the
+    field that signature_field names."""
+
+    signature_field: ClassVar[str] = "signature"
+
+    def signed_bytes(self) -> bytes:
+        raise NotImplementedError
+
+    @classmethod
+    def signed_by(cls: type[_S], private_key: Ed25519PrivateKey, *args: Any, **fields: Any) -> _S:
+        """The record of these fields (all but the signature), signed with the
+        private key; the signature is set in place, as no one holds it yet."""
+        record = cls(*args, **fields, **{cls.signature_field: b""})
+        object.__setattr__(record, cls.signature_field, private_key.sign(record.signed_bytes()))
+        return record
+
+    def _verdict(self, pubkey_hex: str) -> bool | None:
+        """The memoized verdict under the key, or None if not yet checked."""
+        return vars(self).get(_VERDICT + pubkey_hex)
+
+    def verifies_under(self, pubkey_hex: str) -> bool:
+        """Whether the signature verifies under the public key (hex); memoized per key."""
+        verdict = self._verdict(pubkey_hex)
+        return check_signatures([(self, pubkey_hex)])[0] if verdict is None else verdict
+
+
+def check_signatures(pairs: Sequence[tuple[Signed, str | None]]) -> list[bool]:
+    """Whether each record's signature verifies under its public key (hex),
+    in order; a None key is a False verdict, not memoized. Every verdict not
+    yet memoized is checked in one verify_signatures call and memoized."""
+    verdicts = [key is not None and record._verdict(key) for record, key in pairs]
+    pending = [i for i, verdict in enumerate(verdicts) if verdict is None]
+    if pending:
+        unchecked = [pairs[i] for i in pending]
+        triples = [(key, getattr(record, record.signature_field), record.signed_bytes()) for record, key in unchecked]
+        for i, (record, key), verdict in zip(pending, unchecked, verify_signatures(triples)):
+            vars(record)[_VERDICT + key] = verdicts[i] = verdict
+    return verdicts
+
+
 @dataclass(frozen=True)
-class PlatformCertificate:
+class PlatformCertificate(Signed):
     """Root-signed binding of a platform id to its attestation public key."""
 
     platform_id: str
     pubkey: str
     root_signature: bytes
-    # root public key -> verdict. Not an init field, so dataclasses.replace
-    # starts a changed certificate with an empty memo.
-    _verdicts: dict[str, bool] = field(default_factory=dict, init=False, compare=False, repr=False)
+    signature_field = "root_signature"
 
     def signed_bytes(self) -> bytes:
         return canonicalize({"platform_id": self.platform_id, "pubkey": self.pubkey})
-
-    def verifies_under(self, root_pubkey_hex: str) -> bool:
-        verdict = self._verdicts.get(root_pubkey_hex)
-        if verdict is None:
-            verdict = _verify_hex(root_pubkey_hex, self.root_signature, self.signed_bytes())
-            self._verdicts[root_pubkey_hex] = verdict
-        return verdict
 
     def to_json_value(self) -> dict[str, Any]:
         return {
@@ -174,7 +218,7 @@ class PlatformIdentity:
 
 
 @dataclass(frozen=True)
-class Quote:
+class Quote(Signed):
     enclave_measurement: EnclaveMeasurement
     report_data: Digest
     debug: bool
@@ -198,17 +242,8 @@ class Quote:
     def from_json_value(cls, value: Any) -> "Quote":
         return parse_record(cls, value, "quote")
 
-    def signed(self) -> tuple[str, bytes, bytes]:
-        """(public key hex, signature, message) of the quote's signature."""
-        message = _quote_message(self.enclave_measurement, self.report_data, self.debug)
-        return self.attestation_pubkey, self.signature, message
-
-    @cached_property
-    def signature_valid(self) -> bool:
-        """Whether the signature verifies under attestation_pubkey, computed
-        once per Quote object (check_quote_signatures fills it in bulk). Not
-        a field, so dataclasses.replace starts a changed quote without it."""
-        return _verify_hex(*self.signed())
+    def signed_bytes(self) -> bytes:
+        return self.enclave_measurement.value + self.report_data.value + (b"\x01" if self.debug else b"\x00")
 
 
 @dataclass(frozen=True)
@@ -219,18 +254,12 @@ class QuoteResult:
     report_data: Digest | None = None
 
 
-def _certify(signer: Ed25519PrivateKey, platform_id: str, subject: Ed25519PrivateKey) -> PlatformCertificate:
-    """A certificate binding platform_id to the subject's public key, signed by signer."""
-    unsigned = PlatformCertificate(platform_id=platform_id, pubkey=_public_hex(subject), root_signature=b"")
-    return replace(unsigned, root_signature=signer.sign(unsigned.signed_bytes()))
-
-
 def create_root(seed: bytes | str | None = None) -> ManufacturerRoot:
     """Manufacturer root keypair (from the seed, else OS entropy) plus its self-signed certificate."""
     if seed is not None and not seed:
         raise LamError("root seed must be nonempty")
     private = key_from_seed(seed)
-    certificate = _certify(private, "manufacturer-root", private)
+    certificate = PlatformCertificate.signed_by(private, "manufacturer-root", _public_hex(private))
     return ManufacturerRoot(private_key=private, public_hex=certificate.pubkey, certificate=certificate)
 
 
@@ -241,7 +270,7 @@ def provision_platform(root: ManufacturerRoot, platform_id: str, seed: bytes | s
     without one the key is drawn from OS entropy.
     """
     private = key_from_seed(seed)
-    certificate = _certify(root.private_key, platform_id, private)
+    certificate = PlatformCertificate.signed_by(root.private_key, platform_id, _public_hex(private))
     return PlatformIdentity(
         platform_id=platform_id, private_key=private, public_hex=certificate.pubkey, certificate=certificate
     )
@@ -267,10 +296,6 @@ def measure_enclave(measurer_code: bytes, manifest: TrustedManifest, config: byt
     )
 
 
-def _quote_message(measurement: EnclaveMeasurement, report_data: Digest, debug: bool) -> bytes:
-    return measurement.value + report_data.value + (b"\x01" if debug else b"\x00")
-
-
 def issue_quote(
     platform: PlatformIdentity,
     measurement: EnclaveMeasurement,
@@ -283,13 +308,12 @@ def issue_quote(
     `debug` exists so tests can simulate a debug-mode enclave; production
     callers never set it.
     """
-    signature = platform.private_key.sign(_quote_message(measurement, report_data, debug))
-    return Quote(
+    return Quote.signed_by(
+        platform.private_key,
         enclave_measurement=measurement,
         report_data=report_data,
         debug=debug,
         sig_alg=SIG_ALG,
-        signature=signature,
         attestation_pubkey=platform.public_hex,
         platform_certificate=platform.certificate,
     )
@@ -305,15 +329,9 @@ def verify_quote(quote: Quote, trusted_roots: Iterable[str]) -> QuoteResult:
         return QuoteResult(False, reason="bad-chain")
     if quote.sig_alg != SIG_ALG:
         return QuoteResult(False, reason="bad-signature")
-    if not quote.signature_valid:
+    if not quote.verifies_under(quote.attestation_pubkey):
         return QuoteResult(False, reason="bad-signature")
     if quote.debug:
         return QuoteResult(False, reason="debug-enclave")
     return QuoteResult(True, measurement=quote.enclave_measurement, report_data=quote.report_data)
 
-
-def check_quote_signatures(quotes: Sequence[Quote]) -> None:
-    """Fill every quote's signature_valid memo at once (see verify_signatures)."""
-    for quote, verdict in zip(quotes, verify_signatures([q.signed() for q in quotes])):
-        # what cached_property itself does on first access
-        vars(quote)["signature_valid"] = verdict

@@ -3,20 +3,21 @@ claim templates, and external certificates naming datasets or models.
 
 Endorser keys are the second root of trust next to the TEE manufacturer:
 a verifier that trusts an endorser key can derive trust in every record it
-signed. Both record kinds are canonical JSON and signature-checked at load.
+signed. Both record kinds are canonical JSON and backend.Signed records,
+signed and checked as every signature is; a store is checked in one call.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
-from .backend import _public_hex, _verify_hex, key_from_seed, verify_signatures
+from .backend import Signed, _public_hex, check_signatures, key_from_seed
 from .errors import InvalidCertificationError, LamError
 from .hashcore import Digest, canonicalize, hash_bytes, parse_record, read_canonical
 
@@ -58,7 +59,7 @@ class Endorser:
 
 
 @dataclass(frozen=True)
-class Certification:
+class Certification(Signed):
     """Endorser-signed mapping: enclave measurement -> claim template."""
 
     enclave_measurement: Digest
@@ -70,9 +71,6 @@ class Certification:
         return canonicalize(
             {"enclave_measurement": self.enclave_measurement.hex, "template": self.template}
         )
-
-    def verifies_under(self, endorser_pubkey_hex: str) -> bool:
-        return _verify_hex(endorser_pubkey_hex, self.signature, self.signed_bytes())
 
     def to_json_value(self) -> dict[str, Any]:
         return {
@@ -103,24 +101,11 @@ class Certification:
 def make_certification(endorser: Endorser, measurement: Digest, template: Any) -> Certification:
     """Validate the template and sign (measurement, template)."""
     validate_template(template)
-    unsigned = Certification(measurement, template, endorser.endorser_id, signature=b"")
-    return replace(unsigned, signature=endorser.private_key.sign(unsigned.signed_bytes()))
-
-
-class _Memo:
-    """An external certificate's verdict by endorser key, and weak references
-    to the certificates parsed together with it (see check_together), so a
-    batch keeps none of them alive."""
-
-    __slots__ = ("verdicts", "batch")
-
-    def __init__(self) -> None:
-        self.verdicts: dict[str, bool] = {}
-        self.batch: tuple[weakref.ref[ExternalCertificate], ...] = ()
+    return Certification.signed_by(endorser.private_key, measurement, template, endorser.endorser_id)
 
 
 @dataclass(frozen=True)
-class ExternalCertificate:
+class ExternalCertificate(Signed):
     """Endorser-signed statement about a dataset or model digest."""
 
     subject_sha256: Digest
@@ -129,9 +114,9 @@ class ExternalCertificate:
     claims: Any
     endorser_id: str
     signature: bytes
-    # Not an init field, so dataclasses.replace starts a changed certificate
-    # with an empty memo and no batch.
-    _memo: _Memo = field(default_factory=_Memo, init=False, compare=False, repr=False)
+    # Weak references to the certificates parsed with this one (check_together).
+    # Not an init field, so dataclasses.replace starts a changed one with none.
+    _batch: tuple[weakref.ref[ExternalCertificate], ...] = field(default=(), init=False, compare=False, repr=False)
 
     def signed_bytes(self) -> bytes:
         return canonicalize(
@@ -145,22 +130,13 @@ class ExternalCertificate:
         )
 
     def verifies_under(self, endorser_pubkey_hex: str) -> bool:
-        """Whether the signature verifies under the key, memoized per key.
-        For callers that ask one certificate at a time, the first question
-        under a key answers it, in one verify_signatures call, for every
-        certificate of this one's batch that names the same endorser and has
-        no verdict under that key yet (verify_external_certificates answers
-        a whole bundle across endorsers)."""
-        verdict = self._memo.verdicts.get(endorser_pubkey_hex)
-        if verdict is None:
-            pending = [
-                c
-                for c in (ref() for ref in self._memo.batch)
-                if c is not None and c.endorser_id == self.endorser_id and endorser_pubkey_hex not in c._memo.verdicts
-            ]
-            _check([(c, endorser_pubkey_hex) for c in pending or [self]])
-            verdict = self._memo.verdicts[endorser_pubkey_hex]
-        return verdict
+        """Signed.verifies_under; the first question under a key answers it
+        in one check_signatures call for every certificate of this one's
+        batch that names the same endorser."""
+        if self._verdict(endorser_pubkey_hex) is None:
+            batch = [c for c in (ref() for ref in self._batch) if c is not None and c.endorser_id == self.endorser_id]
+            check_signatures([(c, endorser_pubkey_hex) for c in batch])
+        return super().verifies_under(endorser_pubkey_hex)
 
     def to_json_value(self) -> dict[str, Any]:
         return {
@@ -186,26 +162,7 @@ def check_together(certificates: Sequence[ExternalCertificate]) -> None:
     when one of them is asked about (see ExternalCertificate.verifies_under)."""
     batch = tuple(weakref.ref(cert) for cert in certificates)
     for cert in certificates:
-        cert._memo.batch = batch
-
-
-def verify_external_certificates(
-    certificates: Sequence[ExternalCertificate], endorser_keys: Mapping[str, str]
-) -> list[bool]:
-    """Whether each certificate verifies under its endorser's key (False for
-    an endorser without one). Every verdict not yet memoized, whatever its
-    endorser, is checked in one verify_signatures call."""
-    keyed = [(cert, endorser_keys.get(cert.endorser_id)) for cert in certificates]
-    _check([(cert, key) for cert, key in keyed if key is not None and key not in cert._memo.verdicts])
-    return [key is not None and cert._memo.verdicts[key] for cert, key in keyed]
-
-
-def _check(pending: Sequence[tuple[ExternalCertificate, str]]) -> None:
-    """Memoize each certificate's verdict under its key, all checked in one
-    verify_signatures call."""
-    triples = [(key, cert.signature, cert.signed_bytes()) for cert, key in pending]
-    for (cert, key), ok in zip(pending, verify_signatures(triples)):
-        cert._memo.verdicts[key] = ok
+        object.__setattr__(cert, "_batch", batch)
 
 
 def make_external_certificate(
@@ -219,8 +176,9 @@ def make_external_certificate(
         raise LamError(f"subject_kind must be one of {SUBJECT_KINDS}")
     claims = claims if claims is not None else {}
     canonicalize(claims)  # rejects floats and other non-canonical content, at their path in claims
-    unsigned = ExternalCertificate(subject, subject_kind, name, claims, endorser.endorser_id, signature=b"")
-    return replace(unsigned, signature=endorser.private_key.sign(unsigned.signed_bytes()))
+    return ExternalCertificate.signed_by(
+        endorser.private_key, subject, subject_kind, name, claims, endorser.endorser_id
+    )
 
 
 class CertificationStore:
@@ -268,14 +226,14 @@ class CertificationStore:
 
     @classmethod
     def load(cls, path: str | Path, endorser_keys: Mapping[str, str]) -> "CertificationStore":
-        """Load a store file, rejecting any record whose signature does not
-        verify under a registered endorser key."""
+        """Load a store file, rejecting it for the first record, in store order,
+        whose signature does not verify under a registered endorser key."""
         store = cls.read_unverified(path)
-        for cert in store._all:
-            pubkey = endorser_keys.get(cert.endorser_id)
+        keyed = [(cert, endorser_keys.get(cert.endorser_id)) for cert in store._all]
+        for (cert, pubkey), verdict in zip(keyed, check_signatures(keyed)):
             if pubkey is None:
                 raise LamError(f"certification by unknown endorser {cert.endorser_id!r}")
-            if not cert.verifies_under(pubkey):
+            if not verdict:
                 raise LamError(
                     f"certification signature invalid (endorser {cert.endorser_id!r}, "
                     f"measurement {cert.enclave_measurement.hex[:12]})"

@@ -12,8 +12,8 @@ canonical file: `Dataset.from_csv_bytes` keeps a file that is already
 canonical as it stands, checking it line by line and parsing every number
 with one `np.fromstring` call, and passes the parsed cells of any other file
 to `from_rows`. A dataset built directly from quantized arrays formats its
-features through the same quantizer when its canonical bytes are first
-asked for.
+features with the quantizer's formatting half, `hashcore.format_rows`, when
+its canonical bytes are first asked for.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from ..errors import ConfigError, DomainError
 from ..hashcore import (
     Digest,
     canonicalize,
+    float_rows,
+    format_rows,
     hash_bytes,
     parse_canonical,
     parse_decimal_string,
@@ -89,7 +91,7 @@ class Dataset:
         """A dataset of the rows' features quantized by hashcore.quantize_rows;
         its canonical CSV is joined from the row strings they were quantized
         from, so no feature is formatted twice."""
-        texts, values = quantize_rows(np.asarray(features, dtype=np.float64).reshape(len(features), len(schema)))
+        texts, values = quantize_rows(float_rows(features).reshape(len(features), len(schema)))
         labels_array, sensitive_array = _int64_columns(labels, sensitive, lambda i: f"row {i}")
         dataset = cls(schema=tuple(schema), features=values, labels=labels_array, sensitive=sensitive_array)
         dataset.__dict__["canonical_bytes"] = _csv_bytes(dataset.schema, texts, dataset.labels, dataset.sensitive)
@@ -118,7 +120,7 @@ class Dataset:
         """The canonical CSV; set at construction by from_rows and by
         from_csv_bytes, formatted from the features here for any other
         dataset."""
-        return _csv_bytes(self.schema, quantize_rows(self.features)[0], self.labels, self.sensitive)
+        return _csv_bytes(self.schema, format_rows(self.features), self.labels, self.sensitive)
 
     @cached_property
     def digest(self) -> Digest:

@@ -11,8 +11,8 @@ arrays in integer micro-units, held exactly in float64: one addition per cell
 and one correctly rounded division give the float the decimal sum converts
 to, with the sign of a zero sum as Decimal gives it. Any other dataset, or an
 eps of 1e9 or more, is moved cell by cell in Decimal, from the cells
-`hashcore.quantize_rows` formats, and the perturbed rows are built into a
-dataset by `Dataset.from_rows`, which quantizes them with that same quantizer.
+`hashcore.format_rows` formats, and the perturbed rows are built into a
+dataset by `Dataset.from_rows`, which quantizes them.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from decimal import Decimal
 import numpy as np
 
 from ..errors import DomainError
-from ..hashcore import decimal_string, parse_decimal_string, quantize_rows
+from ..hashcore import decimal_string, format_rows, parse_decimal_string
 from .data import Dataset
 from .model import Model, _activate, _activate_grad, softmax
 
@@ -90,7 +90,7 @@ def fgsm_dataset(model: Model, dataset: Dataset, eps: str) -> Dataset:
         )
 
     perturbed = []
-    for line, row_signs in zip(quantize_rows(features)[0], signs.tolist()):
+    for line, row_signs in zip(format_rows(features), signs.tolist()):
         row = []
         for cell, s in zip(line.split(","), row_signs):
             if s > 0:

@@ -4,8 +4,8 @@ Everything downstream hashes the model file, so the in-memory weights are the
 quantized values the file round-trips to. A trained model and a loaded model
 file are both built by `Model.from_float_params`, which quantizes every
 parameter with `hashcore.quantize_rows`, the one quantizer; the model file is
-formatted from the parameters by the same quantizer, and inference quantizes
-its input and its scores with it too. Training order is fixed (seeded init,
+formatted from them by its formatting half, `hashcore.format_rows`, and
+inference quantizes its input and its scores with it too. Training order is fixed (seeded init,
 seeded per-epoch shuffles, sequential batch updates), making the output a
 pure function of (dataset, config).
 
@@ -29,6 +29,7 @@ from ..errors import ConfigError, DomainError
 from ..hashcore import (
     Digest,
     canonicalize,
+    format_rows,
     hash_bytes,
     parse_canonical,
     parse_decimal_string,
@@ -115,8 +116,8 @@ class Model:
         return {
             "activation": self.architecture.activation,
             "arch": list(self.architecture.layer_widths),
-            "biases": [quantize_rows([b])[0][0].split(",") for b in self.biases],
-            "weights": [[row.split(",") for row in quantize_rows(w)[0]] for w in self.weights],
+            "biases": [format_rows(b[np.newaxis])[0].split(",") for b in self.biases],
+            "weights": [[row.split(",") for row in format_rows(w)] for w in self.weights],
         }
 
     @classmethod

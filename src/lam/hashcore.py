@@ -7,8 +7,8 @@ Three commitments live here and nowhere else:
 * Canonical JSON: UTF-8, object keys sorted by code point, no insignificant
   whitespace, and no float tokens: non-integer numbers must be decimal
   strings (see decimal_string / ratio_string for the 6-fractional-digit,
-  round-half-even formatting rule, and quantize_rows for the arrays of
-  features and parameters it applies to).
+  round-half-even formatting rule, and quantize_rows and format_rows for
+  the arrays of features and parameters it applies to).
 * Trusted manifests: sorted (path, digest) entries over a directory tree,
   with read-once file hashing so callers never operate on re-read bytes.
 
@@ -305,27 +305,46 @@ def decimal_string(value: float | int | Decimal) -> str:
         return str(number.quantize(_QUANTUM, rounding=ROUND_HALF_EVEN))
 
 
-def quantize_rows(rows: Any) -> tuple[list[str], np.ndarray]:
-    """The canonical text of each row of a float array, its cells joined by
-    commas, and the float64 array the cells parse to.
+def float_rows(rows: Any) -> np.ndarray:
+    """The rows as a float64 array; a DomainError names the first number
+    beyond the float range by row and column."""
+    try:
+        return np.asarray(rows, dtype=np.float64)
+    except OverflowError:
+        for i, row in enumerate(rows):
+            for j, cell in enumerate(row):
+                try:
+                    float(cell)
+                except OverflowError:
+                    raise DomainError(f"row {i} column {j} is outside the float range") from None
+        raise
 
-    This is the one quantizer of dataset features, model parameters and
-    inference inputs and scores. Each row is formatted with one `%`-format,
-    by the rule decimal_string applies to a float, and all cells are read
-    back by one cast of their strings to float64, which gives each the float
-    that float() gives. Quantizing is idempotent, so a round trip through
-    any canonical file gives back the same floats. NaN and infinities raise
-    decimal_string's DomainError, for the first in row order.
-    """
-    array = np.asarray(rows, dtype=np.float64)
+
+def format_rows(array: np.ndarray) -> list[str]:
+    """The canonical text of each row of a 2-D float array, its cells joined
+    by commas: one `%`-format per row, by the rule decimal_string applies to
+    a float. NaN and infinities raise decimal_string's DomainError, for the
+    first in row order."""
     line = ",".join(["%.6f"] * array.shape[-1])
     texts = [line % tuple(row) for row in array.tolist()]
-    joined = ",".join(texts)
-    if "n" in joined:  # "nan" or "inf": no finite number's text has an n
+    if "n" in "".join(texts):  # "nan" or "inf": no finite number's text has an n
         decimal_string(float(array[~np.isfinite(array)][0]))
+    return texts
+
+
+def quantize_rows(rows: Any) -> tuple[list[str], np.ndarray]:
+    """The row texts of format_rows, and the float64 array their cells parse
+    to by one cast of their strings (the float that float() gives each).
+
+    The one quantizer of dataset features, model parameters and inference
+    inputs and scores. It is idempotent, so a round trip through any canonical
+    file gives back the same floats; a quantized array needs only format_rows.
+    """
+    array = float_rows(rows)
+    texts = format_rows(array)
     if not array.size:  # rows of no cells, which join to bare commas
         return texts, np.empty(array.shape)
-    return texts, np.array(joined.split(","), dtype=np.float64).reshape(array.shape)
+    return texts, np.array(",".join(texts).split(","), dtype=np.float64).reshape(array.shape)
 
 
 def ratio_string(numerator: int, denominator: int) -> str:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from .backend import check_quote_signatures, verify_quote
+from .backend import check_signatures, verify_quote
 from .cards import PropertyCard, assemble_cards
 from .certs import (
     Certification,
@@ -20,7 +20,6 @@ from .certs import (
     ExternalCertificate,
     check_together,
     validate_template,
-    verify_external_certificates,
 )
 from .errors import CanonicalizationError, InvalidCertificationError, LamError
 from .hashcore import Digest, canonicalize, hash_bytes, parse_canonical_exact, read_canonical
@@ -227,7 +226,7 @@ class AssertionBundle:
             if not isinstance(value.get(key), list):
                 raise LamError(f"assertion bundle {key!r} must be a JSON array")
         envelopes = AttestationEnvelope.from_json_values(value["envelopes"])
-        check_quote_signatures([e.quote for e in envelopes])
+        check_signatures([(e.quote, e.quote.attestation_pubkey) for e in envelopes])
         externals = tuple(ExternalCertificate.from_json_value(c) for c in value["external_certificates"])
         check_together(externals)
         return cls(envelopes=tuple(envelopes), external_certificates=externals)
@@ -496,7 +495,7 @@ def verify_bundle(
     roots = set(trusted_roots)
     verdicts = tuple(verify_envelope(envelope, store, roots) for envelope in bundle.envelopes)
     certs = bundle.external_certificates
-    externals = tuple(zip(certs, verify_external_certificates(certs, endorser_keys)))
+    externals = tuple(zip(certs, check_signatures([(c, endorser_keys.get(c.endorser_id)) for c in certs])))
     fragments = [v.fragment for v in verdicts if v.accepted]
     valid_externals = [cert for cert, ok in externals if ok]
     report = resolve_chains(fragments, valid_externals)

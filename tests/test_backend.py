@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -14,6 +14,7 @@ from lam.backend import (
     provision_platform,
     verify_quote,
 )
+from lam.certs import Endorser, make_certification, make_external_certificate
 from lam.errors import LamError
 from lam.hashcore import Digest, TrustedManifest, canonicalize, hash_bytes
 
@@ -219,30 +220,60 @@ def _flip_byte(data: bytes) -> bytes:
     return bytes(flipped)
 
 
-def test_replaced_certificate_starts_with_an_empty_memo(test_root, test_platform):
-    cert = test_platform.certificate
-    assert cert.verifies_under(test_root.public_hex)
-    forged = replace(cert, root_signature=_flip_byte(cert.root_signature))
-    assert not forged.verifies_under(test_root.public_hex)
-    assert cert.verifies_under(test_root.public_hex)
+def _signed_records(root, platform):
+    """One record of each signed kind, with the public key it verifies under."""
+    endorser = Endorser.create("memo-endorser", seed=b"memo-endorser")
+    measurement = hash_bytes(b"memo measurement")
+    # a string template and string claims, so the records are hashable
+    return {
+        "platform-certificate": (platform.certificate, root.public_hex),
+        "quote": (issue_quote(platform, measurement, hash_bytes(b"memo report")), platform.public_hex),
+        "certification": (make_certification(endorser, measurement, "memo"), endorser.public_hex),
+        "external-certificate": (
+            make_external_certificate(endorser, measurement, "dataset", "memo set", "memo"),
+            endorser.public_hex,
+        ),
+    }
 
 
-def test_memo_is_keyed_by_root(test_root, test_platform):
-    other_root = create_root(b"memo-other-root")
-    cert = test_platform.certificate
-    assert cert.verifies_under(test_root.public_hex)
-    assert not cert.verifies_under(other_root.public_hex)
-    assert cert.verifies_under(test_root.public_hex)
+SIGNED_KINDS = ("platform-certificate", "quote", "certification", "external-certificate")
 
 
-def test_memo_is_not_part_of_equality_hash_or_wire_form(test_root, test_platform):
-    cert = test_platform.certificate
-    fresh = PlatformCertificate.from_json_value(cert.to_json_value())
-    assert cert.verifies_under(test_root.public_hex)
-    assert not fresh._verdicts
-    assert cert._verdicts
-    assert cert == fresh
-    assert hash(cert) == hash(fresh)
-    assert repr(cert) == repr(fresh)
-    assert cert.to_json_value() == fresh.to_json_value()
-    assert set(cert.to_json_value()) == {"platform_id", "pubkey", "root_signature"}
+@pytest.fixture(params=SIGNED_KINDS)
+def signed_record(request, test_root, test_platform):
+    return _signed_records(test_root, test_platform)[request.param]
+
+
+def test_replaced_record_starts_with_an_empty_memo(signed_record):
+    record, key = signed_record
+    signature = getattr(record, record.signature_field)
+    assert record.verifies_under(key)
+    forged = replace(record, **{record.signature_field: _flip_byte(signature)})
+    assert forged._verdict(key) is None
+    assert not forged.verifies_under(key)
+    assert record.verifies_under(key)
+    restored = replace(forged, **{record.signature_field: signature})
+    assert restored == record and restored._verdict(key) is None
+    assert restored.verifies_under(key)
+
+
+def test_memo_is_keyed_by_key(signed_record):
+    record, key = signed_record
+    other = create_root(b"memo-other-root").public_hex
+    assert record.verifies_under(key)
+    assert not record.verifies_under(other)
+    assert record._verdict(key) is True and record._verdict(other) is False
+    assert record.verifies_under(key)
+
+
+def test_memo_is_not_part_of_equality_hash_or_wire_form(signed_record):
+    record, key = signed_record
+    fresh = type(record).from_json_value(record.to_json_value())
+    assert record.verifies_under(key)
+    assert fresh._verdict(key) is None
+    assert record._verdict(key) is True
+    assert record == fresh
+    assert hash(record) == hash(fresh)
+    assert repr(record) == repr(fresh)
+    assert canonicalize(record.to_json_value()) == canonicalize(fresh.to_json_value())
+    assert set(record.to_json_value()) == {f.name for f in fields(record) if f.init}

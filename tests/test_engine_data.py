@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from lam.engine.data import Architecture, Dataset, TrainingConfig
+from lam.engine.model import Model, predict
 from lam.errors import ConfigError, DomainError
 from lam.hashcore import parse_canonical
 
@@ -33,6 +34,27 @@ def test_dataset_csv_round_trip(fixture_a):
 def test_from_rows_names_an_integer_outside_int64(labels, sensitive, message):
     with pytest.raises(DomainError) as excinfo:
         Dataset.from_rows(("a",), [[0.0], [1.0]], labels, sensitive)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    ("build", "message"),
+    [
+        (lambda model: predict(model, [10**400, 1]), "row 0 column 0 is outside the float range"),
+        (
+            lambda model: Dataset.from_rows(("a", "b"), [[0, 1], [2, -(10**400)]], [0, 1], [0, 0]),
+            "row 1 column 1 is outside the float range",
+        ),
+        (
+            lambda model: Model.from_float_params(model.architecture, [[[1, 0], [0, 10**400]]], model.biases),
+            "row 1 column 1 is outside the float range",
+        ),
+    ],
+    ids=["predict", "from_rows", "from_float_params"],
+)
+def test_numbers_beyond_the_float_range_are_named(pattern_model, build, message):
+    with pytest.raises(DomainError) as excinfo:
+        build(pattern_model)
     assert str(excinfo.value) == message
 
 

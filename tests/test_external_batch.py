@@ -11,7 +11,6 @@ import weakref
 from dataclasses import replace
 
 import lam.backend as backend
-import lam.certs as certs_module
 from lam.backend import PARALLEL_MIN, _verify_hex
 from lam.certs import CertificationStore, Endorser, ExternalCertificate, make_external_certificate
 from lam.hashcore import hash_bytes
@@ -74,7 +73,7 @@ def test_asking_about_one_endorser_checks_none_of_another(monkeypatch):
     alice = [c for c in parsed if c.endorser_id == "alice"]
     assert alice[1].verifies_under(ALICE.public_hex)
     assert checked == [ALICE.public_hex] * len(alice)
-    assert all(c._memo.verdicts == {} for c in parsed if c.endorser_id != "alice")
+    assert all(c._verdict(ALICE.public_hex) is None for c in parsed if c.endorser_id != "alice")
     assert all(c.verifies_under(ALICE.public_hex) for c in alice)
     assert len(checked) == len(alice)  # the others were answered from the memo
 
@@ -83,9 +82,9 @@ def test_replaced_certificate_starts_with_an_empty_memo_and_no_batch():
     cert = _parsed(_certificates([ALICE, BOB], forged=set()))[0]
     assert cert.verifies_under(ALICE.public_hex)
     renamed = replace(cert, name="renamed")
-    assert renamed._memo.verdicts == {} and renamed._memo.batch == ()
+    assert renamed._verdict(ALICE.public_hex) is None and renamed._batch == ()
     assert not renamed.verifies_under(ALICE.public_hex)  # the name is signed
-    assert renamed._memo.batch == () and all(ref() is not renamed for ref in cert._memo.batch)
+    assert renamed._batch == () and all(ref() is not renamed for ref in cert._batch)
     assert cert.verifies_under(ALICE.public_hex)
     restored = replace(renamed, name=cert.name)
     assert restored == cert and restored.verifies_under(ALICE.public_hex)
@@ -117,13 +116,13 @@ def test_forked_batch_equals_the_serial_check(monkeypatch):
 def _counting_verify_signatures(monkeypatch) -> list[int]:
     """Record the size of each verify_signatures call the certificates make."""
     calls = []
-    real = certs_module.verify_signatures
+    real = backend.verify_signatures
 
     def counting(triples):
         calls.append(len(triples))
         return real(triples)
 
-    monkeypatch.setattr(certs_module, "verify_signatures", counting)
+    monkeypatch.setattr(backend, "verify_signatures", counting)
     return calls
 
 

@@ -14,7 +14,7 @@ from dataclasses import replace
 import pytest
 
 import lam.backend as backend
-from lam.backend import PARALLEL_MIN, Quote, _quote_message, _verify_hex, issue_quote, verify_quote
+from lam.backend import PARALLEL_MIN, Quote, _verify_hex, issue_quote, verify_quote
 from lam.hashcore import hash_bytes
 from lam.measurers import AttestationEnvelope
 from lam.verifier import AssertionBundle
@@ -61,20 +61,21 @@ def forks(monkeypatch):
 
 
 def _serial(quotes: list[Quote]) -> list[bool]:
-    return [
-        _verify_hex(q.attestation_pubkey, q.signature, _quote_message(q.enclave_measurement, q.report_data, q.debug))
-        for q in quotes
-    ]
+    return [_verify_hex(q.attestation_pubkey, q.signature, q.signed_bytes()) for q in quotes]
+
+
+def _memoized(quotes: list[Quote]) -> list[bool | None]:
+    """Each quote's memoized verdict under its own key, without checking any."""
+    return [q._verdict(q.attestation_pubkey) for q in quotes]
 
 
 def test_forked_verdicts_equal_the_serial_loop(bundle_value, forks, test_root):
     bundle = AssertionBundle.from_file_value(bundle_value)
     quotes = [e.quote for e in bundle.envelopes]
     assert len(forks) == CPUS - 1
-    assert all("signature_valid" in vars(q) for q in quotes)
     expected = _serial(quotes)
     assert expected == [i not in PLANTED for i in range(COUNT)]
-    assert [q.signature_valid for q in quotes] == expected
+    assert _memoized(quotes) == expected
     results = [verify_quote(q, {test_root.public_hex}) for q in quotes]
     assert [r.accepted for r in results] == expected
     assert {r.reason for r in results if not r.accepted} == {"bad-signature"}
@@ -125,7 +126,7 @@ def test_failed_children_are_rechecked_serially(bundle_value, forks, monkeypatch
     quotes = [e.quote for e in bundle.envelopes]
     assert len(forks) == CPUS - 1
     assert len(parent_checks) == COUNT  # every child's slice again, here
-    assert [q.signature_valid for q in quotes] == [i not in PLANTED for i in range(COUNT)]
+    assert _memoized(quotes) == [i not in PLANTED for i in range(COUNT)]
 
 
 @pytest.mark.parametrize(
@@ -138,7 +139,7 @@ def test_fork_count_follows_bundle_size_and_affinity(bundle_value, forks, monkey
     value = {**bundle_value, "envelopes": bundle_value["envelopes"][:count]}
     bundle = AssertionBundle.from_file_value(value)
     assert len(forks) == expected_forks
-    assert [e.quote.signature_valid for e in bundle.envelopes] == [i not in PLANTED for i in range(count)]
+    assert _memoized([e.quote for e in bundle.envelopes]) == [i not in PLANTED for i in range(count)]
 
 
 def test_no_fork_while_other_threads_run(bundle_value, forks):
@@ -152,16 +153,16 @@ def test_no_fork_while_other_threads_run(bundle_value, forks):
         thread.join(timeout=30)
     assert not thread.is_alive()
     assert forks == []
-    assert [e.quote.signature_valid for e in bundle.envelopes] == [i not in PLANTED for i in range(COUNT)]
+    assert _memoized([e.quote for e in bundle.envelopes]) == [i not in PLANTED for i in range(COUNT)]
 
 
 def test_replaced_quote_starts_without_a_memo(test_root, test_platform):
     quote = issue_quote(test_platform, hash_bytes(b"measurement"), hash_bytes(b"report"))
-    assert quote.signature_valid
+    assert quote.verifies_under(quote.attestation_pubkey)
     forged = replace(quote, signature=_flip(quote.signature))
-    assert "signature_valid" not in vars(forged)
-    assert not forged.signature_valid
+    assert _memoized([forged]) == [None]
+    assert not forged.verifies_under(forged.attestation_pubkey)
     assert verify_quote(forged, {test_root.public_hex}).reason == "bad-signature"
     fresh = Quote.from_json_value(quote.to_json_value())
-    assert "signature_valid" not in vars(fresh)
+    assert _memoized([fresh]) == [None]
     assert fresh == quote and hash(fresh) == hash(quote) and repr(fresh) == repr(quote)

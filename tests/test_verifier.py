@@ -4,9 +4,10 @@ from dataclasses import replace
 
 import pytest
 
+import lam.backend as backend
 from lam.backend import issue_quote
 from lam.certs import CertificationStore, Endorser, make_certification
-from lam.hashcore import hash_bytes
+from lam.hashcore import canonicalize, hash_bytes
 from lam.measurers import AttestationEnvelope
 from lam.verifier import AssertionBundle, verify_envelope
 from pipeline import sixrow_pipeline
@@ -159,6 +160,40 @@ def test_certification_store_load_rejects_bad_signature(pipe, tmp_path):
         CertificationStore.load(path, {"someone-else": pipe.endorser.public_hex})
     with pytest.raises(LamError, match="signature invalid"):
         CertificationStore.load(path, {pipe.endorser.endorser_id: "00" * 32})
+
+
+@pytest.mark.parametrize(
+    ("order", "error"),
+    [("forged-first", "signature invalid"), ("stranger-first", "unknown endorser 'stranger'")],
+    ids=["forged-first", "stranger-first"],
+)
+def test_certification_store_load_checks_every_signature_in_one_call(pipe, tmp_path, monkeypatch, order, error):
+    """One verify_signatures call for the whole store, and still the error of
+    the first rejected record in store order."""
+    from lam.errors import LamError
+
+    calls = []
+    real = backend.verify_signatures
+
+    def counting(triples):
+        calls.append(len(triples))
+        return real(triples)
+
+    monkeypatch.setattr(backend, "verify_signatures", counting)
+    path = tmp_path / "certifications.json"
+    pipe.store.save(path)
+    CertificationStore.load(path, pipe.endorser_keys)
+    assert len(pipe.store) > 1 and calls == [len(pipe.store)]
+
+    first, *rest = pipe.store.to_json_value()
+    forged = {**first, "signature": first["signature"][::-1]}
+    stranger = make_certification(Endorser.create("stranger", seed=b"stranger"), pipe.enclaves["metric"].measurement, None)
+    bad = [forged, stranger.to_json_value()] if order == "forged-first" else [stranger.to_json_value(), forged]
+    path.write_bytes(canonicalize(rest + bad))
+    calls.clear()
+    with pytest.raises(LamError, match=error):
+        CertificationStore.load(path, pipe.endorser_keys)
+    assert calls == [len(pipe.store)]  # the stranger's record has no key to check under
 
 
 def test_certification_store_read_unverified_round_trips_bytes(pipe, tmp_path):
