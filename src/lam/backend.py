@@ -8,8 +8,9 @@ implementation can be substituted; everything above it only sees Quote values
 and their canonical JSON wire form.
 
 Every signed record (platform certificate, quote, certification, external
-certificate) is a Signed: made by signed_by, checked by verifies_under or in
-bulk by check_signatures, its verdicts memoized per key. Nothing else signs.
+certificate) is a Signed: made by signed_by, read by from_json_value, checked
+by verifies_under or in bulk by check_signatures, its verdicts memoized per
+key. Nothing else signs.
 
 Quotes carry no nonce or timestamp: every attested payload binds content
 digests only, so replaying a genuine quote re-asserts a true statement.
@@ -27,7 +28,7 @@ from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
 
 from .errors import LamError
-from .hashcore import Digest, TrustedManifest, canonicalize, hash_bytes, parse_record
+from .hashcore import Digest, TrustedManifest, canonicalize, hash_bytes, record_fields
 
 SIG_ALG = "ed25519"
 # Fewest signatures verify_signatures splits across CPUs; each slice then
@@ -135,12 +136,24 @@ _S = TypeVar("_S", bound="Signed")
 
 class Signed:
     """A record signed over its signed_bytes(), the signature held in the
-    field that signature_field names."""
+    field that signature_field names. Its wire form is written by the
+    record's own to_json_value and read by from_json_value, whose errors
+    name the record by record_name."""
 
     signature_field: ClassVar[str] = "signature"
+    record_name: ClassVar[str]
+
+    @classmethod
+    def from_json_value(cls: type[_S], value: Any) -> _S:
+        """The record read from its JSON object; a LamError naming the
+        record and field when it is not one (see hashcore.record_fields)."""
+        return cls(**record_fields(cls, value, cls.record_name))
 
     def signed_bytes(self) -> bytes:
-        raise NotImplementedError
+        """The canonical JSON of the wire form without the signature field."""
+        value = self.to_json_value()
+        del value[self.signature_field]
+        return canonicalize(value)
 
     @classmethod
     def signed_by(cls: type[_S], private_key: Ed25519PrivateKey, *args: Any, **fields: Any) -> _S:
@@ -182,9 +195,7 @@ class PlatformCertificate(Signed):
     pubkey: str
     root_signature: bytes
     signature_field = "root_signature"
-
-    def signed_bytes(self) -> bytes:
-        return canonicalize({"platform_id": self.platform_id, "pubkey": self.pubkey})
+    record_name = "platform certificate"
 
     def to_json_value(self) -> dict[str, Any]:
         return {
@@ -192,10 +203,6 @@ class PlatformCertificate(Signed):
             "pubkey": self.pubkey,
             "root_signature": self.root_signature.hex(),
         }
-
-    @classmethod
-    def from_json_value(cls, value: Any) -> "PlatformCertificate":
-        return parse_record(cls, value, "platform certificate")
 
 
 @dataclass(frozen=True)
@@ -226,6 +233,7 @@ class Quote(Signed):
     signature: bytes
     attestation_pubkey: str
     platform_certificate: PlatformCertificate
+    record_name = "quote"
 
     def to_json_value(self) -> dict[str, Any]:
         return {
@@ -237,10 +245,6 @@ class Quote(Signed):
             "attestation_pubkey": self.attestation_pubkey,
             "platform_certificate": self.platform_certificate.to_json_value(),
         }
-
-    @classmethod
-    def from_json_value(cls, value: Any) -> "Quote":
-        return parse_record(cls, value, "quote")
 
     def signed_bytes(self) -> bytes:
         return self.enclave_measurement.value + self.report_data.value + (b"\x01" if self.debug else b"\x00")

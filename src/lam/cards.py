@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Iterable
 
-from .certs import ExternalCertificate
+from .certs import ExternalCertificate, certificates_by_subject
 from .errors import CardConflictError, LamError
 from .measurers import index_fragments
 
@@ -372,17 +372,6 @@ class _ClaimTable:
         return True
 
 
-def _dedupe(fragments: Iterable[VerifiedFragment]) -> list[VerifiedFragment]:
-    seen: set[str] = set()
-    out = []
-    for f in fragments:
-        key = f.fragment_sha256.hex
-        if key not in seen:
-            seen.add(key)
-            out.append(f)
-    return out
-
-
 def assemble_cards(
     fragments: Iterable[VerifiedFragment],
     externals: Iterable[ExternalCertificate] = (),
@@ -395,17 +384,10 @@ def assemble_cards(
     but it does not feed card claims (see module docstring).
     """
     del chains
-    frags = _dedupe(fragments)
-    externals = list(externals)
     table = _ClaimTable()
-
-    index = index_fragments(frags)
-
-    dataset_certs: dict[str, ExternalCertificate] = {}
-    model_certs: dict[str, ExternalCertificate] = {}
-    for cert in externals:
-        target = dataset_certs if cert.subject_kind == "dataset" else model_certs
-        target[cert.subject_sha256.hex] = cert
+    _, index = index_fragments(fragments)
+    certs = certificates_by_subject(externals)
+    dataset_certs, model_certs = certs["dataset"], certs["model"]
 
     def dataset_name(digest_hex: str) -> str:
         cert = dataset_certs.get(digest_hex)

@@ -5,6 +5,8 @@ Endorser keys are the second root of trust next to the TEE manufacturer:
 a verifier that trusts an endorser key can derive trust in every record it
 signed. Both record kinds are canonical JSON and backend.Signed records,
 signed and checked as every signature is; a store is checked in one call.
+certificates_by_subject is the one rule for which valid external
+certificate names a dataset or model; chains and cards both read it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from .backend import Signed, _public_hex, check_signatures, key_from_seed
 from .errors import InvalidCertificationError, LamError
-from .hashcore import Digest, canonicalize, hash_bytes, parse_record, read_canonical
+from .hashcore import Digest, canonicalize, hash_bytes, read_canonical
 
 SUBJECT_KINDS = ("dataset", "model")
 
@@ -66,6 +68,7 @@ class Certification(Signed):
     template: Any
     endorser_id: str
     signature: bytes
+    record_name = "certification"
 
     def signed_bytes(self) -> bytes:
         return canonicalize(
@@ -79,10 +82,6 @@ class Certification(Signed):
             "signature": self.signature.hex(),
             "template": self.template,
         }
-
-    @classmethod
-    def from_json_value(cls, value: Any) -> "Certification":
-        return parse_record(cls, value, "certification")
 
     @cached_property
     def certification_sha256(self) -> Digest:
@@ -117,17 +116,11 @@ class ExternalCertificate(Signed):
     # Weak references to the certificates parsed with this one (check_together).
     # Not an init field, so dataclasses.replace starts a changed one with none.
     _batch: tuple[weakref.ref[ExternalCertificate], ...] = field(default=(), init=False, compare=False, repr=False)
+    record_name = "external certificate"
 
-    def signed_bytes(self) -> bytes:
-        return canonicalize(
-            {
-                "claims": self.claims,
-                "endorser_id": self.endorser_id,
-                "name": self.name,
-                "subject_kind": self.subject_kind,
-                "subject_sha256": self.subject_sha256.hex,
-            }
-        )
+    def __post_init__(self) -> None:
+        if self.subject_kind not in SUBJECT_KINDS:
+            raise LamError(f"external certificate subject_kind must be one of {SUBJECT_KINDS}: {self.subject_kind!r}")
 
     def verifies_under(self, endorser_pubkey_hex: str) -> bool:
         """Signed.verifies_under; the first question under a key answers it
@@ -147,10 +140,6 @@ class ExternalCertificate(Signed):
             "subject_kind": self.subject_kind,
             "subject_sha256": self.subject_sha256.hex,
         }
-
-    @classmethod
-    def from_json_value(cls, value: Any) -> "ExternalCertificate":
-        return parse_record(cls, value, "external certificate")
 
     @cached_property
     def certificate_sha256(self) -> Digest:
@@ -172,13 +161,24 @@ def make_external_certificate(
     name: str,
     claims: Any = None,
 ) -> ExternalCertificate:
-    if subject_kind not in SUBJECT_KINDS:
-        raise LamError(f"subject_kind must be one of {SUBJECT_KINDS}")
     claims = claims if claims is not None else {}
     canonicalize(claims)  # rejects floats and other non-canonical content, at their path in claims
     return ExternalCertificate.signed_by(
         endorser.private_key, subject, subject_kind, name, claims, endorser.endorser_id
     )
+
+
+def certificates_by_subject(
+    certificates: Iterable[ExternalCertificate],
+) -> dict[str, dict[str, ExternalCertificate]]:
+    """subject_kind -> subject digest (hex) -> the certificate that names
+    that subject, for every kind in SUBJECT_KINDS. The certificates are the
+    valid ones, in bundle order; of several for one subject, the last one
+    names it. This is the only place that rule is made."""
+    by_subject: dict[str, dict[str, ExternalCertificate]] = {kind: {} for kind in SUBJECT_KINDS}
+    for cert in certificates:
+        by_subject[cert.subject_kind][cert.subject_sha256.hex] = cert
+    return by_subject
 
 
 class CertificationStore:

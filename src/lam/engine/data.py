@@ -38,6 +38,10 @@ from ..hashcore import (
 )
 
 ACTIVATIONS = ("tanh", "relu")
+# The most weights and biases an architecture may have, sum over layers of
+# (fan_in + 1) * fan_out: 8 MB per float64 copy, of which training keeps two
+# (four under Adam). The census architecture has 4,674.
+MAX_PARAMETERS = 10**6
 OPTIMIZERS = ("sgd", "adam")
 
 _RESERVED_COLUMNS = ("label", "sensitive")
@@ -247,10 +251,20 @@ class Architecture:
             raise ConfigError("hidden layer widths must be >= 1")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r} (supported: {ACTIVATIONS})")
+        if self.parameter_count > MAX_PARAMETERS:
+            raise ConfigError(
+                f"num_features, hidden and num_classes give {self.parameter_count} parameters "
+                f"(at most {MAX_PARAMETERS})"
+            )
 
     @property
     def layer_widths(self) -> tuple[int, ...]:
         return (self.num_features, *self.hidden, self.num_classes)
+
+    @property
+    def parameter_count(self) -> int:
+        widths = self.layer_widths
+        return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(widths, widths[1:]))
 
     def to_json_value(self) -> dict[str, Any]:
         return {

@@ -13,7 +13,7 @@ Three commitments live here and nowhere else:
   with read-once file hashing so callers never operate on re-read bytes.
 
 Wire records (quotes, certificates, certifications) are read from their
-canonical JSON by one typed parser, parse_record, driven by each record's
+canonical JSON by one typed parser, record_fields, driven by each record's
 field annotations.
 """
 
@@ -129,11 +129,6 @@ def record_fields(cls: type, value: Any, record: str) -> dict[str, Any]:
         except (TypeError, ValueError):
             raise LamError(f"{record} field {name!r} is malformed: {value[name]!r}") from None
     return parsed
-
-
-def parse_record(cls: type, value: Any, record: str) -> Any:
-    """The `cls` record read from its JSON object (see record_fields)."""
-    return cls(**record_fields(cls, value, record))
 
 
 def hash_bytes(data: bytes) -> Digest:
@@ -399,15 +394,6 @@ class TrustedManifest:
     @classmethod
     def from_entries(cls, entries: Iterable[tuple[str, Digest]]) -> "TrustedManifest":
         return cls(tuple(sorted(entries, key=lambda e: e[0].encode("utf-8"))))
-
-    @classmethod
-    def from_json_value(cls, value: Any) -> "TrustedManifest":
-        if not isinstance(value, list):
-            raise ValueError("manifest JSON must be an array")
-        entries = []
-        for item in value:
-            entries.append((item["path"], Digest.from_hex(item["sha256"])))
-        return cls.from_entries(entries)
 
 
 def build_manifest(root: str | Path) -> TrustedManifest:

@@ -418,12 +418,19 @@ def enclave_kind_for(att_type: str) -> str:
     return ATT_SPECS[att_type].enclave_kind
 
 
-def index_fragments(fragments: Iterable[VerifiedFragment]) -> dict[str, dict[str, list[VerifiedFragment]]]:
-    """att_type -> lookup digest -> fragments, each list in input order.
-    Fragments of other types are left out."""
-    index: dict[str, dict[str, list[VerifiedFragment]]] = {att: {} for att in ATT_SPECS}
+def index_fragments(
+    fragments: Iterable[VerifiedFragment],
+) -> tuple[list[VerifiedFragment], dict[str, dict[str, list[VerifiedFragment]]]]:
+    """The fragments chains and cards read: the first of each fragment_sha256,
+    in input order, so a fragment repeated in a bundle counts once; and the
+    builtin ones among them as att_type -> lookup digest -> fragments, each
+    list in input order."""
+    first: dict[bytes, VerifiedFragment] = {}
     for f in fragments:
+        first.setdefault(f.fragment_sha256.value, f)
+    index: dict[str, dict[str, list[VerifiedFragment]]] = {att: {} for att in ATT_SPECS}
+    for f in first.values():
         spec = ATT_SPECS.get(f.att_type)
         if spec is not None:
             index[f.att_type].setdefault(f.payload[spec.lookup], []).append(f)
-    return index
+    return list(first.values()), index

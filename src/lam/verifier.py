@@ -18,6 +18,7 @@ from .certs import (
     Certification,
     CertificationStore,
     ExternalCertificate,
+    certificates_by_subject,
     check_together,
     validate_template,
 )
@@ -287,10 +288,8 @@ def resolve_chains(
 ) -> ChainReport:
     """Link verified fragments on shared digests and report, per model, which
     chain edges hold. Gaps are reported as broken/blocked edges, not errors."""
-    frags = list(fragments)
-    index = index_fragments(frags)
-
-    dataset_certs = {c.subject_sha256.hex: c for c in externals if c.subject_kind == "dataset"}
+    frags, index = index_fragments(fragments)
+    dataset_certs = certificates_by_subject(externals)["dataset"]
 
     report = ChainReport()
 

@@ -10,9 +10,20 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-from lam.cards import PropertyCard, _ClaimTable, _dedupe, _external_entry, _provenance_entry
+from lam.cards import PropertyCard, _ClaimTable, _external_entry, _provenance_entry
 from lam.certs import ExternalCertificate
 from lam.verifier import _CORE_EDGES, ChainReport, VerifiedFragment, _conclusion, _edge
+
+
+def _dedupe(fragments: Iterable[VerifiedFragment]) -> list[VerifiedFragment]:
+    """The first fragment of each fragment digest, in input order."""
+    seen: set[str] = set()
+    out = []
+    for f in fragments:
+        if f.fragment_sha256.hex not in seen:
+            seen.add(f.fragment_sha256.hex)
+            out.append(f)
+    return out
 
 
 def reference_resolve_chains(
@@ -21,7 +32,7 @@ def reference_resolve_chains(
 ) -> ChainReport:
     """Link verified fragments on shared digests and report, per model, which
     chain edges hold. Gaps are reported as broken/blocked edges, not errors."""
-    frags = list(fragments)
+    frags = _dedupe(fragments)
     externals = list(externals)
     by_type: dict[str, list[VerifiedFragment]] = {}
     for f in frags:

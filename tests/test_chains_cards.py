@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lam.cards import assemble_cards
 from lam.errors import CardConflictError
 from lam.measurers import attest_accuracy, attest_distribution, attest_fairness, attest_inference, attest_robustness
-from lam.verifier import resolve_chains, verify_envelope
+from lam.verifier import AssertionBundle, resolve_chains, verify_bundle, verify_envelope
 from pipeline import default_config, sixrow_pipeline
 
 
@@ -250,6 +252,30 @@ def test_duplicate_fragments_merge_idempotently(pipe):
     cards_once = assemble_cards(frags, pipe.externals)
     cards_twice = assemble_cards(doubled, pipe.externals)
     assert [c.yaml_bytes() for c in cards_once] == [c.yaml_bytes() for c in cards_twice]
+    chains_once = resolve_chains(frags, pipe.externals).canonical_bytes()
+    assert resolve_chains(doubled, pipe.externals).canonical_bytes() == chains_once
+
+
+@settings(max_examples=40, deadline=None)
+@given(copies=st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63)), min_size=1, max_size=6))
+def test_repeated_envelopes_leave_chains_and_cards_unchanged(pipe, copies):
+    """A bundle file that repeats any of its envelopes, anywhere, verifies to
+    the chain report and cards of that bundle with every later copy removed
+    (provenance follows bundle order, so a copy placed before its original
+    moves that fragment up)."""
+    value = pipe.bundle().to_file_value()
+    envelopes = value["envelopes"]
+    for which, where in copies:
+        envelopes.insert(where % (len(envelopes) + 1), envelopes[which % len(envelopes)])
+    once = {**value, "envelopes": list({e["payload_b64"]: e for e in envelopes}.values())}
+
+    def outputs(bundle_value):
+        bundle = AssertionBundle.from_file_value(bundle_value)
+        result = verify_bundle(bundle, pipe.store, pipe.roots, pipe.endorser_keys)
+        return result.report.canonical_bytes(), [c.yaml_bytes() for c in result.cards]
+
+    assert len(once["envelopes"]) == len(pipe.envelopes)
+    assert outputs(value) == outputs(once)
 
 
 def test_conflicting_metric_values_raise(pipe, fixture_a, fixture_b, constant_model):

@@ -683,8 +683,14 @@ def test_bundle_wrong_envelope_version_exits_2(cli_ws, capsys, tmp_path, version
         (lambda c: c["architecture"].update(hidden=[4, "x"]), "hidden is not an integer: 'x'"),
         (lambda c: c.update(epochs="abc"), "epochs is not an integer: 'abc'"),
         (lambda c: c.update(learning_rate="abc"), "learning_rate is not a decimal string: 'abc'"),
+        # past the documented bounds: refused before training allocates or loops
+        (
+            lambda c: c["architecture"].update(hidden=[10**30]),
+            f"num_features, hidden and num_classes give {5 * 10**30 + 2} parameters (at most 1000000)",
+        ),
+        (lambda c: c.update(epochs=10**30), f"epochs x rows must be at most 10000000: {10**30} x 200"),
     ],
-    ids=["num_features", "hidden", "epochs", "learning_rate"],
+    ids=["num_features", "hidden", "epochs", "learning_rate", "hidden-bound", "epochs-bound"],
 )
 def test_attest_train_malformed_config_field_exits_2(cli_ws, capsys, tmp_path, edit, message):
     from lam.hashcore import canonicalize
@@ -743,6 +749,53 @@ def test_verify_malformed_external_certificate_exits_2(cli_ws, capsys, tmp_path)
     assert code == 2
     assert capsys.readouterr().err == "error: external certificate has no 'signature' field\n"
     assert not (tmp_path / "cards").exists()
+
+
+def _odd_kind_certificate(cli_ws: dict) -> dict:
+    """The wire form of a certificate, validly signed by the workspace's
+    endorser, naming the model under a subject_kind that is neither
+    "dataset" nor "model"."""
+    from lam.cli import Workspace
+    from lam.hashcore import canonicalize
+
+    value = {
+        "claims": {},
+        "endorser_id": "acme",
+        "name": "odd-name",
+        "subject_kind": "foo",
+        "subject_sha256": hashlib.sha256(Path(cli_ws["model"]).read_bytes()).hexdigest(),
+    }
+    signature = Workspace(cli_ws["ws"]).load_endorser("acme").private_key.sign(canonicalize(value))
+    return {**value, "signature": signature.hex()}
+
+
+ODD_KIND = "external certificate subject_kind must be one of ('dataset', 'model'): 'foo'"
+
+
+def test_verify_unknown_subject_kind_exits_2(cli_ws, capsys, tmp_path):
+    from lam.hashcore import canonicalize
+
+    ws = cli_ws["ws"]
+    bundle_value = parse_canonical((ws / "bundle.json").read_bytes())
+    bundle_value["external_certificates"].append(_odd_kind_certificate(cli_ws))
+    bundle = tmp_path / "bundle.json"
+    bundle.write_bytes(canonicalize(bundle_value))
+    code = run(*_verify_args(ws, tmp_path / "cards", bundle=bundle))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {ODD_KIND}\n"
+    assert not (tmp_path / "cards").exists()
+
+
+def test_bundle_unknown_subject_kind_exits_2(cli_ws, capsys, tmp_path):
+    from lam.hashcore import canonicalize
+
+    cert = tmp_path / "foo.cert.json"
+    cert.write_bytes(canonicalize(_odd_kind_certificate(cli_ws)))
+    out = tmp_path / "bundle.json"
+    code = run("bundle", str(cert), "--out", str(out))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {ODD_KIND}: {cert}\n"
+    assert not out.exists()
 
 
 def _space_pairs(text: str) -> str:

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from lam.engine.data import Architecture, Dataset, TrainingConfig
+from lam.engine.data import MAX_PARAMETERS, Architecture, Dataset, TrainingConfig
 from lam.engine.model import Model, predict
 from lam.errors import ConfigError, DomainError
 from lam.hashcore import parse_canonical
@@ -108,6 +108,18 @@ def test_architecture_validation():
         Architecture(num_features=2, num_classes=2, hidden=(0,), activation="tanh")
     with pytest.raises(ConfigError):
         Architecture(num_features=2, num_classes=2, hidden=(), activation="sigmoid")
+
+
+def test_architecture_parameter_count_is_bounded():
+    """(fan_in + 1) * fan_out summed over layers may reach MAX_PARAMETERS
+    and no further; checking it builds no array."""
+    assert MAX_PARAMETERS >= 100 * Architecture(12, 2, (32, 64, 32), "tanh").parameter_count
+    widest = MAX_PARAMETERS // 2 - 1  # one layer to two classes: (widest + 1) * 2 parameters
+    assert Architecture(widest, 2, (), "tanh").parameter_count == MAX_PARAMETERS
+    with pytest.raises(ConfigError, match=f"give {MAX_PARAMETERS + 2} parameters"):
+        Architecture(widest + 1, 2, (), "tanh")
+    with pytest.raises(ConfigError, match="num_features, hidden and num_classes"):
+        Architecture(2, 2, (10**30,), "tanh")
 
 
 def test_training_config_canonical_round_trip(small_config):

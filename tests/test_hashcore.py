@@ -263,4 +263,3 @@ def test_manifest_file_format_is_canonical_json():
     expected = ('[{"path":"a","sha256":"%s"}]' % hash_bytes(b"x").hex).encode()
     assert manifest.canonical_bytes == expected
     assert manifest.manifest_digest.hex == hashlib.sha256(expected).hexdigest()
-    assert TrustedManifest.from_json_value(parse_canonical(expected)) == manifest

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import engine_oracle as oracle
 from lam.engine.data import ACTIVATIONS, OPTIMIZERS, Architecture, Dataset, TrainingConfig
-from lam.engine.model import Model, predict, predicted_classes, quantized_argmax, train
+from lam.engine.model import MAX_ROW_PASSES, Model, predict, predicted_classes, quantized_argmax, train
 from lam.engine.synth import linearly_separable
 from lam.errors import ConfigError, DomainError
 
@@ -50,6 +51,20 @@ def test_train_preconditions(fixture_a, small_config):
             optimizer="sgd",
             rng_seed=1,
         )
+
+
+def test_train_bounds_epochs_times_rows_before_allocating(fixture_a, small_config):
+    """epochs x rows may reach MAX_ROW_PASSES and no further, refused before
+    the first parameter array is made."""
+    assert MAX_ROW_PASSES >= 100 * 10 * 6000  # the census config: 10 epochs over 6,000 rows
+    most = MAX_ROW_PASSES // fixture_a.num_rows
+    with patch("lam.engine.model._init_params", side_effect=MemoryError) as init:
+        with pytest.raises(MemoryError):
+            train(fixture_a, replace(small_config, epochs=most))
+        for epochs in (most + 1, 10**30):
+            with pytest.raises(ConfigError, match=f"^epochs x rows must be at most {MAX_ROW_PASSES}: {epochs} x "):
+                train(fixture_a, replace(small_config, epochs=epochs))
+    assert init.call_count == 1
 
 
 def test_separable_fixture_reaches_95_percent(small_config):

@@ -214,6 +214,23 @@ def test_make_external_certificate_names_the_claims_path():
     assert err.value.path == "/a/1"
 
 
+def test_unknown_subject_kind_is_refused_when_signed_and_when_parsed(pipe):
+    """Only "dataset" and "model" name a subject; anything else never reaches
+    chains or cards, where it would have been taken for a model."""
+    from lam.certs import ExternalCertificate, make_external_certificate
+    from lam.errors import LamError
+
+    message = "^external certificate subject_kind must be one of \\('dataset', 'model'\\): 'foo'$"
+    model = pipe.model.digest
+    with pytest.raises(LamError, match=message):
+        ExternalCertificate.signed_by(pipe.endorser.private_key, model, "foo", "odd-name", {}, "acme")
+    with pytest.raises(LamError, match=message):
+        make_external_certificate(pipe.endorser, model, "foo", "odd-name")
+    wire = {**pipe.externals[0].to_json_value(), "subject_kind": "foo"}
+    with pytest.raises(LamError, match=message):
+        ExternalCertificate.from_json_value(wire)
+
+
 def test_bundle_file_round_trip(pipe, tmp_path):
     bundle = pipe.bundle()
     path = tmp_path / "bundle.json"
