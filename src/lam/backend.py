@@ -56,7 +56,7 @@ def key_from_seed(seed: bytes | str | None) -> Ed25519PrivateKey:
     return Ed25519PrivateKey.from_private_bytes(hashlib.sha256(seed).digest())
 
 
-def _public_hex(private: Ed25519PrivateKey) -> str:
+def public_hex(private: Ed25519PrivateKey) -> str:
     return private.public_key().public_bytes_raw().hex()
 
 
@@ -263,7 +263,7 @@ def create_root(seed: bytes | str | None = None) -> ManufacturerRoot:
     if seed is not None and not seed:
         raise LamError("root seed must be nonempty")
     private = key_from_seed(seed)
-    certificate = PlatformCertificate.signed_by(private, "manufacturer-root", _public_hex(private))
+    certificate = PlatformCertificate.signed_by(private, "manufacturer-root", public_hex(private))
     return ManufacturerRoot(private_key=private, public_hex=certificate.pubkey, certificate=certificate)
 
 
@@ -274,7 +274,7 @@ def provision_platform(root: ManufacturerRoot, platform_id: str, seed: bytes | s
     without one the key is drawn from OS entropy.
     """
     private = key_from_seed(seed)
-    certificate = PlatformCertificate.signed_by(root.private_key, platform_id, _public_hex(private))
+    certificate = PlatformCertificate.signed_by(root.private_key, platform_id, public_hex(private))
     return PlatformIdentity(
         platform_id=platform_id, private_key=private, public_hex=certificate.pubkey, certificate=certificate
     )

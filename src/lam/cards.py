@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from .certs import ExternalCertificate, certificates_by_subject
 from .errors import CardConflictError, LamError
@@ -351,6 +351,26 @@ def _external_entry(cert: ExternalCertificate, claims: list[str]) -> dict[str, A
     }
 
 
+def _endorse(
+    table: _ClaimTable,
+    certs: Mapping[str, Mapping[str, ExternalCertificate]],
+    subject_kind: str,
+    subject: str,
+    section: dict[str, Any],
+    provenance: list[dict[str, Any]],
+) -> None:
+    """Add the certificate of `subject` in `certs` (certificates_by_subject's
+    map), if it has one, to a card: its claim, the `endorsements` entry of
+    the card's `section` and its provenance entry."""
+    cert = certs[subject_kind].get(subject)
+    if cert is None:
+        return
+    key = f"external:{subject_kind}:{subject}:{cert.endorser_id}"
+    table.put(key, cert.to_json_value(), cert.certificate_sha256.hex)
+    section["endorsements"] = [{"name": cert.name, "endorser_id": cert.endorser_id, "claims": cert.claims}]
+    provenance.append(_external_entry(cert, [key]))
+
+
 class _ClaimTable:
     """Claim-key to value map with conflict detection across provenances."""
 
@@ -387,7 +407,7 @@ def assemble_cards(
     table = _ClaimTable()
     _, index = index_fragments(fragments)
     certs = certificates_by_subject(externals)
-    dataset_certs, model_certs = certs["dataset"], certs["model"]
+    dataset_certs = certs["dataset"]
 
     def dataset_name(digest_hex: str) -> str:
         cert = dataset_certs.get(digest_hex)
@@ -452,14 +472,7 @@ def assemble_cards(
         }
         if training is not None:
             body["training"] = training
-        if m in model_certs:
-            cert = model_certs[m]
-            key = f"external:model:{m}:{cert.endorser_id}"
-            table.put(key, cert.to_json_value(), cert.certificate_sha256.hex)
-            body["endorsements"] = [
-                {"name": cert.name, "endorser_id": cert.endorser_id, "claims": cert.claims}
-            ]
-            provenance.append(_external_entry(cert, [key]))
+        _endorse(table, certs, "model", m, body, provenance)
 
         cards.append(PropertyCard("model", m, body, provenance))
 
@@ -506,14 +519,7 @@ def assemble_cards(
         }
         if generation is not None:
             body["datasheet"]["generation"] = generation
-        if d in dataset_certs:
-            cert = dataset_certs[d]
-            key = f"external:dataset:{d}:{cert.endorser_id}"
-            table.put(key, cert.to_json_value(), cert.certificate_sha256.hex)
-            body["datasheet"]["endorsements"] = [
-                {"name": cert.name, "endorser_id": cert.endorser_id, "claims": cert.claims}
-            ]
-            provenance.append(_external_entry(cert, [key]))
+        _endorse(table, certs, "dataset", d, body["datasheet"], provenance)
         cards.append(PropertyCard("dataset", d, body, provenance))
 
     # --- inference cards ---

@@ -19,7 +19,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
-from .backend import Signed, _public_hex, check_signatures, key_from_seed
+from .backend import Signed, check_signatures, key_from_seed, public_hex
 from .errors import InvalidCertificationError, LamError
 from .hashcore import Digest, canonicalize, hash_bytes, read_canonical
 
@@ -53,7 +53,7 @@ class Endorser:
 
     @property
     def public_hex(self) -> str:
-        return _public_hex(self.private_key)
+        return public_hex(self.private_key)
 
     @classmethod
     def create(cls, endorser_id: str, seed: bytes | str | None = None) -> "Endorser":

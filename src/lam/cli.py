@@ -20,9 +20,9 @@ from .backend import (
     ManufacturerRoot,
     PlatformCertificate,
     PlatformIdentity,
-    _public_hex,
     create_root,
     provision_platform,
+    public_hex,
 )
 from .certs import (
     CertificationStore,
@@ -141,14 +141,14 @@ class Workspace:
         """Write keys/<stem>.key, .pub and, given a certificate, .cert.json,
         in that order, refusing to overwrite without force."""
         _write_guarded(self.keys / f"{stem}.key", (private.private_bytes_raw().hex() + "\n").encode(), force)
-        _write_guarded(self.keys / f"{stem}.pub", (_public_hex(private) + "\n").encode(), force)
+        _write_guarded(self.keys / f"{stem}.pub", (public_hex(private) + "\n").encode(), force)
         if certificate is not None:
             _write_guarded(self.keys / f"{stem}.cert.json", canonicalize(certificate.to_json_value()), force)
 
     def load_root(self) -> ManufacturerRoot:
         private = self._private_key("root", "no manufacturer root in workspace; run `lam keygen root` first")
         return ManufacturerRoot(
-            private_key=private, public_hex=_public_hex(private), certificate=self._certificate("root")
+            private_key=private, public_hex=public_hex(private), certificate=self._certificate("root")
         )
 
     def load_platform(self, platform_id: str | None) -> PlatformIdentity:
@@ -165,7 +165,7 @@ class Workspace:
         return PlatformIdentity(
             platform_id=platform_id,
             private_key=private,
-            public_hex=_public_hex(private),
+            public_hex=public_hex(private),
             certificate=self._certificate(stem),
         )
 

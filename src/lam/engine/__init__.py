@@ -2,7 +2,7 @@
 inference, and the measured quantities that appear in attestation payloads."""
 
 from .data import Architecture, Dataset, InferenceRecord, TrainingConfig
-from .fgsm import fgsm_dataset, input_gradients
+from .fgsm import fgsm_dataset
 from .metrics import (
     DistributionalProperty,
     MetricValue,
@@ -11,7 +11,7 @@ from .metrics import (
     distribution,
     robust_accuracy,
 )
-from .model import Model, predict, train
+from .model import Model, input_gradients, predict, train
 from .rng import Xoshiro256StarStar
 
 __all__ = [

@@ -24,28 +24,7 @@ import numpy as np
 from ..errors import DomainError
 from ..hashcore import decimal_string, format_rows, parse_decimal_string
 from .data import Dataset
-from .model import Model, _activate, _activate_grad, softmax
-
-
-def input_gradients(model: Model, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Per-sample gradient of the cross-entropy loss with respect to the input."""
-    act = model.architecture.activation
-    last = len(model.weights) - 1
-
-    activations = [np.asarray(x, dtype=np.float64)]
-    zs = []
-    a = activations[0]
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w + b
-        zs.append(z)
-        a = z if i == last else _activate(z, act)
-        activations.append(a)
-
-    onehot = np.eye(model.architecture.num_classes, dtype=np.float64)[labels]
-    delta = softmax(activations[-1]) - onehot
-    for i in range(last, 0, -1):
-        delta = (delta @ model.weights[i].T) * _activate_grad(activations[i], zs[i - 1], act)
-    return delta @ model.weights[0].T
+from .model import Model, input_gradients
 
 
 def fgsm_dataset(model: Model, dataset: Dataset, eps: str) -> Dataset:

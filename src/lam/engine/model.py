@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -48,6 +48,10 @@ _ARGMAX_MARGIN = 2e-6
 # The most rows training may pass over, epochs times dataset rows: about 40 s
 # for the census architecture, whose census config makes 60,000.
 MAX_ROW_PASSES = 10**7
+# The most activations a training batch may hold, min(batch_size, rows) times
+# the summed layer widths; the forward pass keeps each layer's input and
+# pre-activation, about 160 MB at the bound. The census config makes 36,352.
+MAX_BATCH_ACTIVATIONS = 10**7
 
 
 def _activate(z: np.ndarray, activation: str) -> np.ndarray:
@@ -157,15 +161,37 @@ class Model:
         return cls.from_json_value(parse_canonical(data))
 
 
+def _forward(
+    weights: Sequence[np.ndarray], biases: Sequence[np.ndarray], x: np.ndarray, act: str
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The one forward pass: each layer's input and pre-activation, the last
+    pre-activation being the logits."""
+    inputs, zs = [], []
+    a = np.asarray(x, dtype=np.float64)
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = a @ w + b
+        inputs.append(a)
+        zs.append(z)
+        a = z if i == last else _activate(z, act)
+    return inputs, zs
+
+
+def _backward(
+    weights: Sequence[np.ndarray], inputs: list[np.ndarray], zs: list[np.ndarray], delta: np.ndarray, act: str
+) -> Iterator[np.ndarray]:
+    """The one backward pass: from `delta`, the loss gradient at the logits,
+    yields the gradient at each layer's pre-activation, last layer first
+    and layer 0 last."""
+    for i in range(len(weights) - 1, 0, -1):
+        yield delta
+        delta = (delta @ weights[i].T) * _activate_grad(inputs[i], zs[i - 1], act)
+    yield delta
+
+
 def forward(model: Model, x: np.ndarray) -> np.ndarray:
     """Logits for a batch of inputs (n, num_features) -> (n, num_classes)."""
-    a = np.asarray(x, dtype=np.float64)
-    act = model.architecture.activation
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w + b
-        a = z if i == last else _activate(z, act)
-    return a
+    return _forward(model.weights, model.biases, x, model.architecture.activation)[1][-1]
 
 
 def class_scores(model: Model, x: np.ndarray) -> np.ndarray:
@@ -254,15 +280,20 @@ def train(dataset: Dataset, config: TrainingConfig) -> Model:
         )
     if config.epochs * dataset.num_rows > MAX_ROW_PASSES:
         raise ConfigError(f"epochs x rows must be at most {MAX_ROW_PASSES}: {config.epochs} x {dataset.num_rows}")
+    batch_rows, widths = min(config.batch_size, dataset.num_rows), arch.layer_widths
+    if batch_rows * sum(widths) > MAX_BATCH_ACTIVATIONS:
+        raise ConfigError(
+            f"batch_size x summed layer widths must be at most {MAX_BATCH_ACTIVATIONS}: "
+            f"{batch_rows} x {sum(widths)} (widest layer {max(widths)})"
+        )
 
     rng = Xoshiro256StarStar(config.rng_seed)
     params = _init_params(arch, rng)
     grads = np.zeros_like(params)
-    weights, biases = _layer_views(params, arch.layer_widths)
-    grads_w, grads_b = _layer_views(grads, arch.layer_widths)
+    weights, biases = _layer_views(params, widths)
+    grads_w, grads_b = _layer_views(grads, widths)
     lr = parse_decimal_string(config.learning_rate)
     act = arch.activation
-    last = len(weights) - 1
     n = dataset.num_rows
     onehot = np.eye(arch.num_classes, dtype=np.float64)[dataset.labels]
 
@@ -277,23 +308,11 @@ def train(dataset: Dataset, config: TrainingConfig) -> Model:
             x = dataset.features[batch]
             t = onehot[batch]
 
-            # forward
-            activations = [x]
-            zs = []
-            a = x
-            for i in range(len(weights)):
-                z = a @ weights[i] + biases[i]
-                zs.append(z)
-                a = z if i == last else _activate(z, act)
-                activations.append(a)
-
-            # backward
-            delta = (softmax(activations[-1]) - t) / len(batch)
-            for i in range(last, -1, -1):
-                np.matmul(activations[i].T, delta, out=grads_w[i])
+            inputs, zs = _forward(weights, biases, x, act)
+            deltas = _backward(weights, inputs, zs, (softmax(zs[-1]) - t) / len(batch), act)
+            for i, delta in zip(reversed(range(len(weights))), deltas):
+                np.matmul(inputs[i].T, delta, out=grads_w[i])
                 np.sum(delta, axis=0, out=grads_b[i])
-                if i > 0:
-                    delta = (delta @ weights[i].T) * _activate_grad(activations[i], zs[i - 1], act)
 
             step += 1
             if config.optimizer == "sgd":
@@ -308,3 +327,13 @@ def train(dataset: Dataset, config: TrainingConfig) -> Model:
                 params -= lr * (m / correction1) / (np.sqrt(v / correction2) + _ADAM_EPS)
 
     return Model.from_float_params(arch, weights, biases)
+
+
+def input_gradients(model: Model, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-sample gradient of the cross-entropy loss with respect to the input."""
+    act = model.architecture.activation
+    inputs, zs = _forward(model.weights, model.biases, x, act)
+    onehot = np.eye(model.architecture.num_classes, dtype=np.float64)[labels]
+    for delta in _backward(model.weights, inputs, zs, softmax(zs[-1]) - onehot, act):
+        pass  # down to layer 0's pre-activation
+    return delta @ model.weights[0].T

@@ -261,6 +261,17 @@ _CORE_EDGES = (
 )
 
 
+# (edge, att_type, ok detail given the fragment count n, broken detail before
+# " for this model"): ok when the model has a fragment of att_type, else broken.
+_PRESENCE_EDGES = (
+    ("pot", "PoT", "proof of training present ({n} fragment(s))", "no proof-of-training fragment"),
+    ("accuracy", "AccAtt", "accuracy attested on {n} dataset(s)", "no accuracy attestation"),
+    ("fairness", "FairAtt", "demographic parity attested on {n} dataset(s)", "no fairness attestation"),
+    ("robustness", "RobustAtt-B", "robust accuracy attested over {n} dataset(s)", "no robustness attestation"),
+    ("inference", "IOAtt", "{n} inference(s) bound to this model", "no inference attestation"),
+)
+
+
 def _edge(status: str, detail: str) -> dict[str, str]:
     return {"status": status, "detail": detail}
 
@@ -293,17 +304,15 @@ def resolve_chains(
 
     report = ChainReport()
 
-    for m in sorted({m for att in ("PoT", "AccAtt", "FairAtt", "RobustAtt-B", "IOAtt") for m in index[att]}):
+    for m in sorted({m for _, att, _, _ in _PRESENCE_EDGES for m in index[att]}):
         edges: dict[str, dict[str, str]] = {}
+        present: dict[str, list[VerifiedFragment]] = {}
+        for edge, att, ok, broken in _PRESENCE_EDGES:
+            found = present[att] = index[att].get(m, [])
+            edges[edge] = _edge("ok", ok.format(n=len(found))) if found else _edge("broken", f"{broken} for this model")
 
-        pots = index["PoT"].get(m, [])
-        if pots:
-            edges["pot"] = _edge("ok", f"proof of training present ({len(pots)} fragment(s))")
-            training_ds = pots[0].payload["dataset_sha256"]
-        else:
-            edges["pot"] = _edge("broken", "no proof-of-training fragment for this model")
-            training_ds = None
-
+        pots, accs, fairs, robs = present["PoT"], present["AccAtt"], present["FairAtt"], present["RobustAtt-B"]
+        training_ds = pots[0].payload["dataset_sha256"] if pots else None
         if training_ds is None:
             edges["training_distribution"] = _edge("blocked", "no proof of training to link against")
             edges["training_dataset_certificate"] = _edge("blocked", "no proof of training to link against")
@@ -328,19 +337,6 @@ def resolve_chains(
                     "broken", f"no external certificate for training set {training_ds[:12]}"
                 )
 
-        accs = index["AccAtt"].get(m, [])
-        fairs = index["FairAtt"].get(m, [])
-        edges["accuracy"] = (
-            _edge("ok", f"accuracy attested on {len(accs)} dataset(s)")
-            if accs
-            else _edge("broken", "no accuracy attestation for this model")
-        )
-        edges["fairness"] = (
-            _edge("ok", f"demographic parity attested on {len(fairs)} dataset(s)")
-            if fairs
-            else _edge("broken", "no fairness attestation for this model")
-        )
-
         test_sets = sorted({f.payload["dataset_sha256"] for f in accs + fairs})
         if not test_sets:
             edges["test_dataset_certificate"] = _edge("blocked", "no attested test set")
@@ -354,13 +350,6 @@ def resolve_chains(
                 edges["test_dataset_certificate"] = _edge(
                     "ok", f"all {len(test_sets)} attested test set(s) endorsed"
                 )
-
-        robs = index["RobustAtt-B"].get(m, [])
-        edges["robustness"] = (
-            _edge("ok", f"robust accuracy attested over {len(robs)} dataset(s)")
-            if robs
-            else _edge("broken", "no robustness attestation for this model")
-        )
 
         grounded_sources: list[str] = []
         if not robs:
@@ -400,17 +389,10 @@ def resolve_chains(
                     "ok", "robust dataset generated from the attested test set"
                 )
 
-        ios = index["IOAtt"].get(m, [])
-        edges["inference"] = (
-            _edge("ok", f"{len(ios)} inference(s) bound to this model")
-            if ios
-            else _edge("broken", "no inference attestation for this model")
-        )
-
         complete = all(edges[name]["status"] == "ok" for name in _CORE_EDGES)
         entry: dict[str, Any] = {"edges": edges, "complete": complete}
         if complete:
-            entry["conclusion"] = _conclusion(m, training_ds, test_sets, len(ios), dataset_certs)
+            entry["conclusion"] = _conclusion(m, training_ds, test_sets, len(present["IOAtt"]), dataset_certs)
         report.models[m] = entry
 
     # datasheet-side links

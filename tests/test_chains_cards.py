@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from lam.cards import assemble_cards
 from lam.errors import CardConflictError
+from lam.hashcore import canonicalize
 from lam.measurers import attest_accuracy, attest_distribution, attest_fairness, attest_inference, attest_robustness
 from lam.verifier import AssertionBundle, resolve_chains, verify_bundle, verify_envelope
 from pipeline import default_config, sixrow_pipeline
@@ -276,6 +279,25 @@ def test_repeated_envelopes_leave_chains_and_cards_unchanged(pipe, copies):
 
     assert len(once["envelopes"]) == len(pipe.envelopes)
     assert outputs(value) == outputs(once)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_bundle_order_moves_only_provenance(pipe, data):
+    """Under any order of the six-row bundle's envelopes, the chain report
+    and every card's body are byte-identical, and each card's provenance
+    holds the same entries; only their order may follow the bundle's."""
+    value = pipe.bundle().to_file_value()
+    order = data.draw(st.permutations(range(len(value["envelopes"]))))
+
+    def outputs(envelopes):
+        bundle = AssertionBundle.from_file_value({**value, "envelopes": envelopes})
+        result = verify_bundle(bundle, pipe.store, pipe.roots, pipe.endorser_keys)
+        cards = [(c.filename, replace(c, provenance=[]).yaml_bytes()) for c in result.cards]
+        provenance = [sorted(canonicalize(entry) for entry in c.provenance) for c in result.cards]
+        return result.report.canonical_bytes(), cards, provenance
+
+    assert outputs([value["envelopes"][i] for i in order]) == outputs(value["envelopes"])
 
 
 def test_conflicting_metric_values_raise(pipe, fixture_a, fixture_b, constant_model):

@@ -689,8 +689,12 @@ def test_bundle_wrong_envelope_version_exits_2(cli_ws, capsys, tmp_path, version
             f"num_features, hidden and num_classes give {5 * 10**30 + 2} parameters (at most 1000000)",
         ),
         (lambda c: c.update(epochs=10**30), f"epochs x rows must be at most 10000000: {10**30} x 200"),
+        (
+            lambda c: c.update(batch_size=6000, architecture={**c["architecture"], "hidden": [199999]}),
+            "batch_size x summed layer widths must be at most 10000000: 200 x 200003 (widest layer 199999)",
+        ),
     ],
-    ids=["num_features", "hidden", "epochs", "learning_rate", "hidden-bound", "epochs-bound"],
+    ids=["num_features", "hidden", "epochs", "learning_rate", "hidden-bound", "epochs-bound", "batch-bound"],
 )
 def test_attest_train_malformed_config_field_exits_2(cli_ws, capsys, tmp_path, edit, message):
     from lam.hashcore import canonicalize

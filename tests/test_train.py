@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import engine_oracle as oracle
 from lam.engine.data import ACTIVATIONS, OPTIMIZERS, Architecture, Dataset, TrainingConfig
-from lam.engine.model import MAX_ROW_PASSES, Model, predict, predicted_classes, quantized_argmax, train
+from lam.engine.model import MAX_BATCH_ACTIVATIONS, MAX_ROW_PASSES, Model, predict, predicted_classes, quantized_argmax, train
 from lam.engine.synth import linearly_separable
 from lam.errors import ConfigError, DomainError
 
@@ -65,6 +65,33 @@ def test_train_bounds_epochs_times_rows_before_allocating(fixture_a, small_confi
             with pytest.raises(ConfigError, match=f"^epochs x rows must be at most {MAX_ROW_PASSES}: {epochs} x "):
                 train(fixture_a, replace(small_config, epochs=epochs))
     assert init.call_count == 1
+
+
+def test_train_bounds_batch_activations_before_allocating(small_config):
+    """The rows of a batch times the summed layer widths may reach
+    MAX_BATCH_ACTIVATIONS and no further, refused before the first parameter
+    array is made; a batch_size past the dataset counts its rows."""
+    assert MAX_BATCH_ACTIVATIONS >= 100 * 256 * (12 + 32 + 64 + 32 + 2)  # the census config
+    dataset = linearly_separable(200, margin=1.0, seed=7)
+    rows = dataset.num_rows
+    most = MAX_BATCH_ACTIVATIONS // rows
+
+    def config(units, batch_size):
+        arch = Architecture(num_features=2, num_classes=2, hidden=(units - 4,), activation="tanh")
+        return replace(small_config, architecture=arch, batch_size=batch_size)
+
+    with patch("lam.engine.model._init_params", side_effect=MemoryError) as init:
+        for fits in (config(most, 10**30), config(most + 1, rows - 1)):
+            with pytest.raises(MemoryError):
+                train(dataset, fits)
+        for batch_size in (rows, 10**30):
+            with pytest.raises(
+                ConfigError,
+                match=rf"^batch_size x summed layer widths must be at most {MAX_BATCH_ACTIVATIONS}: "
+                rf"{rows} x {most + 1} \(widest layer {most - 3}\)$",
+            ):
+                train(dataset, config(most + 1, batch_size))
+    assert init.call_count == 2
 
 
 def test_separable_fixture_reaches_95_percent(small_config):
