@@ -391,6 +391,14 @@ class _ClaimTable:
         self._claims[key] = (value, provenance)
         return True
 
+    def claim(self, fragment: VerifiedFragment, key: str, value: Any, provenance: list[dict[str, Any]]) -> bool:
+        """Record the claim `key` = `value` of `fragment` and list the
+        fragment in `provenance` as its source; returns whether the claim is
+        new, as put does."""
+        new = self.put(key, value, fragment.fragment_sha256.hex)
+        provenance.append(_provenance_entry(fragment, [key]))
+        return new
+
 
 def assemble_cards(
     fragments: Iterable[VerifiedFragment],
@@ -409,9 +417,10 @@ def assemble_cards(
     certs = certificates_by_subject(externals)
     dataset_certs = certs["dataset"]
 
-    def dataset_name(digest_hex: str) -> str:
+    def dataset(digest_hex: str) -> dict[str, str]:
+        """A dataset as cards name it: its certificate's name, else its digest."""
         cert = dataset_certs.get(digest_hex)
-        return cert.name if cert else digest_hex
+        return {"name": cert.name if cert else digest_hex, "sha256": digest_hex}
 
     cards: list[PropertyCard] = []
 
@@ -431,7 +440,7 @@ def assemble_cards(
                             ds,
                             {
                                 "task": {"type": f.payload["results"]["task"]},
-                                "dataset": {"name": dataset_name(ds), "sha256": ds},
+                                "dataset": dataset(ds),
                                 "metrics": [],
                             },
                         )
@@ -446,30 +455,18 @@ def assemble_cards(
                 "config_sha256": f.payload["config_sha256"],
                 "architecture_sha256": f.payload["arch_sha256"],
             }
-            key = f"training:{m}"
-            if table.put(key, value, f.fragment_sha256.hex):
+            if table.claim(f, f"training:{m}", value, provenance):
                 training = {
-                    "dataset": {
-                        "name": dataset_name(value["dataset_sha256"]),
-                        "sha256": value["dataset_sha256"],
-                    },
+                    "dataset": dataset(value["dataset_sha256"]),
                     "config_sha256": value["config_sha256"],
                     "architecture_sha256": value["architecture_sha256"],
                     "verified": True,
                 }
-            provenance.append(_provenance_entry(f, [key]))
 
         for ds, entry in results.items():
             entry["metrics"].sort(key=lambda e: e["type"])
 
-        body: dict[str, Any] = {
-            "model-index": [
-                {
-                    "name": m,
-                    "results": [results[ds] for ds in sorted(results)],
-                }
-            ]
-        }
+        body: dict[str, Any] = {"model-index": [{"name": m, "results": [results[ds] for ds in sorted(results)]}]}
         if training is not None:
             body["training"] = training
         _endorse(table, certs, "model", m, body, provenance)
@@ -485,10 +482,8 @@ def assemble_cards(
         distributions = []
         for f in index["DistAtt"].get(d, []):
             prop = f.payload["property"]
-            key = f"distribution:{d}:{prop['kind']}"
-            if table.put(key, prop, f.fragment_sha256.hex):
+            if table.claim(f, f"distribution:{d}:{prop['kind']}", prop, provenance):
                 distributions.append({**prop, "verified": True})
-            provenance.append(_provenance_entry(f, [key]))
         distributions.sort(key=lambda p: p["kind"])
 
         generation: dict[str, Any] | None = None
@@ -497,26 +492,15 @@ def assemble_cards(
                 "source_sha256": f.payload["dataset_sha256"],
                 "epsilon": f.payload["parameters"]["epsilon"],
             }
-            key = f"generation:{d}"
-            if table.put(key, value, f.fragment_sha256.hex):
+            if table.claim(f, f"generation:{d}", value, provenance):
                 generation = {
                     "method": "fgsm",
-                    "source": {
-                        "name": dataset_name(value["source_sha256"]),
-                        "sha256": value["source_sha256"],
-                    },
+                    "source": dataset(value["source_sha256"]),
                     "epsilon": value["epsilon"],
                     "verified": True,
                 }
-            provenance.append(_provenance_entry(f, [key]))
 
-        body = {
-            "datasheet": {
-                "name": dataset_name(d),
-                "sha256": d,
-                "distributions": distributions,
-            }
-        }
+        body = {"datasheet": {**dataset(d), "distributions": distributions}}
         if generation is not None:
             body["datasheet"]["generation"] = generation
         _endorse(table, certs, "dataset", d, body["datasheet"], provenance)
@@ -526,7 +510,8 @@ def assemble_cards(
     ioatts = [f for group in index["IOAtt"].values() for f in group]
     for f in sorted(ioatts, key=lambda f: f.fragment_sha256.hex):
         key = f"inference:{f.payload['model_sha256']}:{f.payload['input_sha256']}"
-        table.put(key, f.payload["output"], f.fragment_sha256.hex)
+        provenance = []
+        table.claim(f, key, f.payload["output"], provenance)
         body = {
             "inference": {
                 "name": f.fragment_sha256.hex,
@@ -537,8 +522,6 @@ def assemble_cards(
                 "verified": True,
             }
         }
-        cards.append(
-            PropertyCard("inference", f.fragment_sha256.hex, body, [_provenance_entry(f, [key])])
-        )
+        cards.append(PropertyCard("inference", f.fragment_sha256.hex, body, provenance))
 
     return cards

@@ -227,12 +227,32 @@ def _cell_error(header: list[str], cells: list[str], lineno: int) -> DomainError
 
 
 def config_int(value: Any, name: str) -> int:
-    """int(value) for the config or model field `name`; a ConfigError naming
-    the field when value is not an integer."""
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} is not an integer: {value!r}") from None
+    """The config or model field `name`, which must be a JSON integer; a
+    ConfigError naming the field for anything else, a boolean, a string of
+    digits or a float included."""
+    if type(value) is not int:
+        raise ConfigError(f"{name} is not an integer: {value!r}")
+    return value
+
+
+def config_ints(value: Any, name: str) -> tuple[int, ...]:
+    """The config or model field `name`, which must be a JSON array of
+    integers (config_int); a ConfigError naming the field otherwise."""
+    if type(value) is not list:
+        raise ConfigError(f"{name} is not an array: {value!r}")
+    return tuple(config_int(v, name) for v in value)
+
+
+def config_decimal(value: Any, name: str) -> float:
+    """The config or model field `name`, which must be a decimal string, as
+    a float; a ConfigError naming the field for anything else, a JSON number
+    included."""
+    if type(value) is str:
+        try:
+            return parse_decimal_string(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{name} is not a decimal string: {value!r}")
 
 
 @dataclass(frozen=True)
@@ -279,7 +299,7 @@ class Architecture:
         return cls(
             num_features=config_int(value["num_features"], "num_features"),
             num_classes=config_int(value["num_classes"], "num_classes"),
-            hidden=tuple(config_int(h, "hidden") for h in value["hidden"]),
+            hidden=config_ints(value["hidden"], "hidden"),
             activation=value["activation"],
         )
 
@@ -308,11 +328,7 @@ class TrainingConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r} (supported: {OPTIMIZERS})")
-        try:
-            learning_rate = parse_decimal_string(self.learning_rate)
-        except ValueError:
-            raise ConfigError(f"learning_rate is not a decimal string: {self.learning_rate!r}") from None
-        if learning_rate <= 0:
+        if config_decimal(self.learning_rate, "learning_rate") <= 0:
             raise ConfigError("learning_rate must be > 0")
         if self.rng_seed < 0:
             raise ConfigError("rng_seed must be nonnegative")

@@ -35,7 +35,7 @@ from ..hashcore import (
     parse_decimal_string,
     quantize_rows,
 )
-from .data import Architecture, Dataset, InferenceRecord, TrainingConfig, config_int
+from .data import Architecture, Dataset, InferenceRecord, TrainingConfig, config_decimal, config_ints
 from .rng import Xoshiro256StarStar
 
 _ADAM_BETA1 = 0.9
@@ -48,9 +48,11 @@ _ARGMAX_MARGIN = 2e-6
 # The most rows training may pass over, epochs times dataset rows: about 40 s
 # for the census architecture, whose census config makes 60,000.
 MAX_ROW_PASSES = 10**7
-# The most activations a training batch may hold, min(batch_size, rows) times
-# the summed layer widths; the forward pass keeps each layer's input and
-# pre-activation, about 160 MB at the bound. The census config makes 36,352.
+# The most activations one forward pass may hold, its rows times the summed
+# layer widths: a training batch, min(batch_size, rows), or every row of an
+# evaluated dataset. The pass keeps each layer's input and pre-activation,
+# about 160 MB at the bound. The census config makes 256 x 142 = 36,352 in
+# training and its 2,000 test rows 284,000 in evaluation.
 MAX_BATCH_ACTIVATIONS = 10**7
 
 
@@ -70,15 +72,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     exps = np.exp(shifted)
     return exps / exps.sum(axis=-1, keepdims=True)
-
-
-def _parameter(text: Any, name: str) -> float:
-    """A weight or bias of a model file; a ConfigError naming the field
-    `name` when it is not a decimal string."""
-    try:
-        return parse_decimal_string(text)
-    except ValueError:
-        raise ConfigError(f"{name} entry is not a decimal string: {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -130,19 +123,19 @@ class Model:
     @classmethod
     def from_json_value(cls, value: dict[str, Any]) -> "Model":
         try:
-            widths = [config_int(w, "arch") for w in value["arch"]]
+            widths = config_ints(value["arch"], "arch")
             arch = Architecture(
                 num_features=widths[0],
                 num_classes=widths[-1],
-                hidden=tuple(widths[1:-1]),
+                hidden=widths[1:-1],
                 activation=value["activation"],
             )
             weights = tuple(
-                np.array([[_parameter(v, "weights") for v in row] for row in w], dtype=np.float64)
+                np.array([[config_decimal(v, "weights entry") for v in row] for row in w], dtype=np.float64)
                 for w in value["weights"]
             )
             biases = tuple(
-                np.array([_parameter(v, "biases") for v in b], dtype=np.float64) for b in value["biases"]
+                np.array([config_decimal(v, "biases entry") for v in b], dtype=np.float64) for b in value["biases"]
             )
         except (KeyError, TypeError, IndexError, ValueError) as exc:  # ValueError: rows of unequal length
             raise ConfigError(f"malformed model file: {exc}") from exc
@@ -161,13 +154,26 @@ class Model:
         return cls.from_json_value(parse_canonical(data))
 
 
+def _bound_activations(rows: int, widths: Sequence[int], rows_name: str) -> None:
+    """A ConfigError naming both factors, `rows_name` for the rows, when
+    `rows` rows through layers of widths `widths` would hold more than
+    MAX_BATCH_ACTIVATIONS activations."""
+    if rows * sum(widths) > MAX_BATCH_ACTIVATIONS:
+        raise ConfigError(
+            f"{rows_name} x summed layer widths must be at most {MAX_BATCH_ACTIVATIONS}: "
+            f"{rows} x {sum(widths)} (widest layer {max(widths)})"
+        )
+
+
 def _forward(
     weights: Sequence[np.ndarray], biases: Sequence[np.ndarray], x: np.ndarray, act: str
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """The one forward pass: each layer's input and pre-activation, the last
-    pre-activation being the logits."""
-    inputs, zs = [], []
+    pre-activation being the logits. A ConfigError, before any layer runs,
+    when the pass would hold more than MAX_BATCH_ACTIVATIONS activations."""
     a = np.asarray(x, dtype=np.float64)
+    _bound_activations(len(a), [w.shape[0] for w in weights] + [weights[-1].shape[1]], "rows")
+    inputs, zs = [], []
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
         z = a @ w + b
@@ -280,12 +286,8 @@ def train(dataset: Dataset, config: TrainingConfig) -> Model:
         )
     if config.epochs * dataset.num_rows > MAX_ROW_PASSES:
         raise ConfigError(f"epochs x rows must be at most {MAX_ROW_PASSES}: {config.epochs} x {dataset.num_rows}")
-    batch_rows, widths = min(config.batch_size, dataset.num_rows), arch.layer_widths
-    if batch_rows * sum(widths) > MAX_BATCH_ACTIVATIONS:
-        raise ConfigError(
-            f"batch_size x summed layer widths must be at most {MAX_BATCH_ACTIVATIONS}: "
-            f"{batch_rows} x {sum(widths)} (widest layer {max(widths)})"
-        )
+    widths = arch.layer_widths
+    _bound_activations(min(config.batch_size, dataset.num_rows), widths, "batch_size")
 
     rng = Xoshiro256StarStar(config.rng_seed)
     params = _init_params(arch, rng)

@@ -276,6 +276,19 @@ def _edge(status: str, detail: str) -> dict[str, str]:
     return {"status": status, "detail": detail}
 
 
+def _linked(blocked: str | None, unlinked: list[str], ok: str, broken: str) -> dict[str, str]:
+    """An edge that links a model's fragments, on shared digests, to other
+    fragments or certificates: blocked with the reason `blocked` when there
+    is nothing to link, broken when the digests `unlinked` do not link, its
+    detail `broken` formatted with their 12-digit prefixes as `unlinked`,
+    else ok with the detail `ok`."""
+    if blocked is not None:
+        return _edge("blocked", blocked)
+    if unlinked:
+        return _edge("broken", broken.format(unlinked=[d[:12] for d in unlinked]))
+    return _edge("ok", ok)
+
+
 @dataclass
 class ChainReport:
     models: dict[str, dict[str, Any]] = field(default_factory=dict)
@@ -313,81 +326,47 @@ def resolve_chains(
 
         pots, accs, fairs, robs = present["PoT"], present["AccAtt"], present["FairAtt"], present["RobustAtt-B"]
         training_ds = pots[0].payload["dataset_sha256"] if pots else None
-        if training_ds is None:
-            edges["training_distribution"] = _edge("blocked", "no proof of training to link against")
-            edges["training_dataset_certificate"] = _edge("blocked", "no proof of training to link against")
-        else:
-            dists = index["DistAtt"].get(training_ds, [])
-            if dists:
-                kinds = sorted({f.payload["property"]["kind"] for f in dists})
-                edges["training_distribution"] = _edge(
-                    "ok", f"distribution attested for training set ({', '.join(kinds)})"
-                )
-            else:
-                edges["training_distribution"] = _edge(
-                    "broken", f"no distribution attestation for training set {training_ds[:12]}"
-                )
-            cert = dataset_certs.get(training_ds)
-            if cert:
-                edges["training_dataset_certificate"] = _edge(
-                    "ok", f"training set endorsed as {cert.name!r} by {cert.endorser_id!r}"
-                )
-            else:
-                edges["training_dataset_certificate"] = _edge(
-                    "broken", f"no external certificate for training set {training_ds[:12]}"
-                )
-
+        no_pot = None if pots else "no proof of training to link against"
+        kinds = sorted({f.payload["property"]["kind"] for f in index["DistAtt"].get(training_ds, [])})
+        cert = dataset_certs.get(training_ds)
         test_sets = sorted({f.payload["dataset_sha256"] for f in accs + fairs})
-        if not test_sets:
-            edges["test_dataset_certificate"] = _edge("blocked", "no attested test set")
-        else:
-            uncertified = [d for d in test_sets if d not in dataset_certs]
-            if uncertified:
-                edges["test_dataset_certificate"] = _edge(
-                    "broken", f"test set(s) without external certificate: {[d[:12] for d in uncertified]}"
-                )
-            else:
-                edges["test_dataset_certificate"] = _edge(
-                    "ok", f"all {len(test_sets)} attested test set(s) endorsed"
-                )
+        gens = [index["RobustAtt-A"].get(f.payload["robust_dataset_sha256"], []) for f in robs]
+        grounded = {g.payload["dataset_sha256"] for group in gens for g in group}
 
-        grounded_sources: list[str] = []
-        if not robs:
-            edges["robustness_generation"] = _edge("blocked", "no robustness attestation to ground")
-        else:
-            ungrounded = []
-            for f in robs:
-                rob_ds = f.payload["robust_dataset_sha256"]
-                gens = index["RobustAtt-A"].get(rob_ds, [])
-                if gens:
-                    grounded_sources.extend(g.payload["dataset_sha256"] for g in gens)
-                else:
-                    ungrounded.append(rob_ds)
-            if ungrounded:
-                edges["robustness_generation"] = _edge(
-                    "broken",
-                    f"robust dataset(s) without a generation fragment: {[d[:12] for d in ungrounded]}",
-                )
-            else:
-                edges["robustness_generation"] = _edge(
-                    "ok", "every robust dataset is grounded by a generation fragment"
-                )
-
-        if not grounded_sources:
-            edges["robustness_source"] = _edge("blocked", "no grounded robust dataset")
-        elif not test_sets:
-            edges["robustness_source"] = _edge("blocked", "no attested test set to compare against")
-        else:
-            stray = sorted(set(grounded_sources) - set(test_sets))
-            if stray:
-                edges["robustness_source"] = _edge(
-                    "broken",
-                    f"robust dataset generated from unattested source(s): {[d[:12] for d in stray]}",
-                )
-            else:
-                edges["robustness_source"] = _edge(
-                    "ok", "robust dataset generated from the attested test set"
-                )
+        edges["training_distribution"] = _linked(
+            no_pot,
+            [] if kinds else [training_ds],
+            f"distribution attested for training set ({', '.join(kinds)})",
+            "no distribution attestation for training set {unlinked[0]}",
+        )
+        edges["training_dataset_certificate"] = _linked(
+            no_pot,
+            [] if cert else [training_ds],
+            f"training set endorsed as {cert.name!r} by {cert.endorser_id!r}" if cert else "",
+            "no external certificate for training set {unlinked[0]}",
+        )
+        edges["test_dataset_certificate"] = _linked(
+            None if test_sets else "no attested test set",
+            [d for d in test_sets if d not in dataset_certs],
+            f"all {len(test_sets)} attested test set(s) endorsed",
+            "test set(s) without external certificate: {unlinked}",
+        )
+        edges["robustness_generation"] = _linked(
+            None if robs else "no robustness attestation to ground",
+            [f.payload["robust_dataset_sha256"] for f, group in zip(robs, gens) if not group],
+            "every robust dataset is grounded by a generation fragment",
+            "robust dataset(s) without a generation fragment: {unlinked}",
+        )
+        edges["robustness_source"] = _linked(
+            (
+                "no grounded robust dataset" if not grounded
+                else "no attested test set to compare against" if not test_sets
+                else None
+            ),
+            sorted(grounded - set(test_sets)),
+            "robust dataset generated from the attested test set",
+            "robust dataset generated from unattested source(s): {unlinked}",
+        )
 
         complete = all(edges[name]["status"] == "ok" for name in _CORE_EDGES)
         entry: dict[str, Any] = {"edges": edges, "complete": complete}

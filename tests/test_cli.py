@@ -683,6 +683,12 @@ def test_bundle_wrong_envelope_version_exits_2(cli_ws, capsys, tmp_path, version
         (lambda c: c["architecture"].update(hidden=[4, "x"]), "hidden is not an integer: 'x'"),
         (lambda c: c.update(epochs="abc"), "epochs is not an integer: 'abc'"),
         (lambda c: c.update(learning_rate="abc"), "learning_rate is not a decimal string: 'abc'"),
+        # a field of the wrong JSON type is refused, never converted
+        (lambda c: c["architecture"].update(hidden="12"), "hidden is not an array: '12'"),
+        (lambda c: c.update(epochs=True), "epochs is not an integer: True"),
+        (lambda c: c.update(epochs="7"), "epochs is not an integer: '7'"),
+        (lambda c: c.update(rng_seed="42"), "rng_seed is not an integer: '42'"),
+        (lambda c: c.update(learning_rate=1), "learning_rate is not a decimal string: 1"),
         # past the documented bounds: refused before training allocates or loops
         (
             lambda c: c["architecture"].update(hidden=[10**30]),
@@ -694,7 +700,10 @@ def test_bundle_wrong_envelope_version_exits_2(cli_ws, capsys, tmp_path, version
             "batch_size x summed layer widths must be at most 10000000: 200 x 200003 (widest layer 199999)",
         ),
     ],
-    ids=["num_features", "hidden", "epochs", "learning_rate", "hidden-bound", "epochs-bound", "batch-bound"],
+    ids=[
+        "num_features", "hidden", "epochs", "learning_rate", "hidden-string", "epochs-bool", "epochs-string",
+        "rng_seed-string", "learning_rate-number", "hidden-bound", "epochs-bound", "batch-bound",
+    ],
 )
 def test_attest_train_malformed_config_field_exits_2(cli_ws, capsys, tmp_path, edit, message):
     from lam.hashcore import canonicalize
@@ -720,8 +729,10 @@ def test_attest_train_malformed_config_field_exits_2(cli_ws, capsys, tmp_path, e
         (lambda m: m["biases"][0].__setitem__(0, "abc"), "biases entry is not a decimal string: 'abc'"),
         (lambda m: m["arch"].__setitem__(0, "abc"), "arch is not an integer: 'abc'"),
         (lambda m: m["weights"][0][0].pop(), "malformed model file: "),
+        (lambda m: m.update(arch="".join(map(str, m["arch"]))), "arch is not an array: '242'"),
+        (lambda m: m["weights"][0][0].__setitem__(0, 1), "weights entry is not a decimal string: 1"),
     ],
-    ids=["weight", "bias", "arch", "ragged-rows"],
+    ids=["weight", "bias", "arch", "ragged-rows", "arch-string", "weight-number"],
 )
 def test_attest_accuracy_malformed_model_field_exits_2(cli_ws, capsys, tmp_path, edit, message):
     from lam.hashcore import canonicalize
@@ -738,6 +749,44 @@ def test_attest_accuracy_malformed_model_field_exits_2(cli_ws, capsys, tmp_path,
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(f"error: {message}") and "Traceback" not in err
+    assert not (tmp_path / "att").exists()
+
+
+@pytest.mark.parametrize("command", ["accuracy", "fairness", "robustness"])
+def test_attest_evaluation_past_the_activation_bound_exits_2(cli_ws, capsys, tmp_path, monkeypatch, command):
+    """Evaluating 2,000 rows on a model file with a 5,000-wide layer would
+    hold 2,000 x 5,004 activations, past MAX_BATCH_ACTIVATIONS: refused
+    before any layer runs. The activation is patched to raise, and traced
+    memory stays below one layer's activations, so nothing was allocated."""
+    import tracemalloc
+
+    import numpy as np
+
+    import lam.engine.model as model_module
+    from lam.engine.model import Model
+
+    def no_layer(*args):
+        raise AssertionError("a layer ran")
+
+    ws = cli_ws["ws"]
+    arch = Architecture(num_features=2, num_classes=2, hidden=(5000,), activation="tanh")
+    model = Model.from_float_params(arch, [np.zeros((2, 5000)), np.zeros((5000, 2))], [np.zeros(5000), np.zeros(2)])
+    (tmp_path / "model.json").write_bytes(model.canonical_bytes)
+    (tmp_path / "test.csv").write_bytes(linearly_separable(2000, 1.0, seed=9).canonical_bytes)
+    monkeypatch.setattr(model_module, "_activate", no_layer)
+    args = ["--model", str(tmp_path / "model.json"), "--data", str(tmp_path / "test.csv")]
+    args += ["--eps", "0.100000"] if command == "robustness" else []
+    tracemalloc.start()
+    try:
+        code = run("attest", command, *args, "--out", str(tmp_path / "att"), "-w", str(ws))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: rows x summed layer widths must be at most 10000000: 2000 x 5004 (widest layer 5000)\n"
+    )
+    assert peak < 2000 * 5000 * 8
     assert not (tmp_path / "att").exists()
 
 
