@@ -243,6 +243,15 @@ def config_ints(value: Any, name: str) -> tuple[int, ...]:
     return tuple(config_int(v, name) for v in value)
 
 
+def config_keys(value: Any, keys: tuple[str, ...], name: str) -> None:
+    """A ConfigError naming the first key, in sorted order, of the JSON
+    object `value` that is not one of `keys`: the canonical bytes that name
+    the object read would leave such a key out."""
+    unknown = sorted(set(value) - set(keys)) if type(value) is dict else []
+    if unknown:
+        raise ConfigError(f"{name} has an unknown key: {unknown[0]!r}")
+
+
 def config_decimal(value: Any, name: str) -> float:
     """The config or model field `name`, which must be a decimal string, as
     a float; a ConfigError naming the field for anything else, a JSON number
@@ -296,6 +305,7 @@ class Architecture:
 
     @classmethod
     def from_json_value(cls, value: dict[str, Any]) -> "Architecture":
+        config_keys(value, ("activation", "hidden", "num_classes", "num_features"), "architecture")
         return cls(
             num_features=config_int(value["num_features"], "num_features"),
             num_classes=config_int(value["num_classes"], "num_classes"),
@@ -330,8 +340,8 @@ class TrainingConfig:
             raise ConfigError(f"unknown optimizer {self.optimizer!r} (supported: {OPTIMIZERS})")
         if config_decimal(self.learning_rate, "learning_rate") <= 0:
             raise ConfigError("learning_rate must be > 0")
-        if self.rng_seed < 0:
-            raise ConfigError("rng_seed must be nonnegative")
+        if not 0 <= self.rng_seed < 2**64:  # the generator's state takes the seed mod 2^64
+            raise ConfigError(f"rng_seed must be in 0 .. 2^64 - 1: {self.rng_seed}")
 
     def to_json_value(self) -> dict[str, Any]:
         return {
@@ -345,6 +355,8 @@ class TrainingConfig:
 
     @classmethod
     def from_json_value(cls, value: dict[str, Any]) -> "TrainingConfig":
+        keys = ("architecture", "batch_size", "epochs", "learning_rate", "optimizer", "rng_seed")
+        config_keys(value, keys, "training config")
         try:
             return cls(
                 architecture=Architecture.from_json_value(value["architecture"]),

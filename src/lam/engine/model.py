@@ -35,7 +35,7 @@ from ..hashcore import (
     parse_decimal_string,
     quantize_rows,
 )
-from .data import Architecture, Dataset, InferenceRecord, TrainingConfig, config_decimal, config_ints
+from .data import Architecture, Dataset, InferenceRecord, TrainingConfig, config_decimal, config_ints, config_keys
 from .rng import Xoshiro256StarStar
 
 _ADAM_BETA1 = 0.9
@@ -122,8 +122,11 @@ class Model:
 
     @classmethod
     def from_json_value(cls, value: dict[str, Any]) -> "Model":
+        config_keys(value, ("activation", "arch", "biases", "weights"), "model file")
         try:
             widths = config_ints(value["arch"], "arch")
+            if len(widths) < 2:
+                raise ConfigError(f"arch needs at least two widths: {list(widths)}")
             arch = Architecture(
                 num_features=widths[0],
                 num_classes=widths[-1],
@@ -254,12 +257,15 @@ def _init_params(arch: Architecture, rng: Xoshiro256StarStar) -> np.ndarray:
     """The flat parameter buffer training starts from: each layer's weights
     drawn from the seeded stream, layer by layer and row-major, and zero
     biases."""
-    widths = arch.layer_widths
     params = np.zeros(arch.parameter_count)
-    for w in _layer_views(params, widths)[0]:
+    weights = _layer_views(params, arch.layer_widths)[0]
+    draws, offset = rng.uniform_array(sum(w.size for w in weights)), 0
+    for w in weights:
         fan_in, fan_out = w.shape
         limit = (6.0 / (fan_in + fan_out)) ** 0.5
-        w[:] = np.reshape([rng.uniform_in(-limit, limit) for _ in range(w.size)], w.shape)
+        lo, hi = -limit, limit
+        w[:] = (lo + (hi - lo) * draws[offset : offset + w.size]).reshape(w.shape)
+        offset += w.size
     return params
 
 
@@ -303,8 +309,7 @@ def train(dataset: Dataset, config: TrainingConfig) -> Model:
         m, v = np.zeros_like(params), np.zeros_like(params)
     step = 0
 
-    for _ in range(config.epochs):
-        order = rng.shuffled_indices(n)
+    for order in rng.shuffled_orders(n, config.epochs):
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
             x = dataset.features[batch]

@@ -330,7 +330,10 @@ def reference_train(dataset, config) -> Model:
     step = 0
 
     for _ in range(config.epochs):
-        order = rng.shuffled_indices(n)
+        order = list(range(n))  # Fisher-Yates from the top index down, with the scalar draws
+        for i in range(n - 1, 0, -1):
+            j = rng.randbelow(i + 1)
+            order[i], order[j] = order[j], order[i]
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
             x = dataset.features[batch]

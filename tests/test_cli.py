@@ -699,10 +699,16 @@ def test_bundle_wrong_envelope_version_exits_2(cli_ws, capsys, tmp_path, version
             lambda c: c.update(batch_size=6000, architecture={**c["architecture"], "hidden": [199999]}),
             "batch_size x summed layer widths must be at most 10000000: 200 x 200003 (widest layer 199999)",
         ),
+        # a seed the generator would read mod 2^64, as another config's seed
+        (lambda c: c.update(rng_seed=2**64 + 1), f"rng_seed must be in 0 .. 2^64 - 1: {2**64 + 1}"),
+        # a key the config digest would not name
+        (lambda c: c.update(momentum="0.900000"), "training config has an unknown key: 'momentum'"),
+        (lambda c: c["architecture"].update(dropout=1), "architecture has an unknown key: 'dropout'"),
     ],
     ids=[
         "num_features", "hidden", "epochs", "learning_rate", "hidden-string", "epochs-bool", "epochs-string",
         "rng_seed-string", "learning_rate-number", "hidden-bound", "epochs-bound", "batch-bound",
+        "rng_seed-bound", "unknown-key", "architecture-unknown-key",
     ],
 )
 def test_attest_train_malformed_config_field_exits_2(cli_ws, capsys, tmp_path, edit, message):
@@ -731,8 +737,14 @@ def test_attest_train_malformed_config_field_exits_2(cli_ws, capsys, tmp_path, e
         (lambda m: m["weights"][0][0].pop(), "malformed model file: "),
         (lambda m: m.update(arch="".join(map(str, m["arch"]))), "arch is not an array: '242'"),
         (lambda m: m["weights"][0][0].__setitem__(0, 1), "weights entry is not a decimal string: 1"),
+        (lambda m: m.update(dropout=1), "model file has an unknown key: 'dropout'"),
+        # one 2x2 layer under a one-width arch would load as the network [2, 2]
+        (
+            lambda m: m.update(arch=[2], weights=[[["0.000000"] * 2] * 2], biases=[["0.000000"] * 2]),
+            "arch needs at least two widths: [2]",
+        ),
     ],
-    ids=["weight", "bias", "arch", "ragged-rows", "arch-string", "weight-number"],
+    ids=["weight", "bias", "arch", "ragged-rows", "arch-string", "weight-number", "unknown-key", "arch-short"],
 )
 def test_attest_accuracy_malformed_model_field_exits_2(cli_ws, capsys, tmp_path, edit, message):
     from lam.hashcore import canonicalize

@@ -141,6 +141,11 @@ def test_training_config_validation(small_config):
         TrainingConfig(arch, epochs=1, learning_rate="0.1", batch_size=0, optimizer="sgd", rng_seed=0)
     with pytest.raises(ConfigError):
         TrainingConfig(arch, epochs=1, learning_rate="0.1", batch_size=32, optimizer="lbfgs", rng_seed=0)
+    # seeds are 64-bit: 2^64 - 1 is accepted, -1 and 2^64 are refused
+    TrainingConfig(arch, epochs=1, learning_rate="0.1", batch_size=32, optimizer="sgd", rng_seed=2**64 - 1)
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError, match="^rng_seed must be in 0 .. 2"):
+            TrainingConfig(arch, epochs=1, learning_rate="0.1", batch_size=32, optimizer="sgd", rng_seed=seed)
 
 
 def test_feature_quantization_round_trip():

@@ -4,9 +4,14 @@ vectors derived from that transliteration."""
 
 from __future__ import annotations
 
-import pytest
+from unittest.mock import patch
 
-from lam.engine.rng import Xoshiro256StarStar, splitmix64_stream
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lam.engine.rng import SHUFFLE_CHUNK, Xoshiro256StarStar, splitmix64_stream
 
 _M = (1 << 64) - 1
 
@@ -136,3 +141,58 @@ def test_shuffled_indices_matches_the_randbelow_loop(seed):
         assert fast.shuffled_indices(n) == _randbelow_shuffle(reference, n)
         assert fast._s == reference._s
     assert fast.next_u64() == reference.next_u64()
+
+
+seeds = st.sampled_from([0, 2**63, _M]) | st.integers(0, _M)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=seeds,
+    # lanes are cut at powers of two near the square root of the count
+    count=st.sampled_from([0, 1, 2, 3, 15, 16, 17, 255, 256, 257, 4095, 4096, 4097])
+    | st.sampled_from([SHUFFLE_CHUNK - 1, SHUFFLE_CHUNK, SHUFFLE_CHUNK + 1, 10**5])
+    | st.integers(0, 3000),
+)
+def test_bulk_draws_equal_the_next_u64_draws(seed, count):
+    bulk, reference = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+    draws = bulk.next_u64_array(count)
+    assert draws.dtype == np.uint64
+    assert draws.tolist() == [reference.next_u64() for _ in range(count)]
+    assert bulk._s == reference._s
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=seeds,
+    bounds=st.lists(
+        # above 2^63 about half the draws are rejected; a power of two accepts every draw
+        st.integers(2**63 - 64, 2**63 + 64) | st.integers(0, 63).map(lambda k: 2**k) | st.integers(1, _M),
+        max_size=300,
+    ),
+)
+def test_bulk_rejection_equals_the_randbelow_loop(seed, bounds):
+    bulk, reference = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+    got = bulk.randbelow_array(np.array(bounds, dtype=np.uint64))
+    assert got.tolist() == [reference.randbelow(b) for b in bounds]
+    assert bulk._s == reference._s
+
+
+def test_randbelow_array_refuses_a_zero_bound():
+    with pytest.raises(ValueError):
+        Xoshiro256StarStar(1).randbelow_array(np.array([3, 0], dtype=np.uint64))
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=seeds, n=st.integers(0, 400))
+def test_shuffled_orders_read_the_stream_a_chunk_at_a_time(seed, n):
+    """Orders whose draws span several chunks are the randbelow loop's, and
+    no bulk request is larger than a chunk."""
+    count = 2 * SHUFFLE_CHUNK // max(n - 1, 1) + 1
+    bulk, reference = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+    real = Xoshiro256StarStar.next_u64_array
+    with patch.object(Xoshiro256StarStar, "next_u64_array", autospec=True, side_effect=real) as requests:
+        for order in bulk.shuffled_orders(n, count):
+            assert order == _randbelow_shuffle(reference, n)
+    assert bulk._s == reference._s
+    assert max((call.args[1] for call in requests.call_args_list), default=0) <= SHUFFLE_CHUNK

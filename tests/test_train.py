@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import engine_oracle as oracle
 from lam.engine.data import ACTIVATIONS, OPTIMIZERS, Architecture, Dataset, TrainingConfig
 from lam.engine.model import MAX_BATCH_ACTIVATIONS, MAX_ROW_PASSES, Model, predict, predicted_classes, quantized_argmax, train
+from lam.engine.rng import SHUFFLE_CHUNK, Xoshiro256StarStar
 from lam.engine.synth import linearly_separable
 from lam.errors import ConfigError, DomainError
 
@@ -65,6 +66,21 @@ def test_train_bounds_epochs_times_rows_before_allocating(fixture_a, small_confi
             with pytest.raises(ConfigError, match=f"^epochs x rows must be at most {MAX_ROW_PASSES}: {epochs} x "):
                 train(fixture_a, replace(small_config, epochs=epochs))
     assert init.call_count == 1
+
+
+def test_train_draws_the_stream_a_chunk_at_a_time(small_config):
+    """Epoch orders whose draws span several chunks are drawn with no bulk
+    request larger than a chunk, and train as the per-layer loop does with
+    the scalar shuffle."""
+    dataset = linearly_separable(40)
+    config = replace(small_config, epochs=4 * SHUFFLE_CHUNK // 39, batch_size=64)
+    real = Xoshiro256StarStar.next_u64_array
+    with patch.object(Xoshiro256StarStar, "next_u64_array", autospec=True, side_effect=real) as requests:
+        model = train(dataset, config)
+    sizes = [call.args[1] for call in requests.call_args_list]
+    assert sum(sizes) >= config.epochs * 39 > 3 * SHUFFLE_CHUNK
+    assert max(sizes) <= SHUFFLE_CHUNK
+    assert model.canonical_bytes == oracle.reference_train(dataset, config).canonical_bytes
 
 
 def test_train_bounds_batch_activations_before_allocating(small_config):
