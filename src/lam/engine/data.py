@@ -340,7 +340,7 @@ class TrainingConfig:
             raise ConfigError(f"unknown optimizer {self.optimizer!r} (supported: {OPTIMIZERS})")
         if config_decimal(self.learning_rate, "learning_rate") <= 0:
             raise ConfigError("learning_rate must be > 0")
-        if not 0 <= self.rng_seed < 2**64:  # the generator's state takes the seed mod 2^64
+        if not 0 <= self.rng_seed < 2**64:  # the generator's seed range, named as a ConfigError
             raise ConfigError(f"rng_seed must be in 0 .. 2^64 - 1: {self.rng_seed}")
 
     def to_json_value(self) -> dict[str, Any]:

@@ -59,6 +59,11 @@ def _apply(tables: np.ndarray, states: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(tables[np.arange(64), nibbles], axis=1)
 
 
+def uniforms(draws: np.ndarray) -> np.ndarray:
+    """uniform() of each of the uint64 draws, as a float64 array."""
+    return (draws >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
 @cache
 def _jump_tables(steps: int) -> np.ndarray:
     """The 256x256 bit matrix T^steps of `steps` (a power of two) state
@@ -89,8 +94,8 @@ class Xoshiro256StarStar:
     __slots__ = ("_s",)
 
     def __init__(self, seed: int) -> None:
-        if seed < 0:
-            raise ValueError("seed must be nonnegative")
+        if not 0 <= seed <= _MASK64:  # splitmix64 would read a larger seed mod 2^64
+            raise ValueError(f"seed must be in 0 .. 2^64 - 1: {seed}")
         s = splitmix64_stream(seed, 4)
         if not any(s):  # all-zero state is invalid for xoshiro
             s[3] = 1
@@ -129,6 +134,8 @@ class Xoshiro256StarStar:
         k * stride on, stride a power of two near sqrt(count); the lanes are
         started by doubling them with the jumps T^(stride * 2^j), then step
         in lockstep."""
+        if count < 0:
+            raise ValueError(f"count must be nonnegative: {count}")
         if count == 0:
             return np.empty(0, dtype=np.uint64)
         stride = 1 << (count.bit_length() // 2)
@@ -157,7 +164,7 @@ class Xoshiro256StarStar:
 
     def uniform_array(self, count: int) -> np.ndarray:
         """The next `count` uniform() draws as a float64 array."""
-        return (self.next_u64_array(count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return uniforms(self.next_u64_array(count))
 
     def randbelow_array(self, bounds: np.ndarray) -> np.ndarray:
         """randbelow(b) for each b of `bounds` in turn, as a uint64 array,

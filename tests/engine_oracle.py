@@ -5,9 +5,10 @@ no imports from the engine's compute path.
 The last sections are the exception: they keep, as references the engine
 must match bit for bit, the number path the dataset loaders and FGSM used
 before datasets carried their canonical CSV from construction, the
-per-weight number path of model parameters, and the per-layer optimizer loop
+per-weight number path of model parameters, the per-layer optimizer loop
 and per-row argmax the trainer and predicted_classes used before they ran on
-whole arrays."""
+whole arrays, and the per-draw loops that built the synthetic datasets before
+they were drawn in bulk."""
 
 from __future__ import annotations
 
@@ -374,3 +375,77 @@ def reference_train(dataset, config) -> Model:
                     biases[i] -= lr * (m_b[i] / correction1) / (np.sqrt(v_b[i] / correction2) + _ADAM_EPS)
 
     return Model.from_float_params(arch, weights, biases)
+
+
+# --- The per-draw synthetic row loops -----------------------------------------
+# One scalar uniform or randbelow call per value, row by row, from the
+# generator passed in.
+
+
+def reference_separable_rows(n_rows: int, margin: float, rng) -> tuple[list[list[float]], list[int], list[int]]:
+    half_margin = margin / 2.0
+    norm = math.sqrt(2.0)
+    features, labels, sensitive = [], [], []
+    for i in range(n_rows):
+        x0 = rng.uniform_in(-3.0, 3.0)
+        x1 = rng.uniform_in(-3.0, 3.0)
+        label = i % 2
+        side = 1.0 if label == 1 else -1.0
+        dist = (x0 + x1) / norm
+        shift = side * half_margin - dist
+        if (side > 0 and dist < half_margin) or (side < 0 and dist > -half_margin):
+            x0 += shift / norm
+            x1 += shift / norm
+        features.append([x0, x1])
+        labels.append(label)
+        sensitive.append(rng.randbelow(2))
+    return features, labels, sensitive
+
+
+def reference_census_rows(n_rows: int, rng) -> tuple[list[list[float]], list[int], list[int]]:
+    features, labels, sensitive = [], [], []
+    for _ in range(n_rows):
+        z = rng.randbelow(2)
+        age = rng.uniform_in(18.0, 70.0)
+        edu = rng.uniform_in(6.0, 18.0)
+        hours = rng.uniform_in(10.0, 60.0)
+        capital = rng.uniform() ** 3 * 10.0
+        tenure = rng.uniform_in(0.0, min(age - 16.0, 30.0))
+        dependents = float(rng.randbelow(5))
+        urban = float(rng.randbelow(2))
+        sector = float(rng.randbelow(4))
+        commute = rng.uniform_in(0.0, 2.0)
+        noise = [rng.uniform_in(-1.0, 1.0) for _ in range(3)]
+
+        score = (
+            0.09 * (edu - 12.0)
+            + 0.035 * (hours - 38.0)
+            + 0.28 * capital
+            + 0.05 * (tenure - 8.0)
+            + 0.015 * (age - 42.0)
+            - 0.0011 * (age - 45.0) ** 2
+            + 0.22 * urban * (edu > 13.0)
+            + 0.09 * math.sin(sector)
+            - 0.07 * dependents
+            + 0.16 * z
+        )
+        noise_draw = rng.uniform()
+        p = 1.0 / (1.0 + math.exp(-3.0 * score))
+        label = 1 if noise_draw < p else 0
+
+        row = [
+            age / 10.0,
+            edu / 3.0,
+            hours / 10.0,
+            capital / 2.0,
+            tenure / 10.0,
+            dependents / 2.0,
+            urban,
+            sector / 2.0,
+            commute,
+            *noise,
+        ]
+        features.append(row)
+        labels.append(label)
+        sensitive.append(z)
+    return features, labels, sensitive

@@ -124,6 +124,15 @@ def test_negative_seed_rejected():
         Xoshiro256StarStar(-1)
 
 
+def test_seed_past_64_bits_rejected():
+    """splitmix64 reads its seed mod 2^64, so a wider seed would name the
+    stream of a smaller one."""
+    assert Xoshiro256StarStar(_M).next_u64() == _OracleXoshiro(_oracle_splitmix64(_M, 4)).next()
+    for seed in (2**64, 2**64 + 1, 2**100):
+        with pytest.raises(ValueError, match=r"^seed must be in 0 \.\. 2\^64 - 1"):
+            Xoshiro256StarStar(seed)
+
+
 def _randbelow_shuffle(rng: Xoshiro256StarStar, n: int) -> list[int]:
     """The shuffle rule spelled with the public draws: Fisher-Yates from the
     top index down, j = randbelow(i + 1)."""
