@@ -3,20 +3,7 @@
 Provers measure ML properties inside simulated enclaves and emit quoted
 canonical-JSON fragments; verifiers validate quotes against certifications,
 chain the fragments, and assemble verified model cards, datasheets, and
-inference cards.
+inference cards. The package exports nothing else: import from its modules.
 """
 
 __version__ = "0.1.0"
-
-from . import backend, cards, certs, engine, hashcore, measurers, verifier
-
-__all__ = [
-    "backend",
-    "cards",
-    "certs",
-    "engine",
-    "hashcore",
-    "measurers",
-    "verifier",
-    "__version__",
-]

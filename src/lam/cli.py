@@ -40,6 +40,7 @@ from .hashcore import (
     canonicalize,
     parse_decimal_string,
     read_canonical,
+    unique_keys,
 )
 from .measurers import (
     ATT_TYPES,
@@ -241,7 +242,7 @@ def _inference_features(data: bytes, path: str) -> list[float]:
     """The features of an inference input file {"features": [...]}: JSON
     numbers and decimal strings, as floats."""
     try:
-        value = json.loads(data.decode("utf-8"))
+        value = json.loads(data.decode("utf-8"), object_pairs_hook=unique_keys)
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
         raise DomainError(f"inference input is not JSON: {path}: {exc}") from None
     features = value.get("features") if isinstance(value, dict) else None
@@ -347,10 +348,6 @@ def cmd_attest(args: argparse.Namespace) -> int:
 # --- endorse ------------------------------------------------------------------
 
 
-def _load_claims(path: str | None) -> Any:
-    return {} if path is None else read_canonical(path)
-
-
 def _digest_arg(name: str, text: str) -> Digest:
     try:
         return Digest.from_hex(text)
@@ -386,9 +383,8 @@ def cmd_endorse(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     subject = _digest_arg("subject", args.subject)
-    cert = make_external_certificate(
-        endorser, subject, args.kind, args.name, _load_claims(args.claims)
-    )
+    claims = None if args.claims is None else read_canonical(args.claims)
+    cert = make_external_certificate(endorser, subject, args.kind, args.name, claims)
     path = ws.certificates / f"{args.kind}-{subject.hex[:12]}.cert.json"
     _write_guarded(path, canonicalize(cert.to_json_value()), args.force)
     print(f"endorsed {args.kind} {subject.hex[:12]} as {args.name!r}")

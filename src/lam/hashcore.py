@@ -4,11 +4,11 @@ Three commitments live here and nowhere else:
 
 * SHA-256 is the digest algorithm; a Digest is exactly 32 bytes, hex is
   lowercase.
-* Canonical JSON: UTF-8, object keys sorted by code point, no insignificant
-  whitespace, and no float tokens: non-integer numbers must be decimal
-  strings (see decimal_string / ratio_string for the 6-fractional-digit,
-  round-half-even formatting rule, and quantize_rows and format_rows for
-  the arrays of features and parameters it applies to).
+* Canonical JSON: UTF-8, object keys sorted by code point and never
+  repeated, no insignificant whitespace, and no float tokens: non-integer
+  numbers must be decimal strings (see decimal_string / ratio_string for
+  the 6-fractional-digit, round-half-even formatting rule, and quantize_rows
+  and format_rows for the arrays of features and parameters it applies to).
 * Trusted manifests: sorted (path, digest) entries over a directory tree,
   with read-once file hashing so callers never operate on re-read bytes.
 
@@ -225,11 +225,25 @@ def _reject_float(text: str) -> Any:
     raise CanonicalizationError("", f"float token {text!r} in canonical JSON")
 
 
-_DECODER = json.JSONDecoder(parse_float=_reject_float)
+def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """The object of a JSON decoder's key-value pairs, as an
+    object_pairs_hook; a repeated key is refused, never last-writer-wins."""
+    value = dict(pairs)
+    if len(value) != len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise CanonicalizationError("", f"repeated object key {key!r}")
+            seen.add(key)
+    return value
+
+
+_DECODER = json.JSONDecoder(parse_float=_reject_float, object_pairs_hook=unique_keys)
 
 
 def parse_canonical(data: bytes) -> Any:
-    """Parse canonical JSON bytes, rejecting float tokens outright."""
+    """Parse canonical JSON bytes, rejecting float tokens and repeated
+    object keys outright."""
     try:
         text = data.decode("utf-8")
         if text.startswith("\ufeff"):  # as json.loads words it
@@ -415,15 +429,11 @@ def build_manifest(root: str | Path) -> TrustedManifest:
     return TrustedManifest.from_entries(entries)
 
 
-def verify_against_manifest(manifest: TrustedManifest, path: str, content: bytes) -> bool:
-    """True iff (path, hash of content) is an entry of the manifest."""
-    expected = manifest.digest_for(path)
-    return expected is not None and expected == hash_bytes(content)
-
-
 def require_in_manifest(manifest: TrustedManifest, path: str, content: bytes) -> None:
-    """verify_against_manifest, raising ManifestMismatchError on reject."""
-    if manifest.digest_for(path) is None:
+    """Check that (path, hash of content) is an entry of the manifest;
+    ManifestMismatchError when the path is not listed or the hash differs."""
+    expected = manifest.digest_for(path)
+    if expected is None:
         raise ManifestMismatchError(path, "path not listed in trusted manifest")
-    if not verify_against_manifest(manifest, path, content):
+    if expected != hash_bytes(content):
         raise ManifestMismatchError(path, "content hash does not match trusted manifest")

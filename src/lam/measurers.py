@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Sequence
 from .backend import EnclaveMeasurement, PlatformCertificate, PlatformIdentity, Quote, issue_quote, measure_enclave
 from .engine.data import Dataset, InferenceRecord, TrainingConfig
 from .engine.fgsm import fgsm_dataset
-from .engine.metrics import accuracy, demographic_parity, distribution, robust_accuracy
+from .engine.metrics import MetricValue, accuracy, demographic_parity, distribution, robust_accuracy
 from .engine.model import Model, predict, train
 from .errors import DomainError, LamError
 from .hashcore import (
@@ -299,10 +299,24 @@ def attest_training(
     return model, _seal(enclave, platform, fragment)
 
 
-def _metric_fragment(att_type: str, digests: dict[str, str], metric_entry: dict[str, Any]) -> dict[str, Any]:
-    fragment: dict[str, Any] = {"att_type": att_type, **digests}
-    fragment["results"] = {"task": TASK, "metrics": [metric_entry]}
-    return fragment
+def _seal_metric(
+    att_type: str,
+    model: Model,
+    dataset: Dataset,
+    metric: MetricValue,
+    enclave: EnclaveContext,
+    platform: PlatformIdentity,
+) -> AttestationEnvelope:
+    """Seal an AccAtt, FairAtt or RobustAtt-B fragment: one metric of `model`
+    measured on `dataset`, which RobustAtt-B names as the robust dataset."""
+    dataset_field = "robust_dataset_sha256" if att_type == "RobustAtt-B" else "dataset_sha256"
+    fragment = {
+        "att_type": att_type,
+        "model_sha256": model.digest.hex,
+        dataset_field: dataset.digest.hex,
+        "results": {"task": TASK, "metrics": [metric.to_json_value()]},
+    }
+    return _seal(enclave, platform, fragment)
 
 
 def attest_accuracy(
@@ -312,13 +326,7 @@ def attest_accuracy(
     enclave: EnclaveContext,
     platform: PlatformIdentity,
 ) -> AttestationEnvelope:
-    metric = accuracy(model, d_te)
-    fragment = _metric_fragment(
-        "AccAtt",
-        {"model_sha256": model.digest.hex, "dataset_sha256": d_te.digest.hex},
-        metric.to_json_value(),
-    )
-    return _seal(enclave, platform, fragment)
+    return _seal_metric("AccAtt", model, d_te, accuracy(model, d_te), enclave, platform)
 
 
 def attest_fairness(
@@ -328,13 +336,7 @@ def attest_fairness(
     enclave: EnclaveContext,
     platform: PlatformIdentity,
 ) -> AttestationEnvelope:
-    metric = demographic_parity(model, d_te)
-    fragment = _metric_fragment(
-        "FairAtt",
-        {"model_sha256": model.digest.hex, "dataset_sha256": d_te.digest.hex},
-        metric.to_json_value(),
-    )
-    return _seal(enclave, platform, fragment)
+    return _seal_metric("FairAtt", model, d_te, demographic_parity(model, d_te), enclave, platform)
 
 
 def attest_robustness(
@@ -364,15 +366,7 @@ def attest_robustness(
         },
     )
     metric = robust_accuracy(model, d_rob, epsilon=eps_canon)
-    robacc = _seal(
-        enclave,
-        platform,
-        _metric_fragment(
-            "RobustAtt-B",
-            {"model_sha256": model.digest.hex, "robust_dataset_sha256": d_rob.digest.hex},
-            metric.to_json_value(),
-        ),
-    )
+    robacc = _seal_metric("RobustAtt-B", model, d_rob, metric, enclave, platform)
     return d_rob, robgen, robacc
 
 

@@ -59,10 +59,18 @@ def _reject_float(text: str) -> Any:
     raise CanonicalizationError("", f"float token {text!r} in canonical JSON")
 
 
+def _refuse_repeats(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    keys = [key for key, _ in pairs]
+    for i, key in enumerate(keys):
+        if key in keys[:i]:
+            raise CanonicalizationError("", f"repeated object key {key!r}")
+    return dict(pairs)
+
+
 def reference_parse_canonical(data: bytes) -> Any:
     """lam's canonical parser as a plain json.loads call."""
     try:
-        return json.loads(data.decode("utf-8"), parse_float=_reject_float)
+        return json.loads(data.decode("utf-8"), parse_float=_reject_float, object_pairs_hook=_refuse_repeats)
     except CanonicalizationError:
         raise
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -12,7 +12,8 @@ from wire_cases import QUOTE_FIELD_CASES, edit_envelope
 from lam.cli import main
 from lam.engine.data import Architecture, TrainingConfig
 from lam.engine.synth import linearly_separable
-from lam.hashcore import parse_canonical
+from lam.hashcore import canonicalize, parse_canonical
+from lam.measurers import builtin_template
 
 
 def run(*argv: str) -> int:
@@ -452,6 +453,13 @@ def test_usage_error_exit_3():
     with pytest.raises(SystemExit) as err:
         main(["verify"])  # missing required flags
     assert err.value.code == 3
+
+
+def test_version_prints_the_package_version(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["--version"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out == "lam 0.1.0\n"
 
 
 def test_cli_matches_library_flow(cli_ws, tmp_path):
@@ -1038,3 +1046,112 @@ def test_verify_malformed_quote_field_exits_2(sixrow_files, capsys, tmp_path, pa
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "cards").exists()
+
+
+# --- a repeated object key is refused in every file lam reads -----------------
+
+
+def _repeat_key(source: Path, key: str, forged, out: Path) -> Path:
+    """Write `source` to out/<its name> with `"key":<forged>,` just before its
+    first `"key":`, so that a reader keeping a repeated key's last value
+    would see the genuine one; the path written."""
+    data = source.read_bytes()
+    marker = json.dumps(key).encode() + b":"
+    i = data.index(marker)
+    out.mkdir()
+    path = out / source.name
+    path.write_bytes(data[:i] + marker + json.dumps(forged).encode() + b"," + data[i:])
+    return path
+
+
+def _canonical_file(path: Path, value) -> Path:
+    path.write_bytes(canonicalize(value))
+    return path
+
+
+def _endorser_workspace(tmp: Path) -> str:
+    ws = tmp / "endorser-ws"
+    assert run("keygen", "endorser", "--endorser-id", "acme", "--seed", "cli-end", "-w", str(ws)) == 0
+    return str(ws)
+
+
+# (id, the genuine file from the workspace, the model file and a fresh
+# directory; the repeated key and its forged first value; the argv that reads
+# the forged file, with every output in the fresh directory)
+REPEATED_KEY_CASES = [
+    (
+        "config", lambda ws, model, tmp: ws / "config.json", "epochs", 1,
+        lambda ws, model, tmp, path: [
+            "attest", "train", "--data", str(ws / "train.csv"), "--config", str(path),
+            "--model-out", str(tmp / "model.json"), "--out", str(tmp / "att"), "-w", str(ws),
+        ],
+    ),
+    (
+        "model", lambda ws, model, tmp: model, "arch", [2, 2],
+        lambda ws, model, tmp, path: [
+            "attest", "accuracy", "--model", str(path), "--data", str(ws / "test.csv"),
+            "--out", str(tmp / "att"), "-w", str(ws),
+        ],
+    ),
+    (
+        "inference-input", lambda ws, model, tmp: ws / "input.json", "features", [0.0, 0.0],
+        lambda ws, model, tmp, path: [
+            "attest", "inference", "--model", str(model), "--input", str(path),
+            "--record-out", str(tmp / "record.json"), "--out", str(tmp / "att"), "-w", str(ws),
+        ],
+    ),
+    (
+        "trust-file", lambda ws, model, tmp: ws / "keys" / "trust.json", "manufacturer_roots", [],
+        lambda ws, model, tmp, path: _verify_args(ws, tmp / "cards", roots=path),
+    ),
+    (
+        "certification-store", lambda ws, model, tmp: ws / "certifications.json", "endorser_id", "mallory",
+        lambda ws, model, tmp, path: _verify_args(ws, tmp / "cards", certstore=path),
+    ),
+    (
+        "bundle", lambda ws, model, tmp: ws / "bundle.json", "name", "forged",
+        lambda ws, model, tmp, path: _verify_args(ws, tmp / "cards", bundle=path),
+    ),
+    (
+        "envelope", lambda ws, model, tmp: min((ws / "attestations").iterdir()), "payload_b64", "AAAA",
+        lambda ws, model, tmp, path: ["bundle", str(path), "--out", str(tmp / "bundle.json")],
+    ),
+    (
+        "external-certificate", lambda ws, model, tmp: min((ws / "certificates").iterdir()), "name", "forged",
+        lambda ws, model, tmp, path: ["bundle", str(path), "--out", str(tmp / "bundle.json")],
+    ),
+    (
+        "claims", lambda ws, model, tmp: _canonical_file(tmp / "claims.json", {"license": "cc-by-4.0"}),
+        "license", "proprietary",
+        lambda ws, model, tmp, path: [
+            "endorse", "dataset", "ab" * 32, "--name", "claimed", "--endorser", "acme",
+            "--claims", str(path), "-w", _endorser_workspace(tmp),
+        ],
+    ),
+    (
+        "template", lambda ws, model, tmp: _canonical_file(tmp / "template.json", builtin_template("AccAtt")),
+        "att_type", "PoT",
+        lambda ws, model, tmp, path: [
+            "endorse", "enclave", "--endorser", "acme", "--measurement", "ab" * 32,
+            "--template", str(path), "-w", _endorser_workspace(tmp),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    ("source", "key", "forged", "argv"), [c[1:] for c in REPEATED_KEY_CASES], ids=[c[0] for c in REPEATED_KEY_CASES]
+)
+def test_a_repeated_object_key_exits_2(cli_ws, capsys, tmp_path, source, key, forged, argv):
+    """A file whose repeated key ends on its genuine value is refused, naming
+    the key, and nothing is written: keeping the last value would accept a
+    file that a first-key-wins reader reads differently."""
+    ws, model = cli_ws["ws"], Path(cli_ws["model"])
+    path = _repeat_key(source(ws, model, tmp_path), key, forged, tmp_path / "forged")
+    args = argv(ws, model, tmp_path, path)
+    written = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    code = run(*args)
+    assert capsys.readouterr().err == f"error: repeated object key {key!r} at /\n"
+    assert code == 2
+    assert sorted(tmp_path.rglob("*")) == written

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import random
 from decimal import Decimal
@@ -21,7 +22,7 @@ from lam.hashcore import (
     parse_decimal_string,
     ratio_string,
     require_in_manifest,
-    verify_against_manifest,
+    unique_keys,
 )
 
 # Published SHA-256 vectors.
@@ -137,15 +138,15 @@ def test_manifest_rejects_duplicates_and_unsorted():
         TrustedManifest(entries=(("b", d), ("a", d)))
 
 
-def test_verify_against_manifest(tmp_path):
+def test_require_in_manifest():
     manifest = TrustedManifest.from_entries([("a", hash_bytes(b"x"))])
-    assert verify_against_manifest(manifest, "a", b"x")
-    assert not verify_against_manifest(manifest, "a", b"z")
-    assert not verify_against_manifest(manifest, "c", b"anything")
-    with pytest.raises(ManifestMismatchError, match="a"):
-        require_in_manifest(manifest, "a", b"z")
-    with pytest.raises(ManifestMismatchError, match="c"):
+    assert require_in_manifest(manifest, "a", b"x") is None
+    with pytest.raises(ManifestMismatchError) as err:
         require_in_manifest(manifest, "c", b"x")
+    assert str(err.value) == "path not listed in trusted manifest: c"
+    with pytest.raises(ManifestMismatchError) as err:
+        require_in_manifest(manifest, "a", b"z")
+    assert str(err.value) == "content hash does not match trusted manifest: a"
 
 
 def test_canonicalize_sorts_keys():
@@ -195,6 +196,28 @@ def test_parse_canonical_rejects_floats():
     assert not is_canonical(b'{"v":0.5}')
     assert not is_canonical(b'{"b":1,"a":2}')  # unsorted keys
     assert not is_canonical(b"{bad json")
+
+
+@pytest.mark.parametrize(
+    ("data", "key"),
+    [
+        (b'{"a":1,"a":1}', "a"),
+        (b'{"a":{"b":1,"c":2,"b":3}}', "b"),
+        (b'[{"x":0},{"y":1,"y":1}]', "y"),
+        # the first key to repeat an earlier one is named
+        (b'{"a":0,"b":0,"b":1,"a":1}', "b"),
+    ],
+)
+def test_parse_canonical_refuses_a_repeated_key(data, key):
+    with pytest.raises(CanonicalizationError) as err:
+        parse_canonical(data)
+    assert str(err.value) == f"repeated object key {key!r} at /"
+
+
+def test_unique_keys_is_a_json_object_pairs_hook():
+    assert json.loads('{"b":1.5,"a":[{"c":null}]}', object_pairs_hook=unique_keys) == {"b": 1.5, "a": [{"c": None}]}
+    with pytest.raises(CanonicalizationError, match="repeated object key 'k'"):
+        json.loads('{"k":1.5,"k":2}', object_pairs_hook=unique_keys)
 
 
 def test_deep_nesting_is_a_canonicalization_error():

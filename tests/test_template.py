@@ -13,7 +13,7 @@ from lam.certs import validate_template
 from lam.engine.rng import Xoshiro256StarStar
 from lam.errors import InvalidCertificationError
 from lam.measurers import ATT_SPECS, ATT_TYPES, builtin_template, shape_mismatch
-from lam.verifier import TemplateMatch, _match, match_template
+from lam.verifier import TemplateMatch, match_template
 
 # (name, template, payload, expected match)
 CASES = [
@@ -165,7 +165,7 @@ def test_replacing_subtrees_with_null_preserves_matches():
 
 KEYS = st.sampled_from(["a", "b", "c", "att_type"])
 SCALARS = st.one_of(st.sampled_from(["x", "y", ""]), st.booleans(), st.integers(-2, 2))
-# kinds a template may not hold, so that the matcher reaches its raise
+# kinds a template may not hold, so that match_template raises validate_template's error
 DISALLOWED = st.one_of(st.floats(allow_nan=False), st.lists(SCALARS, max_size=2))
 TEMPLATES = st.recursive(
     st.one_of(st.none(), SCALARS, SCALARS, DISALLOWED),
@@ -212,8 +212,16 @@ def _outcome(match, template, payload):
 @settings(max_examples=600, deadline=None)
 @given(TEMPLATES, st.data())
 def test_matcher_agrees_with_the_reference(template, data):
+    """match_template raises exactly validate_template's error for a
+    disallowed template, and otherwise matches as the reference does."""
     payload = _payload_for(template, data)
-    assert _outcome(_match, template, payload) == _outcome(reference_match, template, payload)
+    try:
+        validate_template(template)
+    except InvalidCertificationError as exc:
+        expected = ("raised", exc.path, str(exc))
+    else:
+        expected = _outcome(reference_match, template, payload)
+    assert _outcome(match_template, template, payload) == expected
 
 
 # --- builtin templates against their shapes ----------------------------------
