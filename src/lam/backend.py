@@ -8,9 +8,10 @@ implementation can be substituted; everything above it only sees Quote values
 and their canonical JSON wire form.
 
 Every signed record (platform certificate, quote, certification, external
-certificate) is a Signed: made by signed_by, read by from_json_value, checked
-by verifies_under or in bulk by check_signatures, its verdicts memoized per
-key. Nothing else signs.
+certificate) is a Signed: made by signed_by, written by to_json_value and
+read by from_json_value from its field annotations, checked by verifies_under
+or in bulk by check_signatures, its verdicts memoized per key. Nothing else
+signs. verify_quote answers None for a quote it accepts, else its reason.
 
 Quotes carry no nonce or timestamp: every attested payload binds content
 digests only, so replaying a genuine quote re-asserts a true statement.
@@ -28,7 +29,7 @@ from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
 
 from .errors import LamError
-from .hashcore import Digest, TrustedManifest, canonicalize, hash_bytes, record_fields
+from .hashcore import Digest, TrustedManifest, canonicalize, hash_bytes, record_fields, record_json_value
 
 SIG_ALG = "ed25519"
 # Fewest signatures verify_signatures splits across CPUs; each slice then
@@ -136,9 +137,9 @@ _S = TypeVar("_S", bound="Signed")
 
 class Signed:
     """A record signed over its signed_bytes(), the signature held in the
-    field that signature_field names. Its wire form is written by the
-    record's own to_json_value and read by from_json_value, whose errors
-    name the record by record_name."""
+    field that signature_field names. Its wire form, the JSON object of its
+    init fields, is written and read from the field annotations alone (see
+    hashcore.record_fields); read errors name the record by record_name."""
 
     signature_field: ClassVar[str] = "signature"
     record_name: ClassVar[str]
@@ -148,6 +149,8 @@ class Signed:
         """The record read from its JSON object; a LamError naming the
         record and field when it is not one (see hashcore.record_fields)."""
         return cls(**record_fields(cls, value, cls.record_name))
+
+    to_json_value = record_json_value
 
     def signed_bytes(self) -> bytes:
         """The canonical JSON of the wire form without the signature field."""
@@ -197,13 +200,6 @@ class PlatformCertificate(Signed):
     signature_field = "root_signature"
     record_name = "platform certificate"
 
-    def to_json_value(self) -> dict[str, Any]:
-        return {
-            "platform_id": self.platform_id,
-            "pubkey": self.pubkey,
-            "root_signature": self.root_signature.hex(),
-        }
-
 
 @dataclass(frozen=True)
 class ManufacturerRoot:
@@ -235,27 +231,8 @@ class Quote(Signed):
     platform_certificate: PlatformCertificate
     record_name = "quote"
 
-    def to_json_value(self) -> dict[str, Any]:
-        return {
-            "enclave_measurement": self.enclave_measurement.hex,
-            "report_data": self.report_data.hex,
-            "debug": self.debug,
-            "sig_alg": self.sig_alg,
-            "signature": self.signature.hex(),
-            "attestation_pubkey": self.attestation_pubkey,
-            "platform_certificate": self.platform_certificate.to_json_value(),
-        }
-
     def signed_bytes(self) -> bytes:
         return self.enclave_measurement.value + self.report_data.value + (b"\x01" if self.debug else b"\x00")
-
-
-@dataclass(frozen=True)
-class QuoteResult:
-    accepted: bool
-    reason: str | None = None  # bad-chain | bad-signature | debug-enclave
-    measurement: EnclaveMeasurement | None = None
-    report_data: Digest | None = None
 
 
 def create_root(seed: bytes | str | None = None) -> ManufacturerRoot:
@@ -300,42 +277,35 @@ def measure_enclave(measurer_code: bytes, manifest: TrustedManifest, config: byt
     )
 
 
-def issue_quote(
-    platform: PlatformIdentity,
-    measurement: EnclaveMeasurement,
-    report_data: Digest,
-    *,
-    debug: bool = False,
-) -> Quote:
-    """Sign (measurement, report_data, debug) with the platform attestation key.
-
-    `debug` exists so tests can simulate a debug-mode enclave; production
-    callers never set it.
-    """
+def issue_quote(platform: PlatformIdentity, measurement: EnclaveMeasurement, report_data: Digest) -> Quote:
+    """Sign (measurement, report_data) with the platform attestation key, as
+    the quote of an enclave not in debug mode."""
     return Quote.signed_by(
         platform.private_key,
         enclave_measurement=measurement,
         report_data=report_data,
-        debug=debug,
+        debug=False,
         sig_alg=SIG_ALG,
         attestation_pubkey=platform.public_hex,
         platform_certificate=platform.certificate,
     )
 
 
-def verify_quote(quote: Quote, trusted_roots: Iterable[str]) -> QuoteResult:
-    """Check chain, signature, and debug flag; on accept return the
-    authenticated (measurement, report_data) for upstream policy checks."""
+def verify_quote(quote: Quote, trusted_roots: Iterable[str]) -> str | None:
+    """Check chain, signature, and debug flag: None when the quote is
+    accepted, so its enclave_measurement and report_data are authenticated
+    for upstream policy checks, else the reason ("bad-chain",
+    "bad-signature" or "debug-enclave")."""
     cert = quote.platform_certificate
     if not any(cert.verifies_under(root) for root in trusted_roots):
-        return QuoteResult(False, reason="bad-chain")
+        return "bad-chain"
     if cert.pubkey != quote.attestation_pubkey:
-        return QuoteResult(False, reason="bad-chain")
+        return "bad-chain"
     if quote.sig_alg != SIG_ALG:
-        return QuoteResult(False, reason="bad-signature")
+        return "bad-signature"
     if not quote.verifies_under(quote.attestation_pubkey):
-        return QuoteResult(False, reason="bad-signature")
+        return "bad-signature"
     if quote.debug:
-        return QuoteResult(False, reason="debug-enclave")
-    return QuoteResult(True, measurement=quote.enclave_measurement, report_data=quote.report_data)
+        return "debug-enclave"
+    return None
 

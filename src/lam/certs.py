@@ -75,14 +75,6 @@ class Certification(Signed):
             {"enclave_measurement": self.enclave_measurement.hex, "template": self.template}
         )
 
-    def to_json_value(self) -> dict[str, Any]:
-        return {
-            "enclave_measurement": self.enclave_measurement.hex,
-            "endorser_id": self.endorser_id,
-            "signature": self.signature.hex(),
-            "template": self.template,
-        }
-
     @cached_property
     def certification_sha256(self) -> Digest:
         return hash_bytes(canonicalize(self.to_json_value()))
@@ -130,16 +122,6 @@ class ExternalCertificate(Signed):
             batch = [c for c in (ref() for ref in self._batch) if c is not None and c.endorser_id == self.endorser_id]
             check_signatures([(c, endorser_pubkey_hex) for c in batch])
         return super().verifies_under(endorser_pubkey_hex)
-
-    def to_json_value(self) -> dict[str, Any]:
-        return {
-            "claims": self.claims,
-            "endorser_id": self.endorser_id,
-            "name": self.name,
-            "signature": self.signature.hex(),
-            "subject_kind": self.subject_kind,
-            "subject_sha256": self.subject_sha256.hex,
-        }
 
     @cached_property
     def certificate_sha256(self) -> Digest:

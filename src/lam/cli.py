@@ -38,6 +38,7 @@ from .hashcore import (
     Digest,
     build_manifest,
     canonicalize,
+    in_file,
     parse_decimal_string,
     read_canonical,
     unique_keys,
@@ -45,6 +46,7 @@ from .hashcore import (
 from .measurers import (
     ATT_TYPES,
     AttestationEnvelope,
+    EnclaveContext,
     attest_accuracy,
     attest_distribution,
     attest_fairness,
@@ -242,7 +244,8 @@ def _inference_features(data: bytes, path: str) -> list[float]:
     """The features of an inference input file {"features": [...]}: JSON
     numbers and decimal strings, as floats."""
     try:
-        value = json.loads(data.decode("utf-8"), object_pairs_hook=unique_keys)
+        with in_file(path):
+            value = json.loads(data.decode("utf-8"), object_pairs_hook=unique_keys)
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
         raise DomainError(f"inference input is not JSON: {path}: {exc}") from None
     features = value.get("features") if isinstance(value, dict) else None
@@ -259,6 +262,11 @@ def _inference_features(data: bytes, path: str) -> list[float]:
         except OverflowError:  # an integer beyond the float range
             raise DomainError(f"inference input features[{i}] is outside the float range") from None
     return out
+
+
+def _read_model(ctx: EnclaveContext, path: str) -> Model:
+    with in_file(path):
+        return Model.from_json_bytes(ctx.read_input(path))
 
 
 def cmd_attest(args: argparse.Namespace) -> int:
@@ -278,7 +286,8 @@ def cmd_attest(args: argparse.Namespace) -> int:
     if args.kind == "train":
         ctx = _enclave(args, "training")
         dataset = Dataset.from_csv_bytes(ctx.read_input(args.data))
-        config = TrainingConfig.from_json_bytes(ctx.read_input(args.config))
+        with in_file(args.config):
+            config = TrainingConfig.from_json_bytes(ctx.read_input(args.config))
         model, env = attest_training(dataset, config, enclave=ctx, platform=platform)
         model_path = Path(args.model_out) if args.model_out else ws.artifacts / f"model-{model.digest.hex[:12]}.json"
         _write_guarded(model_path, model.canonical_bytes, args.force)
@@ -290,7 +299,7 @@ def cmd_attest(args: argparse.Namespace) -> int:
 
     if args.kind in ("accuracy", "fairness"):
         ctx = _enclave(args, "metric")
-        model = Model.from_json_bytes(ctx.read_input(args.model))
+        model = _read_model(ctx, args.model)
         dataset = Dataset.from_csv_bytes(ctx.read_input(args.data))
         if args.kind == "accuracy":
             env = attest_accuracy(model, dataset, enclave=ctx, platform=platform)
@@ -310,7 +319,7 @@ def cmd_attest(args: argparse.Namespace) -> int:
         except (ValueError, DomainError) as exc:
             raise DomainError(f"--eps: {exc}") from None
         ctx = _enclave(args, "metric")
-        model = Model.from_json_bytes(ctx.read_input(args.model))
+        model = _read_model(ctx, args.model)
         dataset = Dataset.from_csv_bytes(ctx.read_input(args.data))
         d_rob, robgen, robacc = attest_robustness(model, dataset, args.eps, enclave=ctx, platform=platform)
         rob_path = Path(args.robust_out) if args.robust_out else ws.artifacts / f"drob-{d_rob.digest.hex[:12]}.csv"
@@ -325,7 +334,7 @@ def cmd_attest(args: argparse.Namespace) -> int:
 
     # inference
     ctx = _enclave(args, "inference")
-    model = Model.from_json_bytes(ctx.read_input(args.model))
+    model = _read_model(ctx, args.model)
     features = _inference_features(ctx.read_input(args.input), args.input)
     record, env = attest_inference(model, features, enclave=ctx, platform=platform)
     path = _write_envelope(out_dir, "io", record.output_digest.hex, env, args.force)

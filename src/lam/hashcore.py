@@ -12,21 +12,22 @@ Three commitments live here and nowhere else:
 * Trusted manifests: sorted (path, digest) entries over a directory tree,
   with read-once file hashing so callers never operate on re-read bytes.
 
-Wire records (quotes, certificates, certifications) are read from their
-canonical JSON by one typed parser, record_fields, driven by each record's
-field annotations.
+Wire records (quotes, certificates, certifications) are read from JSON by
+record_fields, which refuses a key that is not a field, and written by
+record_json_value, both driven by the records' field annotations alone.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from functools import cache
 from math import isfinite
 from pathlib import Path
-from typing import Any, Callable, Iterable, get_type_hints
+from typing import Any, Callable, Iterable, Iterator, get_type_hints
 
 import numpy as np
 
@@ -91,37 +92,49 @@ def _boolean(value: Any) -> bool:
     return value
 
 
-# How a record field is read from JSON, by its annotated type. A field of
-# any other type is a nested record, read by that type's from_json_value.
-_FIELD_PARSERS: dict[Any, Callable[[Any], Any]] = {
-    Digest: Digest.from_hex,
-    str: _text,
-    bytes: hex_bytes,
-    bool: _boolean,
-    Any: lambda value: value,
+def _same(value: Any) -> Any:
+    return value
+
+
+# How a record field is read from and written to JSON, by its annotated type.
+# Any other type is a nested record, with its own from_json_value and to_json_value.
+_FIELD_CODECS: dict[Any, tuple[Callable[[Any], Any], Callable[[Any], Any]]] = {
+    Digest: (Digest.from_hex, lambda digest: digest.hex),
+    str: (_text, _same),
+    bytes: (hex_bytes, bytes.hex),
+    bool: (_boolean, _same),
+    Any: (_same, _same),
 }
 
 
 @cache
-def _field_table(cls: type) -> tuple[tuple[str, Callable[[Any], Any]], ...]:
-    """(name, parser) of each init field of the dataclass `cls`, worked out
-    once per class."""
+def _field_table(cls: type) -> tuple[tuple[str, Callable[[Any], Any], Callable[[Any], Any]], ...]:
+    """(name, parser, writer) of each init field of the dataclass `cls`,
+    worked out once per class."""
     hints = get_type_hints(cls)
-    return tuple(
-        (f.name, _FIELD_PARSERS.get(hints[f.name]) or hints[f.name].from_json_value)
-        for f in fields(cls)
-        if f.init
-    )
+    table = []
+    for f in fields(cls):
+        if f.init:
+            kind = hints[f.name]
+            parse, write = _FIELD_CODECS.get(kind) or (kind.from_json_value, kind.to_json_value)
+            table.append((f.name, parse, write))
+    return tuple(table)
 
 
 def record_fields(cls: type, value: Any, record: str) -> dict[str, Any]:
     """The init fields of the `cls` record, parsed from the JSON object
-    `value` by their annotated types; a LamError naming the field when
-    `value` is not an object, or a field is missing or does not parse."""
+    `value` by their annotated types; a LamError naming the key or field
+    when `value` is not an object, holds a key that is not a field, or a
+    field is missing or does not parse. The inverse of record_json_value."""
     if not isinstance(value, dict):
         raise LamError(f"{record} must be a JSON object")
+    table = _field_table(cls)
+    if len(value) != len(table):
+        unknown = sorted(set(value).difference(name for name, _, _ in table))
+        if unknown:
+            raise LamError(f"{record} has an unknown key: {unknown[0]!r}")
     parsed = {}
-    for name, parse in _field_table(cls):
+    for name, parse, _ in table:
         if name not in value:
             raise LamError(f"{record} has no {name!r} field")
         try:
@@ -129,6 +142,12 @@ def record_fields(cls: type, value: Any, record: str) -> dict[str, Any]:
         except (TypeError, ValueError):
             raise LamError(f"{record} field {name!r} is malformed: {value[name]!r}") from None
     return parsed
+
+
+def record_json_value(record: Any) -> dict[str, Any]:
+    """The JSON object of a record: each init field under its name, written
+    by its annotated type (see record_fields)."""
+    return {name: write(getattr(record, name)) for name, _, write in _field_table(type(record))}
 
 
 def hash_bytes(data: bytes) -> Digest:
@@ -257,10 +276,22 @@ def parse_canonical(data: bytes) -> Any:
         raise CanonicalizationError("", "JSON is nested too deeply") from None
 
 
+@contextmanager
+def in_file(path: str | Path) -> Iterator[None]:
+    """Name the file `path`, as a `: path` suffix, in a CanonicalizationError
+    raised inside: the error of a JSON file that does not parse."""
+    try:
+        yield
+    except CanonicalizationError as exc:
+        raise LamError(f"{exc}: {path}") from None
+
+
 def read_canonical(path: str | Path) -> Any:
-    """The value of a canonical JSON file, read once (see parse_canonical)."""
+    """The value of a canonical JSON file, read once (see parse_canonical);
+    a parse error names the file."""
     content, _ = hash_file_once(path)
-    return parse_canonical(content)
+    with in_file(path):
+        return parse_canonical(content)
 
 
 def parse_canonical_exact(data: bytes) -> Any:

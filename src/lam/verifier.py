@@ -131,12 +131,12 @@ def verify_envelope(
     matches its template and, if its att_type is a builtin one, that type's
     shape (AttSpec.shape), whatever the template: the detail of a shape
     mismatch names its path (`PoT field is not a string at /dataset_sha256`)."""
-    quote_result = verify_quote(envelope.quote, trusted_roots)
-    if not quote_result.accepted:
-        return EnvelopeVerdict(False, reason="bad-quote", detail=quote_result.reason)
+    rejection = verify_quote(envelope.quote, trusted_roots)
+    if rejection is not None:
+        return EnvelopeVerdict(False, reason="bad-quote", detail=rejection)
 
     payload_digest = hash_bytes(envelope.payload)
-    if payload_digest != quote_result.report_data:
+    if payload_digest != envelope.quote.report_data:
         return EnvelopeVerdict(
             False,
             reason="payload-binding-mismatch",
@@ -148,12 +148,12 @@ def verify_envelope(
     except CanonicalizationError as exc:
         return EnvelopeVerdict(False, reason="template-mismatch", detail=f"payload is not canonical JSON: {exc}")
 
-    certifications = store.for_measurement(quote_result.measurement)
+    certifications = store.for_measurement(envelope.quote.enclave_measurement)
     if not certifications:
         return EnvelopeVerdict(
             False,
             reason="unknown-enclave",
-            detail=f"no certification for measurement {quote_result.measurement.hex[:12]}",
+            detail=f"no certification for measurement {envelope.quote.enclave_measurement.hex[:12]}",
         )
 
     invalid: InvalidCertificationError | None = None
@@ -178,7 +178,7 @@ def verify_envelope(
                     payload_bytes=envelope.payload,
                     fragment_sha256=payload_digest,
                     att_type=att_type,
-                    measurement=quote_result.measurement,
+                    measurement=envelope.quote.enclave_measurement,
                     certification=cert,
                 ),
             )

@@ -97,10 +97,9 @@ def test_quote_round_trip(test_root, test_platform):
     for _ in range(20):
         report = _random_digest(rnd)
         quote = issue_quote(test_platform, measurement, report)
-        result = verify_quote(quote, {test_root.public_hex})
-        assert result.accepted
-        assert result.measurement == measurement
-        assert result.report_data == report
+        assert verify_quote(quote, {test_root.public_hex}) is None
+        assert quote.enclave_measurement == measurement
+        assert quote.report_data == report
 
 
 def test_quote_wire_round_trip(test_root, test_platform):
@@ -109,7 +108,7 @@ def test_quote_wire_round_trip(test_root, test_platform):
     wire = canonicalize(quote.to_json_value())
     restored = Quote.from_json_value(__import__("json").loads(wire))
     assert restored == quote
-    assert verify_quote(restored, {test_root.public_hex}).accepted
+    assert verify_quote(restored, {test_root.public_hex}) is None
 
 
 def test_quote_wire_format_fields(test_platform):
@@ -139,9 +138,7 @@ def test_tampered_report_data_rejected(test_root, test_platform):
     flipped = bytearray(quote.report_data.value)
     flipped[0] ^= 1
     tampered = replace(quote, report_data=Digest(bytes(flipped)))
-    result = verify_quote(tampered, {test_root.public_hex})
-    assert not result.accepted
-    assert result.reason == "bad-signature"
+    assert verify_quote(tampered, {test_root.public_hex}) == "bad-signature"
 
 
 def test_uncertified_key_rejected(test_root):
@@ -150,17 +147,21 @@ def test_uncertified_key_rejected(test_root):
     rogue_platform = provision_platform(rogue_root, "rogue-p", seed=b"rogue-p")
     measurement = measure_enclave(*_example_measurement_inputs())
     quote = issue_quote(rogue_platform, measurement, hash_bytes(b"payload"))
-    result = verify_quote(quote, {test_root.public_hex})
-    assert not result.accepted
-    assert result.reason == "bad-chain"
+    assert verify_quote(quote, {test_root.public_hex}) == "bad-chain"
 
 
 def test_debug_quote_rejected(test_root, test_platform):
     measurement = measure_enclave(*_example_measurement_inputs())
-    quote = issue_quote(test_platform, measurement, hash_bytes(b"payload"), debug=True)
-    result = verify_quote(quote, {test_root.public_hex})
-    assert not result.accepted
-    assert result.reason == "debug-enclave"
+    quote = Quote.signed_by(
+        test_platform.private_key,
+        enclave_measurement=measurement,
+        report_data=hash_bytes(b"payload"),
+        debug=True,
+        sig_alg="ed25519",
+        attestation_pubkey=test_platform.public_hex,
+        platform_certificate=test_platform.certificate,
+    )
+    assert verify_quote(quote, {test_root.public_hex}) == "debug-enclave"
 
 
 def test_every_single_field_mutation_rejected(test_root, test_platform):
@@ -168,7 +169,7 @@ def test_every_single_field_mutation_rejected(test_root, test_platform):
     measurement = measure_enclave(*_example_measurement_inputs())
     genuine = issue_quote(test_platform, measurement, hash_bytes(b"payload"))
     roots = {test_root.public_hex}
-    assert verify_quote(genuine, roots).accepted
+    assert verify_quote(genuine, roots) is None
 
     other_platform = provision_platform(test_root, "other", seed=b"other-seed")
     flipped_sig = bytearray(genuine.signature)
@@ -195,7 +196,7 @@ def test_every_single_field_mutation_rejected(test_root, test_platform):
         ),
     }
     for field, mutated in mutations.items():
-        assert not verify_quote(mutated, roots).accepted, f"mutation not rejected: {field}"
+        assert verify_quote(mutated, roots) is not None, f"mutation not rejected: {field}"
 
 
 def test_certificate_for_other_key_rejected(test_root, test_platform):
@@ -204,9 +205,7 @@ def test_certificate_for_other_key_rejected(test_root, test_platform):
     measurement = measure_enclave(*_example_measurement_inputs())
     quote = issue_quote(test_platform, measurement, hash_bytes(b"payload"))
     pasted = replace(quote, platform_certificate=other.certificate)
-    result = verify_quote(pasted, {test_root.public_hex})
-    assert not result.accepted
-    assert result.reason == "bad-chain"
+    assert verify_quote(pasted, {test_root.public_hex}) == "bad-chain"
 
 
 def test_certificate_wire_round_trip(test_platform):

@@ -633,8 +633,14 @@ MALFORMED_STORES = [
         json.dumps([{**_GOOD_RECORD, "enclave_measurement": ["a"] * 64}]),
         "certification store entry 0: certification field 'enclave_measurement' is malformed: ",
     ),
+    (
+        json.dumps([_GOOD_RECORD, {**_GOOD_RECORD, "evil": "smuggled"}]),
+        "certification store entry 1: certification has an unknown key: 'evil'",
+    ),
 ]
-MALFORMED_STORE_IDS = ["object", "number", "empty-record", "int-endorser", "non-hex-signature", "list-measurement"]
+MALFORMED_STORE_IDS = [
+    "object", "number", "empty-record", "int-endorser", "non-hex-signature", "list-measurement", "unknown-key"
+]
 
 
 @pytest.mark.parametrize(("store", "message"), MALFORMED_STORES, ids=MALFORMED_STORE_IDS)
@@ -868,6 +874,19 @@ def test_bundle_unknown_subject_kind_exits_2(cli_ws, capsys, tmp_path):
     code = run("bundle", str(cert), "--out", str(out))
     assert code == 2
     assert capsys.readouterr().err == f"error: {ODD_KIND}: {cert}\n"
+    assert not out.exists()
+
+
+def test_bundle_external_certificate_unknown_key_exits_2(cli_ws, capsys, tmp_path):
+    """A certificate holding a key it does not have is refused: it would
+    verify, and its certificate_sha256 would name other bytes than those read."""
+    source = min((cli_ws["ws"] / "certificates").iterdir())
+    cert = tmp_path / source.name
+    cert.write_bytes(canonicalize({**parse_canonical(source.read_bytes()), "evil": "smuggled"}))
+    out = tmp_path / "bundle.json"
+    code = run("bundle", str(cert), "--out", str(out))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: external certificate has an unknown key: 'evil': {cert}\n"
     assert not out.exists()
 
 
@@ -1152,6 +1171,6 @@ def test_a_repeated_object_key_exits_2(cli_ws, capsys, tmp_path, source, key, fo
     written = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
     code = run(*args)
-    assert capsys.readouterr().err == f"error: repeated object key {key!r} at /\n"
+    assert capsys.readouterr().err == f"error: repeated object key {key!r} at /: {path}\n"
     assert code == 2
     assert sorted(tmp_path.rglob("*")) == written

@@ -1,5 +1,7 @@
 """Malformed quote and platform-certificate fields of an envelope's JSON
-value, and the LamError each must raise when a bundle holding it is parsed."""
+value, and the LamError each must raise when a bundle holding it is parsed.
+A key the record does not have is refused too: its digest and signature
+would not name the bytes read."""
 
 from __future__ import annotations
 
@@ -8,7 +10,8 @@ from typing import Any
 DELETE = object()
 
 # (case id, path of the field inside an envelope's JSON value, its new value,
-# a function of the old value, or DELETE)
+# a function of the old value, or DELETE; a path to a key that is not there
+# adds it)
 QUOTE_FIELD_CASES: list[tuple[str, tuple[str, ...], Any]] = [
     ("debug-zero", ("quote", "debug"), 0),
     ("debug-string", ("quote", "debug"), "false"),
@@ -27,6 +30,8 @@ QUOTE_FIELD_CASES: list[tuple[str, tuple[str, ...], Any]] = [
     ("quote-array", ("quote",), []),
     ("no-quote", ("quote",), DELETE),
     ("no-payload", ("payload_b64",), DELETE),
+    ("quote-unknown-key", ("quote", "evil"), "smuggled"),
+    ("platform-certificate-unknown-key", ("quote", "platform_certificate", "evil"), "smuggled"),
 ]
 
 _RECORDS = ("envelope", "quote", "platform certificate")
@@ -42,6 +47,9 @@ def edit_envelope(envelope: dict[str, Any], path: tuple[str, ...], new: Any) -> 
     if new is DELETE:
         del record[key]
         return f"{_RECORDS[len(parents)]} has no {key!r} field"
+    if key not in record:
+        record[key] = new
+        return f"{_RECORDS[len(parents)]} has an unknown key: {key!r}"
     value = new(record[key]) if callable(new) else new
     record[key] = value
     if key in ("quote", "platform_certificate"):
