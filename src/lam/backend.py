@@ -8,10 +8,11 @@ implementation can be substituted; everything above it only sees Quote values
 and their canonical JSON wire form.
 
 Every signed record (platform certificate, quote, certification, external
-certificate) is a Signed: made by signed_by, written by to_json_value and
-read by from_json_value from its field annotations, checked by verifies_under
-or in bulk by check_signatures, its verdicts memoized per key. Nothing else
-signs. verify_quote answers None for a quote it accepts, else its reason.
+certificate) is a Signed, a hashcore.Record, whose wire form is read and
+written from its field annotations: made by signed_by, checked by
+verifies_under or in bulk by check_signatures, its verdicts memoized per
+key. Nothing else signs. verify_quote answers None for a quote it accepts,
+else its reason.
 
 Quotes carry no nonce or timestamp: every attested payload binds content
 digests only, so replaying a genuine quote re-asserts a true statement.
@@ -29,7 +30,7 @@ from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
 
 from .errors import LamError
-from .hashcore import Digest, TrustedManifest, canonicalize, hash_bytes, record_fields, record_json_value
+from .hashcore import Digest, Record, TrustedManifest, canonicalize, hash_bytes
 
 SIG_ALG = "ed25519"
 # Fewest signatures verify_signatures splits across CPUs; each slice then
@@ -135,22 +136,11 @@ def _read_child(child: tuple[int, int] | None) -> bytes:
 _S = TypeVar("_S", bound="Signed")
 
 
-class Signed:
-    """A record signed over its signed_bytes(), the signature held in the
-    field that signature_field names. Its wire form, the JSON object of its
-    init fields, is written and read from the field annotations alone (see
-    hashcore.record_fields); read errors name the record by record_name."""
+class Signed(Record):
+    """A Record signed over its signed_bytes(), the signature held in the
+    field that signature_field names."""
 
     signature_field: ClassVar[str] = "signature"
-    record_name: ClassVar[str]
-
-    @classmethod
-    def from_json_value(cls: type[_S], value: Any) -> _S:
-        """The record read from its JSON object; a LamError naming the
-        record and field when it is not one (see hashcore.record_fields)."""
-        return cls(**record_fields(cls, value, cls.record_name))
-
-    to_json_value = record_json_value
 
     def signed_bytes(self) -> bytes:
         """The canonical JSON of the wire form without the signature field."""

@@ -39,6 +39,7 @@ from .hashcore import (
     build_manifest,
     canonicalize,
     in_file,
+    object_keys,
     parse_decimal_string,
     read_canonical,
     unique_keys,
@@ -74,9 +75,13 @@ def _load_trust(path: str | Path) -> dict[str, Any]:
     """A trust file: {"manufacturer_roots": [key hex, ...], "endorser_keys":
     {endorser id: key hex}}, either entry empty when missing."""
     trust = read_canonical(path)
-    if not isinstance(trust, dict):
-        raise LamError(f"trust file must be a JSON object: {path}")
-    trust = {"manufacturer_roots": [], "endorser_keys": {}, **trust}
+    empty = {"manufacturer_roots": [], "endorser_keys": {}}
+    if isinstance(trust, dict):
+        trust = {**empty, **trust}
+    try:
+        object_keys(trust, empty.keys(), "trust file")
+    except LamError as exc:
+        raise LamError(f"{exc}: {path}") from None
     roots, endorser_keys = trust["manufacturer_roots"], trust["endorser_keys"]
     if not (isinstance(roots, list) and all(isinstance(r, str) for r in roots)):
         raise LamError(f"trust file manufacturer_roots must be a list of strings: {path}")

@@ -28,6 +28,7 @@ import numpy as np
 from ..errors import ConfigError, DomainError
 from ..hashcore import (
     Digest,
+    Record,
     canonicalize,
     float_rows,
     format_rows,
@@ -226,32 +227,6 @@ def _cell_error(header: list[str], cells: list[str], lineno: int) -> DomainError
     return DomainError(f"CSV line {lineno}: malformed row")
 
 
-def config_int(value: Any, name: str) -> int:
-    """The config or model field `name`, which must be a JSON integer; a
-    ConfigError naming the field for anything else, a boolean, a string of
-    digits or a float included."""
-    if type(value) is not int:
-        raise ConfigError(f"{name} is not an integer: {value!r}")
-    return value
-
-
-def config_ints(value: Any, name: str) -> tuple[int, ...]:
-    """The config or model field `name`, which must be a JSON array of
-    integers (config_int); a ConfigError naming the field otherwise."""
-    if type(value) is not list:
-        raise ConfigError(f"{name} is not an array: {value!r}")
-    return tuple(config_int(v, name) for v in value)
-
-
-def config_keys(value: Any, keys: tuple[str, ...], name: str) -> None:
-    """A ConfigError naming the first key, in sorted order, of the JSON
-    object `value` that is not one of `keys`: the canonical bytes that name
-    the object read would leave such a key out."""
-    unknown = sorted(set(value) - set(keys)) if type(value) is dict else []
-    if unknown:
-        raise ConfigError(f"{name} has an unknown key: {unknown[0]!r}")
-
-
 def config_decimal(value: Any, name: str) -> float:
     """The config or model field `name`, which must be a decimal string, as
     a float; a ConfigError naming the field for anything else, a JSON number
@@ -265,13 +240,14 @@ def config_decimal(value: Any, name: str) -> float:
 
 
 @dataclass(frozen=True)
-class Architecture:
+class Architecture(Record):
     """MLP layout: input width, hidden widths, class count, activation."""
 
     num_features: int
     num_classes: int
     hidden: tuple[int, ...]
     activation: str
+    record_name = "architecture"
 
     def __post_init__(self) -> None:
         if self.num_features < 1 or self.num_classes < 2:
@@ -295,41 +271,16 @@ class Architecture:
         widths = self.layer_widths
         return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(widths, widths[1:]))
 
-    def to_json_value(self) -> dict[str, Any]:
-        return {
-            "activation": self.activation,
-            "hidden": list(self.hidden),
-            "num_classes": self.num_classes,
-            "num_features": self.num_features,
-        }
-
-    @classmethod
-    def from_json_value(cls, value: dict[str, Any]) -> "Architecture":
-        config_keys(value, ("activation", "hidden", "num_classes", "num_features"), "architecture")
-        return cls(
-            num_features=config_int(value["num_features"], "num_features"),
-            num_classes=config_int(value["num_classes"], "num_classes"),
-            hidden=config_ints(value["hidden"], "hidden"),
-            activation=value["activation"],
-        )
-
-    @cached_property
-    def canonical_bytes(self) -> bytes:
-        return canonicalize(self.to_json_value())
-
-    @cached_property
-    def digest(self) -> Digest:
-        return hash_bytes(self.canonical_bytes)
-
 
 @dataclass(frozen=True)
-class TrainingConfig:
+class TrainingConfig(Record):
     architecture: Architecture
     epochs: int
     learning_rate: str  # decimal string, e.g. "0.001000"
     batch_size: int
     optimizer: str
     rng_seed: int
+    record_name = "training config"
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -343,43 +294,9 @@ class TrainingConfig:
         if not 0 <= self.rng_seed < 2**64:  # the generator's seed range, named as a ConfigError
             raise ConfigError(f"rng_seed must be in 0 .. 2^64 - 1: {self.rng_seed}")
 
-    def to_json_value(self) -> dict[str, Any]:
-        return {
-            "architecture": self.architecture.to_json_value(),
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "optimizer": self.optimizer,
-            "rng_seed": self.rng_seed,
-        }
-
-    @classmethod
-    def from_json_value(cls, value: dict[str, Any]) -> "TrainingConfig":
-        keys = ("architecture", "batch_size", "epochs", "learning_rate", "optimizer", "rng_seed")
-        config_keys(value, keys, "training config")
-        try:
-            return cls(
-                architecture=Architecture.from_json_value(value["architecture"]),
-                epochs=config_int(value["epochs"], "epochs"),
-                learning_rate=value["learning_rate"],
-                batch_size=config_int(value["batch_size"], "batch_size"),
-                optimizer=value["optimizer"],
-                rng_seed=config_int(value["rng_seed"], "rng_seed"),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"malformed training config: {exc}") from exc
-
     @classmethod
     def from_json_bytes(cls, data: bytes) -> "TrainingConfig":
         return cls.from_json_value(parse_canonical(data))
-
-    @cached_property
-    def canonical_bytes(self) -> bytes:
-        return canonicalize(self.to_json_value())
-
-    @cached_property
-    def digest(self) -> Digest:
-        return hash_bytes(self.canonical_bytes)
 
 
 @dataclass(frozen=True)

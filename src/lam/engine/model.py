@@ -28,6 +28,7 @@ import numpy as np
 from ..errors import ConfigError, DomainError
 from ..hashcore import (
     Digest,
+    Record,
     canonicalize,
     format_rows,
     hash_bytes,
@@ -35,7 +36,7 @@ from ..hashcore import (
     parse_decimal_string,
     quantize_rows,
 )
-from .data import Architecture, Dataset, InferenceRecord, TrainingConfig, config_decimal, config_ints, config_keys
+from .data import Architecture, Dataset, InferenceRecord, TrainingConfig, config_decimal
 from .rng import Xoshiro256StarStar
 
 _ADAM_BETA1 = 0.9
@@ -72,6 +73,18 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     exps = np.exp(shifted)
     return exps / exps.sum(axis=-1, keepdims=True)
+
+
+@dataclass(frozen=True)
+class _ModelFile(Record):
+    """The wire form of a model file: its layer widths, activation, and
+    parameters as nested arrays of decimal strings (read by Model)."""
+
+    activation: str
+    arch: tuple[int, ...]
+    biases: Any
+    weights: Any
+    record_name = "model file"
 
 
 @dataclass(frozen=True)
@@ -113,34 +126,30 @@ class Model:
         )
 
     def to_json_value(self) -> dict[str, Any]:
-        return {
-            "activation": self.architecture.activation,
-            "arch": list(self.architecture.layer_widths),
-            "biases": [format_rows(b[np.newaxis])[0].split(",") for b in self.biases],
-            "weights": [[row.split(",") for row in format_rows(w)] for w in self.weights],
-        }
+        return _ModelFile(
+            activation=self.architecture.activation,
+            arch=self.architecture.layer_widths,
+            biases=[format_rows(b[np.newaxis])[0].split(",") for b in self.biases],
+            weights=[[row.split(",") for row in format_rows(w)] for w in self.weights],
+        ).to_json_value()
 
     @classmethod
-    def from_json_value(cls, value: dict[str, Any]) -> "Model":
-        config_keys(value, ("activation", "arch", "biases", "weights"), "model file")
+    def from_json_value(cls, value: Any) -> "Model":
+        file = _ModelFile.from_json_value(value)
+        if len(file.arch) < 2:  # one layer under one width would load as a network of two
+            raise ConfigError(f"arch needs at least two widths: {list(file.arch)}")
+        arch = Architecture(
+            num_features=file.arch[0], num_classes=file.arch[-1], hidden=file.arch[1:-1], activation=file.activation
+        )
         try:
-            widths = config_ints(value["arch"], "arch")
-            if len(widths) < 2:
-                raise ConfigError(f"arch needs at least two widths: {list(widths)}")
-            arch = Architecture(
-                num_features=widths[0],
-                num_classes=widths[-1],
-                hidden=widths[1:-1],
-                activation=value["activation"],
-            )
             weights = tuple(
                 np.array([[config_decimal(v, "weights entry") for v in row] for row in w], dtype=np.float64)
-                for w in value["weights"]
+                for w in file.weights
             )
             biases = tuple(
-                np.array([config_decimal(v, "biases entry") for v in b], dtype=np.float64) for b in value["biases"]
+                np.array([config_decimal(v, "biases entry") for v in b], dtype=np.float64) for b in file.biases
             )
-        except (KeyError, TypeError, IndexError, ValueError) as exc:  # ValueError: rows of unequal length
+        except (TypeError, ValueError) as exc:  # ValueError: rows of unequal length
             raise ConfigError(f"malformed model file: {exc}") from exc
         return cls.from_float_params(arch, weights, biases)
 

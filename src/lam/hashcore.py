@@ -12,9 +12,11 @@ Three commitments live here and nowhere else:
 * Trusted manifests: sorted (path, digest) entries over a directory tree,
   with read-once file hashing so callers never operate on re-read bytes.
 
-Wire records (quotes, certificates, certifications) are read from JSON by
-record_fields, which refuses a key that is not a field, and written by
-record_json_value, both driven by the records' field annotations alone.
+Every JSON record (quotes, certificates, certifications, training configs
+and model files) is a Record, read by record_fields and written by
+record_json_value, both driven by its field annotations alone. object_keys
+is the one rule for a JSON object with exactly a given set of keys, records
+and the envelope, bundle and trust file objects alike.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
-from functools import cache
+from functools import cache, cached_property
 from math import isfinite
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, get_type_hints
+from typing import AbstractSet, Any, Callable, ClassVar, Iterable, Iterator, TypeVar, get_type_hints
 
 import numpy as np
 
@@ -96,21 +98,36 @@ def _same(value: Any) -> Any:
     return value
 
 
+def _integer(value: Any) -> int:
+    if type(value) is not int:  # a bool is not an integer here
+        raise TypeError(value)
+    return value
+
+
+def _integers(value: Any) -> tuple[int, ...]:
+    if type(value) is not list:
+        raise TypeError(value)
+    return tuple(map(_integer, value))
+
+
 # How a record field is read from and written to JSON, by its annotated type.
-# Any other type is a nested record, with its own from_json_value and to_json_value.
-_FIELD_CODECS: dict[Any, tuple[Callable[[Any], Any], Callable[[Any], Any]]] = {
+# Any other type is a nested Record.
+_Codec = Callable[[Any], Any]
+_FIELD_CODECS: dict[Any, tuple[_Codec, _Codec]] = {
     Digest: (Digest.from_hex, lambda digest: digest.hex),
     str: (_text, _same),
     bytes: (hex_bytes, bytes.hex),
     bool: (_boolean, _same),
+    int: (_integer, _same),
+    tuple[int, ...]: (_integers, list),
     Any: (_same, _same),
 }
 
 
 @cache
-def _field_table(cls: type) -> tuple[tuple[str, Callable[[Any], Any], Callable[[Any], Any]], ...]:
-    """(name, parser, writer) of each init field of the dataclass `cls`,
-    worked out once per class."""
+def _field_table(cls: type) -> tuple[frozenset[str], tuple[tuple[str, _Codec, _Codec], ...]]:
+    """The names, and (name, parser, writer) of each, of the init fields of
+    the dataclass `cls`, worked out once per class."""
     hints = get_type_hints(cls)
     table = []
     for f in fields(cls):
@@ -118,25 +135,36 @@ def _field_table(cls: type) -> tuple[tuple[str, Callable[[Any], Any], Callable[[
             kind = hints[f.name]
             parse, write = _FIELD_CODECS.get(kind) or (kind.from_json_value, kind.to_json_value)
             table.append((f.name, parse, write))
-    return tuple(table)
+    return frozenset(name for name, _, _ in table), tuple(table)
+
+
+def object_keys(value: Any, keys: AbstractSet[str], name: str) -> None:
+    """Refuse `value` unless it is a JSON object with exactly the keys
+    `keys`: a LamError naming `name` for a non-object, else the first key in
+    sorted order that is not one of `keys`, else the first one missing. The
+    canonical bytes of what is read would leave an unknown key out."""
+    if not isinstance(value, dict):
+        raise LamError(f"{name} must be a JSON object")
+    if value.keys() != keys:
+        unknown = sorted(value.keys() - keys)
+        if unknown:
+            raise LamError(f"{name} has an unknown key: {unknown[0]!r}")
+        raise LamError(f"{name} has no {min(keys - value.keys())!r} field")
 
 
 def record_fields(cls: type, value: Any, record: str) -> dict[str, Any]:
     """The init fields of the `cls` record, parsed from the JSON object
     `value` by their annotated types; a LamError naming the key or field
-    when `value` is not an object, holds a key that is not a field, or a
-    field is missing or does not parse. The inverse of record_json_value."""
-    if not isinstance(value, dict):
-        raise LamError(f"{record} must be a JSON object")
-    table = _field_table(cls)
-    if len(value) != len(table):
-        unknown = sorted(set(value).difference(name for name, _, _ in table))
-        if unknown:
-            raise LamError(f"{record} has an unknown key: {unknown[0]!r}")
+    when `value` is not an object with exactly the fields as keys (see
+    object_keys) or a field does not parse. The inverse of
+    record_json_value."""
+    keys, table = _field_table(cls)
+    if not isinstance(value, dict) or len(value) != len(keys):
+        object_keys(value, keys, record)
     parsed = {}
     for name, parse, _ in table:
-        if name not in value:
-            raise LamError(f"{record} has no {name!r} field")
+        if name not in value:  # as many keys as fields, so one key is unknown
+            object_keys(value, keys, record)
         try:
             parsed[name] = parse(value[name])
         except (TypeError, ValueError):
@@ -147,7 +175,35 @@ def record_fields(cls: type, value: Any, record: str) -> dict[str, Any]:
 def record_json_value(record: Any) -> dict[str, Any]:
     """The JSON object of a record: each init field under its name, written
     by its annotated type (see record_fields)."""
-    return {name: write(getattr(record, name)) for name, _, write in _field_table(type(record))}
+    return {name: write(getattr(record, name)) for name, _, write in _field_table(type(record))[1]}
+
+
+_R = TypeVar("_R", bound="Record")
+
+
+class Record:
+    """A record whose wire form is the JSON object of its init fields, read
+    and written from the field annotations alone (see record_fields); read
+    errors name it by record_name. Its canonical bytes and digest are
+    computed once, on first use."""
+
+    record_name: ClassVar[str]
+
+    @classmethod
+    def from_json_value(cls: type[_R], value: Any) -> _R:
+        """The record read from its JSON object; a LamError naming the
+        record and field when it is not one (see record_fields)."""
+        return cls(**record_fields(cls, value, cls.record_name))
+
+    to_json_value = record_json_value
+
+    @cached_property
+    def canonical_bytes(self) -> bytes:
+        return canonicalize(self.to_json_value())
+
+    @cached_property
+    def digest(self) -> Digest:
+        return hash_bytes(self.canonical_bytes)
 
 
 def hash_bytes(data: bytes) -> Digest:

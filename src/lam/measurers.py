@@ -31,6 +31,7 @@ from .hashcore import (
     decimal_string,
     hash_bytes,
     hash_file_once,
+    object_keys,
     parse_canonical,
     parse_decimal_string,
     read_canonical,
@@ -42,6 +43,7 @@ if TYPE_CHECKING:
     from .verifier import VerifiedFragment
 
 ENVELOPE_VERSION = 1
+_ENVELOPE_KEYS = frozenset({"payload_b64", "quote"})
 TASK = "tabular-classification"
 
 
@@ -175,11 +177,7 @@ class AttestationEnvelope:
         certificates: dict[PlatformCertificate, PlatformCertificate] = {}
         envelopes = []
         for value in values:
-            if not isinstance(value, dict):
-                raise LamError("envelope must be a JSON object")
-            for key in ("payload_b64", "quote"):
-                if key not in value:
-                    raise LamError(f"envelope has no {key!r} field")
+            object_keys(value, _ENVELOPE_KEYS, "envelope")
             try:
                 # without validate, the decoder skips characters outside the
                 # alphabet, so an altered payload_b64 could still be accepted
@@ -198,7 +196,7 @@ class AttestationEnvelope:
         version = value.get("version")
         if type(version) is not int or version != ENVELOPE_VERSION:
             raise LamError(f"unsupported envelope version {version!r} (expected {ENVELOPE_VERSION})")
-        return cls.from_json_value(value)
+        return cls.from_json_value({key: item for key, item in value.items() if key != "version"})
 
     @classmethod
     def read(cls, path: str | Path) -> "AttestationEnvelope":

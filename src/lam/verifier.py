@@ -23,10 +23,11 @@ from .certs import (
     validate_template,
 )
 from .errors import CanonicalizationError, InvalidCertificationError, LamError
-from .hashcore import Digest, canonicalize, hash_bytes, parse_canonical_exact, read_canonical
+from .hashcore import Digest, canonicalize, hash_bytes, object_keys, parse_canonical_exact, read_canonical
 from .measurers import ATT_SPECS, AttestationEnvelope, index_fragments, shape_mismatch
 
 BUNDLE_VERSION = 1
+_BUNDLE_KEYS = frozenset({"envelopes", "external_certificates", "version"})
 
 
 @dataclass(frozen=True)
@@ -211,13 +212,15 @@ class AssertionBundle:
 
     @classmethod
     def from_file_value(cls, value: dict[str, Any]) -> "AssertionBundle":
-        """Parse a bundle; quotes whose platform certificates are equal share
+        """Parse a bundle, which has no key but its two arrays and its
+        version; quotes whose platform certificates are equal share
         one PlatformCertificate, so each is checked against a root once,
         every quote's signature is checked here, in bulk, and the external
         certificates form one batch, checked in bulk when first asked."""
         for key in ("envelopes", "external_certificates"):
             if not isinstance(value.get(key), list):
                 raise LamError(f"assertion bundle {key!r} must be a JSON array")
+        object_keys(value, _BUNDLE_KEYS, "assertion bundle")
         envelopes = AttestationEnvelope.from_json_values(value["envelopes"])
         check_signatures([(e.quote, e.quote.attestation_pubkey) for e in envelopes])
         externals = tuple(ExternalCertificate.from_json_value(c) for c in value["external_certificates"])
@@ -230,11 +233,12 @@ class AssertionBundle:
         if not isinstance(value, dict):
             raise LamError(f"not an assertion bundle: {path}")
         version = value.get("version")
-        if type(version) is not int or version != BUNDLE_VERSION:
-            raise LamError(
-                f"unsupported assertion bundle version {version!r} (expected {BUNDLE_VERSION}): {path}"
-            )
-        return cls.from_file_value(value)
+        try:
+            if type(version) is not int or version != BUNDLE_VERSION:
+                raise LamError(f"unsupported assertion bundle version {version!r} (expected {BUNDLE_VERSION})")
+            return cls.from_file_value(value)
+        except LamError as exc:
+            raise LamError(f"{exc}: {path}") from None
 
 
 # --- chain resolution --------------------------------------------------------

@@ -530,6 +530,8 @@ def test_verify_wrong_bundle_version_exits_2(cli_ws, capsys, tmp_path, version):
         ({"manufacturer_roots": [5]}, "manufacturer_roots must be a list of strings"),
         ({"endorser_keys": []}, "endorser_keys must map endorser ids to key strings"),
         ({"endorser_keys": {"acme": 1}}, "endorser_keys must map endorser ids to key strings"),
+        # a misspelt key would leave its entry empty
+        ({"endorser_key": {"acme": "ab" * 32}}, "trust file has an unknown key: 'endorser_key'"),
     ],
 )
 def test_verify_malformed_trust_file_exits_2(cli_ws, capsys, tmp_path, trust, message):
@@ -693,16 +695,16 @@ def test_bundle_wrong_envelope_version_exits_2(cli_ws, capsys, tmp_path, version
 @pytest.mark.parametrize(
     ("edit", "message"),
     [
-        (lambda c: c["architecture"].update(num_features="abc"), "num_features is not an integer: 'abc'"),
-        (lambda c: c["architecture"].update(hidden=[4, "x"]), "hidden is not an integer: 'x'"),
-        (lambda c: c.update(epochs="abc"), "epochs is not an integer: 'abc'"),
+        (lambda c: c["architecture"].update(num_features="abc"), "architecture field 'num_features' is malformed: 'abc'"),
+        (lambda c: c["architecture"].update(hidden=[4, "x"]), "architecture field 'hidden' is malformed: [4, 'x']"),
+        (lambda c: c.update(epochs="abc"), "training config field 'epochs' is malformed: 'abc'"),
         (lambda c: c.update(learning_rate="abc"), "learning_rate is not a decimal string: 'abc'"),
         # a field of the wrong JSON type is refused, never converted
-        (lambda c: c["architecture"].update(hidden="12"), "hidden is not an array: '12'"),
-        (lambda c: c.update(epochs=True), "epochs is not an integer: True"),
-        (lambda c: c.update(epochs="7"), "epochs is not an integer: '7'"),
-        (lambda c: c.update(rng_seed="42"), "rng_seed is not an integer: '42'"),
-        (lambda c: c.update(learning_rate=1), "learning_rate is not a decimal string: 1"),
+        (lambda c: c["architecture"].update(hidden="12"), "architecture field 'hidden' is malformed: '12'"),
+        (lambda c: c.update(epochs=True), "training config field 'epochs' is malformed: True"),
+        (lambda c: c.update(epochs="7"), "training config field 'epochs' is malformed: '7'"),
+        (lambda c: c.update(rng_seed="42"), "training config field 'rng_seed' is malformed: '42'"),
+        (lambda c: c.update(learning_rate=1), "training config field 'learning_rate' is malformed: 1"),
         # past the documented bounds: refused before training allocates or loops
         (
             lambda c: c["architecture"].update(hidden=[10**30]),
@@ -747,9 +749,9 @@ def test_attest_train_malformed_config_field_exits_2(cli_ws, capsys, tmp_path, e
     [
         (lambda m: m["weights"][0][0].__setitem__(0, "abc"), "weights entry is not a decimal string: 'abc'"),
         (lambda m: m["biases"][0].__setitem__(0, "abc"), "biases entry is not a decimal string: 'abc'"),
-        (lambda m: m["arch"].__setitem__(0, "abc"), "arch is not an integer: 'abc'"),
+        (lambda m: m["arch"].__setitem__(0, "abc"), "model file field 'arch' is malformed: ['abc', "),
         (lambda m: m["weights"][0][0].pop(), "malformed model file: "),
-        (lambda m: m.update(arch="".join(map(str, m["arch"]))), "arch is not an array: '242'"),
+        (lambda m: m.update(arch="".join(map(str, m["arch"]))), "model file field 'arch' is malformed: '242'"),
         (lambda m: m["weights"][0][0].__setitem__(0, 1), "weights entry is not a decimal string: 1"),
         (lambda m: m.update(dropout=1), "model file has an unknown key: 'dropout'"),
         # one 2x2 layer under a one-width arch would load as the network [2, 2]
@@ -826,7 +828,7 @@ def test_verify_malformed_external_certificate_exits_2(cli_ws, capsys, tmp_path)
     bundle.write_bytes(canonicalize(bundle_value))
     code = run(*_verify_args(ws, tmp_path / "cards", bundle=bundle))
     assert code == 2
-    assert capsys.readouterr().err == "error: external certificate has no 'signature' field\n"
+    assert capsys.readouterr().err == f"error: external certificate has no 'signature' field: {bundle}\n"
     assert not (tmp_path / "cards").exists()
 
 
@@ -861,7 +863,7 @@ def test_verify_unknown_subject_kind_exits_2(cli_ws, capsys, tmp_path):
     bundle.write_bytes(canonicalize(bundle_value))
     code = run(*_verify_args(ws, tmp_path / "cards", bundle=bundle))
     assert code == 2
-    assert capsys.readouterr().err == f"error: {ODD_KIND}\n"
+    assert capsys.readouterr().err == f"error: {ODD_KIND}: {bundle}\n"
     assert not (tmp_path / "cards").exists()
 
 
@@ -888,6 +890,29 @@ def test_bundle_external_certificate_unknown_key_exits_2(cli_ws, capsys, tmp_pat
     assert code == 2
     assert capsys.readouterr().err == f"error: external certificate has an unknown key: 'evil': {cert}\n"
     assert not out.exists()
+
+
+def test_bundle_envelope_unknown_key_exits_2(cli_ws, capsys, tmp_path):
+    """An envelope file holding a key it does not have is refused, not
+    bundled without it."""
+    source = next((cli_ws["ws"] / "attestations").glob("acc-*.envelope.json"))
+    envelope = tmp_path / source.name
+    envelope.write_bytes(canonicalize({**parse_canonical(source.read_bytes()), "evil": "smuggled"}))
+    out = tmp_path / "bundle.json"
+    code = run("bundle", str(envelope), "--out", str(out))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: envelope has an unknown key: 'evil': {envelope}\n"
+    assert not out.exists()
+
+
+def test_verify_bundle_unknown_key_exits_2(cli_ws, capsys, tmp_path):
+    ws = cli_ws["ws"]
+    bundle = tmp_path / "bundle.json"
+    bundle.write_bytes(canonicalize({**parse_canonical((ws / "bundle.json").read_bytes()), "evil": "smuggled"}))
+    code = run(*_verify_args(ws, tmp_path / "cards", bundle=bundle))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: assertion bundle has an unknown key: 'evil': {bundle}\n"
+    assert not (tmp_path / "cards").exists()
 
 
 def _space_pairs(text: str) -> str:
@@ -929,7 +954,8 @@ def test_verify_non_canonical_external_certificate_signature_exits_2(cli_ws, cap
     bundle.write_bytes(canonicalize(bundle_value))
     code = run(*_verify_args(ws, tmp_path / "cards", bundle=bundle))
     assert code == 2
-    assert capsys.readouterr().err == f"error: external certificate field 'signature' is malformed: {signature!r}\n"
+    message = f"external certificate field 'signature' is malformed: {signature!r}"
+    assert capsys.readouterr().err == f"error: {message}: {bundle}\n"
     assert not (tmp_path / "cards").exists()
 
 
@@ -965,7 +991,7 @@ def test_verify_bundle_without_an_array_exits_2(sixrow_files, capsys, tmp_path, 
         "--roots", str(sixrow_files / "trust.json"), "--out", str(tmp_path / "cards"),
     )
     assert code == 2
-    assert capsys.readouterr().err == f"error: assertion bundle {key!r} must be a JSON array\n"
+    assert capsys.readouterr().err == f"error: assertion bundle {key!r} must be a JSON array: {bundle}\n"
     assert not (tmp_path / "cards").exists()
 
 
@@ -1063,7 +1089,7 @@ def test_verify_malformed_quote_field_exits_2(sixrow_files, capsys, tmp_path, pa
         "--roots", str(sixrow_files / "trust.json"), "--out", str(tmp_path / "cards"),
     )
     assert code == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message}: {bundle}\n"
     assert not (tmp_path / "cards").exists()
 
 

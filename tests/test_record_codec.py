@@ -1,6 +1,6 @@
-"""The four signed records are read and written from their field annotations
-alone: reading is the exact inverse of writing, on every record and on
-every JSON value that is accepted."""
+"""Every record, the four signed ones and the two configs, is read and
+written from its field annotations alone: reading is the exact inverse of
+writing, on every record and on every JSON value that is accepted."""
 
 from __future__ import annotations
 
@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from lam.backend import PlatformCertificate, Quote, Signed
 from lam.certs import SUBJECT_KINDS, Certification, ExternalCertificate
+from lam.engine.data import ACTIVATIONS, OPTIMIZERS, Architecture, TrainingConfig
+from lam.engine.model import _ModelFile
 from lam.errors import LamError
-from lam.hashcore import Digest
+from lam.hashcore import Digest, Record, ratio_string
 
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(),
@@ -21,6 +23,13 @@ JSON = st.recursive(
 DIGESTS = st.binary(min_size=32, max_size=32).map(Digest)
 PLATFORM_CERTIFICATES = st.builds(
     PlatformCertificate, platform_id=st.text(), pubkey=st.text(), root_signature=st.binary()
+)
+ARCHITECTURES = st.builds(
+    Architecture,
+    num_features=st.integers(1, 64),
+    num_classes=st.integers(2, 16),
+    hidden=st.lists(st.integers(1, 64), max_size=3).map(tuple),
+    activation=st.sampled_from(ACTIVATIONS),
 )
 RECORDS = {
     "platform-certificate": PLATFORM_CERTIFICATES,
@@ -45,6 +54,16 @@ RECORDS = {
         claims=JSON,
         endorser_id=st.text(),
         signature=st.binary(),
+    ),
+    "architecture": ARCHITECTURES,
+    "training-config": st.builds(
+        TrainingConfig,
+        architecture=ARCHITECTURES,
+        epochs=st.integers(1, 10**6),
+        learning_rate=st.integers(1, 10**7).map(lambda n: ratio_string(n, 10**6)),
+        batch_size=st.integers(1, 10**6),
+        optimizer=st.sampled_from(OPTIMIZERS),
+        rng_seed=st.integers(0, 2**64 - 1),
     ),
 }
 DELETE = object()
@@ -83,8 +102,14 @@ def test_an_accepted_json_value_is_written_back_unchanged(kind, data):
     assert record.to_json_value() == value
 
 
-def test_no_signed_record_spells_its_own_wire_form():
-    records = Signed.__subclasses__()
-    assert {PlatformCertificate, Quote, Certification, ExternalCertificate} <= set(records)
-    for cls in records:
+def _subclasses(cls: type) -> set[type]:
+    return {cls, *(sub for child in cls.__subclasses__() for sub in _subclasses(child))}
+
+
+def test_no_record_spells_its_own_wire_form():
+    records = _subclasses(Record)
+    signed = {Signed, PlatformCertificate, Quote, Certification, ExternalCertificate}
+    assert signed | {Architecture, TrainingConfig, _ModelFile} <= records
+    for cls in records - {Record}:
         assert "to_json_value" not in vars(cls), cls.__name__
+        assert "from_json_value" not in vars(cls), cls.__name__

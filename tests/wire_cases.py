@@ -1,7 +1,7 @@
 """Malformed quote and platform-certificate fields of an envelope's JSON
 value, and the LamError each must raise when a bundle holding it is parsed.
-A key the record does not have is refused too: its digest and signature
-would not name the bytes read."""
+A key the envelope or record does not have is refused too: what is written
+back or digested would not hold the bytes read."""
 
 from __future__ import annotations
 
@@ -32,6 +32,7 @@ QUOTE_FIELD_CASES: list[tuple[str, tuple[str, ...], Any]] = [
     ("no-payload", ("payload_b64",), DELETE),
     ("quote-unknown-key", ("quote", "evil"), "smuggled"),
     ("platform-certificate-unknown-key", ("quote", "platform_certificate", "evil"), "smuggled"),
+    ("envelope-unknown-key", ("evil",), "smuggled"),
 ]
 
 _RECORDS = ("envelope", "quote", "platform certificate")
