@@ -336,7 +336,7 @@ def _provenance_entry(fragment: VerifiedFragment, claims: list[str]) -> dict[str
         "att_type": fragment.att_type,
         "fragment_sha256": fragment.fragment_sha256.hex,
         "enclave_measurement": fragment.measurement.hex,
-        "certification_sha256": fragment.certification.certification_sha256.hex,
+        "certification_sha256": fragment.certification.digest.hex,
         "claims": claims,
     }
 
@@ -346,7 +346,7 @@ def _external_entry(cert: ExternalCertificate, claims: list[str]) -> dict[str, A
         "external_certificate": cert.name,
         "endorser_id": cert.endorser_id,
         "subject_sha256": cert.subject_sha256.hex,
-        "certificate_sha256": cert.certificate_sha256.hex,
+        "certificate_sha256": cert.digest.hex,
         "claims": claims,
     }
 
@@ -366,7 +366,7 @@ def _endorse(
     if cert is None:
         return
     key = f"external:{subject_kind}:{subject}:{cert.endorser_id}"
-    table.put(key, cert.to_json_value(), cert.certificate_sha256.hex)
+    table.put(key, cert.to_json_value(), cert.digest.hex)
     section["endorsements"] = [{"name": cert.name, "endorser_id": cert.endorser_id, "claims": cert.claims}]
     provenance.append(_external_entry(cert, [key]))
 

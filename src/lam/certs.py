@@ -21,7 +21,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from .backend import Signed, check_signatures, key_from_seed, public_hex
 from .errors import InvalidCertificationError, LamError
-from .hashcore import Digest, canonicalize, hash_bytes, read_canonical
+from .hashcore import Digest, canonicalize, in_file, read_canonical
 
 SUBJECT_KINDS = ("dataset", "model")
 
@@ -76,10 +76,6 @@ class Certification(Signed):
         )
 
     @cached_property
-    def certification_sha256(self) -> Digest:
-        return hash_bytes(canonicalize(self.to_json_value()))
-
-    @cached_property
     def template_error(self) -> InvalidCertificationError | None:
         """Why the template is invalid (see validate_template), or None."""
         try:
@@ -122,10 +118,6 @@ class ExternalCertificate(Signed):
             batch = [c for c in (ref() for ref in self._batch) if c is not None and c.endorser_id == self.endorser_id]
             check_signatures([(c, endorser_pubkey_hex) for c in batch])
         return super().verifies_under(endorser_pubkey_hex)
-
-    @cached_property
-    def certificate_sha256(self) -> Digest:
-        return hash_bytes(canonicalize(self.to_json_value()))
 
 
 def check_together(certificates: Sequence[ExternalCertificate]) -> None:
@@ -195,15 +187,18 @@ class CertificationStore:
     @classmethod
     def read_unverified(cls, path: str | Path) -> "CertificationStore":
         """Parse a store file without checking any signature."""
-        value = read_canonical(path)
+        return read_canonical(path, cls.from_json_value)
+
+    @classmethod
+    def from_json_value(cls, value: Any) -> "CertificationStore":
         if not isinstance(value, list):
-            raise LamError(f"certification store must be a JSON array: {path}")
+            raise LamError("certification store must be a JSON array")
         store = cls()
         for i, item in enumerate(value):
             try:
                 store.add(Certification.from_json_value(item))
             except LamError as exc:
-                raise LamError(f"certification store entry {i}: {exc}: {path}") from None
+                raise LamError(f"certification store entry {i}: {exc}") from None
         return store
 
     @classmethod
@@ -212,12 +207,13 @@ class CertificationStore:
         whose signature does not verify under a registered endorser key."""
         store = cls.read_unverified(path)
         keyed = [(cert, endorser_keys.get(cert.endorser_id)) for cert in store._all]
-        for (cert, pubkey), verdict in zip(keyed, check_signatures(keyed)):
-            if pubkey is None:
-                raise LamError(f"certification by unknown endorser {cert.endorser_id!r}")
-            if not verdict:
-                raise LamError(
-                    f"certification signature invalid (endorser {cert.endorser_id!r}, "
-                    f"measurement {cert.enclave_measurement.hex[:12]})"
-                )
+        with in_file(path):
+            for (cert, pubkey), verdict in zip(keyed, check_signatures(keyed)):
+                if pubkey is None:
+                    raise LamError(f"certification by unknown endorser {cert.endorser_id!r}")
+                if not verdict:
+                    raise LamError(
+                        f"certification signature invalid (endorser {cert.endorser_id!r}, "
+                        f"measurement {cert.enclave_measurement.hex[:12]})"
+                    )
         return store

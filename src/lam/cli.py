@@ -10,8 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
@@ -38,6 +39,7 @@ from .hashcore import (
     Digest,
     build_manifest,
     canonicalize,
+    hash_file_once,
     in_file,
     object_keys,
     parse_decimal_string,
@@ -71,22 +73,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _load_trust(path: str | Path) -> dict[str, Any]:
-    """A trust file: {"manufacturer_roots": [key hex, ...], "endorser_keys":
-    {endorser id: key hex}}, either entry empty when missing."""
-    trust = read_canonical(path)
+def _trust(value: Any) -> dict[str, Any]:
+    """A trust file's value: {"manufacturer_roots": [key hex, ...],
+    "endorser_keys": {endorser id: key hex}}, either entry empty when missing."""
     empty = {"manufacturer_roots": [], "endorser_keys": {}}
-    if isinstance(trust, dict):
-        trust = {**empty, **trust}
-    try:
-        object_keys(trust, empty.keys(), "trust file")
-    except LamError as exc:
-        raise LamError(f"{exc}: {path}") from None
+    trust = {**empty, **value} if isinstance(value, dict) else value
+    object_keys(trust, empty.keys(), "trust file")
     roots, endorser_keys = trust["manufacturer_roots"], trust["endorser_keys"]
     if not (isinstance(roots, list) and all(isinstance(r, str) for r in roots)):
-        raise LamError(f"trust file manufacturer_roots must be a list of strings: {path}")
+        raise LamError("trust file manufacturer_roots must be a list of strings")
     if not (isinstance(endorser_keys, dict) and all(isinstance(k, str) for k in endorser_keys.values())):
-        raise LamError(f"trust file endorser_keys must map endorser ids to key strings: {path}")
+        raise LamError("trust file endorser_keys must map endorser ids to key strings")
     return trust
 
 
@@ -121,9 +118,7 @@ class Workspace:
         return self.root / "certifications.json"
 
     def trust(self) -> dict[str, Any]:
-        if self.trust_file.exists():
-            return _load_trust(self.trust_file)
-        return {"endorser_keys": {}, "manufacturer_roots": []}
+        return read_canonical(self.trust_file, _trust) if self.trust_file.exists() else _trust({})
 
     def save_trust(self, trust: dict[str, Any]) -> None:
         self.keys.mkdir(parents=True, exist_ok=True)
@@ -135,13 +130,14 @@ class Workspace:
         path = self.keys / f"{stem}.key"
         if not path.exists():
             raise WorkspaceError(missing)
+        content, _ = hash_file_once(path)
         try:
-            return Ed25519PrivateKey.from_private_bytes(bytes.fromhex(path.read_text().strip()))
+            return Ed25519PrivateKey.from_private_bytes(bytes.fromhex(content.decode().strip()))
         except ValueError:
             raise WorkspaceError(f"malformed key file {path}: expected 64 hex digits") from None
 
     def _certificate(self, stem: str) -> PlatformCertificate:
-        return PlatformCertificate.from_json_value(read_canonical(self.keys / f"{stem}.cert.json"))
+        return read_canonical(self.keys / f"{stem}.cert.json", PlatformCertificate.from_json_value)
 
     def write_key(
         self, stem: str, private: Ed25519PrivateKey, certificate: PlatformCertificate | None, force: bool
@@ -245,17 +241,17 @@ def _write_envelope(out_dir: Path, prefix: str, subject_hex: str, env: Attestati
     return path
 
 
-def _inference_features(data: bytes, path: str) -> list[float]:
+def _inference_features(data: bytes) -> list[float]:
     """The features of an inference input file {"features": [...]}: JSON
     numbers and decimal strings, as floats."""
     try:
-        with in_file(path):
-            value = json.loads(data.decode("utf-8"), object_pairs_hook=unique_keys)
+        value = json.loads(data.decode("utf-8"), object_pairs_hook=unique_keys)
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
-        raise DomainError(f"inference input is not JSON: {path}: {exc}") from None
-    features = value.get("features") if isinstance(value, dict) else None
+        raise DomainError(f"inference input is not JSON: {exc}") from None
+    object_keys(value, {"features"}, "inference input")
+    features = value["features"]
     if not isinstance(features, list):
-        raise DomainError(f'inference input must be an object {{"features": [...]}}: {path}')
+        raise DomainError('inference input must be an object {"features": [...]}')
     out = []
     for i, v in enumerate(features):
         if type(v) not in (str, int, float):  # a bool is not a feature value
@@ -269,9 +265,12 @@ def _inference_features(data: bytes, path: str) -> list[float]:
     return out
 
 
-def _read_model(ctx: EnclaveContext, path: str) -> Model:
+def _read_input(ctx: EnclaveContext, path: str, read: Callable[[bytes], Any]) -> Any:
+    """`read` of the bytes of the enclave input `path`, read once by `ctx`
+    (see EnclaveContext.read_input); an error from `read` names the file."""
+    data = ctx.read_input(path)
     with in_file(path):
-        return Model.from_json_bytes(ctx.read_input(path))
+        return read(data)
 
 
 def cmd_attest(args: argparse.Namespace) -> int:
@@ -281,7 +280,7 @@ def cmd_attest(args: argparse.Namespace) -> int:
 
     if args.kind == "dist":
         ctx = _enclave(args, "dataset")
-        dataset = Dataset.from_csv_bytes(ctx.read_input(args.data))
+        dataset = _read_input(ctx, args.data, Dataset.from_csv_bytes)
         env = attest_distribution(dataset, args.dist_kind, enclave=ctx, platform=platform)
         path = _write_envelope(out_dir, f"dist-{args.dist_kind}", dataset.digest.hex, env, args.force)
         print(f"dataset {dataset.digest.hex}")
@@ -290,9 +289,8 @@ def cmd_attest(args: argparse.Namespace) -> int:
 
     if args.kind == "train":
         ctx = _enclave(args, "training")
-        dataset = Dataset.from_csv_bytes(ctx.read_input(args.data))
-        with in_file(args.config):
-            config = TrainingConfig.from_json_bytes(ctx.read_input(args.config))
+        dataset = _read_input(ctx, args.data, Dataset.from_csv_bytes)
+        config = _read_input(ctx, args.config, TrainingConfig.from_json_bytes)
         model, env = attest_training(dataset, config, enclave=ctx, platform=platform)
         model_path = Path(args.model_out) if args.model_out else ws.artifacts / f"model-{model.digest.hex[:12]}.json"
         _write_guarded(model_path, model.canonical_bytes, args.force)
@@ -304,8 +302,8 @@ def cmd_attest(args: argparse.Namespace) -> int:
 
     if args.kind in ("accuracy", "fairness"):
         ctx = _enclave(args, "metric")
-        model = _read_model(ctx, args.model)
-        dataset = Dataset.from_csv_bytes(ctx.read_input(args.data))
+        model = _read_input(ctx, args.model, Model.from_json_bytes)
+        dataset = _read_input(ctx, args.data, Dataset.from_csv_bytes)
         if args.kind == "accuracy":
             env = attest_accuracy(model, dataset, enclave=ctx, platform=platform)
             prefix = "acc"
@@ -324,8 +322,8 @@ def cmd_attest(args: argparse.Namespace) -> int:
         except (ValueError, DomainError) as exc:
             raise DomainError(f"--eps: {exc}") from None
         ctx = _enclave(args, "metric")
-        model = _read_model(ctx, args.model)
-        dataset = Dataset.from_csv_bytes(ctx.read_input(args.data))
+        model = _read_input(ctx, args.model, Model.from_json_bytes)
+        dataset = _read_input(ctx, args.data, Dataset.from_csv_bytes)
         d_rob, robgen, robacc = attest_robustness(model, dataset, args.eps, enclave=ctx, platform=platform)
         rob_path = Path(args.robust_out) if args.robust_out else ws.artifacts / f"drob-{d_rob.digest.hex[:12]}.csv"
         _write_guarded(rob_path, d_rob.canonical_bytes, args.force)
@@ -339,8 +337,8 @@ def cmd_attest(args: argparse.Namespace) -> int:
 
     # inference
     ctx = _enclave(args, "inference")
-    model = _read_model(ctx, args.model)
-    features = _inference_features(ctx.read_input(args.input), args.input)
+    model = _read_input(ctx, args.model, Model.from_json_bytes)
+    features = _read_input(ctx, args.input, _inference_features)
     record, env = attest_inference(model, features, enclave=ctx, platform=platform)
     path = _write_envelope(out_dir, "io", record.output_digest.hex, env, args.force)
     record_path = (
@@ -369,6 +367,13 @@ def _digest_arg(name: str, text: str) -> Digest:
         raise LamError(f"{name}: {exc}") from None
 
 
+def _claims(value: Any) -> Any:
+    """A claims file's value, which canonical JSON must hold: canonicalize
+    names a NaN, an infinity or a lone surrogate at its path."""
+    canonicalize(value)
+    return value
+
+
 def cmd_endorse(args: argparse.Namespace) -> int:
     ws = Workspace(args.workspace)
     endorser = ws.load_endorser(args.endorser)
@@ -382,12 +387,11 @@ def cmd_endorse(args: argparse.Namespace) -> int:
         else:
             raise WorkspaceError("endorse enclave needs --enclave-kind or --measurement")
         if args.template:
-            template = read_canonical(args.template)
+            certification = read_canonical(args.template, partial(make_certification, endorser, measurement))
         elif args.att_type:
-            template = builtin_template(args.att_type)
+            certification = make_certification(endorser, measurement, builtin_template(args.att_type))
         else:
             raise WorkspaceError("endorse enclave needs --att-type or --template")
-        certification = make_certification(endorser, measurement, template)
 
         store_path = ws.certification_store_file
         store = CertificationStore.read_unverified(store_path) if store_path.exists() else CertificationStore()
@@ -397,7 +401,7 @@ def cmd_endorse(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     subject = _digest_arg("subject", args.subject)
-    claims = None if args.claims is None else read_canonical(args.claims)
+    claims = None if args.claims is None else read_canonical(args.claims, _claims)
     cert = make_external_certificate(endorser, subject, args.kind, args.name, claims)
     path = ws.certificates / f"{args.kind}-{subject.hex[:12]}.cert.json"
     _write_guarded(path, canonicalize(cert.to_json_value()), args.force)
@@ -409,20 +413,19 @@ def cmd_endorse(args: argparse.Namespace) -> int:
 # --- bundle -------------------------------------------------------------------
 
 
+def _bundle_member(value: Any) -> AttestationEnvelope | ExternalCertificate:
+    """The envelope or external certificate of a file given to `lam bundle`."""
+    if isinstance(value, dict) and "payload_b64" in value:
+        return AttestationEnvelope.from_file_value(value)
+    if isinstance(value, dict) and "subject_sha256" in value:
+        return ExternalCertificate.from_json_value(value)
+    raise LamError("not an envelope or external certificate")
+
+
 def cmd_bundle(args: argparse.Namespace) -> int:
-    envelopes: list[AttestationEnvelope] = []
-    externals: list[ExternalCertificate] = []
-    for name in args.files:
-        value = read_canonical(name)
-        try:
-            if isinstance(value, dict) and "payload_b64" in value:
-                envelopes.append(AttestationEnvelope.from_file_value(value))
-            elif isinstance(value, dict) and "subject_sha256" in value:
-                externals.append(ExternalCertificate.from_json_value(value))
-            else:
-                raise LamError("not an envelope or external certificate")
-        except LamError as exc:
-            raise LamError(f"{exc}: {name}") from None
+    members = [read_canonical(name, _bundle_member) for name in args.files]
+    envelopes = [m for m in members if isinstance(m, AttestationEnvelope)]
+    externals = [m for m in members if isinstance(m, ExternalCertificate)]
     bundle = AssertionBundle(envelopes=tuple(envelopes), external_certificates=tuple(externals))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -435,7 +438,7 @@ def cmd_bundle(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    trust = _load_trust(args.roots)
+    trust = read_canonical(args.roots, _trust)
     roots, endorser_keys = set(trust["manufacturer_roots"]), trust["endorser_keys"]
 
     store = CertificationStore.load(args.certstore, endorser_keys)

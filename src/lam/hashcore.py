@@ -16,7 +16,9 @@ Every JSON record (quotes, certificates, certifications, training configs
 and model files) is a Record, read by record_fields and written by
 record_json_value, both driven by its field annotations alone. object_keys
 is the one rule for a JSON object with exactly a given set of keys, records
-and the envelope, bundle and trust file objects alike.
+and the envelope, bundle, trust file and inference input objects alike.
+in_file is the one rule naming a file in an error (a `: path` suffix), and
+read_canonical, which uses it, the one reader of a JSON file.
 """
 
 from __future__ import annotations
@@ -179,6 +181,7 @@ def record_json_value(record: Any) -> dict[str, Any]:
 
 
 _R = TypeVar("_R", bound="Record")
+_T = TypeVar("_T")
 
 
 class Record:
@@ -334,20 +337,20 @@ def parse_canonical(data: bytes) -> Any:
 
 @contextmanager
 def in_file(path: str | Path) -> Iterator[None]:
-    """Name the file `path`, as a `: path` suffix, in a CanonicalizationError
-    raised inside: the error of a JSON file that does not parse."""
+    """Name the file `path`, as a `: path` suffix, in any LamError raised
+    inside: the one rule by which an error names the file it was read from."""
     try:
         yield
-    except CanonicalizationError as exc:
+    except LamError as exc:
         raise LamError(f"{exc}: {path}") from None
 
 
-def read_canonical(path: str | Path) -> Any:
-    """The value of a canonical JSON file, read once (see parse_canonical);
-    a parse error names the file."""
+def read_canonical(path: str | Path, read: Callable[[Any], _T]) -> _T:
+    """`read` of the value of a canonical JSON file, read once (see
+    parse_canonical); an error in parsing or in `read` names the file."""
     content, _ = hash_file_once(path)
     with in_file(path):
-        return parse_canonical(content)
+        return read(parse_canonical(content))
 
 
 def parse_canonical_exact(data: bytes) -> Any:

@@ -191,8 +191,10 @@ class AttestationEnvelope:
         return envelopes
 
     @classmethod
-    def from_file_value(cls, value: dict[str, Any]) -> "AttestationEnvelope":
+    def from_file_value(cls, value: Any) -> "AttestationEnvelope":
         """Parse to_file_value's form, checking its version."""
+        if not isinstance(value, dict):
+            raise LamError("not an envelope")
         version = value.get("version")
         if type(version) is not int or version != ENVELOPE_VERSION:
             raise LamError(f"unsupported envelope version {version!r} (expected {ENVELOPE_VERSION})")
@@ -200,10 +202,7 @@ class AttestationEnvelope:
 
     @classmethod
     def read(cls, path: str | Path) -> "AttestationEnvelope":
-        value = read_canonical(path)
-        if not isinstance(value, dict):
-            raise LamError(f"not an envelope: {path}")
-        return cls.from_file_value(value)
+        return read_canonical(path, cls.from_file_value)
 
 
 def validate_fragment(value: Any) -> str:

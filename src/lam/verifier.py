@@ -211,12 +211,17 @@ class AssertionBundle:
         Path(path).write_bytes(canonicalize(self.to_file_value()))
 
     @classmethod
-    def from_file_value(cls, value: dict[str, Any]) -> "AssertionBundle":
+    def from_file_value(cls, value: Any) -> "AssertionBundle":
         """Parse a bundle, which has no key but its two arrays and its
         version; quotes whose platform certificates are equal share
         one PlatformCertificate, so each is checked against a root once,
         every quote's signature is checked here, in bulk, and the external
         certificates form one batch, checked in bulk when first asked."""
+        if not isinstance(value, dict):
+            raise LamError("not an assertion bundle")
+        version = value.get("version")
+        if type(version) is not int or version != BUNDLE_VERSION:
+            raise LamError(f"unsupported assertion bundle version {version!r} (expected {BUNDLE_VERSION})")
         for key in ("envelopes", "external_certificates"):
             if not isinstance(value.get(key), list):
                 raise LamError(f"assertion bundle {key!r} must be a JSON array")
@@ -229,16 +234,7 @@ class AssertionBundle:
 
     @classmethod
     def read(cls, path: str | Path) -> "AssertionBundle":
-        value = read_canonical(path)
-        if not isinstance(value, dict):
-            raise LamError(f"not an assertion bundle: {path}")
-        version = value.get("version")
-        try:
-            if type(version) is not int or version != BUNDLE_VERSION:
-                raise LamError(f"unsupported assertion bundle version {version!r} (expected {BUNDLE_VERSION})")
-            return cls.from_file_value(value)
-        except LamError as exc:
-            raise LamError(f"{exc}: {path}") from None
+        return read_canonical(path, cls.from_file_value)
 
 
 # --- chain resolution --------------------------------------------------------

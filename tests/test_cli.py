@@ -182,7 +182,7 @@ def test_attest_dist_non_finite_csv_cell_exits_2(tmp_path, capsys, cell):
     data.write_text(f"f1,f2,label,sensitive\n0.5,{cell},0,1\n1.0,2.0,1,0\n")
     code = run("attest", "dist", "--data", str(data), "-w", str(tmp_path))
     assert code == 2
-    assert capsys.readouterr().err == f"error: not a finite decimal string: {cell!r}\n"
+    assert capsys.readouterr().err == f"error: not a finite decimal string: {cell!r}: {data}\n"
     assert not list((tmp_path / "attestations").glob("*.envelope.json"))
 
 
@@ -224,7 +224,7 @@ def test_attest_dist_junk_csv_cell_exits_2(tmp_path, capsys, row, message):
     data.write_text(f"f1,f2,label,sensitive\n{row}\n1.0,2.0,1,0\n")
     code = run("attest", "dist", "--data", str(data), "-w", str(tmp_path))
     assert code == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message}: {data}\n"
     assert not list((tmp_path / "attestations").glob("*.envelope.json"))
 
 
@@ -242,10 +242,12 @@ def _attest_inference(cli_ws, tmp_path, content: bytes, name: str) -> tuple[int,
 @pytest.mark.parametrize(
     ("content", "message"),
     [
-        (b"{}", 'inference input must be an object {"features": [...]}'),
-        (b"[]", 'inference input must be an object {"features": [...]}'),
-        (b"[null,1]", 'inference input must be an object {"features": [...]}'),
-        (b'["x",1]', 'inference input must be an object {"features": [...]}'),
+        (b"{}", "inference input has no 'features' field"),
+        (b"[]", "inference input must be a JSON object"),
+        (b"[null,1]", "inference input must be a JSON object"),
+        (b'["x",1]', "inference input must be a JSON object"),
+        # a key the input digest would not name
+        (b'{"evil":"smuggled","features":[1,2]}', "inference input has an unknown key: 'evil'"),
         (b'{"features":"ab"}', 'inference input must be an object {"features": [...]}'),
         (b'{"features":[null,1]}', "inference input features[0] must be a number or a decimal string, not None"),
         (b'{"features":[1,"x"]}', "inference input features[1] is not a decimal string: 'x'"),
@@ -587,15 +589,21 @@ def test_verify_conflicting_claims_exits_2_and_writes_nothing(cli_ws, capsys, tm
     assert not list(out_dir.glob("card-*.yaml"))
 
 
-@pytest.mark.parametrize("content", ["not hex at all\n", "ab" * 31 + "\n"])
+@pytest.mark.parametrize("content", ["not hex at all\n", "ab" * 31 + "\n", None])
 def test_keygen_platform_malformed_root_key_exits_2(tmp_path, capsys, content):
     assert run("keygen", "root", "--seed", "s", "-w", str(tmp_path)) == 0
     key_file = tmp_path / "keys" / "root.key"
-    key_file.write_text(content)
+    if content is None:  # a key file that cannot be read is an input error too
+        key_file.unlink()
+        key_file.mkdir()
+        message = f"cannot read {key_file}: Is a directory"
+    else:
+        key_file.write_text(content)
+        message = f"malformed key file {key_file}: expected 64 hex digits"
     code = run("keygen", "platform", "--platform-id", "p1", "--seed", "p", "-w", str(tmp_path))
     err = capsys.readouterr().err
     assert code == 2
-    assert err == f"error: malformed key file {key_file}: expected 64 hex digits\n"
+    assert err == f"error: {message}\n"
     assert not (tmp_path / "keys" / "platform-p1.key").exists()
 
 
@@ -740,7 +748,9 @@ def test_attest_train_malformed_config_field_exits_2(cli_ws, capsys, tmp_path, e
         "--model-out", str(tmp_path / "model.json"), "--out", str(tmp_path / "att"), "-w", str(ws),
     )
     assert code == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    # the two bounds on epochs or batch size times the dataset's rows are met in training, not in the file
+    suffix = "" if "must be at most" in message else f": {path}"
+    assert capsys.readouterr().err == f"error: {message}{suffix}\n"
     assert not (tmp_path / "model.json").exists() and not (tmp_path / "att").exists()
 
 
@@ -1200,3 +1210,148 @@ def test_a_repeated_object_key_exits_2(cli_ws, capsys, tmp_path, source, key, fo
     assert capsys.readouterr().err == f"error: repeated object key {key!r} at /: {path}\n"
     assert code == 2
     assert sorted(tmp_path.rglob("*")) == written
+
+
+# --- every error in a file lam reads names that file, once ---------------------
+
+
+def _edited(source: Path, edit, path: Path) -> Path:
+    """Write the value of the canonical JSON file `source`, changed in place
+    by `edit`, to `path`; the path written."""
+    value = parse_canonical(source.read_bytes())
+    edit(value)
+    return _canonical_file(path, value)
+
+
+def _written(path: Path, content: bytes) -> Path:
+    path.write_bytes(content)
+    return path
+
+
+def _platform_certificate(tmp: Path) -> Path:
+    """The platform certificate of a new workspace, given a pubkey that is
+    no key."""
+    ws = tmp / "platform-ws"
+    assert run("keygen", "root", "--seed", "s", "-w", str(ws)) == 0
+    assert run("keygen", "platform", "--platform-id", "p1", "--seed", "p", "-w", str(ws)) == 0
+    cert = ws / "keys" / "platform-p1.cert.json"
+    return _edited(cert, lambda c: c.update(pubkey=1), cert)
+
+
+# (id, the malformed file written to a fresh directory given the workspace,
+# its model file and that directory; the argv that reads the file, with every
+# output in the fresh directory)
+FILE_KIND_CASES = [
+    (
+        "config", lambda ws, model, tmp: _edited(ws / "config.json", lambda c: c.update(epochs="x"), tmp / "c.json"),
+        lambda ws, model, tmp, path: [
+            "attest", "train", "--data", str(ws / "train.csv"), "--config", str(path),
+            "--model-out", str(tmp / "model.json"), "--out", str(tmp / "att"), "-w", str(ws),
+        ],
+    ),
+    (
+        "model", lambda ws, model, tmp: _edited(model, lambda m: m.update(arch="x"), tmp / "model.json"),
+        lambda ws, model, tmp, path: [
+            "attest", "accuracy", "--model", str(path), "--data", str(ws / "test.csv"),
+            "--out", str(tmp / "att"), "-w", str(ws),
+        ],
+    ),
+    (
+        "csv", lambda ws, model, tmp: _written(tmp / "test.csv", b"f1,f2,label,sensitive\n0.5,x,0,1\n"),
+        lambda ws, model, tmp, path: [
+            "attest", "accuracy", "--model", str(model), "--data", str(path), "--out", str(tmp / "att"), "-w", str(ws),
+        ],
+    ),
+    (
+        "inference-input", lambda ws, model, tmp: _written(tmp / "input.json", b'{"features":[null]}'),
+        lambda ws, model, tmp, path: [
+            "attest", "inference", "--model", str(model), "--input", str(path),
+            "--record-out", str(tmp / "record.json"), "--out", str(tmp / "att"), "-w", str(ws),
+        ],
+    ),
+    (
+        "platform-certificate", lambda ws, model, tmp: _platform_certificate(tmp),
+        lambda ws, model, tmp, path: ["attest", "dist", "--data", str(ws / "train.csv"), "-w", str(path.parents[1])],
+    ),
+    (
+        "template", lambda ws, model, tmp: _canonical_file(tmp / "template.json", {"a": [1]}),
+        lambda ws, model, tmp, path: [
+            "endorse", "enclave", "--endorser", "acme", "--measurement", "ab" * 32,
+            "--template", str(path), "-w", _endorser_workspace(tmp),
+        ],
+    ),
+    (
+        "claims", lambda ws, model, tmp: _written(tmp / "claims.json", b'{"a":NaN}'),
+        lambda ws, model, tmp, path: [
+            "endorse", "dataset", "ab" * 32, "--name", "claimed", "--endorser", "acme",
+            "--claims", str(path), "-w", _endorser_workspace(tmp),
+        ],
+    ),
+    (
+        "trust-file", lambda ws, model, tmp: _canonical_file(tmp / "trust.json", {"manufacturer_roots": 5}),
+        lambda ws, model, tmp, path: _verify_args(ws, tmp / "cards", roots=path),
+    ),
+    (
+        "store-parse", lambda ws, model, tmp: _canonical_file(tmp / "certifications.json", {}),
+        lambda ws, model, tmp, path: _verify_args(ws, tmp / "cards", certstore=path),
+    ),
+    (
+        "store-signature",
+        lambda ws, model, tmp: _edited(
+            ws / "certifications.json", lambda s: s[0].update(signature="00" * 64), tmp / "certifications.json"
+        ),
+        lambda ws, model, tmp, path: _verify_args(ws, tmp / "cards", certstore=path),
+    ),
+    (
+        "envelope",
+        lambda ws, model, tmp: _edited(
+            min((ws / "attestations").iterdir()), lambda e: e.update(version=99), tmp / "envelope.json"
+        ),
+        lambda ws, model, tmp, path: ["bundle", str(path), "--out", str(tmp / "bundle.json")],
+    ),
+    (
+        "external-certificate",
+        lambda ws, model, tmp: _edited(
+            min((ws / "certificates").iterdir()), lambda c: c.update(name=5), tmp / "certificate.json"
+        ),
+        lambda ws, model, tmp, path: ["bundle", str(path), "--out", str(tmp / "bundle.json")],
+    ),
+    (
+        "bundle",
+        lambda ws, model, tmp: _edited(ws / "bundle.json", lambda b: b["envelopes"][0].pop("quote"), tmp / "b.json"),
+        lambda ws, model, tmp, path: _verify_args(ws, tmp / "cards", bundle=path),
+    ),
+]
+
+
+@pytest.mark.parametrize(("source", "argv"), [c[1:] for c in FILE_KIND_CASES], ids=[c[0] for c in FILE_KIND_CASES])
+def test_an_error_in_any_file_names_it_once(cli_ws, capsys, tmp_path, source, argv):
+    """One malformed file of each kind lam reads exits 2 with one error
+    line that ends in the file's path, which it names once, and writes
+    nothing."""
+    ws, model = cli_ws["ws"], Path(cli_ws["model"])
+    path = source(ws, model, tmp_path)
+    args = argv(ws, model, tmp_path, path)
+    written = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    code = run(*args)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.endswith(f": {path}\n") and err.count("\n") == 1
+    assert err.count(str(path)) == 1
+    assert sorted(tmp_path.rglob("*")) == written
+
+
+def test_an_error_in_an_argument_does_not_name_the_file_read_with_it(tmp_path, capsys):
+    """Only an error in the claims file names it: a --name that canonical
+    JSON cannot hold (undecodable bytes in argv) is refused without the
+    claims file's path."""
+    ws = _endorser_workspace(tmp_path)
+    claims = _canonical_file(tmp_path / "claims.json", {"source": "synthetic"})
+    capsys.readouterr()
+    code = run(
+        "endorse", "dataset", "ab" * 32, "--name", "bad\udcff", "--endorser", "acme", "--claims", str(claims), "-w", ws
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: string holds a lone surrogate, which UTF-8 cannot encode at /name\n"
+    assert not (Path(ws) / "certificates").exists()

@@ -417,7 +417,7 @@ def test_verify_bundle_drops_forged_external_certificate(pipe):
     assert [ok for _, ok in result.externals] == [False, True]
     assert all(v.accepted for v in result.envelopes)
     assert result.failures == 1
-    forged_hex = forged_cert.certificate_sha256.hex
+    forged_hex = forged_cert.digest.hex
     assert forged_cert.name.encode() not in result.report.canonical_bytes()
     assert pipe.externals[1].name.encode() in result.report.canonical_bytes()
     assert result.report.broken_edges(pipe.model.digest.hex) == {"training_dataset_certificate"}
