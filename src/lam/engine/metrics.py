@@ -1,10 +1,11 @@
 """Measured quantities: accuracy, demographic parity, robust accuracy, and
-distributional properties. Counts are exact integers; every reported ratio is
-the half-even 6-decimal formatting of its numerator/denominator."""
+distributional properties. Each function returns the JSON value its fragment
+carries: a metric entry of `results.metrics`, or DistAtt's `property`. Counts
+are exact integers; every reported ratio is the half-even 6-decimal formatting
+of its numerator/denominator."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
 from ..errors import DomainError
@@ -13,80 +14,22 @@ from .data import Dataset
 from .model import Model, predicted_classes
 
 
-@dataclass(frozen=True)
-class MetricValue:
-    metric: str  # accuracy | demographic_parity | robust_accuracy
-    value: str
-    numerator: int | None = None
-    denominator: int | None = None
-    parameters: dict[str, Any] = field(default_factory=dict)
-
-    def to_json_value(self) -> dict[str, Any]:
-        entry: dict[str, Any] = {"type": self.metric, "value": self.value}
-        if self.numerator is not None:
-            entry["numerator"] = self.numerator
-            entry["denominator"] = self.denominator
-        if self.parameters:
-            entry["parameters"] = dict(self.parameters)
-        return entry
-
-
-@dataclass(frozen=True)
-class DistributionalProperty:
-    """Exact group counts, marginal or conditional on the class label."""
-
-    kind: str  # "marginal" | "conditional"
-    total: int
-    counts: dict[str, int]  # marginal: group -> count
-    ratios: dict[str, str]
-    by_label: dict[str, dict[str, Any]] = field(default_factory=dict)  # conditional only
-
-    def to_json_value(self) -> dict[str, Any]:
-        value: dict[str, Any] = {"kind": self.kind, "total": self.total}
-        if self.kind == "marginal":
-            value["counts"] = dict(self.counts)
-            value["ratios"] = dict(self.ratios)
-        else:
-            value["by_label"] = {
-                label: {
-                    "counts": dict(entry["counts"]),
-                    "ratios": dict(entry["ratios"]),
-                    "total": entry["total"],
-                }
-                for label, entry in self.by_label.items()
-            }
-        return value
-
-
-def accuracy(model: Model, dataset: Dataset) -> MetricValue:
+def accuracy(model: Model, dataset: Dataset) -> dict[str, Any]:
     """Fraction of rows whose predicted class equals the label."""
     if dataset.num_rows == 0:
         raise DomainError("accuracy undefined on an empty dataset")
     preds = predicted_classes(model, dataset.features)
     correct = int((preds == dataset.labels).sum())
     n = dataset.num_rows
-    return MetricValue(
-        metric="accuracy",
-        value=ratio_string(correct, n),
-        numerator=correct,
-        denominator=n,
-    )
+    return {"type": "accuracy", "value": ratio_string(correct, n), "numerator": correct, "denominator": n}
 
 
-def robust_accuracy(model: Model, d_rob: Dataset, epsilon: str | None = None) -> MetricValue:
-    """Accuracy over an adversarially perturbed dataset."""
-    base = accuracy(model, d_rob)
-    params = {"epsilon": epsilon} if epsilon is not None else {}
-    return MetricValue(
-        metric="robust_accuracy",
-        value=base.value,
-        numerator=base.numerator,
-        denominator=base.denominator,
-        parameters=params,
-    )
+def robust_accuracy(model: Model, d_rob: Dataset, epsilon: str) -> dict[str, Any]:
+    """Accuracy over an adversarially perturbed dataset made with `epsilon`."""
+    return {**accuracy(model, d_rob), "type": "robust_accuracy", "parameters": {"epsilon": epsilon}}
 
 
-def demographic_parity(model: Model, dataset: Dataset) -> MetricValue:
+def demographic_parity(model: Model, dataset: Dataset) -> dict[str, Any]:
     """|P(pred = 0 | z = 0) - P(pred = 0 | z = 1)|, computed exactly.
 
     Groups 0 and 1 must both be present; other group values are ignored.
@@ -104,20 +47,22 @@ def demographic_parity(model: Model, dataset: Dataset) -> MetricValue:
         num = int(((preds == 0) & mask).sum())
         rates[group] = (num, denom)
     (n0, d0), (n1, d1) = rates[0], rates[1]
-    return MetricValue(
-        metric="demographic_parity",
-        value=ratio_string(abs(n0 * d1 - n1 * d0), d0 * d1),
-        parameters={
+    return {
+        "type": "demographic_parity",
+        "value": ratio_string(abs(n0 * d1 - n1 * d0), d0 * d1),
+        "parameters": {
             "group0_numerator": n0,
             "group0_denominator": d0,
             "group1_numerator": n1,
             "group1_denominator": d1,
         },
-    )
+    }
 
 
-def distribution(dataset: Dataset, kind: str) -> DistributionalProperty:
-    """Exact counts of the sensitive attribute, marginal or conditional on y."""
+def distribution(dataset: Dataset, kind: str) -> dict[str, Any]:
+    """Exact counts of the sensitive attribute, marginal or conditional on y:
+    {kind, total, counts, ratios}, or {kind, total, by_label} whose entries
+    are {counts, ratios, total}."""
     if dataset.num_rows == 0:
         raise DomainError("distribution undefined on an empty dataset")
     if kind not in ("marginal", "conditional"):
@@ -129,7 +74,7 @@ def distribution(dataset: Dataset, kind: str) -> DistributionalProperty:
             key = str(int(z))
             counts[key] = counts.get(key, 0) + 1
         ratios = {g: ratio_string(c, n) for g, c in counts.items()}
-        return DistributionalProperty(kind="marginal", total=n, counts=counts, ratios=ratios)
+        return {"kind": kind, "total": n, "counts": counts, "ratios": ratios}
 
     by_label: dict[str, dict[str, Any]] = {}
     for y, z in zip(dataset.labels, dataset.sensitive):
@@ -140,4 +85,4 @@ def distribution(dataset: Dataset, kind: str) -> DistributionalProperty:
         entry["total"] += 1
     for entry in by_label.values():
         entry["ratios"] = {g: ratio_string(c, entry["total"]) for g, c in entry["counts"].items()}
-    return DistributionalProperty(kind="conditional", total=n, counts={}, ratios={}, by_label=by_label)
+    return {"kind": kind, "total": n, "by_label": by_label}

@@ -46,7 +46,6 @@ class InvalidCertificationError(LamError):
     def __init__(self, path: str, message: str) -> None:
         super().__init__(f"{message} at {path or '/'}")
         self.path = path
-        self.reason = message
 
 
 class CardConflictError(LamError):

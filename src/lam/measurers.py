@@ -2,10 +2,12 @@
 
 Each producer runs in a simulated enclave context, computes one property via
 the ML engine, serializes a property-card fragment as canonical JSON, and
-obtains a quote whose report data is the fragment digest. One enclave
-identity exists per measurer kind (dataset / training / metric / inference);
-the metric enclave hosts the accuracy, fairness, and robustness attestation
-types, distinguished by the att_type field and the certification template.
+obtains a quote whose report data is the fragment digest. The metrics return
+the JSON value the fragment carries, so a producer places it as it is. One
+enclave identity exists per measurer kind (dataset / training / metric /
+inference); the metric enclave hosts the accuracy, fairness, and robustness
+attestation types, distinguished by the att_type field and the certification
+template.
 
 Fragments name models and datasets by digest only; human-readable names enter
 through external certificates at verification time, never here.
@@ -22,7 +24,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Sequence
 from .backend import EnclaveMeasurement, PlatformCertificate, PlatformIdentity, Quote, issue_quote, measure_enclave
 from .engine.data import Dataset, InferenceRecord, TrainingConfig
 from .engine.fgsm import fgsm_dataset
-from .engine.metrics import MetricValue, accuracy, demographic_parity, distribution, robust_accuracy
+from .engine.metrics import accuracy, demographic_parity, distribution, robust_accuracy
 from .engine.model import Model, predict, train
 from .errors import DomainError, LamError
 from .hashcore import (
@@ -213,8 +215,6 @@ def validate_fragment(value: Any) -> str:
     spec = ATT_SPECS.get(att_type)
     if spec is None:
         raise DomainError(f"unknown att_type {att_type!r}")
-    if value.keys() != spec.shape.keys():
-        raise DomainError(f"{att_type} fragment fields {sorted(value)} != expected {sorted(spec.shape)}")
     detail = shape_mismatch(att_type, value)
     if detail is not None:
         raise DomainError(detail)
@@ -269,11 +269,10 @@ def attest_distribution(
     enclave: EnclaveContext,
     platform: PlatformIdentity,
 ) -> AttestationEnvelope:
-    prop = distribution(dataset, kind)  # domain errors abort before any quote
     fragment = {
         "att_type": "DistAtt",
         "dataset_sha256": dataset.digest.hex,
-        "property": prop.to_json_value(),
+        "property": distribution(dataset, kind),  # domain errors abort before any quote
     }
     return _seal(enclave, platform, fragment)
 
@@ -300,7 +299,7 @@ def _seal_metric(
     att_type: str,
     model: Model,
     dataset: Dataset,
-    metric: MetricValue,
+    metric: dict[str, Any],
     enclave: EnclaveContext,
     platform: PlatformIdentity,
 ) -> AttestationEnvelope:
@@ -311,7 +310,7 @@ def _seal_metric(
         "att_type": att_type,
         "model_sha256": model.digest.hex,
         dataset_field: dataset.digest.hex,
-        "results": {"task": TASK, "metrics": [metric.to_json_value()]},
+        "results": {"task": TASK, "metrics": [metric]},
     }
     return _seal(enclave, platform, fragment)
 

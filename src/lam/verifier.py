@@ -105,7 +105,6 @@ def _match(template: Any, payload: Any) -> TemplateMatch:
 @dataclass(frozen=True)
 class VerifiedFragment:
     payload: dict[str, Any]
-    payload_bytes: bytes
     fragment_sha256: Digest
     att_type: str | None  # from the payload; None for custom fragment shapes
     measurement: Digest
@@ -176,7 +175,6 @@ def verify_envelope(
                 True,
                 fragment=VerifiedFragment(
                     payload=payload,
-                    payload_bytes=envelope.payload,
                     fragment_sha256=payload_digest,
                     att_type=att_type,
                     measurement=envelope.quote.enclave_measurement,

@@ -34,7 +34,6 @@ def _fragment(payload: dict[str, Any]) -> VerifiedFragment:
     cert = CERTIFICATIONS[payload["att_type"]]
     return VerifiedFragment(
         payload=payload,
-        payload_bytes=data,
         fragment_sha256=hash_bytes(data),
         att_type=payload["att_type"],
         measurement=cert.enclave_measurement,

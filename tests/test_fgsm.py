@@ -54,12 +54,14 @@ def test_constant_model_is_fgsm_invariant(fixture_a, constant_model):
     # feature alone and robust accuracy equals clean accuracy.
     rob = fgsm_dataset(constant_model, fixture_a, "0.500000")
     assert rob.digest == fixture_a.digest
-    assert robust_accuracy(constant_model, rob).value == accuracy(constant_model, fixture_a).value
+    robust = robust_accuracy(constant_model, rob, epsilon="0.500000")
+    assert robust["value"] == accuracy(constant_model, fixture_a)["value"]
 
 
 def test_eps_zero_robust_equals_clean(fixture_a, pattern_model):
     rob = fgsm_dataset(pattern_model, fixture_a, "0.000000")
-    assert robust_accuracy(pattern_model, rob).value == accuracy(pattern_model, fixture_a).value
+    robust = robust_accuracy(pattern_model, rob, epsilon="0.000000")
+    assert robust["value"] == accuracy(pattern_model, fixture_a)["value"]
 
 
 def _check_gradient(model: Model, feats: list[float], label: int) -> None:
@@ -115,5 +117,5 @@ def test_fgsm_flips_predictions_on_trained_model(small_config):
     ds = linearly_separable(100, margin=0.5, seed=21)
     model = train(ds, small_config)
     clean = accuracy(model, ds)
-    rob = robust_accuracy(model, fgsm_dataset(model, ds, "1.000000"))
-    assert float(rob.value) < float(clean.value)
+    rob = robust_accuracy(model, fgsm_dataset(model, ds, "1.000000"), epsilon="1.000000")
+    assert float(rob["value"]) < float(clean["value"])

@@ -196,6 +196,33 @@ def test_fragment_schema_total_and_exclusive(
         assert payload["att_type"] == att_type
 
 
+_POT = {"att_type": "PoT", **dict.fromkeys(("model_sha256", "arch_sha256", "dataset_sha256", "config_sha256"), "ab")}
+
+
+@pytest.mark.parametrize(
+    "fragment, detail",
+    [
+        pytest.param(
+            {k: v for k, v in _POT.items() if k != "config_sha256"},
+            "PoT field is not a string at /config_sha256",
+            id="missing",
+        ),
+        pytest.param(
+            {**_POT, "evil": "x"},
+            "PoT field is not an object with keys "
+            "['arch_sha256', 'att_type', 'config_sha256', 'dataset_sha256', 'model_sha256'] at /",
+            id="extra",
+        ),
+    ],
+)
+def test_validate_fragment_top_level_keys_follow_the_shape(fragment, detail):
+    """A missing or extra top-level key is refused by the shape walk, in the
+    verifier's words."""
+    with pytest.raises(DomainError) as refused:
+        validate_fragment(fragment)
+    assert str(refused.value) == detail
+
+
 def test_envelope_file_round_trip(fixture_a, enclaves, test_platform, tmp_path):
     env = attest_distribution(fixture_a, "marginal", enclave=enclaves["dataset"], platform=test_platform)
     path = tmp_path / "dist.envelope.json"
