@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from .certs import ExternalCertificate, certificates_by_subject
 from .errors import CardConflictError, LamError
-from .measurers import index_fragments
+from .fragments import index_fragments
 
 if TYPE_CHECKING:
     from .verifier import ChainReport, VerifiedFragment

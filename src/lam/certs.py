@@ -21,7 +21,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from .backend import Signed, check_signatures, key_from_seed, public_hex
 from .errors import InvalidCertificationError, LamError
-from .hashcore import Digest, canonicalize, in_file, read_canonical
+from .hashcore import Digest, canonicalize, in_file, read_canonical, read_entries
 
 SUBJECT_KINDS = ("dataset", "model")
 
@@ -193,13 +193,9 @@ class CertificationStore:
     def from_json_value(cls, value: Any) -> "CertificationStore":
         if not isinstance(value, list):
             raise LamError("certification store must be a JSON array")
-        store = cls()
-        for i, item in enumerate(value):
-            try:
-                store.add(Certification.from_json_value(item))
-            except LamError as exc:
-                raise LamError(f"certification store entry {i}: {exc}") from None
-        return store
+        return read_entries(
+            "certification store entry", value, lambda items: cls(map(Certification.from_json_value, items))
+        )
 
     @classmethod
     def load(cls, path: str | Path, endorser_keys: Mapping[str, str]) -> "CertificationStore":

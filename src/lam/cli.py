@@ -32,9 +32,8 @@ from .certs import (
     make_certification,
     make_external_certificate,
 )
-from .engine.data import Dataset, TrainingConfig
-from .engine.model import Model
 from .errors import DomainError, LamError, WorkspaceError
+from .fragments import ATT_TYPES, AttestationEnvelope, EnclaveContext, builtin_template, default_enclaves
 from .hashcore import (
     Digest,
     build_manifest,
@@ -45,19 +44,6 @@ from .hashcore import (
     parse_decimal_string,
     read_canonical,
     unique_keys,
-)
-from .measurers import (
-    ATT_TYPES,
-    AttestationEnvelope,
-    EnclaveContext,
-    attest_accuracy,
-    attest_distribution,
-    attest_fairness,
-    attest_inference,
-    attest_robustness,
-    attest_training,
-    builtin_template,
-    default_enclaves,
 )
 from .verifier import AssertionBundle, verify_bundle
 
@@ -274,6 +260,12 @@ def _read_input(ctx: EnclaveContext, path: str, read: Callable[[bytes], Any]) ->
 
 
 def cmd_attest(args: argparse.Namespace) -> int:
+    # the one command that runs a model, so the one that loads the ML engine
+    from .engine.data import Dataset, TrainingConfig
+    from .engine.model import Model
+    from .measurers import attest_accuracy, attest_distribution, attest_fairness, attest_inference
+    from .measurers import attest_robustness, attest_training
+
     ws = Workspace(args.workspace)
     platform = ws.load_platform(args.platform_id)
     out_dir = Path(args.out) if args.out else ws.attestations

@@ -5,15 +5,17 @@ identity is the digest of its canonical JSON. Feature values are quantized to
 the 6-fractional-digit decimal rule on construction, which makes the in-memory
 floats exactly the values a round trip through the file yields.
 
-A dataset's features are quantized in one place, `hashcore.quantize_rows`,
+A dataset's features are quantized in one place, `quantize_rows` below,
 and its canonical CSV lines are the row strings that quantizer formats.
 `Dataset.from_rows` calls it, and so does every loader that is not handed a
 canonical file: `Dataset.from_csv_bytes` keeps a file that is already
 canonical as it stands, checking it line by line and parsing every number
 with one `np.fromstring` call, and passes the parsed cells of any other file
 to `from_rows`. A dataset built directly from quantized arrays formats its
-features with the quantizer's formatting half, `hashcore.format_rows`, when
-its canonical bytes are first asked for.
+features with the quantizer's formatting half, `format_rows`, when
+its canonical bytes are first asked for. The quantizer is the engine's, which
+alone holds float arrays; engine.model quantizes parameters, inputs and
+scores with it too.
 """
 
 from __future__ import annotations
@@ -30,12 +32,10 @@ from ..hashcore import (
     Digest,
     Record,
     canonicalize,
-    float_rows,
-    format_rows,
+    decimal_string,
     hash_bytes,
     parse_canonical,
     parse_decimal_string,
-    quantize_rows,
 )
 
 ACTIVATIONS = ("tanh", "relu")
@@ -52,6 +52,48 @@ _RESERVED_COLUMNS = ("label", "sensitive")
 # integer of at most 15 digits is exact as a double and fits int64.
 _SMALL_DECIMAL = rb"-?(?:0|[1-9][0-9]{0,8})\.[0-9]{6}"
 _SMALL_INTEGER = rb"(?:0|-?[1-9][0-9]{0,14})"
+
+
+def float_rows(rows: Any) -> np.ndarray:
+    """The rows as a float64 array; a DomainError names the first number
+    beyond the float range by row and column."""
+    try:
+        return np.asarray(rows, dtype=np.float64)
+    except OverflowError:
+        for i, row in enumerate(rows):
+            for j, cell in enumerate(row):
+                try:
+                    float(cell)
+                except OverflowError:
+                    raise DomainError(f"row {i} column {j} is outside the float range") from None
+        raise
+
+
+def format_rows(array: np.ndarray) -> list[str]:
+    """The canonical text of each row of a 2-D float array, its cells joined
+    by commas: one `%`-format per row, by the rule decimal_string applies to
+    a float. NaN and infinities raise decimal_string's DomainError, for the
+    first in row order."""
+    line = ",".join(["%.6f"] * array.shape[-1])
+    texts = [line % tuple(row) for row in array.tolist()]
+    if "n" in "".join(texts):  # "nan" or "inf": no finite number's text has an n
+        decimal_string(float(array[~np.isfinite(array)][0]))
+    return texts
+
+
+def quantize_rows(rows: Any) -> tuple[list[str], np.ndarray]:
+    """The row texts of format_rows, and the float64 array their cells parse
+    to by one cast of their strings (the float that float() gives each).
+
+    The one quantizer of dataset features, model parameters and inference
+    inputs and scores. It is idempotent, so a round trip through any canonical
+    file gives back the same floats; a quantized array needs only format_rows.
+    """
+    array = float_rows(rows)
+    texts = format_rows(array)
+    if not array.size:  # rows of no cells, which join to bare commas
+        return texts, np.empty(array.shape)
+    return texts, np.array(",".join(texts).split(","), dtype=np.float64).reshape(array.shape)
 
 
 @dataclass(frozen=True)
@@ -93,7 +135,7 @@ class Dataset:
         labels: Sequence[int],
         sensitive: Sequence[int],
     ) -> "Dataset":
-        """A dataset of the rows' features quantized by hashcore.quantize_rows;
+        """A dataset of the rows' features quantized by quantize_rows;
         its canonical CSV is joined from the row strings they were quantized
         from, so no feature is formatted twice."""
         texts, values = quantize_rows(float_rows(features).reshape(len(features), len(schema)))

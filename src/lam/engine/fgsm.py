@@ -11,7 +11,7 @@ arrays in integer micro-units, held exactly in float64: one addition per cell
 and one correctly rounded division give the float the decimal sum converts
 to, with the sign of a zero sum as Decimal gives it. Any other dataset, or an
 eps of 1e9 or more, is moved cell by cell in Decimal, from the cells
-`hashcore.format_rows` formats, and the perturbed rows are built into a
+`data.format_rows` formats, and the perturbed rows are built into a
 dataset by `Dataset.from_rows`, which quantizes them.
 """
 
@@ -22,8 +22,8 @@ from decimal import Decimal
 import numpy as np
 
 from ..errors import DomainError
-from ..hashcore import decimal_string, format_rows, parse_decimal_string
-from .data import Dataset
+from ..hashcore import decimal_string, parse_decimal_string
+from .data import Dataset, format_rows
 from .model import Model, input_gradients
 
 

@@ -3,8 +3,8 @@
 Everything downstream hashes the model file, so the in-memory weights are the
 quantized values the file round-trips to. A trained model and a loaded model
 file are both built by `Model.from_float_params`, which quantizes every
-parameter with `hashcore.quantize_rows`, the one quantizer; the model file is
-formatted from them by its formatting half, `hashcore.format_rows`, and
+parameter with `data.quantize_rows`, the one quantizer; the model file is
+formatted from them by its formatting half, `data.format_rows`, and
 inference quantizes its input and its scores with it too. Training order is fixed (seeded init,
 seeded per-epoch shuffles, sequential batch updates), making the output a
 pure function of (dataset, config).
@@ -30,13 +30,11 @@ from ..hashcore import (
     Digest,
     Record,
     canonicalize,
-    format_rows,
     hash_bytes,
     parse_canonical,
     parse_decimal_string,
-    quantize_rows,
 )
-from .data import Architecture, Dataset, InferenceRecord, TrainingConfig, config_decimal
+from .data import Architecture, Dataset, InferenceRecord, TrainingConfig, config_decimal, format_rows, quantize_rows
 from .rng import Xoshiro256StarStar
 
 _ADAM_BETA1 = 0.9
@@ -117,7 +115,7 @@ class Model:
         biases: Sequence[np.ndarray],
     ) -> "Model":
         """Build a Model whose parameters are quantized by
-        hashcore.quantize_rows: each weight matrix row by row, each bias
+        data.quantize_rows: each weight matrix row by row, each bias
         vector as one row."""
         return cls(
             architecture=architecture,

@@ -7,8 +7,7 @@ Three commitments live here and nowhere else:
 * Canonical JSON: UTF-8, object keys sorted by code point and never
   repeated, no insignificant whitespace, and no float tokens: non-integer
   numbers must be decimal strings (see decimal_string / ratio_string for
-  the 6-fractional-digit, round-half-even formatting rule, and quantize_rows
-  and format_rows for the arrays of features and parameters it applies to).
+  the 6-fractional-digit, round-half-even formatting rule).
 * Trusted manifests: sorted (path, digest) entries over a directory tree,
   with read-once file hashing so callers never operate on re-read bytes.
 
@@ -17,8 +16,9 @@ and model files) is a Record, read by record_fields and written by
 record_json_value, both driven by its field annotations alone. object_keys
 is the one rule for a JSON object with exactly a given set of keys, records
 and the envelope, bundle, trust file and inference input objects alike.
-in_file is the one rule naming a file in an error (a `: path` suffix), and
-read_canonical, which uses it, the one reader of a JSON file.
+in_file is the one rule naming a file in an error (a `: path` suffix),
+read_entries the one naming an entry of a JSON array (a `name i: ` prefix),
+and read_canonical, which uses in_file, the one reader of a JSON file.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from functools import cache, cached_property
 from math import isfinite
 from pathlib import Path
 from typing import AbstractSet, Any, Callable, ClassVar, Iterable, Iterator, TypeVar, get_type_hints
-
-import numpy as np
 
 from .errors import CanonicalizationError, DomainError, FileReadError, LamError, ManifestMismatchError
 
@@ -345,6 +343,22 @@ def in_file(path: str | Path) -> Iterator[None]:
         raise LamError(f"{exc}: {path}") from None
 
 
+def read_entries(name: str, values: list[Any], read: Callable[[list[Any]], _T]) -> _T:
+    """`read` of the entries of a JSON array, in order; a LamError names the
+    first entry that `read` refuses as `{name} {index}: `, the one rule by
+    which an error names an array entry. Only a refusal looks for its entry,
+    reading one entry at a time, so reading that succeeds pays nothing."""
+    try:
+        return read(values)
+    except LamError:
+        for i, value in enumerate(values):
+            try:
+                read([value])
+            except LamError as exc:
+                raise LamError(f"{name} {i}: {exc}") from None
+        raise
+
+
 def read_canonical(path: str | Path, read: Callable[[Any], _T]) -> _T:
     """`read` of the value of a canonical JSON file, read once (see
     parse_canonical); an error in parsing or in `read` names the file."""
@@ -402,48 +416,6 @@ def decimal_string(value: float | int | Decimal) -> str:
     with localcontext() as ctx:
         ctx.prec = 50
         return str(number.quantize(_QUANTUM, rounding=ROUND_HALF_EVEN))
-
-
-def float_rows(rows: Any) -> np.ndarray:
-    """The rows as a float64 array; a DomainError names the first number
-    beyond the float range by row and column."""
-    try:
-        return np.asarray(rows, dtype=np.float64)
-    except OverflowError:
-        for i, row in enumerate(rows):
-            for j, cell in enumerate(row):
-                try:
-                    float(cell)
-                except OverflowError:
-                    raise DomainError(f"row {i} column {j} is outside the float range") from None
-        raise
-
-
-def format_rows(array: np.ndarray) -> list[str]:
-    """The canonical text of each row of a 2-D float array, its cells joined
-    by commas: one `%`-format per row, by the rule decimal_string applies to
-    a float. NaN and infinities raise decimal_string's DomainError, for the
-    first in row order."""
-    line = ",".join(["%.6f"] * array.shape[-1])
-    texts = [line % tuple(row) for row in array.tolist()]
-    if "n" in "".join(texts):  # "nan" or "inf": no finite number's text has an n
-        decimal_string(float(array[~np.isfinite(array)][0]))
-    return texts
-
-
-def quantize_rows(rows: Any) -> tuple[list[str], np.ndarray]:
-    """The row texts of format_rows, and the float64 array their cells parse
-    to by one cast of their strings (the float that float() gives each).
-
-    The one quantizer of dataset features, model parameters and inference
-    inputs and scores. It is idempotent, so a round trip through any canonical
-    file gives back the same floats; a quantized array needs only format_rows.
-    """
-    array = float_rows(rows)
-    texts = format_rows(array)
-    if not array.size:  # rows of no cells, which join to bare commas
-        return texts, np.empty(array.shape)
-    return texts, np.array(",".join(texts).split(","), dtype=np.float64).reshape(array.shape)
 
 
 def ratio_string(numerator: int, denominator: int) -> str:

@@ -23,8 +23,8 @@ from .certs import (
     validate_template,
 )
 from .errors import CanonicalizationError, InvalidCertificationError, LamError
-from .hashcore import Digest, canonicalize, hash_bytes, object_keys, parse_canonical_exact, read_canonical
-from .measurers import ATT_SPECS, AttestationEnvelope, index_fragments, shape_mismatch
+from .fragments import ATT_SPECS, AttestationEnvelope, index_fragments, shape_mismatch
+from .hashcore import Digest, canonicalize, hash_bytes, object_keys, parse_canonical_exact, read_canonical, read_entries
 
 BUNDLE_VERSION = 1
 _BUNDLE_KEYS = frozenset({"envelopes", "external_certificates", "version"})
@@ -211,7 +211,8 @@ class AssertionBundle:
     @classmethod
     def from_file_value(cls, value: Any) -> "AssertionBundle":
         """Parse a bundle, which has no key but its two arrays and its
-        version; quotes whose platform certificates are equal share
+        version, naming an entry it refuses by its index (read_entries);
+        quotes whose platform certificates are equal share
         one PlatformCertificate, so each is checked against a root once,
         every quote's signature is checked here, in bulk, and the external
         certificates form one batch, checked in bulk when first asked."""
@@ -224,9 +225,13 @@ class AssertionBundle:
             if not isinstance(value.get(key), list):
                 raise LamError(f"assertion bundle {key!r} must be a JSON array")
         object_keys(value, _BUNDLE_KEYS, "assertion bundle")
-        envelopes = AttestationEnvelope.from_json_values(value["envelopes"])
+        envelopes = read_entries("envelope", value["envelopes"], AttestationEnvelope.from_json_values)
         check_signatures([(e.quote, e.quote.attestation_pubkey) for e in envelopes])
-        externals = tuple(ExternalCertificate.from_json_value(c) for c in value["external_certificates"])
+        externals = read_entries(
+            "external certificate",
+            value["external_certificates"],
+            lambda items: tuple(map(ExternalCertificate.from_json_value, items)),
+        )
         check_together(externals)
         return cls(envelopes=tuple(envelopes), external_certificates=externals)
 

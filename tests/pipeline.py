@@ -17,18 +17,14 @@ from lam.certs import (
 )
 from lam.engine.data import Architecture, Dataset, TrainingConfig
 from lam.engine.model import Model
+from lam.fragments import AttestationEnvelope, EnclaveContext, builtin_template, default_enclaves, enclave_kind_for
 from lam.measurers import (
-    AttestationEnvelope,
-    EnclaveContext,
     attest_accuracy,
     attest_distribution,
     attest_fairness,
     attest_inference,
     attest_robustness,
     attest_training,
-    builtin_template,
-    default_enclaves,
-    enclave_kind_for,
 )
 from lam.verifier import AssertionBundle
 

@@ -21,9 +21,9 @@ from lam.engine.fgsm import fgsm_dataset
 from lam.engine.metrics import accuracy, demographic_parity, distribution, robust_accuracy
 from lam.engine.model import train
 from lam.engine.synth import census_split
+from lam.fragments import AttestationEnvelope
 from lam.hashcore import hash_bytes
 from lam.measurers import (
-    AttestationEnvelope,
     attest_accuracy,
     attest_distribution,
     attest_inference,

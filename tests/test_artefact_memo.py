@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import pytest
 
-import lam.measurers
+import lam.fragments
 from lam.engine.data import Dataset
 from lam.engine.model import Model
+from lam.fragments import default_enclaves
 from lam.hashcore import canonicalize, hash_bytes
-from lam.measurers import attest_inference, default_enclaves
+from lam.measurers import attest_inference
 
 
 def test_model_arrays_are_read_only(pattern_model):
@@ -45,7 +46,7 @@ def test_cached_dataset_digest_matches_fresh_computation(fixture_a):
 def test_inference_attestations_digest_the_model_once(pattern_model, test_platform, monkeypatch):
     to_json_calls, measure_calls = [], []
     to_json_value = Model.to_json_value
-    measure_enclave = lam.measurers.measure_enclave
+    measure_enclave = lam.fragments.measure_enclave
 
     def counting_to_json_value(self):
         to_json_calls.append(self)
@@ -56,7 +57,7 @@ def test_inference_attestations_digest_the_model_once(pattern_model, test_platfo
         return measure_enclave(*args)
 
     monkeypatch.setattr(Model, "to_json_value", counting_to_json_value)
-    monkeypatch.setattr(lam.measurers, "measure_enclave", counting_measure_enclave)
+    monkeypatch.setattr(lam.fragments, "measure_enclave", counting_measure_enclave)
     enclave = default_enclaves()["inference"]
     payloads = set()
     for i in range(50):

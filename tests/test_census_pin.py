@@ -14,13 +14,13 @@ from dataclasses import replace
 from lam.backend import create_root, provision_platform
 from lam.engine.data import Architecture, Dataset, TrainingConfig
 from lam.engine.synth import census_split
+from lam.fragments import default_enclaves
 from lam.measurers import (
     attest_accuracy,
     attest_distribution,
     attest_fairness,
     attest_robustness,
     attest_training,
-    default_enclaves,
 )
 
 CONFIG = TrainingConfig(

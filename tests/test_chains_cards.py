@@ -309,7 +309,7 @@ def test_conflicting_metric_values_raise(pipe, fixture_a, fixture_b, constant_mo
 
     from lam.backend import issue_quote
     from lam.hashcore import canonicalize, hash_bytes
-    from lam.measurers import AttestationEnvelope
+    from lam.fragments import AttestationEnvelope
 
     payload = copy.deepcopy(frag_a.payload)
     payload["results"]["metrics"][0]["value"] = "0.833333"

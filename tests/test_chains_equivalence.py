@@ -18,7 +18,7 @@ from lam.cards import assemble_cards
 from lam.certs import Endorser, ExternalCertificate, make_certification, make_external_certificate
 from lam.errors import CardConflictError
 from lam.hashcore import Digest, canonicalize, hash_bytes
-from lam.measurers import ATT_TYPES, TASK, builtin_template
+from lam.fragments import ATT_TYPES, TASK, builtin_template
 from lam.verifier import VerifiedFragment, resolve_chains
 
 ENDORSER = Endorser.create("equivalence", seed=b"equivalence-endorser")

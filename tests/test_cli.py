@@ -13,7 +13,7 @@ from lam.cli import main
 from lam.engine.data import Architecture, TrainingConfig
 from lam.engine.synth import linearly_separable
 from lam.hashcore import canonicalize, parse_canonical
-from lam.measurers import builtin_template
+from lam.fragments import builtin_template
 
 
 def run(*argv: str) -> int:
@@ -135,7 +135,7 @@ def test_attest_robustness_envelopes_share_robust_digest(cli_ws):
     ws = cli_ws["ws"]
     robgen = next((ws / "attestations").glob("robgen-*.envelope.json"))
     robacc = next((ws / "attestations").glob("robacc-*.envelope.json"))
-    from lam.measurers import AttestationEnvelope
+    from lam.fragments import AttestationEnvelope
 
     gen = AttestationEnvelope.read(robgen).payload_value()
     acc = AttestationEnvelope.read(robacc).payload_value()
@@ -565,7 +565,7 @@ def test_verify_conflicting_claims_exits_2_and_writes_nothing(cli_ws, capsys, tm
     from lam.backend import issue_quote
     from lam.cli import Workspace
     from lam.hashcore import canonicalize, hash_bytes
-    from lam.measurers import AttestationEnvelope, default_enclaves
+    from lam.fragments import AttestationEnvelope, default_enclaves
 
     ws = cli_ws["ws"]
     bundle_value = parse_canonical((ws / "bundle.json").read_bytes())
@@ -621,7 +621,7 @@ def test_verify_non_alphabet_base64_exits_2(cli_ws, capsys, tmp_path):
     code = run(*_verify_args(ws, tmp_path / "cards", bundle=bundle))
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error: envelope payload_b64 is not strict base64: ")
+    assert err.startswith("error: envelope 0: envelope payload_b64 is not strict base64: ")
     assert "Traceback" not in err
     assert not (tmp_path / "cards" / "chain_report.json").exists()
 
@@ -838,7 +838,7 @@ def test_verify_malformed_external_certificate_exits_2(cli_ws, capsys, tmp_path)
     bundle.write_bytes(canonicalize(bundle_value))
     code = run(*_verify_args(ws, tmp_path / "cards", bundle=bundle))
     assert code == 2
-    assert capsys.readouterr().err == f"error: external certificate has no 'signature' field: {bundle}\n"
+    assert capsys.readouterr().err == f"error: external certificate 0: external certificate has no 'signature' field: {bundle}\n"
     assert not (tmp_path / "cards").exists()
 
 
@@ -868,12 +868,13 @@ def test_verify_unknown_subject_kind_exits_2(cli_ws, capsys, tmp_path):
 
     ws = cli_ws["ws"]
     bundle_value = parse_canonical((ws / "bundle.json").read_bytes())
+    index = len(bundle_value["external_certificates"])
     bundle_value["external_certificates"].append(_odd_kind_certificate(cli_ws))
     bundle = tmp_path / "bundle.json"
     bundle.write_bytes(canonicalize(bundle_value))
     code = run(*_verify_args(ws, tmp_path / "cards", bundle=bundle))
     assert code == 2
-    assert capsys.readouterr().err == f"error: {ODD_KIND}: {bundle}\n"
+    assert capsys.readouterr().err == f"error: external certificate {index}: {ODD_KIND}: {bundle}\n"
     assert not (tmp_path / "cards").exists()
 
 
@@ -965,7 +966,7 @@ def test_verify_non_canonical_external_certificate_signature_exits_2(cli_ws, cap
     code = run(*_verify_args(ws, tmp_path / "cards", bundle=bundle))
     assert code == 2
     message = f"external certificate field 'signature' is malformed: {signature!r}"
-    assert capsys.readouterr().err == f"error: {message}: {bundle}\n"
+    assert capsys.readouterr().err == f"error: external certificate 0: {message}: {bundle}\n"
     assert not (tmp_path / "cards").exists()
 
 
@@ -1099,7 +1100,7 @@ def test_verify_malformed_quote_field_exits_2(sixrow_files, capsys, tmp_path, pa
         "--roots", str(sixrow_files / "trust.json"), "--out", str(tmp_path / "cards"),
     )
     assert code == 2
-    assert capsys.readouterr().err == f"error: {message}: {bundle}\n"
+    assert capsys.readouterr().err == f"error: envelope 0: {message}: {bundle}\n"
     assert not (tmp_path / "cards").exists()
 
 

@@ -19,7 +19,7 @@ from lam.backend import issue_quote
 from lam.certs import CertificationStore, make_certification
 from lam.errors import LamError
 from lam.hashcore import canonicalize, hash_bytes
-from lam.measurers import ATT_TYPES, AttestationEnvelope
+from lam.fragments import ATT_TYPES, AttestationEnvelope
 from lam.verifier import AssertionBundle, verify_bundle
 from pipeline import sixrow_pipeline
 

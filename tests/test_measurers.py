@@ -4,19 +4,15 @@ import pytest
 
 from lam.engine.data import Dataset
 from lam.errors import DomainError, ManifestMismatchError
+from lam.fragments import ATT_TYPES, AttestationEnvelope, builtin_template, default_enclaves, validate_fragment
 from lam.hashcore import build_manifest, canonicalize, hash_bytes, parse_canonical
 from lam.measurers import (
-    ATT_TYPES,
-    AttestationEnvelope,
     attest_accuracy,
     attest_distribution,
     attest_fairness,
     attest_inference,
     attest_robustness,
     attest_training,
-    builtin_template,
-    default_enclaves,
-    validate_fragment,
 )
 from lam.backend import verify_quote
 

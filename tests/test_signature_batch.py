@@ -16,7 +16,7 @@ import pytest
 import lam.backend as backend
 from lam.backend import PARALLEL_MIN, Quote, _verify_hex, issue_quote, verify_quote
 from lam.hashcore import hash_bytes
-from lam.measurers import AttestationEnvelope
+from lam.fragments import AttestationEnvelope
 from lam.verifier import AssertionBundle
 
 CPUS = 4

@@ -12,7 +12,7 @@ from template_reference import reference_match
 from lam.certs import validate_template
 from lam.engine.rng import Xoshiro256StarStar
 from lam.errors import InvalidCertificationError
-from lam.measurers import ATT_SPECS, ATT_TYPES, builtin_template, shape_mismatch
+from lam.fragments import ATT_SPECS, ATT_TYPES, builtin_template, shape_mismatch
 from lam.verifier import TemplateMatch, match_template
 
 # (name, template, payload, expected match)

@@ -8,7 +8,7 @@ import lam.backend as backend
 from lam.backend import issue_quote
 from lam.certs import CertificationStore, Endorser, make_certification
 from lam.hashcore import canonicalize, hash_bytes
-from lam.measurers import AttestationEnvelope
+from lam.fragments import AttestationEnvelope
 from lam.verifier import AssertionBundle, verify_envelope
 from pipeline import sixrow_pipeline
 
@@ -527,7 +527,7 @@ def test_prover_and_verifier_agree_on_fragment_shape(pipe, name, mutate, detail)
     import json
 
     from lam.errors import DomainError
-    from lam.measurers import validate_fragment
+    from lam.fragments import validate_fragment
 
     payload_value = json.loads(pipe.envelopes[name].payload)
     mutate(payload_value)

@@ -22,6 +22,28 @@ def test_malformed_quote_field_is_a_named_error(pipe, path, new):
     message = edit_envelope(value["envelopes"][-1], path, new)
     with pytest.raises(LamError) as err:
         AssertionBundle.from_file_value(value)
+    assert str(err.value) == f"envelope {len(value['envelopes']) - 1}: {message}"
+
+
+@pytest.mark.parametrize(
+    ("member", "index", "key", "message"),
+    [
+        ("envelopes", 3, "payload_b64", "envelope 3: envelope has no 'payload_b64' field"),
+        (
+            "external_certificates", 1, "signature",
+            "external certificate 1: external certificate has no 'signature' field",
+        ),
+    ],
+    ids=["envelope", "external-certificate"],
+)
+def test_a_malformed_bundle_member_names_its_index(pipe, member, index, key, message):
+    """A bundle member that does not parse is named by its index, as a
+    certification store entry is, so one bad member among thousands can be
+    found."""
+    value = pipe.bundle().to_file_value()
+    del value[member][index][key]
+    with pytest.raises(LamError) as err:
+        AssertionBundle.from_file_value(value)
     assert str(err.value) == message
 
 
