@@ -9,7 +9,8 @@ and their canonical JSON wire form.
 
 Every signed record (platform certificate, quote, certification, external
 certificate) is a Signed, a hashcore.Record, whose wire form is read and
-written from its field annotations: made by signed_by, checked by
+written from its field annotations, and which signs its canonical bytes
+(hashcore.record_bytes) less the signature: made by signed_by, checked by
 verifies_under or in bulk by check_signatures, its verdicts memoized per
 key. Nothing else signs. verify_quote answers None for a quote it accepts,
 else its reason.
@@ -30,7 +31,7 @@ from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
 
 from .errors import LamError
-from .hashcore import Digest, Record, TrustedManifest, canonicalize, hash_bytes
+from .hashcore import Digest, Record, TrustedManifest, hash_bytes, record_bytes
 
 SIG_ALG = "ed25519"
 # Fewest signatures verify_signatures splits across CPUs; each slice then
@@ -144,9 +145,7 @@ class Signed(Record):
 
     def signed_bytes(self) -> bytes:
         """The canonical JSON of the wire form without the signature field."""
-        value = self.to_json_value()
-        del value[self.signature_field]
-        return canonicalize(value)
+        return record_bytes(self, without=self.signature_field)
 
     @classmethod
     def signed_by(cls: type[_S], private_key: Ed25519PrivateKey, *args: Any, **fields: Any) -> _S:

@@ -65,12 +65,12 @@ _BREAKS = "\n\x85\u2028\u2029"
 _HAS_BREAK = re.compile(f"[{_BREAKS}]")
 # Only a double-quoted scalar can hold a special character (anything but
 # "\n", printable ASCII and the printable non-ASCII that allow_unicode writes
-# as it is), or a space next to a line break.
-_NEEDS_DOUBLE = re.compile(
-    f"[^\n\x20-\x7e\x85\xa0-\ud7ff\ue000-\ufffd\U00010000-\U0010fffe]|\ufeff| [{_BREAKS}]|[{_BREAKS}] "
-)
+# as it is), or a space next to a line break. This pattern and _UNESCAPED are
+# compiled on first use, by re's cache: their wide ranges take milliseconds to
+# compile, and only strings outside printable ASCII need them.
+_NEEDS_DOUBLE = f"[^\n\x20-\x7e\x85\xa0-\ud7ff\ue000-\ufffd\U00010000-\U0010fffe]|\ufeff| [{_BREAKS}]|[{_BREAKS}] "
 # Characters a double-quoted scalar writes as they are (Emitter.write_double_quoted).
-_UNESCAPED = re.compile("[\x20-\x7e\xa0-\ud7ff\ue000-\ufffd]")
+_UNESCAPED = "[\x20-\x7e\xa0-\ud7ff\ue000-\ufffd]"
 _ESCAPES = {
     "\0": "0", "\x07": "a", "\x08": "b", "\t": "t", "\n": "n", "\x0b": "v", "\x0c": "f", "\r": "r",
     "\x1b": "e", '"': '"', "\\": "\\", "\x85": "N", "\u2028": "L", "\u2029": "P",
@@ -124,7 +124,7 @@ def _unicode(text: str, column: int, indent: int, split: bool) -> str:
     """A non-empty string outside printable ASCII written from `column`, its
     continuation lines indented to `indent`; `split` is False for a simple
     key, which PyYAML never folds (Emitter.process_scalar)."""
-    if _NEEDS_DOUBLE.search(text):
+    if re.search(_NEEDS_DOUBLE, text):
         return _double_quoted(text, column, indent, split)
     if _HAS_BREAK.search(text) or not _plain(text):
         return _single_quoted(text, column, indent, split)
@@ -207,9 +207,10 @@ def _double_quoted(text: str, column: int, indent: int, split: bool) -> str:
     column += 1
     start = 0
     last = len(text) - 1
+    unescaped = re.compile(_UNESCAPED)
     for end in range(len(text) + 1):
         ch = text[end] if end <= last else None
-        if ch is None or ch in '"\\\x85\u2028\u2029\ufeff' or not _UNESCAPED.match(ch):
+        if ch is None or ch in '"\\\x85\u2028\u2029\ufeff' or not unescaped.match(ch):
             out.append(text[start:end])
             column += end - start
             start = end

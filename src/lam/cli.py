@@ -133,7 +133,7 @@ class Workspace:
         _write_guarded(self.keys / f"{stem}.key", (private.private_bytes_raw().hex() + "\n").encode(), force)
         _write_guarded(self.keys / f"{stem}.pub", (public_hex(private) + "\n").encode(), force)
         if certificate is not None:
-            _write_guarded(self.keys / f"{stem}.cert.json", canonicalize(certificate.to_json_value()), force)
+            _write_guarded(self.keys / f"{stem}.cert.json", certificate.canonical_bytes, force)
 
     def load_root(self) -> ManufacturerRoot:
         private = self._private_key("root", "no manufacturer root in workspace; run `lam keygen root` first")
@@ -223,7 +223,7 @@ def _write_envelope(out_dir: Path, prefix: str, subject_hex: str, env: Attestati
     """Write env to <out_dir>/<prefix>-<subject_hex[:12]>.envelope.json,
     refusing to overwrite without force; the path written."""
     path = out_dir / f"{prefix}-{subject_hex[:12]}.envelope.json"
-    _write_guarded(path, canonicalize(env.to_file_value()), force)
+    _write_guarded(path, env.file_bytes(), force)
     return path
 
 
@@ -396,7 +396,7 @@ def cmd_endorse(args: argparse.Namespace) -> int:
     claims = None if args.claims is None else read_canonical(args.claims, _claims)
     cert = make_external_certificate(endorser, subject, args.kind, args.name, claims)
     path = ws.certificates / f"{args.kind}-{subject.hex[:12]}.cert.json"
-    _write_guarded(path, canonicalize(cert.to_json_value()), args.force)
+    _write_guarded(path, cert.canonical_bytes, args.force)
     print(f"endorsed {args.kind} {subject.hex[:12]} as {args.name!r}")
     print(f"wrote {path}")
     return EXIT_OK

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Any, Iterable
 from .backend import EnclaveMeasurement, PlatformCertificate, Quote, measure_enclave
 from .errors import DomainError, LamError
 from .hashcore import (
+    WRITE_ERRORS,
     TrustedManifest,
     canonicalize,
     hash_bytes,
@@ -30,6 +31,7 @@ from .hashcore import (
     object_keys,
     parse_canonical,
     read_canonical,
+    record_bytes,
     record_fields,
     require_in_manifest,
 )
@@ -155,9 +157,20 @@ class AttestationEnvelope:
         }
 
     def to_file_value(self) -> dict[str, Any]:
-        value = self.to_json_value()
-        value["version"] = ENVELOPE_VERSION
-        return value
+        return {**self.to_json_value(), "version": ENVELOPE_VERSION}
+
+    def json_bytes(self, memo: dict[int, bytes], tail: bytes = b"") -> bytes:
+        """canonicalize(self.to_json_value()) with `tail` before its closing
+        brace, the quote written by record_bytes through `memo`."""
+        payload = base64.b64encode(self.payload)
+        return b'{"payload_b64":"%s","quote":%s%s}' % (payload, record_bytes(self.quote, memo), tail)
+
+    def file_bytes(self) -> bytes:
+        """canonicalize(self.to_file_value()): the envelope file."""
+        try:
+            return self.json_bytes({}, b',"version":%d' % ENVELOPE_VERSION)
+        except WRITE_ERRORS:
+            return canonicalize(self.to_file_value())
 
     @classmethod
     def from_json_value(cls, value: Any) -> "AttestationEnvelope":
@@ -169,7 +182,8 @@ class AttestationEnvelope:
         """The envelopes of JSON values, each built once; quotes whose
         platform certificates are equal share one PlatformCertificate, so
         each is checked against a root once."""
-        certificates: dict[PlatformCertificate, PlatformCertificate] = {}
+        # each certificate by itself, and by the raw field items it was parsed from
+        certificates: dict[PlatformCertificate | tuple[tuple[str, str], ...], PlatformCertificate] = {}
         envelopes = []
         for value in values:
             object_keys(value, _ENVELOPE_KEYS, "envelope")
@@ -179,9 +193,16 @@ class AttestationEnvelope:
                 payload = base64.b64decode(value["payload_b64"], validate=True)
             except (TypeError, ValueError) as exc:  # not a string, binascii.Error, or non-ASCII
                 raise LamError(f"envelope payload_b64 is not strict base64: {exc}") from exc
-            quote = record_fields(Quote, value["quote"], "quote")
-            cert = quote["platform_certificate"]
-            quote["platform_certificate"] = certificates.setdefault(cert, cert)
+            raw = value["quote"].get("platform_certificate") if isinstance(value["quote"], dict) else None
+            # equal items parse to equal certificates; only string items (hashable) can parse
+            items = tuple(raw.items()) if isinstance(raw, dict) and all(type(v) is str for v in raw.values()) else ()
+            cert = certificates.get(items)
+            quote = record_fields(Quote, value["quote"], "quote", {"platform_certificate": cert} if cert else {})
+            if cert is None:
+                cert = quote["platform_certificate"]
+                cert = quote["platform_certificate"] = certificates.setdefault(cert, cert)
+                if items:
+                    certificates[items] = cert
             envelopes.append(cls(payload=payload, quote=Quote(**quote)))
         return envelopes
 

@@ -12,8 +12,9 @@ Three commitments live here and nowhere else:
   with read-once file hashing so callers never operate on re-read bytes.
 
 Every JSON record (quotes, certificates, certifications, training configs
-and model files) is a Record, read by record_fields and written by
-record_json_value, both driven by its field annotations alone. object_keys
+and model files) is a Record, read by record_fields, written by
+record_json_value and its canonical bytes by record_bytes, the one bytes
+writer of records, all driven by its field annotations alone. object_keys
 is the one rule for a JSON object with exactly a given set of keys, records
 and the envelope, bundle, trust file and inference input objects alike.
 in_file is the one rule naming a file in an error (a `: path` suffix),
@@ -31,7 +32,7 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from functools import cache, cached_property
 from math import isfinite
 from pathlib import Path
-from typing import AbstractSet, Any, Callable, ClassVar, Iterable, Iterator, TypeVar, get_type_hints
+from typing import AbstractSet, Any, Callable, ClassVar, Iterable, Iterator, Mapping, TypeVar, get_type_hints
 
 from .errors import CanonicalizationError, DomainError, FileReadError, LamError, ManifestMismatchError
 
@@ -110,32 +111,46 @@ def _integers(value: Any) -> tuple[int, ...]:
     return tuple(map(_integer, value))
 
 
-# How a record field is read from and written to JSON, by its annotated type.
+def _record(record: Any, memo: dict[int, bytes]) -> bytes:
+    return memo.get(id(record)) or memo.setdefault(id(record), record_bytes(record, memo))
+
+
+# How a record field is read from JSON, written to JSON and written as
+# canonical bytes (given the memo of record_bytes), by its annotated type.
 # Any other type is a nested Record.
-_Codec = Callable[[Any], Any]
-_FIELD_CODECS: dict[Any, tuple[_Codec, _Codec]] = {
-    Digest: (Digest.from_hex, lambda digest: digest.hex),
-    str: (_text, _same),
-    bytes: (hex_bytes, bytes.hex),
-    bool: (_boolean, _same),
-    int: (_integer, _same),
-    tuple[int, ...]: (_integers, list),
-    Any: (_same, _same),
+_Codec = Callable[..., Any]
+_FIELD_CODECS: dict[Any, tuple[_Codec, _Codec, _Codec]] = {
+    Digest: (Digest.from_hex, lambda digest: digest.hex, lambda digest, _: b'"%s"' % digest.value.hex().encode()),
+    str: (_text, _same, lambda text, _: _ENCODER.encode(text).encode() if type(text) is str else canonicalize(text)),
+    bytes: (hex_bytes, bytes.hex, lambda value, _: b'"%s"' % bytes.hex(value).encode()),
+    bool: (_boolean, _same, lambda value, _: (b"false", b"true")[value] if type(value) is bool else canonicalize(value)),
+    int: (_integer, _same, lambda value, _: b"%d" % value if type(value) is int else canonicalize(value)),
+    tuple[int, ...]: (_integers, list, lambda value, _: canonicalize(value)),
+    Any: (_same, _same, lambda value, _: canonicalize(value)),
 }
 
 
 @cache
-def _field_table(cls: type) -> tuple[frozenset[str], tuple[tuple[str, _Codec, _Codec], ...]]:
-    """The names, and (name, parser, writer) of each, of the init fields of
-    the dataclass `cls`, worked out once per class."""
+def _field_table(cls: type) -> tuple[frozenset[str], tuple[tuple[str, _Codec, _Codec, _Codec], ...]]:
+    """The names, and (name, parser, writer, bytes writer) of each, of the
+    init fields of the dataclass `cls`, worked out once per class."""
     hints = get_type_hints(cls)
     table = []
     for f in fields(cls):
         if f.init:
             kind = hints[f.name]
-            parse, write = _FIELD_CODECS.get(kind) or (kind.from_json_value, kind.to_json_value)
-            table.append((f.name, parse, write))
-    return frozenset(name for name, _, _ in table), tuple(table)
+            codecs = _FIELD_CODECS.get(kind) or (kind.from_json_value, kind.to_json_value, _record)
+            table.append((f.name, *codecs))
+    return frozenset(name for name, *_ in table), tuple(table)
+
+
+@cache
+def _bytes_template(cls: type, without: str | None) -> tuple[bytes, tuple[tuple[str, _Codec], ...]]:
+    """The canonical bytes of a `cls` record less the field `without`, %s
+    for each field value, and (name, bytes writer) of each, sorted by name."""
+    writers = sorted((name, write) for name, _, _, write in _field_table(cls)[1] if name != without)
+    keys = (_ENCODER.encode(name).encode("utf-8") + b":%s" for name, _ in writers)
+    return b"{" + b",".join(keys) + b"}", tuple(writers)
 
 
 def object_keys(value: Any, keys: AbstractSet[str], name: str) -> None:
@@ -152,21 +167,21 @@ def object_keys(value: Any, keys: AbstractSet[str], name: str) -> None:
         raise LamError(f"{name} has no {min(keys - value.keys())!r} field")
 
 
-def record_fields(cls: type, value: Any, record: str) -> dict[str, Any]:
+def record_fields(cls: type, value: Any, record: str, given: Mapping[str, Any] = {}) -> dict[str, Any]:
     """The init fields of the `cls` record, parsed from the JSON object
-    `value` by their annotated types; a LamError naming the key or field
-    when `value` is not an object with exactly the fields as keys (see
-    object_keys) or a field does not parse. The inverse of
-    record_json_value."""
+    `value` by their annotated types, but those in `given`, taken as already
+    parsed; a LamError naming the key or field when `value` is not an object
+    with exactly the fields as keys (see object_keys) or a field does not
+    parse. The inverse of record_json_value."""
     keys, table = _field_table(cls)
     if not isinstance(value, dict) or len(value) != len(keys):
         object_keys(value, keys, record)
     parsed = {}
-    for name, parse, _ in table:
+    for name, parse, _, _ in table:
         if name not in value:  # as many keys as fields, so one key is unknown
             object_keys(value, keys, record)
         try:
-            parsed[name] = parse(value[name])
+            parsed[name] = given[name] if name in given else parse(value[name])
         except (TypeError, ValueError):
             raise LamError(f"{record} field {name!r} is malformed: {value[name]!r}") from None
     return parsed
@@ -175,7 +190,26 @@ def record_fields(cls: type, value: Any, record: str) -> dict[str, Any]:
 def record_json_value(record: Any) -> dict[str, Any]:
     """The JSON object of a record: each init field under its name, written
     by its annotated type (see record_fields)."""
-    return {name: write(getattr(record, name)) for name, _, write in _field_table(type(record))[1]}
+    return {name: write(getattr(record, name)) for name, _, write, _ in _field_table(type(record))[1]}
+
+
+# What record_bytes may meet where canonicalize names the offence at its path.
+WRITE_ERRORS = (CanonicalizationError, UnicodeEncodeError, RecursionError)
+
+
+def record_bytes(record: Any, memo: dict[int, bytes] | None = None, without: str | None = None) -> bytes:
+    """canonicalize(record_json_value(record)), less the field `without`,
+    written from the field table with no JSON value built; a nested record
+    once per `memo` (id to bytes), which a caller writing many records keeps
+    for one write, catching WRITE_ERRORS by canonicalizing its whole JSON
+    value, which raises the error at its path (as this does with no memo)."""
+    if memo is None:
+        try:
+            return record_bytes(record, {}, without)
+        except WRITE_ERRORS:
+            return canonicalize({k: v for k, v in record_json_value(record).items() if k != without})
+    template, writers = _bytes_template(type(record), without)
+    return template % tuple([write(getattr(record, name), memo) for name, write in writers])
 
 
 _R = TypeVar("_R", bound="Record")
@@ -200,7 +234,7 @@ class Record:
 
     @cached_property
     def canonical_bytes(self) -> bytes:
-        return canonicalize(self.to_json_value())
+        return record_bytes(self)
 
     @cached_property
     def digest(self) -> Digest:

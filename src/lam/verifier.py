@@ -24,7 +24,8 @@ from .certs import (
 )
 from .errors import CanonicalizationError, InvalidCertificationError, LamError
 from .fragments import ATT_SPECS, AttestationEnvelope, index_fragments, shape_mismatch
-from .hashcore import Digest, canonicalize, hash_bytes, object_keys, parse_canonical_exact, read_canonical, read_entries
+from .hashcore import WRITE_ERRORS, Digest, canonicalize, hash_bytes, object_keys, parse_canonical_exact, read_canonical
+from .hashcore import read_entries, record_bytes
 
 BUNDLE_VERSION = 1
 _BUNDLE_KEYS = frozenset({"envelopes", "external_certificates", "version"})
@@ -206,7 +207,18 @@ class AssertionBundle:
         }
 
     def write(self, path: str | Path) -> None:
-        Path(path).write_bytes(canonicalize(self.to_file_value()))
+        """Write canonicalize(self.to_file_value()), each record written by
+        record_bytes, a platform certificate shared by many quotes once."""
+        memo: dict[int, bytes] = {}
+        try:
+            envelopes = b",".join([e.json_bytes(memo) for e in self.envelopes])
+            externals = b",".join([record_bytes(c, memo) for c in self.external_certificates])
+            tail = b'],"version":%d}' % BUNDLE_VERSION
+            parts = [b'{"envelopes":[', envelopes, b'],"external_certificates":[', externals, tail]
+        except WRITE_ERRORS:
+            parts = [canonicalize(self.to_file_value())]
+        with open(path, "wb") as file:
+            file.writelines(parts)
 
     @classmethod
     def from_file_value(cls, value: Any) -> "AssertionBundle":
