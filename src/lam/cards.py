@@ -25,9 +25,12 @@ if TYPE_CHECKING:
 
 # Card YAML is what PyYAML's yaml.safe_dump(document, sort_keys=False,
 # default_flow_style=False, allow_unicode=True) writes; the emitter below
-# reproduces it without PyYAML. Repeated collections are written out each
-# time: a card built by assemble_cards never holds one twice, so it never
-# needs PyYAML's &id001 anchors.
+# reproduces it without PyYAML, each of PyYAML's scalar rules written once:
+# _styled chooses a string's style, _folded writes a plain or single-quoted
+# scalar and _double_quoted a double-quoted one, both folding at width 80.
+# Repeated collections are written out each time: a card built by
+# assemble_cards never holds one twice, so it never needs PyYAML's &id001
+# anchors.
 
 # A plain scalar may not start with one of these (PyYAML's
 # Emitter.analyze_scalar).
@@ -63,6 +66,9 @@ _IMPLICIT = re.compile(
 
 _BREAKS = "\n\x85\u2028\u2029"
 _HAS_BREAK = re.compile(f"[{_BREAKS}]")
+# A run of spaces, of line breaks or of other characters: the pieces in which
+# Emitter.write_plain and write_single_quoted write a scalar.
+_RUNS = re.compile(f" +|[{_BREAKS}]+|[^ {_BREAKS}]+")
 # Only a double-quoted scalar can hold a special character (anything but
 # "\n", printable ASCII and the printable non-ASCII that allow_unicode writes
 # as it is), or a space next to a line break. This pattern and _UNESCAPED are
@@ -81,14 +87,11 @@ _ESCAPES = {
 # digests occur once, so a larger cache only holds more of them.
 @lru_cache(maxsize=256)
 def _scalar(text: str) -> str | None:
-    """A printable-ASCII string as yaml.safe_dump writes it, before folding:
-    plain when PyYAML would write it plain, otherwise single-quoted with each
-    quote doubled. None for a string outside printable ASCII."""
+    """A printable-ASCII string as yaml.safe_dump writes it on one line, as
+    _styled writes it unfolded. None for a string outside printable ASCII."""
     if not (text.isascii() and text.isprintable()):
         return None
-    if text and _plain(text):
-        return text
-    return "'" + text.replace("'", "''") + "'"
+    return _styled(text, 0, 0, False) if text else "''"
 
 
 def _plain(text: str) -> bool:
@@ -113,90 +116,49 @@ def _string(value: str, column: int, indent: int) -> str:
     """A string written after the ":", "-" or "?" that ends at `column`,
     inside the mapping or sequence at `indent`."""
     text = _scalar(value)
-    if text is None:
-        return _unicode(value, column + 1, indent + 2, True)
-    if column + 1 + len(text) > 81 and " " in text:
-        return _fold(text, column + 1, indent + 2)
-    return text
+    if text is not None and (column + 1 + len(text) <= 81 or " " not in text):
+        return text  # nothing to fold
+    return _styled(value, column + 1, indent + 2, True)
 
 
-def _unicode(text: str, column: int, indent: int, split: bool) -> str:
-    """A non-empty string outside printable ASCII written from `column`, its
-    continuation lines indented to `indent`; `split` is False for a simple
-    key, which PyYAML never folds (Emitter.process_scalar)."""
-    if re.search(_NEEDS_DOUBLE, text):
+def _styled(text: str, column: int, indent: int, split: bool) -> str:
+    """A non-empty string in the style PyYAML chooses for it (double-quoted,
+    single-quoted or plain), written from `column`, its continuation lines
+    indented to `indent`; `split` is False for a simple key, which PyYAML
+    never folds (Emitter.process_scalar)."""
+    one_line_ascii = text.isascii() and text.isprintable()
+    if not one_line_ascii and re.search(_NEEDS_DOUBLE, text):
         return _double_quoted(text, column, indent, split)
-    if _HAS_BREAK.search(text) or not _plain(text):
-        return _single_quoted(text, column, indent, split)
-    if split and column + len(text) > 81 and " " in text:
-        return _fold(text, column, indent)
-    return text
+    breaks = not one_line_ascii and _HAS_BREAK.search(text) is not None
+    quote = "'" if breaks or not _plain(text) else ""
+    if quote:
+        text = text.replace("'", "''")
+    if breaks or (split and column + len(text) + 2 * len(quote) > 81 and " " in text):
+        return _folded(text, quote, column, indent, split)
+    return quote + text + quote  # a simple key, or it fits or holds no space
 
 
-def _fold(scalar: str, column: int, indent: int) -> str:
-    """Fold a scalar written from `column` as PyYAML does at width 80: a
-    single space that follows column 80 becomes a line break indented to
-    `indent`, except a leading or trailing space of a quoted scalar."""
-    words = scalar.split(" ")
-    quoted = scalar[0] == "'"
-    last = len(words) - 1
-    out = [words[0]]
-    column += len(words[0])
-    for i in range(1, last + 1):
-        before, word = words[i - 1], words[i]
-        if (
-            column > 80
-            and before
-            and word
-            and not (quoted and ((i == 1 and before == "'") or (i == last and word == "'")))
-        ):
+def _folded(text: str, quote: str, column: int, indent: int, split: bool) -> str:
+    """Emitter.write_single_quoted, between `quote` "'" and with each quote in
+    `text` already doubled, or write_plain, with `quote` "": a single space
+    that follows column 80 becomes a line break indented to `indent`, unless
+    it starts or ends the text; a run of line breaks is written with one
+    more "\n" when it starts with "\n", then the indent."""
+    out = [quote]
+    column += len(quote)
+    pieces = _RUNS.findall(text)
+    last = len(pieces) - 1
+    for i, piece in enumerate(pieces):
+        if piece == " " and column > 80 and split and 0 < i < last:
             out.append("\n" + " " * indent)
             column = indent
+        elif piece[0] in _BREAKS:
+            out += ("\n" if piece[0] == "\n" else "", piece, " " * indent)
+            column = indent
         else:
-            out.append(" ")
-            column += 1
-        out.append(word)
-        column += len(word)
-    return "".join(out)
-
-
-def _single_quoted(text: str, column: int, indent: int, split: bool) -> str:
-    """Emitter.write_single_quoted: folds like _fold, and writes a run of
-    line breaks with one more "\n" when it starts with "\n"."""
-    out = ["'"]
-    column += 1
-    spaces = breaks = False
-    start = 0
-    for end in range(len(text) + 1):
-        ch = text[end] if end < len(text) else None
-        if spaces:
-            if ch != " ":
-                if start + 1 == end and column > 80 and split and start != 0 and ch is not None:
-                    out.append("\n" + " " * indent)
-                    column = indent
-                else:
-                    out.append(text[start:end])
-                    column += end - start
-                start = end
-        elif breaks:
-            if ch is None or ch not in _BREAKS:
-                if text[start] == "\n":
-                    out.append("\n")
-                out += (text[start:end], " " * indent)
-                column = indent
-                start = end
-        elif ch is None or ch in " '" or ch in _BREAKS:
-            out.append(text[start:end])
-            column += end - start
-            start = end
-        if ch == "'":
-            out.append("''")
-            column += 2
-            start = end + 1
-        if ch is not None:
-            spaces = ch == " "
-            breaks = ch in _BREAKS
-    out.append("'")
+            out.append(piece)
+            column += len(piece)
+    out.append(quote)
     return "".join(out)
 
 
@@ -249,7 +211,7 @@ def _key(key: Any) -> str | None:
     if text is None:
         if _HAS_BREAK.search(key):
             return None
-        text = _unicode(key, 0, 0, False)
+        text = _styled(key, 0, 0, False)
     return text
 
 

@@ -435,9 +435,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     store = CertificationStore.load(args.certstore, endorser_keys)
     bundle = AssertionBundle.read(args.bundle)
-    result = verify_bundle(bundle, store, roots, endorser_keys)
     out_dir = Path(args.out)
-    cards = [(out_dir / card.filename, card.yaml_bytes()) for card in result.cards]  # may raise: write nothing yet
+    with in_file(args.bundle):  # a value the bundle holds may fail only now
+        result = verify_bundle(bundle, store, roots, endorser_keys)
+        cards = [(out_dir / card.filename, card.yaml_bytes()) for card in result.cards]  # may raise: write nothing yet
 
     for i, verdict in enumerate(result.envelopes, start=1):
         if verdict.accepted:

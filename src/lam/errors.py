@@ -16,12 +16,17 @@ class FileReadError(LamError):
     """A file could not be read; the message names the path."""
 
 
-class CanonicalizationError(LamError):
-    """A value cannot be canonically serialized (float leaf, bad key, ...)."""
+class PathError(LamError):
+    """An error at `path`, a JSON pointer into a value, which the message
+    names as an `at <path>` suffix ("/" for the whole value)."""
 
     def __init__(self, path: str, message: str) -> None:
         super().__init__(f"{message} at {path or '/'}")
         self.path = path
+
+
+class CanonicalizationError(PathError):
+    """A value cannot be canonically serialized (float leaf, bad key, ...)."""
 
 
 class ManifestMismatchError(LamError):
@@ -40,12 +45,8 @@ class ConfigError(DomainError):
     """Invalid training configuration or architecture."""
 
 
-class InvalidCertificationError(LamError):
+class InvalidCertificationError(PathError):
     """A certification template contains a disallowed value kind."""
-
-    def __init__(self, path: str, message: str) -> None:
-        super().__init__(f"{message} at {path or '/'}")
-        self.path = path
 
 
 class CardConflictError(LamError):

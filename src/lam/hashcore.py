@@ -352,8 +352,10 @@ _DECODER = json.JSONDecoder(parse_float=_reject_float, object_pairs_hook=unique_
 
 
 def parse_canonical(data: bytes) -> Any:
-    """Parse canonical JSON bytes, rejecting float tokens and repeated
-    object keys outright."""
+    """Parse canonical JSON bytes, refusing a number token with a fraction
+    or an exponent (1.5, 1e3) and a repeated object key as it reads them.
+    The NaN, Infinity and -Infinity tokens parse to floats, which
+    canonicalize and parse_canonical_exact then refuse."""
     try:
         text = data.decode("utf-8")
         if text.startswith("\ufeff"):  # as json.loads words it
@@ -430,26 +432,19 @@ def is_canonical(data: bytes) -> bool:
     return True
 
 
-def decimal_string(value: float | int | Decimal) -> str:
-    """Format a number as a decimal string with exactly 6 fractional digits.
+def decimal_string(value: float) -> str:
+    """Format a float as a decimal string with exactly 6 fractional digits.
 
     Rounding is half-even; the sign is preserved (so -0.0 stays "-0.000000").
     This is the single formatting rule behind every non-integer number that
-    appears in canonical bytes. NaN and infinities have no such form and
-    raise DomainError.
+    appears in canonical bytes (ratio_string applies it to an exact ratio).
+    NaN and infinities have no such form and raise DomainError.
     """
-    if isinstance(value, bool):
-        raise TypeError("bool is not a numeric value")
-    if isinstance(value, float):
-        if not isfinite(value):
-            raise DomainError(f"not a finite number: {value!r}")
-        return format(value, ".6f")
-    number = Decimal(value)
-    if not number.is_finite():
+    if not isinstance(value, float):
+        raise TypeError(f"decimal_string takes a float, not {type(value).__name__}")
+    if not isfinite(value):
         raise DomainError(f"not a finite number: {value!r}")
-    with localcontext() as ctx:
-        ctx.prec = 50
-        return str(number.quantize(_QUANTUM, rounding=ROUND_HALF_EVEN))
+    return format(value, ".6f")
 
 
 def ratio_string(numerator: int, denominator: int) -> str:

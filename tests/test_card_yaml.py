@@ -220,3 +220,35 @@ def test_deeply_nested_card_is_a_named_error():
     card = PropertyCard("dataset", "ab" * 32, {"a": _nested_list(600)})
     with pytest.raises(LamError, match="nested too deeply"):
         card.yaml_bytes()
+
+
+# Each text holds "x" * n and then a single space; sweeping n from 62 to 91
+# puts that space at every column from 76 to 86 in every place below.
+FOLD_TEXTS = {
+    "plain": lambda n: "x" * n + " tail end",
+    "indicator": lambda n: "&" + "x" * n + " tail",
+    "colon": lambda n: "a: " + "x" * n + " tail",
+    "quote": lambda n: "it's: " + "x" * (n - 6) + "' tail",
+    "edges": lambda n: " " + "x" * n + " y ",
+    "trailing": lambda n: "x" * n + " ",
+    "double": lambda n: "x" * n + "  tail  end",
+    "accented": lambda n: "é" * n + " café",
+    "accented-quoted": lambda n: "é: " + "é" * n + " café",
+    "break": lambda n: "x" * n + " y\nz tail",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FOLD_TEXTS))
+def test_single_spaces_around_the_fold_column_match_safe_dump(kind):
+    """A single space at every column from 76 to 86 in a sequence item, a
+    "? key" (long enough or holding a line break), the value after it, and a
+    value after a simple key of 74 to 90 characters, where a leading space
+    of a quoted value sits past column 80."""
+    texts = [FOLD_TEXTS[kind](n) for n in range(62, 92)]
+    body = {
+        "items": texts,
+        "keys": {text + " " + "t" * 60: text for text in texts},
+        "after": {"k" * length: FOLD_TEXTS[kind](3) for length in range(74, 91)},
+    }
+    card = PropertyCard("model", "cd" * 32, body)
+    assert card.yaml_bytes() == safe_dump_bytes(card.document())

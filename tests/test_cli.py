@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -556,7 +557,39 @@ def test_verify_lone_surrogate_certificate_name_exits_2(cli_ws, capsys, tmp_path
     code = run(*_verify_args(ws, tmp_path / "cards", bundle=bundle))
     err = capsys.readouterr().err
     assert code == 2
-    assert err == "error: string holds a lone surrogate, which UTF-8 cannot encode at /name\n"
+    assert err == f"error: string holds a lone surrogate, which UTF-8 cannot encode at /name: {bundle}\n"
+
+
+@pytest.mark.parametrize(
+    ("field", "value", "message"),
+    [
+        (("external_certificates", 0, "claims"), {"x": math.nan}, "float values are not allowed; use a decimal string at /claims/x"),
+        (
+            ("envelopes", 0, "quote", "platform_certificate", "platform_id"),
+            "\ud800",
+            "string holds a lone surrogate, which UTF-8 cannot encode at /platform_id",
+        ),
+    ],
+    ids=["nan-claim", "surrogate-platform-id"],
+)
+def test_verify_error_in_a_bundle_value_names_the_bundle(cli_ws, capsys, tmp_path, field, value, message):
+    """A value that the bundle's JSON holds but canonical JSON cannot (NaN, a
+    lone surrogate) is refused while the bundle is verified, and the error
+    names the bundle file; nothing is written."""
+    ws = cli_ws["ws"]
+    bundle_value = parse_canonical((ws / "bundle.json").read_bytes())
+    *parents, last = field
+    target = bundle_value
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps(bundle_value, sort_keys=True, separators=(",", ":")))
+    code = run(*_verify_args(ws, tmp_path / "cards", bundle=bundle))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {message}: {bundle}\n"
+    assert not (tmp_path / "cards").exists()
 
 
 def test_verify_conflicting_claims_exits_2_and_writes_nothing(cli_ws, capsys, tmp_path):

@@ -241,17 +241,24 @@ def test_decimal_string_formatting():
     assert decimal_string(0.8443) == "0.844300"
     assert decimal_string(0.5) == "0.500000"
     assert decimal_string(-1.25) == "-1.250000"
-    assert decimal_string(0) == "0.000000"
+    assert decimal_string(0.0) == "0.000000"
     assert decimal_string(-0.0) == "-0.000000"
     # 0.15625 is exactly representable; its 4th-digit tie rounds to even
     assert format(0.15625, ".4f") == "0.1562"
-    assert decimal_string(Decimal("0.0000005")) == "0.000000"
-    assert decimal_string(Decimal("0.0000015")) == "0.000002"
+    # 2**-7 and 3 * 2**-7 are exact ties at the 7th digit
+    assert decimal_string(0.0078125) == "0.007812"
+    assert decimal_string(0.0234375) == "0.023438"
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, Decimal("NaN"), Decimal("-Infinity")])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_decimal_string_rejects_non_finite(value):
     with pytest.raises(DomainError, match="not a finite number"):
+        decimal_string(value)
+
+
+@pytest.mark.parametrize("value", [0, True, Decimal("0.5"), "0.5"])
+def test_decimal_string_takes_a_float_only(value):
+    with pytest.raises(TypeError, match="decimal_string takes a float"):
         decimal_string(value)
 
 
