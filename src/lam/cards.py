@@ -26,11 +26,19 @@ if TYPE_CHECKING:
 # Card YAML is what PyYAML's yaml.safe_dump(document, sort_keys=False,
 # default_flow_style=False, allow_unicode=True) writes; the emitter below
 # reproduces it without PyYAML, each of PyYAML's scalar rules written once:
-# _styled chooses a string's style, _folded writes a plain or single-quoted
+# _plain decides whether a string may be plain, _styled chooses a string's
+# style (_scalar, its memo for one line of printable ASCII, writes the plain
+# or single-quoted line it would), _folded writes a plain or single-quoted
 # scalar and _double_quoted a double-quoted one, both folding at width 80.
 # Repeated collections are written out each time: a card built by
 # assemble_cards never holds one twice, so it never needs PyYAML's &id001
 # anchors.
+#
+# Cards of one kind repeat their keys, so the text of a mapping's keys is
+# laid out once per key set and indent (_layout, a bounded memo), and only
+# values are styled for each card. _plain tries the implicit resolvers only
+# on a string whose first character PyYAML looks one up by (_RESOLVED_FIRST),
+# which claim keys and the digests that start with a to e skip.
 
 # A plain scalar may not start with one of these (PyYAML's
 # Emitter.analyze_scalar).
@@ -63,6 +71,9 @@ _IMPLICIT = re.compile(
     |^(?:!|&|\*)$""",
     re.X,
 )
+# The characters PyYAML looks those resolvers up by (the empty string aside):
+# a string starting with any other character reads back as a string.
+_RESOLVED_FIRST = frozenset("0123456789-+.yYnNtTfFoO~<=!&*")
 
 _BREAKS = "\n\x85\u2028\u2029"
 _HAS_BREAK = re.compile(f"[{_BREAKS}]")
@@ -83,15 +94,19 @@ _ESCAPES = {
 }
 
 
-# Mapping keys and a few recurring values make nearly all the hits; most
-# digests occur once, so a larger cache only holds more of them.
+# A few recurring values (a model's digest, an enclave measurement, a
+# certification digest) make nearly all the hits, keys being laid out by
+# _layout; most digests occur once, so a larger cache only holds more of them.
 @lru_cache(maxsize=256)
 def _scalar(text: str) -> str | None:
     """A printable-ASCII string as yaml.safe_dump writes it on one line, as
-    _styled writes it unfolded. None for a string outside printable ASCII."""
+    _styled writes it unfolded: plain where _plain allows it, else
+    single-quoted. None for a string outside printable ASCII."""
     if not (text.isascii() and text.isprintable()):
         return None
-    return _styled(text, 0, 0, False) if text else "''"
+    if text and _plain(text):
+        return text
+    return "'" + text.replace("'", "''") + "'"
 
 
 def _plain(text: str) -> bool:
@@ -100,16 +115,14 @@ def _plain(text: str) -> bool:
     first = text[0]
     if (
         first in _INDICATORS
-        or first == " "
-        or text[-1] in " :"
+        or text[-1] == ":"
         or (first in "?:-" and (len(text) == 1 or text[1] == " "))
         or text.startswith(("---", "..."))
-        or ": " in text
-        or " #" in text
+        or (" " in text and (first == " " or text[-1] == " " or ": " in text or " #" in text))
     ):
         return False
     # it must also read back as a string, not as a null, bool, number, ...
-    return _IMPLICIT.match(text) is None
+    return first not in _RESOLVED_FIRST or _IMPLICIT.match(text) is None
 
 
 def _string(value: str, column: int, indent: int) -> str:
@@ -199,46 +212,63 @@ def _double_quoted(text: str, column: int, indent: int, split: bool) -> str:
     return "".join(out)
 
 
-def _key(key: Any) -> str | None:
-    """A mapping key as PyYAML writes a simple key, or None when it writes
-    it as "? key": empty, holding a line break, or past its 128-character
-    simple-key limit once the key's "!!str" tag is counted."""
-    if type(key) is not str:
-        raise TypeError(f"a card key must be a string, not {type(key).__name__}")
-    if not 0 < len(key) <= 122:
-        return None
-    text = _scalar(key)
-    if text is None:
-        if _HAS_BREAK.search(key):
-            return None
-        text = _styled(key, 0, 0, False)
-    return text
+# Mappings of a run of cards share a few key sets, so each (keys, indent) is
+# laid out once. Bounded, as keys also come from attested claims.
+@lru_cache(maxsize=128)
+def _layout(keys: tuple[Any, ...], indent: int) -> tuple[tuple[str | None, str, int] | None, ...]:
+    """How each key of a block mapping at `indent` is written: the text
+    before a string value, or None unless it is a simple key; the text
+    before any other value; and the column that text ends at. Each text
+    starts with the line break and indent that separate it from the previous
+    key. None for a key that is not a string; _emit_mapping refuses it, and
+    a str subclass too, which shares its memo entry with the equal str.
+
+    A simple key is written "key:". PyYAML writes a key as "? key", then a
+    line break and ":", when it is empty, holds a line break or is past its
+    128-character simple-key limit once the key's "!!str" tag is counted."""
+    newline = "\n" + " " * indent
+    entries: list[tuple[str | None, str, int] | None] = []
+    for i, key in enumerate(keys):
+        lead = newline if i else ""
+        if not isinstance(key, str):
+            entries.append(None)
+            continue
+        short = 0 < len(key) <= 122
+        text = _scalar(key) if short else None
+        if text is None and short and not _HAS_BREAK.search(key):
+            text = _styled(key, 0, 0, False)
+        if text is None:
+            entries.append((None, lead + "? " + _string(key, indent + 1, indent) + newline + ":", indent + 1))
+        else:
+            entries.append((lead + text + ": ", lead + text + ":", indent + len(text) + 1))
+    return tuple(entries)
 
 
 def _emit_mapping(mapping: dict[Any, Any], indent: int, lead: str, out: list[str]) -> None:
     """A non-empty block mapping whose keys start at column `indent`; `lead`
     is written before the first key."""
-    newline = "\n" + " " * indent
-    for key, value in mapping.items():
-        text = _key(key)
-        if text is None:
-            out += (lead, "? ", _string(key, indent + 1, indent), newline, ":")
-            _emit_value(value, indent + 1, indent, False, out)
-        elif type(value) is str:  # most values; spares a call
-            out += (lead, text, ": ", _string(value, indent + len(text) + 1, indent))
+    out.append(lead)
+    for (key, value), entry in zip(mapping.items(), _layout(tuple(mapping), indent)):
+        if type(key) is not str:
+            raise TypeError(f"a card key must be a string, not {type(key).__name__}")
+        before_string, head, column = entry
+        if before_string is not None and type(value) is str:  # most values; spares a call
+            out += (before_string, _string(value, column, indent))
         else:
-            out += (lead, text, ":")
-            _emit_value(value, indent + len(text) + 1, indent, True, out)
-        lead = newline
+            out.append(head)
+            _emit_value(value, column, indent, before_string is not None, out)
 
 
 def _emit_sequence(items: list[Any], indent: int, lead: str, out: list[str]) -> None:
     """A non-empty block sequence whose dashes sit at column `indent`."""
     newline = "\n" + " " * indent
     for item in items:
-        out += (lead, "-")
+        if type(item) is str:  # spares a call, as in _emit_mapping
+            out += (lead, "- ", _string(item, indent + 1, indent))
+        else:
+            out += (lead, "-")
+            _emit_value(item, indent + 1, indent, False, out)
         lead = newline
-        _emit_value(item, indent + 1, indent, False, out)
 
 
 def _emit_value(value: Any, column: int, indent: int, in_mapping: bool, out: list[str]) -> None:
@@ -358,8 +388,9 @@ class _ClaimTable:
         """Record the claim `key` = `value` of `fragment` and list the
         fragment in `provenance` as its source; returns whether the claim is
         new, as put does."""
-        new = self.put(key, value, fragment.fragment_sha256.hex)
-        provenance.append(_provenance_entry(fragment, [key]))
+        entry = _provenance_entry(fragment, [key])
+        new = self.put(key, value, entry["fragment_sha256"])
+        provenance.append(entry)
         return new
 
 
@@ -471,13 +502,14 @@ def assemble_cards(
 
     # --- inference cards ---
     ioatts = [f for group in index["IOAtt"].values() for f in group]
-    for f in sorted(ioatts, key=lambda f: f.fragment_sha256.hex):
+    for f in sorted(ioatts, key=lambda f: f.fragment_sha256.value):  # in the order of their hex
         key = f"inference:{f.payload['model_sha256']}:{f.payload['input_sha256']}"
         provenance = []
         table.claim(f, key, f.payload["output"], provenance)
+        name = f.fragment_sha256.hex
         body = {
             "inference": {
-                "name": f.fragment_sha256.hex,
+                "name": name,
                 "model_sha256": f.payload["model_sha256"],
                 "input_sha256": f.payload["input_sha256"],
                 "output_sha256": f.payload["output_sha256"],
@@ -485,6 +517,6 @@ def assemble_cards(
                 "verified": True,
             }
         }
-        cards.append(PropertyCard("inference", f.fragment_sha256.hex, body, provenance))
+        cards.append(PropertyCard("inference", name, body, provenance))
 
     return cards

@@ -21,6 +21,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from .backend import Signed, check_signatures, key_from_seed, public_hex
 from .errors import InvalidCertificationError, LamError
+from .fragments import ATT_TYPES, builtin_template
 from .hashcore import Digest, canonicalize, in_file, read_canonical, read_entries
 
 SUBJECT_KINDS = ("dataset", "model")
@@ -83,6 +84,12 @@ class Certification(Signed):
         except InvalidCertificationError as exc:
             return exc
         return None
+
+    @cached_property
+    def builtin_type(self) -> str | None:
+        """The builtin att_type whose builtin_template the template equals,
+        or None: a payload of that type that fits its shape matches it."""
+        return next((att_type for att_type in ATT_TYPES if self.template == builtin_template(att_type)), None)
 
 
 def make_certification(endorser: Endorser, measurement: Digest, template: Any) -> Certification:
@@ -163,17 +170,19 @@ class CertificationStore:
     """
 
     def __init__(self, certifications: Iterable[Certification] = ()) -> None:
-        self._by_measurement: dict[str, list[Certification]] = {}
+        self._by_measurement: dict[bytes, list[Certification]] = {}
         self._all: list[Certification] = []
         for cert in certifications:
             self.add(cert)
 
     def add(self, cert: Certification) -> None:
         self._all.append(cert)
-        self._by_measurement.setdefault(cert.enclave_measurement.hex, []).append(cert)
+        self._by_measurement.setdefault(cert.enclave_measurement.value, []).append(cert)
 
-    def for_measurement(self, measurement: Digest) -> list[Certification]:
-        return list(self._by_measurement.get(measurement.hex, []))
+    def for_measurement(self, measurement: Digest) -> Sequence[Certification]:
+        """The certifications of `measurement`, in store order: the store's
+        own list, not a copy, so a caller only reads it."""
+        return self._by_measurement.get(measurement.value, ())
 
     def __len__(self) -> int:
         return len(self._all)

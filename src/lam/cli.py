@@ -38,11 +38,11 @@ from .hashcore import (
     Digest,
     build_manifest,
     canonicalize,
-    hash_file_once,
     in_file,
     object_keys,
     parse_decimal_string,
     read_canonical,
+    read_file_once,
     unique_keys,
 )
 from .verifier import AssertionBundle, verify_bundle
@@ -116,7 +116,7 @@ class Workspace:
         path = self.keys / f"{stem}.key"
         if not path.exists():
             raise WorkspaceError(missing)
-        content, _ = hash_file_once(path)
+        content = read_file_once(path)
         try:
             return Ed25519PrivateKey.from_private_bytes(bytes.fromhex(content.decode().strip()))
         except ValueError:

@@ -27,10 +27,10 @@ from .hashcore import (
     TrustedManifest,
     canonicalize,
     hash_bytes,
-    hash_file_once,
     object_keys,
     parse_canonical,
     read_canonical,
+    read_file_once,
     record_bytes,
     record_fields,
     require_in_manifest,
@@ -123,7 +123,7 @@ class EnclaveContext:
     def read_input(self, path: str | Path) -> bytes:
         """Read-once an input file; under trusted-file mode the content must
         match the manifest or the measurer aborts before any quote exists."""
-        content, _ = hash_file_once(path)
+        content = read_file_once(path)
         if self.input_manifest is not None:
             require_in_manifest(self.input_manifest, Path(path).name, content)
         return content

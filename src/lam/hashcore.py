@@ -20,6 +20,9 @@ and the envelope, bundle, trust file and inference input objects alike.
 in_file is the one rule naming a file in an error (a `: path` suffix),
 read_entries the one naming an entry of a JSON array (a `name i: ` prefix),
 and read_canonical, which uses in_file, the one reader of a JSON file.
+parse_canonical_exact, the verifier's check of each payload, first decodes
+with no per-object hook and falls back on parse_canonical's rules only when
+the bytes are not canonical, so a canonical payload runs no Python per object.
 """
 
 from __future__ import annotations
@@ -246,8 +249,8 @@ def hash_bytes(data: bytes) -> Digest:
     return Digest(hashlib.sha256(data).digest())
 
 
-def hash_file_once(path: str | Path) -> tuple[bytes, Digest]:
-    """Read a file exactly once and return (content, digest of content).
+def read_file_once(path: str | Path) -> bytes:
+    """Read a file exactly once; a FileReadError names it when it cannot be read.
 
     Callers must keep working with the returned bytes; re-reading the path
     would reopen the time-of-check/time-of-use gap this exists to close.
@@ -255,9 +258,15 @@ def hash_file_once(path: str | Path) -> tuple[bytes, Digest]:
     p = Path(path)
     try:
         with open(p, "rb") as fh:
-            content = fh.read()
+            return fh.read()
     except OSError as exc:
         raise FileReadError(f"cannot read {p}: {exc.strerror or exc}") from exc
+
+
+def hash_file_once(path: str | Path) -> tuple[bytes, Digest]:
+    """Read a file exactly once (see read_file_once) and return (content,
+    digest of content)."""
+    content = read_file_once(path)
     return content, hash_bytes(content)
 
 
@@ -285,8 +294,12 @@ def canonicalize(value: Any) -> bytes:
 
 # Built once: json.dumps and json.loads build a new encoder or decoder on
 # every call that passes options. No NaN or infinity reaches the encoder
-# from canonicalize; from parse_canonical_exact one raises ValueError.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False)
+# from canonicalize; from parse_canonical_exact one raises ValueError. No
+# cycle reaches it either (canonicalize walks a value first, and parsed JSON
+# holds none), so it keeps no record of the containers it is inside.
+_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False, check_circular=False
+)
 # bool is an int subclass, so it is a leaf too.
 _LEAF_TYPES = (str, int, type(None))
 _NON_TEXT_LEAVES = (int, type(None))
@@ -349,6 +362,8 @@ def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
 
 
 _DECODER = json.JSONDecoder(parse_float=_reject_float, object_pairs_hook=unique_keys)
+# parse_canonical_exact's first try: C builds each object, with no hook call.
+_PLAIN_DECODER = json.JSONDecoder(parse_float=_reject_float)
 
 
 def parse_canonical(data: bytes) -> Any:
@@ -398,7 +413,7 @@ def read_entries(name: str, values: list[Any], read: Callable[[list[Any]], _T]) 
 def read_canonical(path: str | Path, read: Callable[[Any], _T]) -> _T:
     """`read` of the value of a canonical JSON file, read once (see
     parse_canonical); an error in parsing or in `read` names the file."""
-    content, _ = hash_file_once(path)
+    content = read_file_once(path)
     with in_file(path):
         return read(parse_canonical(content))
 
@@ -407,11 +422,23 @@ def parse_canonical_exact(data: bytes) -> Any:
     """The value of data, which must be canonical JSON: it parses (see
     parse_canonical) and re-serializes to exactly these bytes.
 
-    A parsed value holds only string keys and no float but NaN or an
+    The text is first decoded with no object_pairs_hook, so no Python runs
+    per object, and re-encoded to be compared with itself: a repeated key
+    cannot pass, as the value holds it once and so re-encodes to other text.
+    Anything that fails (decoding, encoding or the comparison) is parsed
+    again by parse_canonical, which names a repeated key first, as it reads
+    it. A value it parses holds only string keys and no float but NaN or an
     infinity (the NaN and Infinity tokens), so it is re-encoded without
     canonicalize's walk. Those floats, and lone surrogates (from a \\ud800
     escape), fail the encoding, and canonicalize then names the offence.
     """
+    try:
+        text = data.decode("utf-8")
+        value, _ = _PLAIN_DECODER.raw_decode(text)  # what follows the value fails the comparison
+        if _ENCODER.encode(value) == text:
+            return value
+    except (ValueError, RecursionError, CanonicalizationError):  # UnicodeError and JSONDecodeError too
+        pass
     value = parse_canonical(data)
     try:
         encoded = _ENCODER.encode(value).encode("utf-8")

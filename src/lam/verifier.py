@@ -131,13 +131,22 @@ def verify_envelope(
     report data, the enclave measurement has a certification, and the payload
     matches its template and, if its att_type is a builtin one, that type's
     shape (AttSpec.shape), whatever the template: the detail of a shape
-    mismatch names its path (`PoT field is not a string at /dataset_sha256`)."""
-    rejection = verify_quote(envelope.quote, trusted_roots)
+    mismatch names its path (`PoT field is not a string at /dataset_sha256`).
+
+    The certifications are tried in store order, and the first whose
+    template the payload matches decides. A builtin payload is walked once
+    on the way to acceptance: one that fits its shape matches its type's
+    builtin template, so a certification with that template
+    (Certification.builtin_type) accepts it with no template walk. Any
+    other template, or a payload that does not fit, goes through the
+    matcher, so verdict and detail are those of matching every template."""
+    quote = envelope.quote
+    rejection = verify_quote(quote, trusted_roots)
     if rejection is not None:
         return EnvelopeVerdict(False, reason="bad-quote", detail=rejection)
 
     payload_digest = hash_bytes(envelope.payload)
-    if payload_digest != envelope.quote.report_data:
+    if payload_digest.value != quote.report_data.value:
         return EnvelopeVerdict(
             False,
             reason="payload-binding-mismatch",
@@ -149,40 +158,46 @@ def verify_envelope(
     except CanonicalizationError as exc:
         return EnvelopeVerdict(False, reason="template-mismatch", detail=f"payload is not canonical JSON: {exc}")
 
-    certifications = store.for_measurement(envelope.quote.enclave_measurement)
+    certifications = store.for_measurement(quote.enclave_measurement)
     if not certifications:
         return EnvelopeVerdict(
             False,
             reason="unknown-enclave",
-            detail=f"no certification for measurement {envelope.quote.enclave_measurement.hex[:12]}",
+            detail=f"no certification for measurement {quote.enclave_measurement.hex[:12]}",
         )
 
+    att_type = payload.get("att_type") if isinstance(payload, dict) else None
+    if not isinstance(att_type, str):
+        att_type = None
+    # a builtin type is held to its shape under any certification
+    detail = shape_mismatch(att_type, payload) if att_type in ATT_SPECS else None
+    # the builtin type whose shape the payload fits, or None
+    fitted = att_type if detail is None and att_type in ATT_SPECS else None
     invalid: InvalidCertificationError | None = None
     last_mismatch: TemplateMatch | None = None
     for cert in certifications:
         if cert.template_error is not None:
             invalid = cert.template_error
             continue
-        result = _match(cert.template, payload)
-        if result.matched:
-            att_type = payload.get("att_type") if isinstance(payload, dict) else None
-            if not isinstance(att_type, str):
-                att_type = None
-            # a builtin type is held to its shape under any certification
-            detail = shape_mismatch(att_type, payload) if att_type in ATT_SPECS else None
+        # a payload that fits its type's shape matches that type's builtin
+        # template, so only another template needs the matcher's walk
+        if fitted is None or cert.builtin_type != fitted:
+            result = _match(cert.template, payload)
+            if not result.matched:
+                last_mismatch = result
+                continue
             if detail is not None:
                 return EnvelopeVerdict(False, reason="template-mismatch", detail=detail)
-            return EnvelopeVerdict(
-                True,
-                fragment=VerifiedFragment(
-                    payload=payload,
-                    fragment_sha256=payload_digest,
-                    att_type=att_type,
-                    measurement=envelope.quote.enclave_measurement,
-                    certification=cert,
-                ),
-            )
-        last_mismatch = result
+        return EnvelopeVerdict(
+            True,
+            fragment=VerifiedFragment(
+                payload=payload,
+                fragment_sha256=payload_digest,
+                att_type=att_type,
+                measurement=quote.enclave_measurement,
+                certification=cert,
+            ),
+        )
 
     if invalid is not None:
         return EnvelopeVerdict(False, reason="invalid-certification", detail=str(invalid))

@@ -1,10 +1,14 @@
 """Reference template matcher: lam's matcher as it was before it stopped
 allocating on success, path strings built on the way down and one result
-object per node. The property tests compare the current matcher against it."""
+object per node. The property tests compare the current matcher against it.
+Also the payloads that fit an AttSpec shape, which the builtin-template and
+verifier tests draw."""
 
 from __future__ import annotations
 
 from typing import Any
+
+from hypothesis import strategies as st
 
 from lam.errors import InvalidCertificationError
 from lam.verifier import TemplateMatch
@@ -55,3 +59,28 @@ def reference_match(template: Any, payload: Any, path: str = "") -> TemplateMatc
         return _mismatch(path, f"value differs from template {template!r}")
 
     raise InvalidCertificationError(path, f"disallowed template value of type {type(template).__name__}")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def fitting(shape):
+    """Values that fit an AttSpec shape: any JSON value for None, any string
+    for str, the literal for a string, a list of fitting items for [s], and
+    for an object its keys with fitting values, plus any keys if `...`."""
+    if shape is None:
+        return JSON_VALUES
+    if shape is str:
+        return st.text(max_size=8)
+    if isinstance(shape, str):
+        return st.just(shape)
+    if isinstance(shape, list):
+        return st.lists(fitting(shape[0]), max_size=3)
+    fields = st.fixed_dictionaries({key: fitting(member) for key, member in shape.items() if key is not ...})
+    if ... not in shape:
+        return fields
+    return st.builds(lambda extra, fixed: {**extra, **fixed}, st.dictionaries(st.text(max_size=4), JSON_VALUES), fields)

@@ -12,8 +12,9 @@ from canonical_reference import reference_canonicalize, reference_parse_canonica
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lam.hashcore
 from lam.errors import CanonicalizationError
-from lam.hashcore import canonicalize, is_canonical, parse_canonical, parse_canonical_exact
+from lam.hashcore import canonicalize, is_canonical, parse_canonical, parse_canonical_exact, unique_keys
 
 # No per-example deadline: timings on a loaded host say nothing about correctness.
 relaxed = settings(deadline=None)
@@ -203,3 +204,36 @@ def test_exact_parse_agrees_with_parse_then_canonicalize(data):
     outcome = _exact_outcome(parse_canonical_exact, data)
     assert outcome == _exact_outcome(reference_parse_canonical_exact, data)
     assert is_canonical(data) == (outcome[0] == "value")
+
+
+# An offence after a repeated key: the hook-free first decode fails on the
+# offence or on the bytes, and the repeated key must still be what is named.
+_LATER_OFFENCES = [b"NaN", b"Infinity", b"-Infinity", b'"\\ud800"', b"1.5", b" 1", b"1 "]
+
+
+@pytest.mark.parametrize("later", _LATER_OFFENCES)
+@pytest.mark.parametrize("first", [b'{"k":0,"k":1}', b'{"k":0}'])
+def test_exact_parse_names_what_the_reference_names(first, later):
+    data = b"[" + first + b"," + later + b"]"
+    outcome = _exact_outcome(parse_canonical_exact, data)
+    assert outcome[0] == "error"
+    assert outcome == _exact_outcome(reference_parse_canonical_exact, data)
+    if first == b'{"k":0,"k":1}':
+        assert outcome[2] == "repeated object key 'k' at /"
+
+
+def test_a_canonical_payload_is_parsed_without_the_repeated_key_hook(monkeypatch):
+    calls = []
+
+    def spy(pairs):
+        calls.append(pairs)
+        return unique_keys(pairs)
+
+    decoder = json.JSONDecoder(parse_float=lam.hashcore._reject_float, object_pairs_hook=spy)
+    monkeypatch.setattr(lam.hashcore, "_DECODER", decoder)
+    value = {"a": [{"b": None, "c": "\u00e9"}], "d": {"e": -1}}
+    assert parse_canonical_exact(canonicalize(value)) == value
+    assert calls == []
+    with pytest.raises(CanonicalizationError, match="repeated object key 'a'"):
+        parse_canonical_exact(b'{"a":0,"a":0}')
+    assert calls  # the spy is the decoder parse_canonical reads with

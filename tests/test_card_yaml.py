@@ -123,6 +123,57 @@ def test_frozen_resolvers_match_safe_dumper(text):
     assert (lam.cards._IMPLICIT.match(text) is not None) == expected
 
 
+def test_plain_tries_the_resolvers_on_safe_loaders_first_characters():
+    """_plain runs the resolver pattern only on a string whose first
+    character SafeLoader looks a resolver up by (the empty string aside)."""
+    resolvers = yaml.SafeLoader.yaml_implicit_resolvers
+    assert None not in resolvers  # no resolver is tried whatever the first character
+    assert lam.cards._RESOLVED_FIRST == set(resolvers) - {""}
+
+
+def _plain_by_the_full_rule(text: str) -> bool:
+    """_plain as it was before the first-character test."""
+    first = text[0]
+    if (
+        first in lam.cards._INDICATORS
+        or first == " "
+        or text[-1] in " :"
+        or (first in "?:-" and (len(text) == 1 or text[1] == " "))
+        or text.startswith(("---", "..."))
+        or ": " in text
+        or " #" in text
+    ):
+        return False
+    return lam.cards._IMPLICIT.match(text) is None
+
+
+# Tails that make a resolver match after one of its first characters, or a
+# plain string break one of the other rules.
+_TAILS = [
+    "", "0", "1_0", ":30", ".5", ".5e+3", "e3", "rue", "RUE", "ull", "ULL", "es", "n", "ff", "alse", "o", "x1f",
+    "b1", "o17", "inf", "nan", "<", "01-01-01", "a", "a ", " a", ": a", " #a", ":", "--", "..", "f" * 63,
+]
+
+
+def test_plain_agrees_with_the_full_rule_after_every_printable_character():
+    for first in map(chr, range(0x20, 0x7F)):
+        for text in (first + tail for tail in _TAILS):
+            assert lam.cards._plain(text) == _plain_by_the_full_rule(text), text
+            assert lam.cards._IMPLICIT.match(text) is None or first in lam.cards._RESOLVED_FIRST, text
+
+
+def test_card_keys_that_are_not_strings_are_refused_in_order():
+    for body, error in [
+        ({1: "x"}, "a card key must be a string, not int"),
+        ({True: "x"}, "a card key must be a string, not bool"),
+        ({"a": 1.5, 2: "x"}, "a card cannot hold a float"),
+        ({"a": "x", 2: 1.5}, "a card key must be a string, not int"),
+    ]:
+        with pytest.raises(TypeError) as err:
+            PropertyCard("model", "ab" * 32, body).yaml_bytes()
+        assert str(err.value) == error
+
+
 def _record_yaml_calls(monkeypatch) -> list[str]:
     calls = []
     for name in ("dump", "safe_dump"):

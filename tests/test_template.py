@@ -7,7 +7,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from template_reference import reference_match
+from template_reference import fitting, reference_match
 
 from lam.certs import validate_template
 from lam.engine.rng import Xoshiro256StarStar
@@ -226,31 +226,6 @@ def test_matcher_agrees_with_the_reference(template, data):
 
 # --- builtin templates against their shapes ----------------------------------
 
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=8,
-)
-
-
-def _fitting(shape):
-    """Values that fit an AttSpec shape: any JSON value for None, any string
-    for str, the literal for a string, a list of fitting items for [s], and
-    for an object its keys with fitting values, plus any keys if `...`."""
-    if shape is None:
-        return _JSON
-    if shape is str:
-        return st.text(max_size=8)
-    if isinstance(shape, str):
-        return st.just(shape)
-    if isinstance(shape, list):
-        return st.lists(_fitting(shape[0]), max_size=3)
-    fields = st.fixed_dictionaries({key: _fitting(member) for key, member in shape.items() if key is not ...})
-    if ... not in shape:
-        return fields
-    return st.builds(lambda extra, fixed: {**extra, **fixed}, st.dictionaries(st.text(max_size=4), _JSON), fields)
-
-
 def test_the_shapes_hold_open_objects_arrays_and_wildcards():
     """The property below walks every kind of shape node."""
     assert ... in ATT_SPECS["DistAtt"].shape["property"]
@@ -264,6 +239,6 @@ def test_the_shapes_hold_open_objects_arrays_and_wildcards():
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_every_payload_that_fits_a_shape_matches_its_builtin_template(att_type, data):
-    payload = data.draw(_fitting(ATT_SPECS[att_type].shape))
+    payload = data.draw(fitting(ATT_SPECS[att_type].shape))
     assert shape_mismatch(att_type, payload) is None
     assert match_template(builtin_template(att_type), payload) == TemplateMatch(True)
