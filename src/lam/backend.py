@@ -12,8 +12,10 @@ certificate) is a Signed, a hashcore.Record, whose wire form is read and
 written from its field annotations, and which signs its canonical bytes
 (hashcore.record_bytes) less the signature: made by signed_by, checked by
 verifies_under or in bulk by check_signatures, its verdicts memoized per
-key. Nothing else signs. verify_quote answers None for a quote it accepts,
-else its reason.
+key; forked children share a large bulk check through verdict slots in
+shared memory, and start_signature_checks leaves verdicts pending there
+until asked for. Nothing else signs. verify_quote answers None for a quote
+it accepts, else its reason.
 
 Quotes carry no nonce or timestamp: every attested payload binds content
 digests only, so replaying a genuine quote re-asserts a true statement.
@@ -22,10 +24,13 @@ digests only, so replaying a genuine quote re-asserts a true statement.
 from __future__ import annotations
 
 import hashlib
+import mmap
 import os
+import signal
 import threading
+import weakref
 from dataclasses import dataclass
-from typing import Any, ClassVar, Iterable, Sequence, TypeVar
+from typing import Any, Callable, ClassVar, Iterable, Sequence, TypeVar
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
@@ -72,66 +77,69 @@ def _verify_hex(pubkey_hex: str, signature: bytes, message: bytes) -> bool:
 
 
 def verify_signatures(triples: Sequence[tuple[str, bytes, bytes]]) -> list[bool]:
-    """The Ed25519 verdict of each (public key hex, signature, message), in order.
-
-    From PARALLEL_MIN triples on, with two or more usable CPUs, the triples
-    are cut into contiguous slices, one per CPU: this process checks the
-    first, and a forked child checks each other one from the memory it
-    inherits (threads measured slower than one serial loop).
-    A slice whose child fails or answers short is checked again here.
-    A process running other Python threads checks serially: a child holds
-    only the forking thread, so a lock another thread held stays locked.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(triples) * 2 // PARALLEL_MIN) if threading.active_count() == 1 else 1
-    if workers < 2:
+    """The Ed25519 verdict of each (public key hex, signature, message), in
+    order. Forked children check them too when _fork_checks allows; this
+    process then checks only the verdicts no child has filled when it takes them."""
+    slots = _fork_checks(len(triples), lambda i: _verify_hex(*triples[i]))
+    if slots is None:
         return [_verify_hex(*t) for t in triples]
-    bounds = [len(triples) * i // workers for i in range(workers + 1)]
-    children = [(lo, hi, _fork_check(triples[lo:hi])) for lo, hi in zip(bounds[1:-1], bounds[2:])]
-    try:
-        verdicts = [_verify_hex(*t) for t in triples[: bounds[1]]]
-    finally:
-        answers = [_read_child(child) for _, _, child in children]
-    for (lo, hi, _), answer in zip(children, answers):
-        if len(answer) != hi - lo:  # the child failed: check its slice here
-            answer = bytes(_verify_hex(*t) for t in triples[lo:hi])
-        verdicts += [b == 1 for b in answer]
-    return verdicts
+    return [slots.take(i, _verify_hex, *t) for i, t in enumerate(triples)]
 
 
-def _fork_check(triples: Sequence[tuple[str, bytes, bytes]]) -> tuple[int, int] | None:
-    """Fork a child that writes one byte per verdict (1 verifies, 0 does not)
-    to a pipe and exits; (its pid, the pipe's read end), or None if no child
-    could be started."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid == 0:  # the child never returns into the caller
-        status = 1
-        try:
-            os.close(read_fd)
-            with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(bytes(_verify_hex(*t) for t in triples))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, read_fd
+def _fork_checks(count: int, check: Callable[[int], bool]) -> _Slots | None:
+    """Slots for `count` verdicts, check(i) the i-th, filled by forked
+    children; None below PARALLEL_MIN, with one usable CPU, or while other
+    Python threads run (a child holds only the forking thread, so a lock
+    another thread held stays locked). Threads measured slower than one
+    serial loop. One child per usable CPU but one walks its contiguous slice
+    from the top down and stops at the first filled slot, so it meets this
+    process, which takes verdicts from the bottom up, wherever they have got to."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, count * 2 // PARALLEL_MIN) if threading.active_count() == 1 else 1
+    return _Slots(count, workers - 1, check) if workers >= 2 else None
 
 
-def _read_child(child: tuple[int, int] | None) -> bytes:
-    """What the child sent, once it has exited; nothing unless it exited cleanly."""
-    if child is None:
-        return b""
-    pid, read_fd = child
-    with os.fdopen(read_fd, "rb") as pipe:
-        answer = pipe.read()
-    _, status = os.waitpid(pid, 0)
-    return answer if os.waitstatus_to_exitcode(status) == 0 else b""
+class _Slots:
+    """One verdict slot per signature in an anonymous shared mmap (0
+    unchecked, 1 fails, 2 verifies). This process takes each verdict once,
+    checking it if its slot is still empty; the children are stopped and
+    reaped when the last slot is taken or the slots are freed, at exit at the latest."""
+
+    def __init__(self, count: int, children: int, check: Callable[[int], bool]) -> None:
+        self.memory = memory = mmap.mmap(-1, count)
+        self.left = count
+        pids = []
+        for k in range(children):
+            try:
+                pid = os.fork()
+            except OSError:
+                continue  # this process checks the slice as it is asked
+            if pid == 0:  # the child never returns into the caller
+                try:
+                    for i in reversed(range(count * k // children, count * (k + 1) // children)):
+                        if memory[i]:
+                            break
+                        memory[i] = 1 + check(i)
+                finally:
+                    os._exit(0)
+            pids.append(pid)
+        self.reap = weakref.finalize(self, _reap, pids)
+
+    def take(self, i: int, check: Callable[..., bool], *args: Any) -> bool:
+        """The verdict in slot i; check(*args)'s, written there, if no child has filled it."""
+        slot = self.memory[i]
+        if not slot:
+            slot = self.memory[i] = 1 + check(*args)
+        self.left -= 1
+        if not self.left:
+            self.reap()
+        return slot == 2
+
+
+def _reap(pids: list[int]) -> None:
+    for pid in pids:
+        os.kill(pid, signal.SIGKILL)  # an exited child is a zombie until waited for
+        os.waitpid(pid, 0)
 
 
 _S = TypeVar("_S", bound="Signed")
@@ -156,8 +164,14 @@ class Signed(Record):
         return record
 
     def _verdict(self, pubkey_hex: str) -> bool | None:
-        """The memoized verdict under the key, or None if not yet checked."""
-        return vars(self).get(_VERDICT + pubkey_hex)
+        """The memoized verdict under the key, or None if not yet checked; a
+        verdict pending in forked children (start_signature_checks) is
+        taken from its slot, and memoized, when first asked for."""
+        verdict = vars(self).get(_VERDICT + pubkey_hex)
+        if type(verdict) is tuple:  # (slots, index)
+            slots, i = verdict
+            verdict = vars(self)[_VERDICT + pubkey_hex] = slots.take(i, _verifies, self, pubkey_hex)
+        return verdict
 
     def verifies_under(self, pubkey_hex: str) -> bool:
         """Whether the signature verifies under the public key (hex); memoized per key."""
@@ -177,6 +191,22 @@ def check_signatures(pairs: Sequence[tuple[Signed, str | None]]) -> list[bool]:
         for i, (record, key), verdict in zip(pending, unchecked, verify_signatures(triples)):
             vars(record)[_VERDICT + key] = verdicts[i] = verdict
     return verdicts
+
+
+def start_signature_checks(pairs: Sequence[tuple[Signed, str]]) -> None:
+    """Check each record's signature under its public key (hex) now, by
+    check_signatures, or in forked children when _fork_checks allows, each
+    record's memo entry then marked pending on its slot until asked for."""
+    slots = _fork_checks(len(pairs), lambda i: _verifies(*pairs[i]))
+    if slots is None:
+        check_signatures(pairs)
+        return
+    for i, (record, key) in enumerate(pairs):
+        vars(record)[_VERDICT + key] = (slots, i)
+
+
+def _verifies(record: Signed, pubkey_hex: str) -> bool:
+    return _verify_hex(pubkey_hex, getattr(record, record.signature_field), record.signed_bytes())
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
@@ -368,7 +369,9 @@ _PLAIN_DECODER = json.JSONDecoder(parse_float=_reject_float)
 
 def parse_canonical(data: bytes) -> Any:
     """Parse canonical JSON bytes, refusing a number token with a fraction
-    or an exponent (1.5, 1e3) and a repeated object key as it reads them.
+    or an exponent (1.5, 1e3), an integer token longer than int's digit
+    limit (sys.get_int_max_str_digits) and a repeated object key as it
+    reads them.
     The NaN, Infinity and -Infinity tokens parse to floats, which
     canonicalize and parse_canonical_exact then refuse."""
     try:
@@ -380,6 +383,8 @@ def parse_canonical(data: bytes) -> Any:
         raise
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CanonicalizationError("", f"not valid JSON: {exc}") from exc
+    except ValueError as exc:  # int's limit on the digits of a number token
+        raise CanonicalizationError("", f"integer token of more than {sys.get_int_max_str_digits()} digits") from exc
     except RecursionError:
         raise CanonicalizationError("", "JSON is nested too deeply") from None
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from .backend import check_signatures, verify_quote
+from .backend import check_signatures, start_signature_checks, verify_quote
 from .cards import PropertyCard, assemble_cards
 from .certs import (
     Certification,
@@ -240,8 +240,10 @@ class AssertionBundle:
         """Parse a bundle, which has no key but its two arrays and its
         version, naming an entry it refuses by its index (read_entries);
         quotes whose platform certificates are equal share
-        one PlatformCertificate, so each is checked against a root once,
-        every quote's signature is checked here, in bulk, and the external
+        one PlatformCertificate, so each is checked against a root once;
+        the quotes' signatures are checked here, in bulk, or for a large
+        bundle only started in forked children, each verdict then read when
+        first asked (backend.start_signature_checks); the external
         certificates form one batch, checked in bulk when first asked."""
         if not isinstance(value, dict):
             raise LamError("not an assertion bundle")
@@ -253,7 +255,7 @@ class AssertionBundle:
                 raise LamError(f"assertion bundle {key!r} must be a JSON array")
         object_keys(value, _BUNDLE_KEYS, "assertion bundle")
         envelopes = read_entries("envelope", value["envelopes"], AttestationEnvelope.from_json_values)
-        check_signatures([(e.quote, e.quote.attestation_pubkey) for e in envelopes])
+        start_signature_checks([(e.quote, e.quote.attestation_pubkey) for e in envelopes])
         externals = read_entries(
             "external certificate",
             value["external_certificates"],

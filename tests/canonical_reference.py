@@ -8,6 +8,7 @@ spells out the canonical rules one token at a time.
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any
 
 from lam.errors import CanonicalizationError
@@ -75,6 +76,8 @@ def reference_parse_canonical(data: bytes) -> Any:
         raise
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CanonicalizationError("", f"not valid JSON: {exc}") from exc
+    except ValueError as exc:  # int's limit on the digits of a number token
+        raise CanonicalizationError("", f"integer token of more than {sys.get_int_max_str_digits()} digits") from exc
     except RecursionError:
         raise CanonicalizationError("", "JSON is nested too deeply") from None
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -81,3 +83,15 @@ def test_root():
 @pytest.fixture(scope="session")
 def test_platform(test_root):
     return provision_platform(test_root, "test-platform", seed=b"test-platform-seed")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_child_process_left():
+    """Fail the run if any test leaves a child process behind, such as a
+    forked signature check that was never reaped."""
+    yield
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail("a test left a child process behind")

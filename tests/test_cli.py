@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -494,6 +495,16 @@ def _verify_args(
         "--certstore", str(certstore or ws / "certifications.json"),
         "--roots", str(roots or ws / "keys" / "trust.json"), "--out", str(out),
     ]
+
+
+def test_verify_overlong_integer_token_exits_2(cli_ws, capsys, tmp_path):
+    bundle = tmp_path / "bundle.json"
+    bundle.write_bytes(b'{"envelopes":[],"external_certificates":[],"version":' + b"1" * 5000 + b"}")
+    code = run(*_verify_args(cli_ws["ws"], tmp_path / "cards", bundle=bundle))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: integer token of more than {sys.get_int_max_str_digits()} digits at /: {bundle}\n"
+    assert not (tmp_path / "cards").exists()
 
 
 def test_verify_deeply_nested_roots_file_exits_2(cli_ws, capsys, tmp_path):

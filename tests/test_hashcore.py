@@ -4,10 +4,12 @@ import hashlib
 import json
 import math
 import random
+import sys
 from decimal import Decimal
 
 import pytest
 
+from canonical_reference import reference_parse_canonical
 from lam.errors import CanonicalizationError, DomainError, FileReadError, ManifestMismatchError
 from lam.hashcore import (
     Digest,
@@ -19,6 +21,7 @@ from lam.hashcore import (
     hash_file_once,
     is_canonical,
     parse_canonical,
+    parse_canonical_exact,
     parse_decimal_string,
     ratio_string,
     require_in_manifest,
@@ -230,6 +233,19 @@ def test_deep_nesting_is_a_canonicalization_error():
         value = [value]
     with pytest.raises(CanonicalizationError, match="nested too deeply"):
         canonicalize(value)
+
+
+def test_overlong_integer_token_is_a_canonicalization_error():
+    limit = sys.get_int_max_str_digits()
+    assert parse_canonical(b"[" + b"9" * limit + b"]") == [int("9" * limit)]
+    for data in (b"[" + b"1" * (limit + 1) + b"]", b'{"n":-' + b"1" * 5000 + b"}"):
+        assert not is_canonical(data)
+        with pytest.raises(CanonicalizationError, match=f"integer token of more than {limit} digits at /$"):
+            parse_canonical(data)
+        with pytest.raises(CanonicalizationError, match="integer token"):
+            parse_canonical_exact(data)
+        with pytest.raises(CanonicalizationError, match="integer token"):
+            reference_parse_canonical(data)
 
 
 def test_canonicalize_bool_vs_int_distinct():

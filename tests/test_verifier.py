@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from dataclasses import replace
 
 import pytest
@@ -107,6 +108,17 @@ def test_float_payload_rejected(pipe):
     verdict = verify_envelope(AttestationEnvelope(payload=payload, quote=quote), pipe.store, pipe.roots)
     assert not verdict.accepted
     assert verdict.reason == "template-mismatch"
+
+
+def test_overlong_integer_payload_is_a_named_template_mismatch(pipe):
+    """An integer token past int's digit limit is a refusal to parse, not a
+    ValueError out of verify_envelope."""
+    payload = b'{"n":' + b"1" * 5000 + b"}"
+    quote = issue_quote(pipe.platform, pipe.enclaves["metric"].measurement, hash_bytes(payload))
+    verdict = verify_envelope(AttestationEnvelope(payload=payload, quote=quote), pipe.store, pipe.roots)
+    assert (verdict.accepted, verdict.reason) == (False, "template-mismatch")
+    limit = sys.get_int_max_str_digits()
+    assert verdict.detail == f"payload is not canonical JSON: integer token of more than {limit} digits at /"
 
 
 def test_invalid_certification_reported(pipe):
