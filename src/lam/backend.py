@@ -8,9 +8,10 @@ implementation can be substituted; everything above it only sees Quote values
 and their canonical JSON wire form.
 
 Every signed record (platform certificate, quote, certification, external
-certificate) is a Signed, a hashcore.Record, whose wire form is read and
-written from its field annotations, and which signs its canonical bytes
-(hashcore.record_bytes) less the signature: made by signed_by, checked by
+certificate) is a Signed, a hashcore.Record, read from its field
+annotations and written by hashcore.record_bytes, the one writer of records
+(a field it cannot write is named by its JSON pointer), and which signs its
+canonical bytes less the signature: made by signed_by, checked by
 verifies_under or in bulk by check_signatures, its verdicts memoized per
 key; forked children share a large bulk check through verdict slots in
 shared memory, and start_signature_checks leaves verdicts pending there

@@ -359,7 +359,7 @@ def _endorse(
     if cert is None:
         return
     key = f"external:{subject_kind}:{subject}:{cert.endorser_id}"
-    table.put(key, cert.to_json_value(), cert.digest.hex)
+    table.put(key, cert.digest.hex, cert.digest.hex)
     section["endorsements"] = [{"name": cert.name, "endorser_id": cert.endorser_id, "claims": cert.claims}]
     provenance.append(_external_entry(cert, [key]))
 

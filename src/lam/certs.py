@@ -22,7 +22,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from .backend import Signed, check_signatures, key_from_seed, public_hex
 from .errors import InvalidCertificationError, LamError
 from .fragments import ATT_TYPES, builtin_template
-from .hashcore import Digest, canonicalize, in_file, read_canonical, read_entries
+from .hashcore import Digest, canonicalize, in_file, read_canonical, read_entries, records_bytes
 
 SUBJECT_KINDS = ("dataset", "model")
 
@@ -187,11 +187,10 @@ class CertificationStore:
     def __len__(self) -> int:
         return len(self._all)
 
-    def to_json_value(self) -> list[dict[str, Any]]:
-        return [cert.to_json_value() for cert in self._all]
-
     def save(self, path: str | Path) -> None:
-        Path(path).write_bytes(canonicalize(self.to_json_value()))
+        """Write the store file, its certifications in store order, one that
+        cannot be written named by records_bytes before any file is written."""
+        Path(path).write_bytes(b"[%s]" % b",".join(records_bytes(self._all, "/{}")))
 
     @classmethod
     def read_unverified(cls, path: str | Path) -> "CertificationStore":

@@ -29,7 +29,6 @@ from ..errors import ConfigError, DomainError
 from ..hashcore import (
     Digest,
     Record,
-    canonicalize,
     hash_bytes,
     parse_canonical,
     parse_decimal_string,
@@ -76,7 +75,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class _ModelFile(Record):
     """The wire form of a model file: its layer widths, activation, and
-    parameters as nested arrays of decimal strings (read by Model)."""
+    parameters as nested arrays of decimal strings (see Model)."""
 
     activation: str
     arch: tuple[int, ...]
@@ -123,14 +122,6 @@ class Model:
             biases=tuple(quantize_rows([b])[1][0] for b in biases),
         )
 
-    def to_json_value(self) -> dict[str, Any]:
-        return _ModelFile(
-            activation=self.architecture.activation,
-            arch=self.architecture.layer_widths,
-            biases=[format_rows(b[np.newaxis])[0].split(",") for b in self.biases],
-            weights=[[row.split(",") for row in format_rows(w)] for w in self.weights],
-        ).to_json_value()
-
     @classmethod
     def from_json_value(cls, value: Any) -> "Model":
         file = _ModelFile.from_json_value(value)
@@ -153,7 +144,12 @@ class Model:
 
     @cached_property
     def canonical_bytes(self) -> bytes:
-        return canonicalize(self.to_json_value())
+        return _ModelFile(
+            activation=self.architecture.activation,
+            arch=self.architecture.layer_widths,
+            biases=[format_rows(b[np.newaxis])[0].split(",") for b in self.biases],
+            weights=[[row.split(",") for row in format_rows(w)] for w in self.weights],
+        ).canonical_bytes
 
     @cached_property
     def digest(self) -> Digest:

@@ -18,11 +18,13 @@ class FileReadError(LamError):
 
 class PathError(LamError):
     """An error at `path`, a JSON pointer into a value, which the message
-    names as an `at <path>` suffix ("/" for the whole value)."""
+    names as an `at <path>` suffix ("/" for the whole value) after its
+    `reason`, kept so the error can be raised again under a longer path."""
 
-    def __init__(self, path: str, message: str) -> None:
-        super().__init__(f"{message} at {path or '/'}")
+    def __init__(self, path: str, reason: str) -> None:
+        super().__init__(f"{reason} at {path or '/'}")
         self.path = path
+        self.reason = reason
 
 
 class CanonicalizationError(PathError):

@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, Any, Iterable
 from .backend import EnclaveMeasurement, PlatformCertificate, Quote, measure_enclave
 from .errors import DomainError, LamError
 from .hashcore import (
-    WRITE_ERRORS,
     TrustedManifest,
     canonicalize,
     hash_bytes,
@@ -31,8 +30,8 @@ from .hashcore import (
     parse_canonical,
     read_canonical,
     read_file_once,
-    record_bytes,
     record_fields,
+    records_bytes,
     require_in_manifest,
 )
 
@@ -150,32 +149,16 @@ class AttestationEnvelope:
     def payload_value(self) -> dict[str, Any]:
         return parse_canonical(self.payload)
 
-    def to_json_value(self) -> dict[str, Any]:
-        return {
-            "payload_b64": base64.b64encode(self.payload).decode("ascii"),
-            "quote": self.quote.to_json_value(),
-        }
-
-    def to_file_value(self) -> dict[str, Any]:
-        return {**self.to_json_value(), "version": ENVELOPE_VERSION}
-
-    def json_bytes(self, memo: dict[int, bytes], tail: bytes = b"") -> bytes:
-        """canonicalize(self.to_json_value()) with `tail` before its closing
-        brace, the quote written by record_bytes through `memo`."""
-        payload = base64.b64encode(self.payload)
-        return b'{"payload_b64":"%s","quote":%s%s}' % (payload, record_bytes(self.quote, memo), tail)
+    def json_bytes(self, quote: bytes, tail: bytes = b"") -> bytes:
+        """The envelope's canonical JSON object, given its quote's canonical
+        bytes, with `tail` before its closing brace."""
+        return b'{"payload_b64":"%s","quote":%s%s}' % (base64.b64encode(self.payload), quote, tail)
 
     def file_bytes(self) -> bytes:
-        """canonicalize(self.to_file_value()): the envelope file."""
-        try:
-            return self.json_bytes({}, b',"version":%d' % ENVELOPE_VERSION)
-        except WRITE_ERRORS:
-            return canonicalize(self.to_file_value())
-
-    @classmethod
-    def from_json_value(cls, value: Any) -> "AttestationEnvelope":
-        [envelope] = cls.from_json_values([value])
-        return envelope
+        """The envelope file: its JSON object and version, a quote that
+        cannot be written named under /quote (see records_bytes)."""
+        [quote] = records_bytes([self.quote], "/quote")
+        return self.json_bytes(quote, b',"version":%d' % ENVELOPE_VERSION)
 
     @classmethod
     def from_json_values(cls, values: Iterable[Any]) -> list["AttestationEnvelope"]:
@@ -208,13 +191,14 @@ class AttestationEnvelope:
 
     @classmethod
     def from_file_value(cls, value: Any) -> "AttestationEnvelope":
-        """Parse to_file_value's form, checking its version."""
+        """Parse the envelope file that file_bytes writes, checking its version."""
         if not isinstance(value, dict):
             raise LamError("not an envelope")
         version = value.get("version")
         if type(version) is not int or version != ENVELOPE_VERSION:
             raise LamError(f"unsupported envelope version {version!r} (expected {ENVELOPE_VERSION})")
-        return cls.from_json_value({key: item for key, item in value.items() if key != "version"})
+        [envelope] = cls.from_json_values([{key: item for key, item in value.items() if key != "version"}])
+        return envelope
 
     @classmethod
     def read(cls, path: str | Path) -> "AttestationEnvelope":

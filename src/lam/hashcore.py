@@ -12,9 +12,10 @@ Three commitments live here and nowhere else:
   with read-once file hashing so callers never operate on re-read bytes.
 
 Every JSON record (quotes, certificates, certifications, training configs
-and model files) is a Record, read by record_fields, written by
-record_json_value and its canonical bytes by record_bytes, the one bytes
-writer of records, all driven by its field annotations alone. object_keys
+and model files) is a Record, read from its JSON value by record_fields and
+written, as canonical bytes only, by record_bytes, the one writer of
+records, both driven by its field annotations alone; a write error names
+the field's JSON pointer, then the path inside it. object_keys
 is the one rule for a JSON object with exactly a given set of keys, records
 and the envelope, bundle, trust file and inference input objects alike.
 in_file is the one rule naming a file in an error (a `: path` suffix),
@@ -36,7 +37,7 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from functools import cache, cached_property
 from math import isfinite
 from pathlib import Path
-from typing import AbstractSet, Any, Callable, ClassVar, Iterable, Iterator, Mapping, TypeVar, get_type_hints
+from typing import AbstractSet, Any, Callable, ClassVar, Iterable, Iterator, Mapping, Sequence, TypeVar, get_type_hints
 
 from .errors import CanonicalizationError, DomainError, FileReadError, LamError, ManifestMismatchError
 
@@ -119,31 +120,32 @@ def _record(record: Any, memo: dict[int, bytes]) -> bytes:
     return memo.get(id(record)) or memo.setdefault(id(record), record_bytes(record, memo))
 
 
-# How a record field is read from JSON, written to JSON and written as
-# canonical bytes (given the memo of record_bytes), by its annotated type.
-# Any other type is a nested Record.
+# How a record field is read from JSON and written as canonical bytes (given
+# the memo of record_bytes), by its annotated type. Any other type is a
+# nested Record. A writer raises CanonicalizationError at the path inside the
+# field, but the str writer UnicodeEncodeError for a lone surrogate.
 _Codec = Callable[..., Any]
-_FIELD_CODECS: dict[Any, tuple[_Codec, _Codec, _Codec]] = {
-    Digest: (Digest.from_hex, lambda digest: digest.hex, lambda digest, _: b'"%s"' % digest.value.hex().encode()),
-    str: (_text, _same, lambda text, _: _ENCODER.encode(text).encode() if type(text) is str else canonicalize(text)),
-    bytes: (hex_bytes, bytes.hex, lambda value, _: b'"%s"' % bytes.hex(value).encode()),
-    bool: (_boolean, _same, lambda value, _: (b"false", b"true")[value] if type(value) is bool else canonicalize(value)),
-    int: (_integer, _same, lambda value, _: b"%d" % value if type(value) is int else canonicalize(value)),
-    tuple[int, ...]: (_integers, list, lambda value, _: canonicalize(value)),
-    Any: (_same, _same, lambda value, _: canonicalize(value)),
+_FIELD_CODECS: dict[Any, tuple[_Codec, _Codec]] = {
+    Digest: (Digest.from_hex, lambda digest, _: b'"%s"' % digest.value.hex().encode()),
+    str: (_text, lambda text, _: _ENCODER.encode(text).encode() if type(text) is str else canonicalize(text)),
+    bytes: (hex_bytes, lambda value, _: b'"%s"' % bytes.hex(value).encode()),
+    bool: (_boolean, lambda value, _: (b"false", b"true")[value] if type(value) is bool else canonicalize(value)),
+    int: (_integer, lambda value, _: b"%d" % value if type(value) is int else canonicalize(value)),
+    tuple[int, ...]: (_integers, lambda value, _: canonicalize(value)),
+    Any: (_same, lambda value, _: canonicalize(value)),
 }
 
 
 @cache
-def _field_table(cls: type) -> tuple[frozenset[str], tuple[tuple[str, _Codec, _Codec, _Codec], ...]]:
-    """The names, and (name, parser, writer, bytes writer) of each, of the
-    init fields of the dataclass `cls`, worked out once per class."""
+def _field_table(cls: type) -> tuple[frozenset[str], tuple[tuple[str, _Codec, _Codec], ...]]:
+    """The names, and (name, parser, bytes writer) of each, of the init
+    fields of the dataclass `cls`, worked out once per class."""
     hints = get_type_hints(cls)
     table = []
     for f in fields(cls):
         if f.init:
             kind = hints[f.name]
-            codecs = _FIELD_CODECS.get(kind) or (kind.from_json_value, kind.to_json_value, _record)
+            codecs = _FIELD_CODECS.get(kind) or (kind.from_json_value, _record)
             table.append((f.name, *codecs))
     return frozenset(name for name, *_ in table), tuple(table)
 
@@ -152,7 +154,7 @@ def _field_table(cls: type) -> tuple[frozenset[str], tuple[tuple[str, _Codec, _C
 def _bytes_template(cls: type, without: str | None) -> tuple[bytes, tuple[tuple[str, _Codec], ...]]:
     """The canonical bytes of a `cls` record less the field `without`, %s
     for each field value, and (name, bytes writer) of each, sorted by name."""
-    writers = sorted((name, write) for name, _, _, write in _field_table(cls)[1] if name != without)
+    writers = sorted((name, write) for name, _, write in _field_table(cls)[1] if name != without)
     keys = (_ENCODER.encode(name).encode("utf-8") + b":%s" for name, _ in writers)
     return b"{" + b",".join(keys) + b"}", tuple(writers)
 
@@ -176,12 +178,12 @@ def record_fields(cls: type, value: Any, record: str, given: Mapping[str, Any] =
     `value` by their annotated types, but those in `given`, taken as already
     parsed; a LamError naming the key or field when `value` is not an object
     with exactly the fields as keys (see object_keys) or a field does not
-    parse. The inverse of record_json_value."""
+    parse. The inverse of record_bytes."""
     keys, table = _field_table(cls)
     if not isinstance(value, dict) or len(value) != len(keys):
         object_keys(value, keys, record)
     parsed = {}
-    for name, parse, _, _ in table:
+    for name, parse, _ in table:
         if name not in value:  # as many keys as fields, so one key is unknown
             object_keys(value, keys, record)
         try:
@@ -191,29 +193,46 @@ def record_fields(cls: type, value: Any, record: str, given: Mapping[str, Any] =
     return parsed
 
 
-def record_json_value(record: Any) -> dict[str, Any]:
-    """The JSON object of a record: each init field under its name, written
-    by its annotated type (see record_fields)."""
-    return {name: write(getattr(record, name)) for name, _, write, _ in _field_table(type(record))[1]}
-
-
-# What record_bytes may meet where canonicalize names the offence at its path.
-WRITE_ERRORS = (CanonicalizationError, UnicodeEncodeError, RecursionError)
-
-
 def record_bytes(record: Any, memo: dict[int, bytes] | None = None, without: str | None = None) -> bytes:
-    """canonicalize(record_json_value(record)), less the field `without`,
-    written from the field table with no JSON value built; a nested record
-    once per `memo` (id to bytes), which a caller writing many records keeps
-    for one write, catching WRITE_ERRORS by canonicalizing its whole JSON
-    value, which raises the error at its path (as this does with no memo)."""
+    """The canonical bytes of the record's JSON object, less the field
+    `without`, written from its field table; a nested record once per `memo`
+    (id to bytes), which a caller writing many records keeps for one write.
+    With no memo, a field that cannot be written raises CanonicalizationError
+    at its name then the path inside it, looked for in key order only once
+    the write has failed; with one, the caller names it (records_bytes)."""
     if memo is None:
         try:
             return record_bytes(record, {}, without)
-        except WRITE_ERRORS:
-            return canonicalize({k: v for k, v in record_json_value(record).items() if k != without})
+        except (CanonicalizationError, UnicodeEncodeError):
+            for name, write in _bytes_template(type(record), without)[1]:
+                value = getattr(record, name)
+                try:
+                    record_bytes(value) if write is _record else write(value, {})
+                except UnicodeEncodeError:  # the str writer's: canonicalize names its own
+                    raise CanonicalizationError(f"/{name}", f"string {_UNENCODABLE}") from None
+                except CanonicalizationError as exc:
+                    raise CanonicalizationError(f"/{name}{exc.path}", exc.reason) from None
+            raise
     template, writers = _bytes_template(type(record), without)
     return template % tuple([write(getattr(record, name), memo) for name, write in writers])
+
+
+def records_bytes(records: Sequence[Any], at: str) -> Iterator[bytes]:
+    """record_bytes of each record, in turn, a nested record shared by many
+    once; a CanonicalizationError names the first that cannot be written at
+    at.format(index), then its path in the record, the one rule by which a
+    write error names an array entry, looked for as read_entries does."""
+    memo: dict[int, bytes] = {}
+    try:
+        for record in records:
+            yield record_bytes(record, memo)
+    except (CanonicalizationError, UnicodeEncodeError):
+        for i, record in enumerate(records):
+            try:
+                record_bytes(record)
+            except CanonicalizationError as exc:
+                raise CanonicalizationError(at.format(i) + exc.path, exc.reason) from None
+        raise
 
 
 _R = TypeVar("_R", bound="Record")
@@ -222,9 +241,9 @@ _T = TypeVar("_T")
 
 class Record:
     """A record whose wire form is the JSON object of its init fields, read
-    and written from the field annotations alone (see record_fields); read
-    errors name it by record_name. Its canonical bytes and digest are
-    computed once, on first use."""
+    (record_fields) and written (record_bytes) from the field annotations
+    alone; read errors name it by record_name. Its canonical bytes and
+    digest are computed once, on first use."""
 
     record_name: ClassVar[str]
 
@@ -233,8 +252,6 @@ class Record:
         """The record read from its JSON object; a LamError naming the
         record and field when it is not one (see record_fields)."""
         return cls(**record_fields(cls, value, cls.record_name))
-
-    to_json_value = record_json_value
 
     @cached_property
     def canonical_bytes(self) -> bytes:

@@ -24,8 +24,8 @@ from .certs import (
 )
 from .errors import CanonicalizationError, InvalidCertificationError, LamError
 from .fragments import ATT_SPECS, AttestationEnvelope, index_fragments, shape_mismatch
-from .hashcore import WRITE_ERRORS, Digest, canonicalize, hash_bytes, object_keys, parse_canonical_exact, read_canonical
-from .hashcore import read_entries, record_bytes
+from .hashcore import Digest, canonicalize, hash_bytes, object_keys, parse_canonical_exact, read_canonical
+from .hashcore import read_entries, records_bytes
 
 BUNDLE_VERSION = 1
 _BUNDLE_KEYS = frozenset({"envelopes", "external_certificates", "version"})
@@ -214,26 +214,15 @@ class AssertionBundle:
     envelopes: tuple[AttestationEnvelope, ...]
     external_certificates: tuple[ExternalCertificate, ...]
 
-    def to_file_value(self) -> dict[str, Any]:
-        return {
-            "envelopes": [e.to_json_value() for e in self.envelopes],
-            "external_certificates": [c.to_json_value() for c in self.external_certificates],
-            "version": BUNDLE_VERSION,
-        }
-
     def write(self, path: str | Path) -> None:
-        """Write canonicalize(self.to_file_value()), each record written by
-        record_bytes, a platform certificate shared by many quotes once."""
-        memo: dict[int, bytes] = {}
-        try:
-            envelopes = b",".join([e.json_bytes(memo) for e in self.envelopes])
-            externals = b",".join([record_bytes(c, memo) for c in self.external_certificates])
-            tail = b'],"version":%d}' % BUNDLE_VERSION
-            parts = [b'{"envelopes":[', envelopes, b'],"external_certificates":[', externals, tail]
-        except WRITE_ERRORS:
-            parts = [canonicalize(self.to_file_value())]
+        """Write the bundle's canonical JSON, its records by records_bytes,
+        which names one that cannot be written, before any file is written."""
+        quotes = records_bytes([e.quote for e in self.envelopes], "/envelopes/{}/quote")
+        envelopes = b",".join([e.json_bytes(quote) for e, quote in zip(self.envelopes, quotes)])
+        externals = b",".join(records_bytes(self.external_certificates, "/external_certificates/{}"))
+        tail = b'],"version":%d}' % BUNDLE_VERSION
         with open(path, "wb") as file:
-            file.writelines(parts)
+            file.writelines([b'{"envelopes":[', envelopes, b'],"external_certificates":[', externals, tail])
 
     @classmethod
     def from_file_value(cls, value: Any) -> "AssertionBundle":

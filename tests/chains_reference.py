@@ -307,7 +307,7 @@ def reference_assemble_cards(
         if m in model_certs:
             cert = model_certs[m]
             key = f"external:model:{m}:{cert.endorser_id}"
-            table.put(key, cert.to_json_value(), cert.digest.hex)
+            table.put(key, cert.digest.hex, cert.digest.hex)
             body["endorsements"] = [
                 {"name": cert.name, "endorser_id": cert.endorser_id, "claims": cert.claims}
             ]
@@ -369,7 +369,7 @@ def reference_assemble_cards(
         if d in dataset_certs:
             cert = dataset_certs[d]
             key = f"external:dataset:{d}:{cert.endorser_id}"
-            table.put(key, cert.to_json_value(), cert.digest.hex)
+            table.put(key, cert.digest.hex, cert.digest.hex)
             body["datasheet"]["endorsements"] = [
                 {"name": cert.name, "endorser_id": cert.endorser_id, "claims": cert.claims}
             ]

@@ -40,7 +40,7 @@ def _fmt6(x: float) -> str:
 
 def model_params(model) -> tuple[list[list[list[float]]], list[list[float]], str]:
     """Weights/biases/activation parsed back from the model's canonical JSON."""
-    doc = model.to_json_value()
+    doc = parse_canonical(model.canonical_bytes)
     weights = [[[float(v) for v in row] for row in w] for w in doc["weights"]]
     biases = [[float(v) for v in b] for b in doc["biases"]]
     return weights, biases, doc["activation"]

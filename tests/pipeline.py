@@ -5,7 +5,11 @@ enclave identities, and external certificates for both datasets."""
 
 from __future__ import annotations
 
+import tempfile
 from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Any
+
 from lam.backend import ManufacturerRoot, PlatformIdentity, create_root, provision_platform
 from lam.certs import (
     Certification,
@@ -17,6 +21,7 @@ from lam.certs import (
 )
 from lam.engine.data import Architecture, Dataset, TrainingConfig
 from lam.engine.model import Model
+from lam.hashcore import parse_canonical
 from lam.fragments import AttestationEnvelope, EnclaveContext, builtin_template, default_enclaves, enclave_kind_for
 from lam.measurers import (
     attest_accuracy,
@@ -29,6 +34,14 @@ from lam.measurers import (
 from lam.verifier import AssertionBundle
 
 EPSILON = "0.100000"
+
+
+def written_value(bundle: AssertionBundle) -> dict[str, Any]:
+    """The JSON value of the file that bundle.write writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bundle.json"
+        bundle.write(path)
+        return parse_canonical(path.read_bytes())
 
 
 @dataclass

@@ -16,7 +16,7 @@ from lam.backend import (
 )
 from lam.certs import Endorser, make_certification, make_external_certificate
 from lam.errors import LamError
-from lam.hashcore import Digest, TrustedManifest, canonicalize, hash_bytes
+from lam.hashcore import Digest, TrustedManifest, canonicalize, hash_bytes, parse_canonical, record_bytes
 
 
 def _random_digest(rnd: random.Random) -> Digest:
@@ -105,7 +105,7 @@ def test_quote_round_trip(test_root, test_platform):
 def test_quote_wire_round_trip(test_root, test_platform):
     measurement = measure_enclave(*_example_measurement_inputs())
     quote = issue_quote(test_platform, measurement, hash_bytes(b"payload"))
-    wire = canonicalize(quote.to_json_value())
+    wire = quote.canonical_bytes
     restored = Quote.from_json_value(__import__("json").loads(wire))
     assert restored == quote
     assert verify_quote(restored, {test_root.public_hex}) is None
@@ -114,7 +114,7 @@ def test_quote_wire_round_trip(test_root, test_platform):
 def test_quote_wire_format_fields(test_platform):
     """Wire format is bit-exact: fixed field set, all hex lowercase."""
     measurement = measure_enclave(*_example_measurement_inputs())
-    value = issue_quote(test_platform, measurement, hash_bytes(b"payload")).to_json_value()
+    value = parse_canonical(issue_quote(test_platform, measurement, hash_bytes(b"payload")).canonical_bytes)
     assert set(value) == {
         "enclave_measurement",
         "report_data",
@@ -210,7 +210,7 @@ def test_certificate_for_other_key_rejected(test_root, test_platform):
 
 def test_certificate_wire_round_trip(test_platform):
     cert = test_platform.certificate
-    assert PlatformCertificate.from_json_value(cert.to_json_value()) == cert
+    assert PlatformCertificate.from_json_value(parse_canonical(cert.canonical_bytes)) == cert
 
 
 def _flip_byte(data: bytes) -> bytes:
@@ -267,12 +267,12 @@ def test_memo_is_keyed_by_key(signed_record):
 
 def test_memo_is_not_part_of_equality_hash_or_wire_form(signed_record):
     record, key = signed_record
-    fresh = type(record).from_json_value(record.to_json_value())
+    fresh = type(record).from_json_value(parse_canonical(record_bytes(record)))
     assert record.verifies_under(key)
     assert fresh._verdict(key) is None
     assert record._verdict(key) is True
     assert record == fresh
     assert hash(record) == hash(fresh)
     assert repr(record) == repr(fresh)
-    assert canonicalize(record.to_json_value()) == canonicalize(fresh.to_json_value())
-    assert set(record.to_json_value()) == {f.name for f in fields(record) if f.init}
+    assert record_bytes(record) == record_bytes(fresh)
+    assert set(parse_canonical(record_bytes(record))) == {f.name for f in fields(record) if f.init}

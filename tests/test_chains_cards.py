@@ -12,7 +12,7 @@ from lam.errors import CardConflictError
 from lam.hashcore import canonicalize
 from lam.measurers import attest_accuracy, attest_distribution, attest_fairness, attest_inference, attest_robustness
 from lam.verifier import AssertionBundle, resolve_chains, verify_bundle, verify_envelope
-from pipeline import default_config, sixrow_pipeline
+from pipeline import default_config, sixrow_pipeline, written_value
 
 
 @pytest.fixture(scope="module")
@@ -266,7 +266,7 @@ def test_repeated_envelopes_leave_chains_and_cards_unchanged(pipe, copies):
     the chain report and cards of that bundle with every later copy removed
     (provenance follows bundle order, so a copy placed before its original
     moves that fragment up)."""
-    value = pipe.bundle().to_file_value()
+    value = written_value(pipe.bundle())
     envelopes = value["envelopes"]
     for which, where in copies:
         envelopes.insert(where % (len(envelopes) + 1), envelopes[which % len(envelopes)])
@@ -287,7 +287,7 @@ def test_bundle_order_moves_only_provenance(pipe, data):
     """Under any order of the six-row bundle's envelopes, the chain report
     and every card's body are byte-identical, and each card's provenance
     holds the same entries; only their order may follow the bundle's."""
-    value = pipe.bundle().to_file_value()
+    value = written_value(pipe.bundle())
     order = data.draw(st.permutations(range(len(value["envelopes"]))))
 
     def outputs(envelopes):

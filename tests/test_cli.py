@@ -610,19 +610,18 @@ def test_verify_conflicting_claims_exits_2_and_writes_nothing(cli_ws, capsys, tm
     from lam.cli import Workspace
     from lam.hashcore import canonicalize, hash_bytes
     from lam.fragments import AttestationEnvelope, default_enclaves
+    from lam.verifier import AssertionBundle
 
     ws = cli_ws["ws"]
-    bundle_value = parse_canonical((ws / "bundle.json").read_bytes())
-    envelopes = [AttestationEnvelope.from_json_value(e) for e in bundle_value["envelopes"]]
-    acc = next(e for e in envelopes if e.payload_value()["att_type"] == "AccAtt")
+    read = AssertionBundle.read(ws / "bundle.json")
+    acc = next(e for e in read.envelopes if e.payload_value()["att_type"] == "AccAtt")
     value = acc.payload_value()
     value["results"]["metrics"][0]["value"] = "0.123456"
     payload = canonicalize(value)
     platform = Workspace(ws).load_platform("p1")
     quote = issue_quote(platform, default_enclaves()["metric"].measurement, hash_bytes(payload))
-    bundle_value["envelopes"].append(AttestationEnvelope(payload, quote).to_json_value())
     bundle = tmp_path / "bundle.json"
-    bundle.write_bytes(canonicalize(bundle_value))
+    replace(read, envelopes=(*read.envelopes, AttestationEnvelope(payload, quote))).write(bundle)
 
     out_dir = tmp_path / "cards"
     code = run(*_verify_args(ws, out_dir, bundle=bundle))

@@ -15,6 +15,7 @@ from lam.backend import PARALLEL_MIN, _verify_hex
 from lam.certs import CertificationStore, Endorser, ExternalCertificate, make_external_certificate
 from lam.hashcore import hash_bytes
 from lam.verifier import AssertionBundle, verify_bundle
+from pipeline import written_value
 
 ALICE = Endorser.create("alice", seed="batch-alice")
 BOB = Endorser.create("bob", seed="batch-bob")
@@ -38,8 +39,7 @@ def _certificates(endorsers: list[Endorser], forged: set[int]) -> list[ExternalC
 
 def _parsed(certs: list[ExternalCertificate]) -> tuple[ExternalCertificate, ...]:
     """The certificates as a bundle parse gives them: one batch."""
-    value = AssertionBundle((), tuple(certs)).to_file_value()
-    return AssertionBundle.from_file_value(value).external_certificates
+    return AssertionBundle.from_file_value(written_value(AssertionBundle((), tuple(certs)))).external_certificates
 
 
 def _one_by_one(certs, keys: dict[str, str]) -> list[bool]:

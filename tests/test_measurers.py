@@ -222,7 +222,7 @@ def test_validate_fragment_top_level_keys_follow_the_shape(fragment, detail):
 def test_envelope_file_round_trip(fixture_a, enclaves, test_platform, tmp_path):
     env = attest_distribution(fixture_a, "marginal", enclave=enclaves["dataset"], platform=test_platform)
     path = tmp_path / "dist.envelope.json"
-    path.write_bytes(canonicalize(env.to_file_value()))
+    path.write_bytes(env.file_bytes())
     restored = AttestationEnvelope.read(path)
     assert restored == env
     value = parse_canonical(path.read_bytes())

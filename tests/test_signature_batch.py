@@ -22,9 +22,10 @@ from hypothesis import strategies as st
 import lam.backend as backend
 from lam.backend import _VERDICT, PARALLEL_MIN, Quote, _verify_hex, issue_quote, verify_quote, verify_signatures
 from lam.cli import main
-from lam.hashcore import canonicalize, hash_bytes
+from lam.hashcore import canonicalize, hash_bytes, parse_canonical
 from lam.fragments import AttestationEnvelope
 from lam.verifier import AssertionBundle
+from pipeline import written_value
 
 CPUS = 4
 COUNT = 2 * PARALLEL_MIN + 3
@@ -51,7 +52,7 @@ def bundle_value(test_platform):
         if i in PLANTED:
             quote = replace(quote, signature=_flip(quote.signature))
         envelopes.append(AttestationEnvelope(payload, quote))
-    return AssertionBundle(tuple(envelopes), ()).to_file_value()
+    return written_value(AssertionBundle(tuple(envelopes), ()))
 
 
 @pytest.fixture
@@ -243,6 +244,6 @@ def test_replaced_quote_starts_without_a_memo(test_root, test_platform):
     assert _memo(forged) is None
     assert not forged.verifies_under(forged.attestation_pubkey)
     assert verify_quote(forged, {test_root.public_hex}) == "bad-signature"
-    fresh = Quote.from_json_value(quote.to_json_value())
+    fresh = Quote.from_json_value(parse_canonical(quote.canonical_bytes))
     assert _memo(fresh) is None
     assert fresh == quote and hash(fresh) == hash(quote) and repr(fresh) == repr(quote)

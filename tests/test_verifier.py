@@ -8,10 +8,10 @@ import pytest
 import lam.backend as backend
 from lam.backend import issue_quote
 from lam.certs import CertificationStore, Endorser, make_certification
-from lam.hashcore import canonicalize, hash_bytes
+from lam.hashcore import canonicalize, hash_bytes, parse_canonical
 from lam.fragments import AttestationEnvelope
 from lam.verifier import AssertionBundle, verify_envelope
-from pipeline import sixrow_pipeline
+from pipeline import sixrow_pipeline, written_value
 
 
 @pytest.fixture(scope="module")
@@ -197,10 +197,11 @@ def test_certification_store_load_checks_every_signature_in_one_call(pipe, tmp_p
     CertificationStore.load(path, pipe.endorser_keys)
     assert len(pipe.store) > 1 and calls == [len(pipe.store)]
 
-    first, *rest = pipe.store.to_json_value()
+    first, *rest = parse_canonical(path.read_bytes())
     forged = {**first, "signature": first["signature"][::-1]}
     stranger = make_certification(Endorser.create("stranger", seed=b"stranger"), pipe.enclaves["metric"].measurement, None)
-    bad = [forged, stranger.to_json_value()] if order == "forged-first" else [stranger.to_json_value(), forged]
+    stranger = parse_canonical(stranger.canonical_bytes)
+    bad = [forged, stranger] if order == "forged-first" else [stranger, forged]
     path.write_bytes(canonicalize(rest + bad))
     calls.clear()
     with pytest.raises(LamError, match=error):
@@ -238,7 +239,7 @@ def test_unknown_subject_kind_is_refused_when_signed_and_when_parsed(pipe):
         ExternalCertificate.signed_by(pipe.endorser.private_key, model, "foo", "odd-name", {}, "acme")
     with pytest.raises(LamError, match=message):
         make_external_certificate(pipe.endorser, model, "foo", "odd-name")
-    wire = {**pipe.externals[0].to_json_value(), "subject_kind": "foo"}
+    wire = {**parse_canonical(pipe.externals[0].canonical_bytes), "subject_kind": "foo"}
     with pytest.raises(LamError, match=message):
         ExternalCertificate.from_json_value(wire)
 
@@ -291,12 +292,12 @@ def test_new_attestation_type_needs_only_a_certification(pipe):
 def test_replayed_envelope_still_verifies(pipe):
     """Quotes carry no freshness: a replay re-asserts the same true statement."""
     env = pipe.envelopes["acc"]
-    replay = AttestationEnvelope.from_json_value(env.to_json_value())
+    replay = AttestationEnvelope.from_file_value(parse_canonical(env.file_bytes()))
     assert verify_envelope(replay, pipe.store, pipe.roots).accepted
 
 
 def test_bundle_quotes_share_equal_platform_certificates(pipe):
-    bundle = AssertionBundle.from_file_value(pipe.bundle().to_file_value())
+    bundle = AssertionBundle.from_file_value(written_value(pipe.bundle()))
     certs = {id(e.quote.platform_certificate) for e in bundle.envelopes}
     assert len(bundle.envelopes) > 1 and len(certs) == 1
     assert bundle == pipe.bundle()
@@ -311,7 +312,7 @@ def test_different_certificates_for_one_platform_get_their_own_verdicts(pipe):
     flipped[0] ^= 1
     forged_cert = replace(cert, root_signature=bytes(flipped))
     forged = replace(genuine, quote=replace(genuine.quote, platform_certificate=forged_cert))
-    value = AssertionBundle((genuine, forged, genuine, forged), ()).to_file_value()
+    value = written_value(AssertionBundle((genuine, forged, genuine, forged), ()))
 
     bundle = AssertionBundle.from_file_value(value)
     verdicts = [verify_envelope(e, pipe.store, pipe.roots) for e in bundle.envelopes]
@@ -450,10 +451,9 @@ def test_external_verdicts_keep_bundle_order(pipe):
     assert result.externals == tuple(zip(certs, [True, False, False, True, False]))
 
 
-def test_each_template_is_validated_once(pipe, monkeypatch):
+def test_each_template_is_validated_once(pipe, monkeypatch, tmp_path):
     import lam.certs
     import lam.verifier
-    from lam.certs import Certification
 
     calls = []
     real = lam.certs.validate_template
@@ -465,7 +465,8 @@ def test_each_template_is_validated_once(pipe, monkeypatch):
 
     monkeypatch.setattr(lam.certs, "validate_template", counting)
     monkeypatch.setattr(lam.verifier, "validate_template", counting)
-    store = CertificationStore(Certification.from_json_value(c) for c in pipe.store.to_json_value())
+    pipe.store.save(tmp_path / "certifications.json")
+    store = CertificationStore.read_unverified(tmp_path / "certifications.json")
     for _ in range(3):
         for env in pipe.envelopes.values():
             assert verify_envelope(env, store, pipe.roots).accepted

@@ -8,7 +8,7 @@ from wire_cases import DELETE, QUOTE_FIELD_CASES, edit_envelope
 
 from lam.errors import LamError
 from lam.verifier import AssertionBundle, verify_bundle
-from pipeline import sixrow_pipeline
+from pipeline import sixrow_pipeline, written_value
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +18,7 @@ def pipe():
 
 @pytest.mark.parametrize(("path", "new"), [c[1:] for c in QUOTE_FIELD_CASES], ids=[c[0] for c in QUOTE_FIELD_CASES])
 def test_malformed_quote_field_is_a_named_error(pipe, path, new):
-    value = pipe.bundle().to_file_value()
+    value = written_value(pipe.bundle())
     message = edit_envelope(value["envelopes"][-1], path, new)
     with pytest.raises(LamError) as err:
         AssertionBundle.from_file_value(value)
@@ -40,7 +40,7 @@ def test_a_malformed_bundle_member_names_its_index(pipe, member, index, key, mes
     """A bundle member that does not parse is named by its index, as a
     certification store entry is, so one bad member among thousands can be
     found."""
-    value = pipe.bundle().to_file_value()
+    value = written_value(pipe.bundle())
     del value[member][index][key]
     with pytest.raises(LamError) as err:
         AssertionBundle.from_file_value(value)
@@ -58,9 +58,9 @@ def test_every_field_deletion_or_type_swap_is_a_verdict_or_a_named_error(pipe):
     """A mutation either parses into a bundle that verifies to verdicts, or
     raises LamError; no other exception escapes."""
     outcomes = {"named-error": 0, "verdict": 0}
-    for path in _field_paths(pipe.bundle().to_file_value()["envelopes"][0]):
+    for path in _field_paths(written_value(pipe.bundle())["envelopes"][0]):
         for new in (DELETE, 5, None, True, "zz", [], {}, "ab" * 32):
-            value = pipe.bundle().to_file_value()
+            value = written_value(pipe.bundle())
             edit_envelope(value["envelopes"][0], path, new)
             try:
                 bundle = AssertionBundle.from_file_value(value)
