@@ -16,6 +16,16 @@ features with the quantizer's formatting half, `format_rows`, when
 its canonical bytes are first asked for. The quantizer is the engine's, which
 alone holds float arrays; engine.model quantizes parameters, inputs and
 scores with it too.
+
+The quantizer works in integer micro-units. A cell x becomes r = rint(x * 1e6);
+where that product lies farther from a half than its own rounding error and
+|r| < 1e15, r is exactly the 6-digit rounding of x, its value is r / 1e6 and
+its text is spelled from the digits of |r| as bytes, with "-" where r's sign
+bit is set (so -0.0 and -4e-7 both give "-0.000000"). A chunk of rows with any
+other cell (a near-tie, an exact tie such as 0.0078125, |x| >= 1e9, NaN or an
+infinity) is formatted by one `%`-format per row and parsed back, as is any
+array too small for the kernel to pay off; both give the same texts, floats
+and errors.
 """
 
 from __future__ import annotations
@@ -69,11 +79,105 @@ def float_rows(rows: Any) -> np.ndarray:
         raise
 
 
-def format_rows(array: np.ndarray) -> list[str]:
-    """The canonical text of each row of a 2-D float array, its cells joined
-    by commas: one `%`-format per row, by the rule decimal_string applies to
-    a float. NaN and infinities raise decimal_string's DomainError, for the
-    first in row order."""
+# Arrays of fewer cells than this are quantized by one `%`-format per row,
+# which costs about 0.5 us a cell; the micro-unit kernel below costs about
+# 45 us a call whatever its size, and breaks even near 100 cells (2-vCPU
+# host). Inference inputs and scores and the census model's bias rows
+# (at most 64 cells) stay on `%`; its weight matrices (384 cells and up)
+# and every dataset take the kernel.
+_BULK_CELLS = 128
+# The kernel works through an array in chunks of about this many cells, so
+# that its temporaries stay small: a 3,072-cell chunk holds at most 8 B and
+# 5 index words a cell. See CHANGES.md for the measurements behind it.
+_CHUNK_CELLS = 3072
+
+
+def _digit_words() -> np.ndarray:
+    """The kernel's table of 4-byte words, 1,000 to a block, each spelling
+    one group of three decimal digits g, NUL-padded (the NULs are dropped
+    from the text): the blocks are the group as the leading group of an
+    integer part (no leading zeros, nothing for 0), the same after a
+    minus sign, the group as a whole integer part (no leading zeros, "0"
+    for 0), the same after a minus sign, the group zero-padded, "." and the
+    first three fractional digits, and the last three fractional digits
+    followed by "," or by a newline."""
+    g = np.arange(1000)
+    digits = np.stack([g // 100, g // 10 % 10, g % 10], axis=1) + ord("0")
+    shown = np.stack([g >= 100, g >= 10, g >= 0], axis=1)
+    leading, whole = np.where(shown & (g[:, None] > 0), digits, 0), np.where(shown, digits, 0)
+    nul, minus, point, comma, newline = (np.full((1000, 1), ord(c)) for c in "\0-.,\n")
+    blocks = (
+        (nul, leading), (minus, leading), (nul, whole), (minus, whole),
+        (digits, nul), (point, digits), (digits, comma), (digits, newline),
+    )  # fmt: skip
+    return np.concatenate([np.hstack(block) for block in blocks]).astype(np.uint8).view("<u4").ravel()
+
+
+_WORDS = _digit_words()
+_LEADING, _MINUS, _WHOLE, _PADDED, _POINT, _COMMA, _NEWLINE = 0, 1000, 2000, 4000, 5000, 6000, 7000
+
+
+def micro_units(array: np.ndarray) -> np.ndarray | None:
+    """rint(x * 1e6) for every cell x of a float array, as floats, when each
+    is below 1e15 in magnitude and is the cell's exact 6-digit rounding;
+    None when any cell is not: a near-tie, an exact tie, |x| near or above
+    1e9, NaN or an infinity.
+
+    The product x * 1e6 is within |p| * 2^-53 of the exact one, and within
+    half the smallest subnormal when it is subnormal, so where it lies
+    farther than (|r| + 0.5) * 2^-53 from a half, the exact product rounds
+    to the same r. Such an r is the decimal that format(x, ".6f") spells,
+    in millionths, and r / 1e6 is the float that float() gives that text.
+    This is the one test that a number may take the micro-unit path."""
+    product = array * 1e6
+    micro = np.rint(product)
+    bound = np.abs(micro)
+    if not bound.max() < 1e15:
+        return None
+    slack = np.subtract(product, micro)
+    np.abs(slack, out=slack)
+    np.subtract(0.5, slack, out=slack)  # the distance to the nearest half
+    bound += 0.5  # at least |p|, and exact below 2^52
+    bound *= 2.0**-53
+    slack -= bound  # its sign is exactly the sign of the difference
+    return micro if slack.min() > 0 else None
+
+
+def micro_texts(micro: np.ndarray) -> list[str]:
+    """The canonical row texts of a 2-D array of micro-units below 1e15 in
+    magnitude, their cells joined by commas: "-" where the sign bit is set,
+    the integer part of |r| / 1e6 without leading zeros, ".", and its six
+    fractional digits. The digits are gathered from _WORDS three at a
+    time, as bytes."""
+    rows, k = micro.shape
+    magnitude = np.abs(micro).astype(np.int64)
+    whole = magnitude // 10**6
+    fraction = magnitude - whole * 10**6
+    top = int(whole.max())
+    groups = 1 if top < 10**3 else 2 if top < 10**6 else 3
+    words = np.empty((groups + 2, rows, k), np.intp)
+    scale = 1000 ** (groups - 1)
+    above = whole // scale  # the digits of the leading group
+    np.add(above, np.signbit(micro) * _MINUS, out=words[0])
+    if groups == 1:
+        words[0] += _WHOLE
+    for j in range(1, groups):
+        scale //= 1000
+        through = whole // scale  # the digits down to group j
+        np.add(through - above * 1000, np.where(above > 0, _PADDED, _WHOLE if j == groups - 1 else _LEADING), out=words[j])
+        above = through
+    high = fraction // 1000
+    np.add(high, _POINT, out=words[-2])
+    fraction -= high * 1000
+    np.add(fraction, np.where(np.arange(k) < k - 1, _COMMA, _NEWLINE), out=words[-1])
+    text = np.take(_WORDS, words.transpose(1, 2, 0)).tobytes().translate(None, b"\0")
+    return text.decode("ascii").split("\n")[:-1]
+
+
+def _percent_rows(array: np.ndarray) -> list[str]:
+    """format_rows by one `%`-format per row, by the rule decimal_string
+    applies to a float. NaN and infinities raise decimal_string's
+    DomainError, for the first in row order."""
     line = ",".join(["%.6f"] * array.shape[-1])
     texts = [line % tuple(row) for row in array.tolist()]
     if "n" in "".join(texts):  # "nan" or "inf": no finite number's text has an n
@@ -81,19 +185,63 @@ def format_rows(array: np.ndarray) -> list[str]:
     return texts
 
 
+def _parse_rows(texts: list[str], shape: tuple[int, ...]) -> np.ndarray:
+    """The float64 array the cells of the row texts parse to by one cast of
+    their strings (the float that float() gives each)."""
+    if not texts or not shape[-1]:  # rows of no cells, which join to bare commas
+        return np.empty(shape)
+    return np.array(",".join(texts).split(","), dtype=np.float64).reshape(shape)
+
+
+def _chunked_rows(array: np.ndarray, values: np.ndarray | None) -> list[str]:
+    """format_rows of a 2-D array, chunk by chunk: micro_texts where the
+    chunk's cells all pass micro_units, _percent_rows where any does not.
+    When `values` is given, each chunk's quantized floats are written into
+    it: r / 1e6, or the parsed texts."""
+    texts: list[str] = []
+    step = max(1, _CHUNK_CELLS // array.shape[1])
+    for start in range(0, len(array), step):
+        chunk = array[start : start + step]
+        micro = micro_units(chunk)
+        if micro is None:
+            chunk_texts = _percent_rows(chunk)
+            if values is not None:
+                values[start : start + step] = _parse_rows(chunk_texts, chunk.shape)
+        else:
+            chunk_texts = micro_texts(micro)
+            if values is not None:
+                np.divide(micro, 1e6, out=values[start : start + step])
+        texts += chunk_texts
+    return texts
+
+
+def format_rows(array: np.ndarray) -> list[str]:
+    """The canonical text of each row of a 2-D float array, its cells joined
+    by commas, by the rule decimal_string applies to a float: by the
+    micro-unit kernel (micro_units, micro_texts) in chunks where every cell
+    of the chunk is exact in micro-units, else by one `%`-format per row,
+    as for an array of fewer than _BULK_CELLS cells. NaN and infinities
+    raise decimal_string's DomainError, for the first in row order."""
+    if array.size < _BULK_CELLS:
+        return _percent_rows(array)
+    return _chunked_rows(array, None)
+
+
 def quantize_rows(rows: Any) -> tuple[list[str], np.ndarray]:
     """The row texts of format_rows, and the float64 array their cells parse
-    to by one cast of their strings (the float that float() gives each).
+    to (the float that float() gives each): r / 1e6 for a chunk the kernel
+    took, one cast of the strings for any other.
 
     The one quantizer of dataset features, model parameters and inference
     inputs and scores. It is idempotent, so a round trip through any canonical
     file gives back the same floats; a quantized array needs only format_rows.
     """
     array = float_rows(rows)
-    texts = format_rows(array)
-    if not array.size:  # rows of no cells, which join to bare commas
-        return texts, np.empty(array.shape)
-    return texts, np.array(",".join(texts).split(","), dtype=np.float64).reshape(array.shape)
+    if array.size < _BULK_CELLS:
+        texts = _percent_rows(array)
+        return texts, _parse_rows(texts, array.shape)
+    values = np.empty(array.shape)
+    return _chunked_rows(array, values), values
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,17 @@ The perturbation is applied in exact decimal arithmetic on the canonical
 feature strings, so |x' - x| equals eps digit-for-digit wherever the gradient
 sign is nonzero; no float round-trip can smear the bound.
 
-Two paths, chosen by the input. Where every feature is below 1e9 in
-magnitude and is the float of its own canonical cell, the cells move as whole
-arrays in integer micro-units, held exactly in float64: one addition per cell
-and one correctly rounded division give the float the decimal sum converts
-to, with the sign of a zero sum as Decimal gives it. Any other dataset, or an
-eps of 1e9 or more, is moved cell by cell in Decimal, from the cells
-`data.format_rows` formats, and the perturbed rows are built into a
-dataset by `Dataset.from_rows`, which quantizes them.
+Two paths, chosen by the input. Where every feature passes `data.micro_units`,
+the quantizer's test that a cell is exact in integer micro-units below 1e9,
+and eps is below 1e9, the cells move as whole arrays of micro-units, held
+exactly in float64: one addition per cell and one correctly rounded division
+give the float the decimal sum converts to, with the sign of a zero sum as
+Decimal gives it. The robust set's canonical CSV is formatted from its
+features by `data.format_rows` when first asked for, whose kernel gets those
+micro-units back from them. Any other
+dataset, or eps, is moved cell by cell in Decimal, from the cells
+`data.format_rows` formats, and the perturbed rows are built into a dataset by
+`Dataset.from_rows`, which quantizes them.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from ..errors import DomainError
 from ..hashcore import decimal_string, parse_decimal_string
-from .data import Dataset, format_rows
+from .data import Dataset, format_rows, micro_units
 from .model import Model, input_gradients
 
 
@@ -37,8 +40,8 @@ def fgsm_dataset(model: Model, dataset: Dataset, eps: str) -> Dataset:
     The base decimals are the cells of the source dataset's canonical CSV.
     On the Decimal path the robust set is built by Dataset.from_rows, and
     its canonical CSV is the quantizer's text of the perturbed rows; on the
-    micro-unit path it is formatted from the perturbed floats when first
-    asked for.
+    micro-unit path its features are the moved micro-units over 1e6, and
+    the CSV is formatted from their micro-units when first asked for.
     """
     if dataset.num_rows == 0:
         raise DomainError("cannot perturb an empty dataset")
@@ -54,22 +57,14 @@ def fgsm_dataset(model: Model, dataset: Dataset, eps: str) -> Dataset:
     grads = input_gradients(model, dataset.features, dataset.labels)
     signs = np.sign(grads)
 
-    # A float below 1e9 whose micro-units round-trip is the float of the
-    # decimal those micro-units spell, and its canonical cell spells them.
-    features = dataset.features
-    micro = np.rint(features * 1e6)
+    micro = micro_units(dataset.features)
     eps_micro = float(eps_dec.scaleb(6))
-    if abs(eps_micro) < 1e15 and (np.abs(micro) < 1e15).all() and np.array_equal(micro / 1e6, features):
-        moved = np.where(signs > 0, micro + eps_micro, micro - eps_micro) / 1e6
-        return Dataset(
-            schema=dataset.schema,
-            features=np.where((signs > 0) | (signs < 0), moved, features),
-            labels=dataset.labels,
-            sensitive=dataset.sensitive,
-        )
+    if micro is not None and eps_micro < 1e15:
+        moved = np.where(signs > 0, micro + eps_micro, np.where(signs < 0, micro - eps_micro, micro))
+        return Dataset(schema=dataset.schema, features=moved / 1e6, labels=dataset.labels, sensitive=dataset.sensitive)
 
     perturbed = []
-    for line, row_signs in zip(format_rows(features), signs.tolist()):
+    for line, row_signs in zip(format_rows(dataset.features), signs.tolist()):
         row = []
         for cell, s in zip(line.split(","), row_signs):
             if s > 0:

@@ -5,9 +5,12 @@ quantized values the file round-trips to. A trained model and a loaded model
 file are both built by `Model.from_float_params`, which quantizes every
 parameter with `data.quantize_rows`, the one quantizer; the model file is
 formatted from them by its formatting half, `data.format_rows`, and
-inference quantizes its input and its scores with it too. Training order is fixed (seeded init,
-seeded per-epoch shuffles, sequential batch updates), making the output a
-pure function of (dataset, config).
+inference quantizes its input and its scores with it too. Weight matrices of
+128 cells or more go through the quantizer's micro-unit kernel; bias rows,
+inference inputs and scores are mostly smaller and take one `%`-format per
+row. Training order is fixed (seeded init, seeded per-epoch shuffles,
+sequential batch updates), making the output a pure function of (dataset,
+config).
 
 The trainer keeps parameters, gradients and Adam moments in flat float64
 buffers, with per-layer views for the forward and backward passes, so each

@@ -2,8 +2,9 @@
 gives: bit-identical features, identical canonical CSV bytes, and the same
 exception, with the same message, for every cell it rejects. That holds for
 the whole-file loader of canonical CSVs and the row-by-row loader of any
-other, for FGSM's micro-unit and Decimal paths, and for model parameters,
-built from floats or loaded from a model file."""
+other, for FGSM's micro-unit and Decimal paths, for model parameters, built
+from floats or loaded from a model file, and for the quantizer's micro-unit
+kernel on arrays large enough to take it, chunk by chunk."""
 
 from __future__ import annotations
 
@@ -20,10 +21,12 @@ from engine_oracle import (
     reference_model_from_float_params,
     reference_model_from_json_bytes,
 )
-from lam.engine.data import Architecture, Dataset, _canonical_cells
+from lam.engine import data
+from lam.engine.data import _BULK_CELLS, _CHUNK_CELLS, Architecture, Dataset, _canonical_cells, format_rows, quantize_rows
 from lam.engine.fgsm import fgsm_dataset, input_gradients
 from lam.engine.model import Model
-from lam.hashcore import canonicalize
+from lam.engine.synth import census_split
+from lam.hashcore import canonicalize, decimal_string
 
 LOOSE_CELLS = [
     "1.5", "1e3", " 2.0 ", "+.5", "-0", "-0.0000004", "0.0000005", "1_0", "٥",
@@ -242,3 +245,100 @@ def test_model_file_loading_matches_the_round_trip_path(params):
     assert got_error == want_error
     if want is not None:
         _assert_same_model(got, want)
+
+
+# Cells the micro-unit kernel spells itself, the signed zeros among them.
+KERNEL_CELLS = [0.0, -0.0, -4e-7, 4e-7, 5e-324, -5e-324, 0.1, -123.456789, 999999999.999999, -999999999.999999]
+# Cells that send their whole chunk to one `%`-format per row: exact ties,
+# cells near or above 1e9, values past 2^53.
+ODD_128THS = [k / 128 for k in (1, -3, 5, 127, -255, 1025)]
+FALLBACK_CELLS = [*ODD_128THS, 1e9, -1e9, float(np.nextafter(1e9, 0)), 2.0**53 + 2, -(2.0**60), 1e300]
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@st.composite
+def bulk_arrays(draw, min_width: int = 1) -> np.ndarray:
+    """An array the kernel takes in two or three chunks: uniform cells at a
+    drawn scale with KERNEL_CELLS planted in every chunk; near-ties (the
+    float nearest a half micro-unit, and its neighbours) in some chunk; and
+    maybe a fallback cell and a non-finite one in chunks after the first."""
+    width = draw(st.integers(min_width, 13))
+    step = max(1, _CHUNK_CELLS // width)
+    rows = draw(st.integers(step + 1, 3 * step))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    array = rng.uniform(-1.0, 1.0, (rows, width)) * draw(st.sampled_from([1e-7, 1.0, 1e3, 1e6, 9e8]))
+    for start in range(0, rows, step):
+        chunk = array[start : start + step].reshape(-1)
+        planted = min(chunk.size, len(KERNEL_CELLS))
+        chunk[rng.choice(chunk.size, planted, replace=False)] = KERNEL_CELLS[:planted]
+    if draw(st.booleans()):
+        start = draw(st.sampled_from(range(0, rows, step)))
+        chunk = array[start : start + step].reshape(-1)
+        halves = (rng.integers(-(10**12), 10**12, 30) + 0.5) / 1e6
+        near = np.concatenate([halves, np.nextafter(halves, np.inf), np.nextafter(halves, -np.inf)])
+        planted = min(chunk.size, len(near))
+        chunk[rng.choice(chunk.size, planted, replace=False)] = near[:planted]
+    for cells in (FALLBACK_CELLS, NON_FINITE):
+        if draw(st.booleans()):
+            array[draw(st.integers(step, rows - 1)), draw(st.integers(0, width - 1))] = draw(st.sampled_from(cells))
+    return array
+
+
+def _reference_quantize(array: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """Each cell formatted by itself with format(v, ".6f"), the first
+    non-finite one in row order raising decimal_string's DomainError, and
+    parsed back by float()."""
+    cells = [[decimal_string(float(v)) for v in row] for row in array]
+    values = np.array([[float(cell) for cell in row] for row in cells], dtype=np.float64).reshape(array.shape)
+    return [",".join(row) for row in cells], values
+
+
+@settings(max_examples=60, deadline=None)
+@given(bulk_arrays())
+def test_bulk_quantizing_matches_the_round_trip_path(array):
+    assert array.size >= _BULK_CELLS and len(array) * array.shape[1] > _CHUNK_CELLS
+    got, got_error = _outcome(quantize_rows, array)
+    want, want_error = _outcome(_reference_quantize, array)
+    assert got_error == want_error
+    assert _outcome(format_rows, array)[1] == want_error
+    labels = [i % 3 for i in range(len(array))]
+    schema = tuple(f"f{i}" for i in range(array.shape[1]))
+    dataset, dataset_error = _outcome(Dataset.from_rows, schema, array, labels, labels)
+    assert dataset_error == want_error
+    if want is not None:
+        texts, values = got
+        assert texts == want[0]
+        assert _bits(values) == _bits(want[1])
+        assert format_rows(array) == format_rows(values) == texts
+        _assert_same_dataset(dataset, reference_from_rows(schema, array, labels, labels))
+        raw = Dataset(schema, array, np.array(labels), np.array(labels))  # formatted lazily
+        assert raw.canonical_bytes == dataset.canonical_bytes
+
+
+@settings(max_examples=15, deadline=None)
+@given(bulk_arrays(min_width=2))
+def test_bulk_weights_match_the_per_weight_path(array):
+    arch = Architecture(num_features=len(array), num_classes=array.shape[1], hidden=(), activation="relu")
+    params = [array], [np.zeros(array.shape[1])]
+    got, got_error = _outcome(Model.from_float_params, arch, *params)
+    want, want_error = _outcome(reference_model_from_float_params, arch, *params)
+    assert got_error == want_error
+    if want is not None:
+        _assert_same_model(got, want)
+
+
+def test_census_split_never_falls_back_to_percent_formatting(monkeypatch):
+    """The census features are all exact in micro-units, so every chunk of
+    both halves takes the kernel: a silent fallback would keep the bytes
+    and lose the speed."""
+    calls = {"_percent_rows": 0, "micro_texts": 0}
+    for name in calls:
+        def counting(*args, _name=name, _function=getattr(data, name)):
+            calls[_name] += 1
+            return _function(*args)
+
+        monkeypatch.setattr(data, name, counting)
+    train, test = census_split(6000, 2000, 2026)
+    assert calls["_percent_rows"] == 0
+    assert calls["micro_texts"] >= 8000 * 12 // _CHUNK_CELLS
+    assert train.num_rows == 6000 and test.num_rows == 2000

@@ -224,7 +224,7 @@ def test_make_external_certificate_names_the_claims_path():
     endorser = Endorser.create("acme", seed=b"e")
     with pytest.raises(CanonicalizationError) as err:
         make_external_certificate(endorser, hash_bytes(b"d"), "dataset", "d", {"a": [1, 0.5]})
-    assert err.value.path == "/a/1"
+    assert err.value.path == "/claims/a/1"
 
 
 def test_unknown_subject_kind_is_refused_when_signed_and_when_parsed(pipe):
