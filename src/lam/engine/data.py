@@ -79,10 +79,11 @@ def float_rows(rows: Any) -> np.ndarray:
         raise
 
 
-# Arrays of fewer cells than this are quantized by one `%`-format per row,
-# which costs about 0.5 us a cell; the micro-unit kernel below costs about
-# 45 us a call whatever its size, and breaks even near 100 cells (2-vCPU
-# host). Inference inputs and scores and the census model's bias rows
+# Arrays of fewer cells than this are quantized by one `%`-format per row
+# and a parse back, which costs about 0.26 us a cell; the micro-unit kernel
+# below costs about 21 us a call plus 0.03 us a cell, and breaks even near
+# 90 cells (2-vCPU host, rows of 12 and of 64 cells; the timings are in
+# CHANGES.md). Inference inputs and scores and the census model's bias rows
 # (at most 64 cells) stay on `%`; its weight matrices (384 cells and up)
 # and every dataset take the kernel.
 _BULK_CELLS = 128
@@ -174,14 +175,17 @@ def micro_texts(micro: np.ndarray) -> list[str]:
     return text.decode("ascii").split("\n")[:-1]
 
 
-def _percent_rows(array: np.ndarray) -> list[str]:
+def _percent_rows(array: np.ndarray, values: np.ndarray | None) -> list[str]:
     """format_rows by one `%`-format per row, by the rule decimal_string
     applies to a float. NaN and infinities raise decimal_string's
-    DomainError, for the first in row order."""
+    DomainError, for the first in row order. When `values` is given, the
+    floats the texts parse to are written into it."""
     line = ",".join(["%.6f"] * array.shape[-1])
     texts = [line % tuple(row) for row in array.tolist()]
     if "n" in "".join(texts):  # "nan" or "inf": no finite number's text has an n
         decimal_string(float(array[~np.isfinite(array)][0]))
+    if values is not None:
+        values[...] = _parse_rows(texts, array.shape)
     return texts
 
 
@@ -194,24 +198,25 @@ def _parse_rows(texts: list[str], shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _chunked_rows(array: np.ndarray, values: np.ndarray | None) -> list[str]:
-    """format_rows of a 2-D array, chunk by chunk: micro_texts where the
-    chunk's cells all pass micro_units, _percent_rows where any does not.
-    When `values` is given, each chunk's quantized floats are written into
-    it: r / 1e6, or the parsed texts."""
+    """format_rows of a 2-D array: by _percent_rows for an array of fewer
+    than _BULK_CELLS cells, else chunk by chunk, by micro_texts where the
+    chunk's cells all pass micro_units and by _percent_rows where any does
+    not. When `values` is given, each chunk's quantized floats are written
+    into it: r / 1e6, or the parsed texts."""
+    if array.size < _BULK_CELLS:
+        return _percent_rows(array, values)
     texts: list[str] = []
     step = max(1, _CHUNK_CELLS // array.shape[1])
     for start in range(0, len(array), step):
         chunk = array[start : start + step]
+        out = None if values is None else values[start : start + step]
         micro = micro_units(chunk)
         if micro is None:
-            chunk_texts = _percent_rows(chunk)
-            if values is not None:
-                values[start : start + step] = _parse_rows(chunk_texts, chunk.shape)
+            texts += _percent_rows(chunk, out)
         else:
-            chunk_texts = micro_texts(micro)
-            if values is not None:
-                np.divide(micro, 1e6, out=values[start : start + step])
-        texts += chunk_texts
+            texts += micro_texts(micro)
+            if out is not None:
+                np.divide(micro, 1e6, out=out)
     return texts
 
 
@@ -222,8 +227,6 @@ def format_rows(array: np.ndarray) -> list[str]:
     of the chunk is exact in micro-units, else by one `%`-format per row,
     as for an array of fewer than _BULK_CELLS cells. NaN and infinities
     raise decimal_string's DomainError, for the first in row order."""
-    if array.size < _BULK_CELLS:
-        return _percent_rows(array)
     return _chunked_rows(array, None)
 
 
@@ -237,9 +240,6 @@ def quantize_rows(rows: Any) -> tuple[list[str], np.ndarray]:
     file gives back the same floats; a quantized array needs only format_rows.
     """
     array = float_rows(rows)
-    if array.size < _BULK_CELLS:
-        texts = _percent_rows(array)
-        return texts, _parse_rows(texts, array.shape)
     values = np.empty(array.shape)
     return _chunked_rows(array, values), values
 
