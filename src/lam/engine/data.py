@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -93,6 +93,7 @@ _BULK_CELLS = 128
 _CHUNK_CELLS = 3072
 
 
+@cache
 def _digit_words() -> np.ndarray:
     """The kernel's table of 4-byte words, 1,000 to a block, each spelling
     one group of three decimal digits g, NUL-padded (the NULs are dropped
@@ -101,20 +102,20 @@ def _digit_words() -> np.ndarray:
     minus sign, the group as a whole integer part (no leading zeros, "0"
     for 0), the same after a minus sign, the group zero-padded, "." and the
     first three fractional digits, and the last three fractional digits
-    followed by "," or by a newline."""
+    followed by "," or by a newline. Built on first use, so a process
+    that never quantizes a large array does not hold it."""
     g = np.arange(1000)
-    digits = np.stack([g // 100, g // 10 % 10, g % 10], axis=1) + ord("0")
+    digits = (np.stack([g // 100, g // 10 % 10, g % 10], axis=1) + ord("0")).astype(np.uint8)
     shown = np.stack([g >= 100, g >= 10, g >= 0], axis=1)
     leading, whole = np.where(shown & (g[:, None] > 0), digits, 0), np.where(shown, digits, 0)
-    nul, minus, point, comma, newline = (np.full((1000, 1), ord(c)) for c in "\0-.,\n")
+    nul, minus, point, comma, newline = (np.full((1000, 1), ord(c), np.uint8) for c in "\0-.,\n")
     blocks = (
         (nul, leading), (minus, leading), (nul, whole), (minus, whole),
         (digits, nul), (point, digits), (digits, comma), (digits, newline),
     )  # fmt: skip
-    return np.concatenate([np.hstack(block) for block in blocks]).astype(np.uint8).view("<u4").ravel()
+    return np.concatenate([np.hstack(block) for block in blocks]).view("<u4").ravel()
 
 
-_WORDS = _digit_words()
 _LEADING, _MINUS, _WHOLE, _PADDED, _POINT, _COMMA, _NEWLINE = 0, 1000, 2000, 4000, 5000, 6000, 7000
 
 
@@ -148,7 +149,7 @@ def micro_texts(micro: np.ndarray) -> list[str]:
     """The canonical row texts of a 2-D array of micro-units below 1e15 in
     magnitude, their cells joined by commas: "-" where the sign bit is set,
     the integer part of |r| / 1e6 without leading zeros, ".", and its six
-    fractional digits. The digits are gathered from _WORDS three at a
+    fractional digits. The digits are gathered from _digit_words three at a
     time, as bytes."""
     rows, k = micro.shape
     magnitude = np.abs(micro).astype(np.int64)
@@ -171,7 +172,7 @@ def micro_texts(micro: np.ndarray) -> list[str]:
     np.add(high, _POINT, out=words[-2])
     fraction -= high * 1000
     np.add(fraction, np.where(np.arange(k) < k - 1, _COMMA, _NEWLINE), out=words[-1])
-    text = np.take(_WORDS, words.transpose(1, 2, 0)).tobytes().translate(None, b"\0")
+    text = np.take(_digit_words(), words.transpose(1, 2, 0)).tobytes().translate(None, b"\0")
     return text.decode("ascii").split("\n")[:-1]
 
 
