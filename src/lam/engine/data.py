@@ -176,17 +176,14 @@ def micro_texts(micro: np.ndarray) -> list[str]:
     return text.decode("ascii").split("\n")[:-1]
 
 
-def _percent_rows(array: np.ndarray, values: np.ndarray | None) -> list[str]:
+def _percent_rows(array: np.ndarray) -> list[str]:
     """format_rows by one `%`-format per row, by the rule decimal_string
     applies to a float. NaN and infinities raise decimal_string's
-    DomainError, for the first in row order. When `values` is given, the
-    floats the texts parse to are written into it."""
+    DomainError, for the first in row order."""
     line = ",".join(["%.6f"] * array.shape[-1])
     texts = [line % tuple(row) for row in array.tolist()]
     if "n" in "".join(texts):  # "nan" or "inf": no finite number's text has an n
         decimal_string(float(array[~np.isfinite(array)][0]))
-    if values is not None:
-        values[...] = _parse_rows(texts, array.shape)
     return texts
 
 
@@ -198,27 +195,31 @@ def _parse_rows(texts: list[str], shape: tuple[int, ...]) -> np.ndarray:
     return np.array(",".join(texts).split(","), dtype=np.float64).reshape(shape)
 
 
-def _chunked_rows(array: np.ndarray, values: np.ndarray | None) -> list[str]:
-    """format_rows of a 2-D array: by _percent_rows for an array of fewer
-    than _BULK_CELLS cells, else chunk by chunk, by micro_texts where the
-    chunk's cells all pass micro_units and by _percent_rows where any does
-    not. When `values` is given, each chunk's quantized floats are written
-    into it: r / 1e6, or the parsed texts."""
+def _quantized_rows(array: np.ndarray, parse: bool) -> tuple[list[str], np.ndarray | None]:
+    """format_rows of a 2-D array and, when `parse` is set, the floats its
+    texts parse to. An array of fewer than _BULK_CELLS cells is one
+    _percent_rows chunk; a larger one is taken chunk by chunk, by
+    micro_texts and r / 1e6 where the chunk's cells all pass micro_units
+    and by _percent_rows where any does not."""
     if array.size < _BULK_CELLS:
-        return _percent_rows(array, values)
+        texts = _percent_rows(array)
+        return texts, _parse_rows(texts, array.shape) if parse else None
     texts: list[str] = []
+    values = np.empty(array.shape) if parse else None
     step = max(1, _CHUNK_CELLS // array.shape[1])
     for start in range(0, len(array), step):
         chunk = array[start : start + step]
-        out = None if values is None else values[start : start + step]
         micro = micro_units(chunk)
         if micro is None:
-            texts += _percent_rows(chunk, out)
+            chunk_texts = _percent_rows(chunk)
+            if values is not None:
+                values[start : start + step] = _parse_rows(chunk_texts, chunk.shape)
         else:
-            texts += micro_texts(micro)
-            if out is not None:
-                np.divide(micro, 1e6, out=out)
-    return texts
+            chunk_texts = micro_texts(micro)
+            if values is not None:
+                np.divide(micro, 1e6, out=values[start : start + step])
+        texts += chunk_texts
+    return texts, values
 
 
 def format_rows(array: np.ndarray) -> list[str]:
@@ -228,7 +229,7 @@ def format_rows(array: np.ndarray) -> list[str]:
     of the chunk is exact in micro-units, else by one `%`-format per row,
     as for an array of fewer than _BULK_CELLS cells. NaN and infinities
     raise decimal_string's DomainError, for the first in row order."""
-    return _chunked_rows(array, None)
+    return _quantized_rows(array, False)[0]
 
 
 def quantize_rows(rows: Any) -> tuple[list[str], np.ndarray]:
@@ -240,9 +241,7 @@ def quantize_rows(rows: Any) -> tuple[list[str], np.ndarray]:
     inputs and scores. It is idempotent, so a round trip through any canonical
     file gives back the same floats; a quantized array needs only format_rows.
     """
-    array = float_rows(rows)
-    values = np.empty(array.shape)
-    return _chunked_rows(array, values), values
+    return _quantized_rows(float_rows(rows), True)
 
 
 @dataclass(frozen=True)
