@@ -204,7 +204,7 @@ def _quantized_rows(array: np.ndarray, parse: bool) -> tuple[list[str], np.ndarr
     if array.size < _BULK_CELLS:
         texts = _percent_rows(array)
         return texts, _parse_rows(texts, array.shape) if parse else None
-    texts: list[str] = []
+    texts = []
     values = np.empty(array.shape) if parse else None
     step = max(1, _CHUNK_CELLS // array.shape[1])
     for start in range(0, len(array), step):
