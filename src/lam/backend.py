@@ -154,7 +154,7 @@ class Signed(Record):
 
     def signed_bytes(self) -> bytes:
         """The canonical JSON of the wire form without the signature field."""
-        return record_bytes(self, without=self.signature_field)
+        return record_bytes(self, without={self.signature_field})
 
     @classmethod
     def signed_by(cls: type[_S], private_key: Ed25519PrivateKey, *args: Any, **fields: Any) -> _S:

@@ -22,7 +22,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from .backend import Signed, check_signatures, key_from_seed, public_hex
 from .errors import InvalidCertificationError, LamError
 from .fragments import ATT_TYPES, builtin_template
-from .hashcore import Digest, canonicalize, in_file, read_canonical, read_entries, records_bytes
+from .hashcore import Digest, in_file, read_canonical, read_entries, record_bytes, records_bytes
 
 SUBJECT_KINDS = ("dataset", "model")
 
@@ -72,9 +72,7 @@ class Certification(Signed):
     record_name = "certification"
 
     def signed_bytes(self) -> bytes:
-        return canonicalize(
-            {"enclave_measurement": self.enclave_measurement.hex, "template": self.template}
-        )
+        return record_bytes(self, without={"endorser_id", "signature"})
 
     @cached_property
     def template_error(self) -> InvalidCertificationError | None:

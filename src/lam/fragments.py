@@ -15,6 +15,7 @@ Nothing here runs a model: the measurers (lam.measurers) and the ML engine
 from __future__ import annotations
 
 import base64
+from binascii import b2a_base64
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -152,7 +153,7 @@ class AttestationEnvelope:
     def json_bytes(self, quote: bytes, tail: bytes = b"") -> bytes:
         """The envelope's canonical JSON object, given its quote's canonical
         bytes, with `tail` before its closing brace."""
-        return b'{"payload_b64":"%s","quote":%s%s}' % (base64.b64encode(self.payload), quote, tail)
+        return b'{"payload_b64":"%s","quote":%s%s}' % (b2a_base64(self.payload, newline=False), quote, tail)
 
     def file_bytes(self) -> bytes:
         """The envelope file: its JSON object and version, a quote that

@@ -13,9 +13,11 @@ Three commitments live here and nowhere else:
 
 Every JSON record (quotes, certificates, certifications, training configs
 and model files) is a Record, read from its JSON value by record_fields and
-written, as canonical bytes only, by record_bytes, the one writer of
-records, both driven by its field annotations alone; a write error names
-the field's JSON pointer, then the path inside it. object_keys
+written, as canonical bytes only, by record_bytes, both driven by its field
+annotations alone. The one writer of records is generated, on first write,
+for each record type (and set of fields left out) from its field table: one
+straight-line template % (...) of the fields. A write error names the
+field's JSON pointer, then the path inside it. object_keys
 is the one rule for a JSON object with exactly a given set of keys, records
 and the envelope, bundle, trust file and inference input objects alike.
 in_file is the one rule naming a file in an error (a `: path` suffix),
@@ -31,10 +33,12 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from binascii import hexlify
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from functools import cache, cached_property
+from json.encoder import encode_basestring
 from math import isfinite
 from pathlib import Path
 from typing import AbstractSet, Any, Callable, ClassVar, Iterable, Iterator, Mapping, Sequence, TypeVar, get_type_hints
@@ -151,12 +155,42 @@ def _field_table(cls: type) -> tuple[frozenset[str], tuple[tuple[str, _Codec, _C
 
 
 @cache
-def _bytes_template(cls: type, without: str | None) -> tuple[bytes, tuple[tuple[str, _Codec], ...]]:
-    """The canonical bytes of a `cls` record less the field `without`, %s
-    for each field value, and (name, bytes writer) of each, sorted by name."""
-    writers = sorted((name, write) for name, _, write in _field_table(cls)[1] if name != without)
-    keys = (_ENCODER.encode(name).encode("utf-8") + b":%s" for name, _ in writers)
-    return b"{" + b",".join(keys) + b"}", tuple(writers)
+def _sorted_writers(cls: type, without: frozenset[str]) -> tuple[tuple[str, _Codec], ...]:
+    """(name, bytes writer) of each field of a `cls` record but those
+    `without`, sorted by name, the key order of its canonical bytes."""
+    return tuple(sorted((name, write) for name, _, write in _field_table(cls)[1] if name not in without))
+
+
+# How a generated writer fills the field of a record with one of these bytes
+# writers straight from its attribute {v}: the field's slot in the template,
+# and the expression that fills it. A value of another type goes to the
+# field's writer {w}, so a bytearray or memoryview in a bytes field, which
+# hexlify would take, still raises bytes.hex's TypeError.
+_INLINE: dict[_Codec, tuple[bytes, str]] = {
+    _FIELD_CODECS[Digest][1]: (b'"%s"', "_hexlify({v}.value)"),
+    _FIELD_CODECS[bytes][1]: (b'"%s"', "(_hexlify({v}) if type({v}) is bytes else {w}({v}, memo)[1:-1])"),
+    _FIELD_CODECS[str][1]: (b"%s", "(_quote({v}).encode() if type({v}) is str else {w}({v}, memo))"),
+}
+
+
+@cache
+def _writer(cls: type, without: frozenset[str]) -> Callable[[Any, dict[int, bytes]], bytes]:
+    """The bytes writer of a `cls` record less the fields `without`, given
+    the memo of record_bytes: one `template % (...)` of its fields in key
+    order, each read as an attribute, generated from the field table on
+    first use, as dataclasses generates __init__. Only field names, which
+    are identifiers, enter its source; the template and writers are in its
+    namespace."""
+    slots, values = [], []
+    namespace: dict[str, Any] = {"_hexlify": hexlify, "_quote": encode_basestring}
+    for i, (name, write) in enumerate(_sorted_writers(cls, without)):
+        slot, value = _INLINE.get(write, (b"%s", "{w}({v}, memo)"))
+        slots.append(_ENCODER.encode(name).encode("utf-8") + b":" + slot)
+        values.append(value.format(v=f"r.{name}", w=f"_w{i}") + ",")
+        namespace[f"_w{i}"] = write
+    namespace["_template"] = b"{" + b",".join(slots) + b"}"
+    exec(f"def write(r, memo):\n    return _template % ({' '.join(values)})\n", namespace)
+    return namespace["write"]
 
 
 def object_keys(value: Any, keys: AbstractSet[str], name: str) -> None:
@@ -193,18 +227,20 @@ def record_fields(cls: type, value: Any, record: str, given: Mapping[str, Any] =
     return parsed
 
 
-def record_bytes(record: Any, memo: dict[int, bytes] | None = None, without: str | None = None) -> bytes:
-    """The canonical bytes of the record's JSON object, less the field
-    `without`, written from its field table; a nested record once per `memo`
-    (id to bytes), which a caller writing many records keeps for one write.
+def record_bytes(record: Any, memo: dict[int, bytes] | None = None, without: AbstractSet[str] = frozenset()) -> bytes:
+    """The canonical bytes of the record's JSON object, less the fields
+    `without`, written by the one writer generated for its type from its
+    field table (see _writer); a nested record once per `memo` (id to
+    bytes), which a caller writing many records keeps for one write.
     With no memo, a field that cannot be written raises CanonicalizationError
     at its name then the path inside it, looked for in key order only once
     the write has failed; with one, the caller names it (records_bytes)."""
+    without = frozenset(without)
     if memo is None:
         try:
             return record_bytes(record, {}, without)
         except (CanonicalizationError, UnicodeEncodeError):
-            for name, write in _bytes_template(type(record), without)[1]:
+            for name, write in _sorted_writers(type(record), without):
                 value = getattr(record, name)
                 try:
                     record_bytes(value) if write is _record else write(value, {})
@@ -213,8 +249,7 @@ def record_bytes(record: Any, memo: dict[int, bytes] | None = None, without: str
                 except CanonicalizationError as exc:
                     raise CanonicalizationError(f"/{name}{exc.path}", exc.reason) from None
             raise
-    template, writers = _bytes_template(type(record), without)
-    return template % tuple([write(getattr(record, name), memo) for name, write in writers])
+    return _writer(type(record), without)(record, memo)
 
 
 def records_bytes(records: Sequence[Any], at: str) -> Iterator[bytes]:

@@ -1,6 +1,7 @@
 """The verifier side runs no model: `lam verify`, `lam bundle`, `lam endorse
 enclave --enclave-kind` and `lam keygen` load neither numpy nor the ML engine
-(`lam.engine`, and `lam.measurers`, which runs it). Only `lam attest` does."""
+(`lam.engine`, and `lam.measurers`, which runs it). Only `lam attest` does.
+Importing the CLI generates no record writer: each is generated on first write."""
 
 from __future__ import annotations
 
@@ -54,3 +55,13 @@ def test_verifier_side_commands_load_no_ml_engine(cli_ws, tmp_path):  # noqa: F8
     assert json.loads(result.stdout.splitlines()[-1]) == []
     assert (tmp_path / "cards" / "chain_report.json").exists()
     assert (tmp_path / "bundle.json").read_bytes() == (ws / "bundle.json").read_bytes()
+
+
+def test_importing_the_cli_generates_no_record_writer():
+    script = "import lam.cli, lam.hashcore; print(lam.hashcore._writer.cache_info().currsize)"
+    src = str(Path(lam.__file__).parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=False
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "0"

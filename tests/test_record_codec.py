@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import ast
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Any, get_type_hints
 
@@ -136,6 +136,7 @@ def test_no_record_spells_its_own_wire_form():
     records = _subclasses(Record)
     signed = {Signed, PlatformCertificate, Quote, Certification, ExternalCertificate}
     assert signed | {Architecture, TrainingConfig, _ModelFile} <= records
+    assert _subclasses(Signed) == signed  # each has a strategy in RECORDS, which the properties draw from
     for cls in records - {Record}:
         assert "to_json_value" not in vars(cls), cls.__name__
         assert "from_json_value" not in vars(cls), cls.__name__
@@ -157,13 +158,19 @@ def _signed_value(record: Signed) -> dict[str, Any]:
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_record_bytes_are_the_canonical_json_value(kind, data):
-    """The one bytes writer gives canonicalize's bytes for every record
-    kind, and signed_bytes is the wire form without the signature field
-    wherever a record does not define its own signed message."""
+    """The one bytes writer gives canonicalize's bytes for every record kind."""
     record = data.draw(RECORDS[kind])
     assert record_bytes(record) == record.canonical_bytes == canonicalize(json_value(record))
-    if isinstance(record, Signed) and "signed_bytes" not in vars(type(record)):
-        assert record.signed_bytes() == canonicalize(_signed_value(record))
+
+
+# Every Signed class but the quote, which signs its raw measurement, report
+# data and debug flag (test_no_record_spells_its_own_wire_form holds the list).
+@pytest.mark.parametrize("kind", ["platform-certificate", "certification", "external-certificate"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_signed_bytes_are_the_canonical_json_value_less_the_signed_out_fields(kind, data):
+    record = data.draw(RECORDS[kind])
+    assert record.signed_bytes() == canonicalize(_signed_value(record))
 
 
 def _written(bundle: AssertionBundle) -> bytes:
@@ -214,6 +221,47 @@ def test_write_errors_name_their_path_in_the_whole_value():
     ]
     for write, message in cases:
         assert _write_error(write) == message
+
+
+class _Text(str):
+    pass
+
+
+class _Bytes(bytes):
+    pass
+
+
+def test_the_generated_writer_keeps_each_field_type_rule():
+    """The writer generated for a record type reads each field straight from
+    its attribute, yet a value of the wrong type in a field is written, or
+    refused, as canonicalize of the reference JSON value writes or refuses
+    it, with a memo or without."""
+    cert = PlatformCertificate(platform_id="p", pubkey="k", root_signature=b"\x01")
+    digest = Digest(bytes(32))
+    external = ExternalCertificate(digest, "dataset", "d", {}, "acme", b"\x03")
+    for record in (
+        replace(cert, platform_id=_Text("p")),
+        replace(cert, root_signature=_Bytes(b"\x01")),
+        replace(cert, pubkey=["k", 1, None]),
+        replace(external, name=_Text("d\u00e9")),
+    ):
+        assert record_bytes(record) == record_bytes(record, {}) == canonicalize(json_value(record))
+    for bad in (bytearray(b"\x01"), memoryview(b"\x01")):  # hexlify alone would take either
+        for write in (record_bytes, lambda record: record_bytes(record, {})):
+            with pytest.raises(TypeError):
+                write(replace(cert, root_signature=bad))
+            with pytest.raises(TypeError):
+                write(replace(external, signature=bad))
+    for bad in (digest.hex, digest.value, None):  # not a Digest: no value to write
+        with pytest.raises(AttributeError):
+            record_bytes(replace(external, subject_sha256=bad))
+    surrogate = "string holds a lone surrogate, which UTF-8 cannot encode at "
+    for name in ("platform_id", "pubkey"):
+        record = replace(cert, **{name: "a\ud800"})
+        assert _outcome(lambda: record_bytes(record)) == surrogate + "/" + name
+        assert _outcome(lambda: canonicalize(json_value(record))) == surrogate + "/" + name
+        with pytest.raises(UnicodeEncodeError):  # named by the caller that keeps the memo
+            record_bytes(record, {})
 
 
 def test_writing_a_bundle_twice_changes_no_record(tmp_path):
