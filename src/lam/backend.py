@@ -11,12 +11,12 @@ Every signed record (platform certificate, quote, certification, external
 certificate) is a Signed, a hashcore.Record, read from its field
 annotations and written by hashcore.record_bytes, the one writer of records
 (a field it cannot write is named by its JSON pointer), and which signs its
-canonical bytes less the signature: made by signed_by, checked by
-verifies_under or in bulk by check_signatures, its verdicts memoized per
-key; forked children share a large bulk check through verdict slots in
-shared memory, and start_signature_checks leaves verdicts pending there
-until asked for. Nothing else signs. verify_quote answers None for a quote
-it accepts, else its reason.
+canonical bytes less the signature: made by signed_by and checked one way.
+check_signatures starts every bulk check: it checks and memoizes each
+verdict at once, or, for a large check, leaves it pending in a verdict slot
+in shared memory that forked children fill. verifies_under answers every
+question from that memo, taking a pending verdict from its slot. Nothing
+else signs. verify_quote answers None for a quote it accepts, else its reason.
 
 Quotes carry no nonce or timestamp: every attested payload binds content
 digests only, so replaying a genuine quote re-asserts a true statement.
@@ -31,7 +31,7 @@ import signal
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import Any, Callable, ClassVar, Iterable, Sequence, TypeVar
+from typing import Any, Callable, ClassVar, Iterable, TypeVar
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
@@ -40,7 +40,7 @@ from .errors import LamError
 from .hashcore import Digest, Record, TrustedManifest, hash_bytes, record_bytes
 
 SIG_ALG = "ed25519"
-# Fewest signatures verify_signatures splits across CPUs; each slice then
+# Fewest signatures check_signatures splits across CPUs; each slice then
 # holds at least half this many, so a fork pays for itself many times over.
 PARALLEL_MIN = 512
 
@@ -57,9 +57,11 @@ EnclaveMeasurement = Digest
 def key_from_seed(seed: bytes | str | None) -> Ed25519PrivateKey:
     """The Ed25519 key whose private bytes are the SHA-256 of the seed (a str
     seed as UTF-8), so seeded keys are reproducible; without a seed, a key
-    from OS entropy."""
+    from OS entropy. An empty seed is refused for every role."""
     if seed is None:
         seed = os.urandom(32)
+    elif not seed:
+        raise LamError("key seed must be nonempty")
     elif isinstance(seed, str):
         seed = seed.encode("utf-8")
     return Ed25519PrivateKey.from_private_bytes(hashlib.sha256(seed).digest())
@@ -75,16 +77,6 @@ def _verify_hex(pubkey_hex: str, signature: bytes, message: bytes) -> bool:
         return True
     except (InvalidSignature, ValueError, TypeError):
         return False
-
-
-def verify_signatures(triples: Sequence[tuple[str, bytes, bytes]]) -> list[bool]:
-    """The Ed25519 verdict of each (public key hex, signature, message), in
-    order. Forked children check them too when _fork_checks allows; this
-    process then checks only the verdicts no child has filled when it takes them."""
-    slots = _fork_checks(len(triples), lambda i: _verify_hex(*triples[i]))
-    if slots is None:
-        return [_verify_hex(*t) for t in triples]
-    return [slots.take(i, _verify_hex, *t) for i, t in enumerate(triples)]
 
 
 def _fork_checks(count: int, check: Callable[[int], bool]) -> _Slots | None:
@@ -166,8 +158,8 @@ class Signed(Record):
 
     def _verdict(self, pubkey_hex: str) -> bool | None:
         """The memoized verdict under the key, or None if not yet checked; a
-        verdict pending in forked children (start_signature_checks) is
-        taken from its slot, and memoized, when first asked for."""
+        verdict pending in forked children (check_signatures) is taken from
+        its slot, and memoized, when first asked for."""
         verdict = vars(self).get(_VERDICT + pubkey_hex)
         if type(verdict) is tuple:  # (slots, index)
             slots, i = verdict
@@ -177,33 +169,23 @@ class Signed(Record):
     def verifies_under(self, pubkey_hex: str) -> bool:
         """Whether the signature verifies under the public key (hex); memoized per key."""
         verdict = self._verdict(pubkey_hex)
-        return check_signatures([(self, pubkey_hex)])[0] if verdict is None else verdict
+        if verdict is None:
+            check_signatures([(self, pubkey_hex)])
+            verdict = self._verdict(pubkey_hex)
+        return verdict
 
 
-def check_signatures(pairs: Sequence[tuple[Signed, str | None]]) -> list[bool]:
-    """Whether each record's signature verifies under its public key (hex),
-    in order; a None key is a False verdict, not memoized. Every verdict not
-    yet memoized is checked in one verify_signatures call and memoized."""
-    verdicts = [key is not None and record._verdict(key) for record, key in pairs]
-    pending = [i for i, verdict in enumerate(verdicts) if verdict is None]
-    if pending:
-        unchecked = [pairs[i] for i in pending]
-        triples = [(key, getattr(record, record.signature_field), record.signed_bytes()) for record, key in unchecked]
-        for i, (record, key), verdict in zip(pending, unchecked, verify_signatures(triples)):
-            vars(record)[_VERDICT + key] = verdicts[i] = verdict
-    return verdicts
-
-
-def start_signature_checks(pairs: Sequence[tuple[Signed, str]]) -> None:
-    """Check each record's signature under its public key (hex) now, by
-    check_signatures, or in forked children when _fork_checks allows, each
-    record's memo entry then marked pending on its slot until asked for."""
-    slots = _fork_checks(len(pairs), lambda i: _verifies(*pairs[i]))
-    if slots is None:
-        check_signatures(pairs)
+def check_signatures(pairs: Iterable[tuple[Signed, str | None]]) -> None:
+    """Check the signature of each record under its public key (hex), if it
+    has a key and no verdict under it yet: in forked children when
+    _fork_checks allows, each verdict then pending on its slot until
+    verifies_under asks for it, else here, each verdict memoized at once."""
+    todo = [(record, key) for record, key in pairs if key is not None and _VERDICT + key not in vars(record)]
+    if not todo:
         return
-    for i, (record, key) in enumerate(pairs):
-        vars(record)[_VERDICT + key] = (slots, i)
+    slots = _fork_checks(len(todo), lambda i: _verifies(*todo[i]))
+    for i, (record, key) in enumerate(todo):
+        vars(record)[_VERDICT + key] = _verifies(record, key) if slots is None else (slots, i)
 
 
 def _verifies(record: Signed, pubkey_hex: str) -> bool:
@@ -257,8 +239,6 @@ class Quote(Signed):
 
 def create_root(seed: bytes | str | None = None) -> ManufacturerRoot:
     """Manufacturer root keypair (from the seed, else OS entropy) plus its self-signed certificate."""
-    if seed is not None and not seed:
-        raise LamError("root seed must be nonempty")
     private = key_from_seed(seed)
     certificate = PlatformCertificate.signed_by(private, "manufacturer-root", public_hex(private))
     return ManufacturerRoot(private_key=private, public_hex=certificate.pubkey, certificate=certificate)

@@ -22,7 +22,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from .backend import Signed, check_signatures, key_from_seed, public_hex
 from .errors import InvalidCertificationError, LamError
 from .fragments import ATT_TYPES, builtin_template
-from .hashcore import Digest, in_file, read_canonical, read_entries, record_bytes, records_bytes
+from .hashcore import Digest, in_file, read_canonical, read_entries, record_bytes, records_bytes, write_file
 
 SUBJECT_KINDS = ("dataset", "model")
 
@@ -186,7 +186,7 @@ class CertificationStore:
     def save(self, path: str | Path) -> None:
         """Write the store file, its certifications in store order, one that
         cannot be written named by records_bytes before any file is written."""
-        Path(path).write_bytes(b"[%s]" % b",".join(records_bytes(self._all, "/{}")))
+        write_file(path, b"[%s]" % b",".join(records_bytes(self._all, "/{}")))
 
     @classmethod
     def read_unverified(cls, path: str | Path) -> "CertificationStore":
@@ -207,8 +207,10 @@ class CertificationStore:
         whose signature does not verify under a registered endorser key."""
         store = cls.read_unverified(path)
         keyed = [(cert, endorser_keys.get(cert.endorser_id)) for cert in store._all]
+        check_signatures(keyed)
+        verdicts = [pubkey is not None and cert.verifies_under(pubkey) for cert, pubkey in keyed]
         with in_file(path):
-            for (cert, pubkey), verdict in zip(keyed, check_signatures(keyed)):
+            for (cert, pubkey), verdict in zip(keyed, verdicts):
                 if pubkey is None:
                     raise LamError(f"certification by unknown endorser {cert.endorser_id!r}")
                 if not verdict:

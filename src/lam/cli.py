@@ -44,6 +44,7 @@ from .hashcore import (
     read_canonical,
     read_file_once,
     unique_keys,
+    write_file,
 )
 from .verifier import AssertionBundle, verify_bundle
 
@@ -107,8 +108,7 @@ class Workspace:
         return read_canonical(self.trust_file, _trust) if self.trust_file.exists() else _trust({})
 
     def save_trust(self, trust: dict[str, Any]) -> None:
-        self.keys.mkdir(parents=True, exist_ok=True)
-        self.trust_file.write_bytes(canonicalize(trust))
+        write_file(self.trust_file, canonicalize(trust))
 
     def _private_key(self, stem: str, missing: str) -> Ed25519PrivateKey:
         """The key in keys/<stem>.key (64 hex digits); WorkspaceError with
@@ -169,8 +169,7 @@ class Workspace:
 def _write_guarded(path: Path, data: bytes, force: bool) -> None:
     if path.exists() and not force:
         raise WorkspaceError(f"refusing to overwrite {path} (use --force)")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(data)
+    write_file(path, data)
 
 
 # --- keygen -------------------------------------------------------------------
@@ -420,7 +419,6 @@ def cmd_bundle(args: argparse.Namespace) -> int:
     externals = [m for m in members if isinstance(m, ExternalCertificate)]
     bundle = AssertionBundle(envelopes=tuple(envelopes), external_certificates=tuple(externals))
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     bundle.write(out)
     print(f"bundled {len(envelopes)} envelope(s) + {len(externals)} certificate(s) -> {out}")
     return EXIT_OK
@@ -451,12 +449,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         status = "ok" if ok else "REJECT bad-signature"
         print(f"external certificate {cert.name!r} by {cert.endorser_id}: {status}")
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "chain_report.json"
-    report_path.write_bytes(result.report.canonical_bytes())
+    write_file(report_path, result.report.canonical_bytes())
     print(f"wrote {report_path}")
     for path, text in cards:
-        path.write_bytes(text)
+        write_file(path, text)
         print(f"wrote {path}")
 
     for model_hex, entry in result.report.models.items():

@@ -16,6 +16,10 @@ class FileReadError(LamError):
     """A file could not be read; the message names the path."""
 
 
+class FileWriteError(LamError):
+    """A file could not be written; the message names the path."""
+
+
 class PathError(LamError):
     """An error at `path`, a JSON pointer into a value, which the message
     names as an `at <path>` suffix ("/" for the whole value) after its

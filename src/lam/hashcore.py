@@ -22,7 +22,8 @@ is the one rule for a JSON object with exactly a given set of keys, records
 and the envelope, bundle, trust file and inference input objects alike.
 in_file is the one rule naming a file in an error (a `: path` suffix),
 read_entries the one naming an entry of a JSON array (a `name i: ` prefix),
-and read_canonical, which uses in_file, the one reader of a JSON file.
+read_canonical, which uses in_file, the one reader of a JSON file, and
+write_file the one writer of a file, naming it when it cannot be written.
 parse_canonical_exact, the verifier's check of each payload, first decodes
 with no per-object hook and falls back on parse_canonical's rules only when
 the bytes are not canonical, so a canonical payload runs no Python per object.
@@ -34,7 +35,7 @@ import hashlib
 import json
 import sys
 from binascii import hexlify
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from functools import cache, cached_property
@@ -43,7 +44,7 @@ from math import isfinite
 from pathlib import Path
 from typing import AbstractSet, Any, Callable, ClassVar, Iterable, Iterator, Mapping, Sequence, TypeVar, get_type_hints
 
-from .errors import CanonicalizationError, DomainError, FileReadError, LamError, ManifestMismatchError
+from .errors import CanonicalizationError, DomainError, FileReadError, FileWriteError, LamError, ManifestMismatchError
 
 _QUANTUM = Decimal("0.000001")
 
@@ -314,6 +315,20 @@ def read_file_once(path: str | Path) -> bytes:
             return fh.read()
     except OSError as exc:
         raise FileReadError(f"cannot read {p}: {exc.strerror or exc}") from exc
+
+
+def write_file(path: str | Path, *chunks: bytes) -> None:
+    """Write the chunks to a file, making its missing parent directories; a
+    FileWriteError names it when it cannot be written, the one rule for a
+    write as read_file_once is for a read."""
+    p = Path(path)
+    try:
+        with suppress(FileExistsError):  # a file in the way: open finds it is not a directory
+            p.parent.mkdir(parents=True, exist_ok=True)
+        with open(p, "wb") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise FileWriteError(f"cannot write {p}: {exc.strerror or exc}") from exc
 
 
 def hash_file_once(path: str | Path) -> tuple[bytes, Digest]:

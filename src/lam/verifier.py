@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from .backend import check_signatures, start_signature_checks, verify_quote
+from .backend import check_signatures, verify_quote
 from .cards import PropertyCard, assemble_cards
 from .certs import (
     Certification,
@@ -25,7 +25,7 @@ from .certs import (
 from .errors import CanonicalizationError, InvalidCertificationError, LamError
 from .fragments import ATT_SPECS, AttestationEnvelope, index_fragments, shape_mismatch
 from .hashcore import Digest, canonicalize, hash_bytes, object_keys, parse_canonical_exact, read_canonical
-from .hashcore import read_entries, records_bytes
+from .hashcore import read_entries, records_bytes, write_file
 
 BUNDLE_VERSION = 1
 _BUNDLE_KEYS = frozenset({"envelopes", "external_certificates", "version"})
@@ -221,8 +221,7 @@ class AssertionBundle:
         envelopes = b",".join([e.json_bytes(quote) for e, quote in zip(self.envelopes, quotes)])
         externals = b",".join(records_bytes(self.external_certificates, "/external_certificates/{}"))
         tail = b'],"version":%d}' % BUNDLE_VERSION
-        with open(path, "wb") as file:
-            file.writelines([b'{"envelopes":[', envelopes, b'],"external_certificates":[', externals, tail])
+        write_file(path, b'{"envelopes":[', envelopes, b'],"external_certificates":[', externals, tail)
 
     @classmethod
     def from_file_value(cls, value: Any) -> "AssertionBundle":
@@ -230,10 +229,10 @@ class AssertionBundle:
         version, naming an entry it refuses by its index (read_entries);
         quotes whose platform certificates are equal share
         one PlatformCertificate, so each is checked against a root once;
-        the quotes' signatures are checked here, in bulk, or for a large
-        bundle only started in forked children, each verdict then read when
-        first asked (backend.start_signature_checks); the external
-        certificates form one batch, checked in bulk when first asked."""
+        the quotes' signatures are checked here in one backend.check_signatures
+        call, which for a large bundle only starts them in forked children,
+        each verdict then read when first asked; the external certificates
+        form one batch, checked in bulk when first asked."""
         if not isinstance(value, dict):
             raise LamError("not an assertion bundle")
         version = value.get("version")
@@ -244,7 +243,7 @@ class AssertionBundle:
                 raise LamError(f"assertion bundle {key!r} must be a JSON array")
         object_keys(value, _BUNDLE_KEYS, "assertion bundle")
         envelopes = read_entries("envelope", value["envelopes"], AttestationEnvelope.from_json_values)
-        start_signature_checks([(e.quote, e.quote.attestation_pubkey) for e in envelopes])
+        check_signatures([(e.quote, e.quote.attestation_pubkey) for e in envelopes])
         externals = read_entries(
             "external certificate",
             value["external_certificates"],
@@ -467,8 +466,9 @@ def verify_bundle(
     fragments assert different values for one claim."""
     roots = set(trusted_roots)
     verdicts = tuple(verify_envelope(envelope, store, roots) for envelope in bundle.envelopes)
-    certs = bundle.external_certificates
-    externals = tuple(zip(certs, check_signatures([(c, endorser_keys.get(c.endorser_id)) for c in certs])))
+    keyed = [(c, endorser_keys.get(c.endorser_id)) for c in bundle.external_certificates]
+    check_signatures(keyed)
+    externals = tuple((c, key is not None and c.verifies_under(key)) for c, key in keyed)
     fragments = [v.fragment for v in verdicts if v.accepted]
     valid_externals = [cert for cert, ok in externals if ok]
     report = resolve_chains(fragments, valid_externals)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import fields, replace
+from functools import partial
 
 import pytest
 
@@ -31,11 +32,12 @@ def test_create_root_deterministic():
     assert r1.public_hex != r3.public_hex
 
 
-def test_create_root_empty_seed_rejected():
-    with pytest.raises(LamError):
-        create_root(b"")
-    with pytest.raises(LamError):
-        create_root("")
+def test_create_root_empty_seed_rejected(test_root):
+    for make in (create_root, partial(provision_platform, test_root, "p1"), partial(Endorser.create, "acme")):
+        with pytest.raises(LamError, match="seed must be nonempty"):
+            make(b"")
+        with pytest.raises(LamError, match="seed must be nonempty"):
+            make("")
 
 
 def test_create_root_without_seed_draws_a_fresh_key():

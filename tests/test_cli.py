@@ -1399,3 +1399,38 @@ def test_an_error_in_an_argument_does_not_name_the_file_read_with_it(tmp_path, c
     assert code == 2
     assert capsys.readouterr().err == "error: string holds a lone surrogate, which UTF-8 cannot encode at /name\n"
     assert not (Path(ws) / "certificates").exists()
+
+
+@pytest.mark.parametrize("role", ["root", "platform", "endorser"])
+def test_keygen_empty_seed_exits_2_for_every_role(tmp_path, capsys, role):
+    if role == "platform":
+        assert run("keygen", "root", "--seed", "s", "-w", str(tmp_path)) == 0
+    ids = {"root": [], "platform": ["--platform-id", "p1"], "endorser": ["--endorser-id", "acme"]}[role]
+    capsys.readouterr()
+    assert run("keygen", role, *ids, "--seed", "", "-w", str(tmp_path)) == 2
+    assert capsys.readouterr().err == "error: key seed must be nonempty\n"
+    assert not list(tmp_path.glob(f"keys/{role}*"))
+
+
+@pytest.mark.parametrize(
+    "case", ["verify-out-file", "bundle-out-dir", "bundle-out-under-file", "attest-out-file", "keygen-workspace-file"]
+)
+def test_a_file_that_cannot_be_written_exits_2_naming_it(cli_ws, capsys, tmp_path, case):
+    ws = cli_ws["ws"]
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    envelope = str(next((ws / "attestations").glob("dist-*.envelope.json")))
+    argv, target = {
+        "verify-out-file": (_verify_args(ws, blocker), blocker / "chain_report.json"),
+        "bundle-out-dir": (["bundle", envelope, "--out", str(tmp_path)], tmp_path),
+        "bundle-out-under-file": (["bundle", envelope, "--out", str(blocker / "x.json")], blocker / "x.json"),
+        "attest-out-file": (
+            ["attest", "dist", "--data", str(ws / "train.csv"), "--out", str(blocker), "-w", str(ws)],
+            blocker / f"dist-marginal-{cli_ws['digests']['train'][:12]}.envelope.json",
+        ),
+        "keygen-workspace-file": (["keygen", "root", "--seed", "s", "-w", str(blocker)], blocker / "keys" / "root.key"),
+    }[case]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+    assert blocker.read_text() == "not a directory"

@@ -91,7 +91,7 @@ def test_replaced_certificate_starts_with_an_empty_memo_and_no_batch():
 
 
 def test_forked_batch_equals_the_serial_check(monkeypatch):
-    """Enough certificates by one endorser to take verify_signatures' forked
+    """Enough certificates by one endorser to take check_signatures' forked
     path; forged ones sit at the start, middle and end of the batch."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
     forks = []
@@ -113,22 +113,22 @@ def test_forked_batch_equals_the_serial_check(monkeypatch):
     assert [i for i, (_, ok) in enumerate(result.externals) if not ok] == sorted(forged)
 
 
-def _counting_verify_signatures(monkeypatch) -> list[int]:
-    """Record the size of each verify_signatures call the certificates make."""
+def _counting_fork_checks(monkeypatch) -> list[int]:
+    """Record the size of each bulk check (backend._fork_checks call) the certificates make."""
     calls = []
-    real = backend.verify_signatures
+    real = backend._fork_checks
 
-    def counting(triples):
-        calls.append(len(triples))
-        return real(triples)
+    def counting(count, check):
+        calls.append(count)
+        return real(count, check)
 
-    monkeypatch.setattr(backend, "verify_signatures", counting)
+    monkeypatch.setattr(backend, "_fork_checks", counting)
     return calls
 
 
 def test_verify_bundle_checks_every_endorser_in_one_call(monkeypatch):
     certs = _certificates([ALICE, BOB, CAROL] * 4, forged={2, 7})
-    calls = _counting_verify_signatures(monkeypatch)
+    calls = _counting_fork_checks(monkeypatch)
     result = verify_bundle(AssertionBundle((), _parsed(certs)), CertificationStore(), (), KEYS)
     assert calls == [8]  # carol has no registered key
     assert [ok for _, ok in result.externals] == _one_by_one(certs, KEYS)
@@ -136,7 +136,7 @@ def test_verify_bundle_checks_every_endorser_in_one_call(monkeypatch):
 
 def test_bulk_check_skips_memoized_verdicts(monkeypatch):
     parsed = _parsed(_certificates([ALICE, BOB] * 3, forged={3}))
-    calls = _counting_verify_signatures(monkeypatch)
+    calls = _counting_fork_checks(monkeypatch)
     assert parsed[0].verifies_under(ALICE.public_hex)
     result = verify_bundle(AssertionBundle((), parsed), CertificationStore(), (), KEYS)
     assert calls == [3, 3]  # alice's three when asked, then bob's three

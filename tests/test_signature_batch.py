@@ -20,8 +20,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import lam.backend as backend
-from lam.backend import _VERDICT, PARALLEL_MIN, Quote, _verify_hex, issue_quote, verify_quote, verify_signatures
+from lam.backend import _VERDICT, PARALLEL_MIN, Quote, _verify_hex, check_signatures, issue_quote, verify_quote
+from lam.certs import CertificationStore, Endorser, make_certification
 from lam.cli import main
+from lam.errors import LamError
 from lam.hashcore import canonicalize, hash_bytes, parse_canonical
 from lam.fragments import AttestationEnvelope
 from lam.verifier import AssertionBundle
@@ -188,14 +190,12 @@ def test_no_fork_while_other_threads_run(bundle_value, forks):
     assert [_memo(q) for q in _quotes(bundle)] == EXPECTED
 
 
-def test_verify_signatures_reaps_its_children(bundle_value, forks):
-    quotes = _quotes(AssertionBundle.from_file_value(bundle_value))
-    triples = [(q.attestation_pubkey, q.signature, q.signed_bytes()) for q in quotes]
-    del quotes  # and with them the parse's batch
-    assert _no_child_left()
-    before = len(forks)
-    assert verify_signatures(triples) == EXPECTED
-    assert len(forks) - before == CPUS - 1
+def test_check_signatures_reaps_its_children(bundle_value, forks):
+    quotes = [Quote.from_json_value(envelope["quote"]) for envelope in bundle_value["envelopes"]]
+    assert forks == [] and all(_memo(q) is None for q in quotes)  # parsed without a check
+    check_signatures([(q, q.attestation_pubkey) for q in quotes])
+    assert len(forks) == CPUS - 1
+    assert [q.verifies_under(q.attestation_pubkey) for q in quotes] == EXPECTED
     assert _no_child_left()
 
 
@@ -247,3 +247,39 @@ def test_replaced_quote_starts_without_a_memo(test_root, test_platform):
     fresh = Quote.from_json_value(parse_canonical(quote.canonical_bytes))
     assert _memo(fresh) is None
     assert fresh == quote and hash(fresh) == hash(quote) and repr(fresh) == repr(quote)
+
+
+# Forged certifications at the edges of every slice but the first record.
+STORE_FORGED = {i for lo, hi in zip(BOUNDS, BOUNDS[1:]) for i in (lo, hi - 1)} - {0}
+
+
+@pytest.fixture(scope="module")
+def store_files(tmp_path_factory):
+    """A store of COUNT certifications, and its copy with STORE_FORGED forged;
+    the endorser keys, and the first forged certification's measurement."""
+    endorser = Endorser.create("store-endorser", seed="store-endorser")
+    certs = [make_certification(endorser, hash_bytes(b"enclave %d" % i), None) for i in range(COUNT)]
+    forged = [replace(c, signature=_flip(c.signature)) if i in STORE_FORGED else c for i, c in enumerate(certs)]
+    directory = tmp_path_factory.mktemp("stores")
+    CertificationStore(certs).save(directory / "genuine.json")
+    CertificationStore(forged).save(directory / "forged.json")
+    first = certs[min(STORE_FORGED)].enclave_measurement.hex[:12]
+    return directory, {endorser.endorser_id: endorser.public_hex}, first
+
+
+@pytest.mark.parametrize("cpus", [CPUS, 1])
+@pytest.mark.parametrize("kind", ["genuine", "forged"])
+def test_a_large_store_loads_or_refuses_alike_forked_and_serial(store_files, forks, monkeypatch, kind, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    directory, keys, first = store_files
+    path = directory / f"{kind}.json"
+    if kind == "genuine":
+        assert len(CertificationStore.load(path, keys)) == COUNT
+    else:
+        with pytest.raises(LamError) as err:
+            CertificationStore.load(path, keys)
+        assert str(err.value) == (
+            f"certification signature invalid (endorser 'store-endorser', measurement {first}): {path}"
+        )
+    assert len(forks) == (CPUS - 1 if cpus > 1 else 0)
+    assert _no_child_left()  # every verdict was taken before the error was raised

@@ -1,6 +1,7 @@
 """Every signature is made and checked in lam.backend: no other library
 module calls _verify_hex, builds an Ed25519PublicKey or calls a `.sign(`
-method (numpy's elementwise sign aside)."""
+method (numpy's elementwise sign aside), and inside lam.backend only
+_verifies calls _verify_hex, so every check goes through one bulk route."""
 
 from __future__ import annotations
 
@@ -66,3 +67,28 @@ def test_only_the_backend_signs_or_checks_signatures():
 )
 def test_the_scan_finds_each_kind_of_offence(source, expected):
     assert _offences(source) == expected
+
+
+def _referrers(source: str, name: str) -> list[str]:
+    """The innermost function enclosing each reference to `name` in the
+    module source, in source order ("<module>" outside any function)."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Name) and child.id == name) or (
+                isinstance(child, ast.Attribute) and child.attr == name
+            ):
+                found.append(where)
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_inside_the_backend_only_verifies_calls_verify_hex():
+    assert _referrers((SRC / "backend.py").read_text(), "_verify_hex") == ["_verifies"]
+

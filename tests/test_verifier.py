@@ -180,18 +180,18 @@ def test_certification_store_load_rejects_bad_signature(pipe, tmp_path):
     ids=["forged-first", "stranger-first"],
 )
 def test_certification_store_load_checks_every_signature_in_one_call(pipe, tmp_path, monkeypatch, order, error):
-    """One verify_signatures call for the whole store, and still the error of
-    the first rejected record in store order."""
+    """One bulk check (backend._fork_checks call) for the whole store, and
+    still the error of the first rejected record in store order."""
     from lam.errors import LamError
 
     calls = []
-    real = backend.verify_signatures
+    real = backend._fork_checks
 
-    def counting(triples):
-        calls.append(len(triples))
-        return real(triples)
+    def counting(count, check):
+        calls.append(count)
+        return real(count, check)
 
-    monkeypatch.setattr(backend, "verify_signatures", counting)
+    monkeypatch.setattr(backend, "_fork_checks", counting)
     path = tmp_path / "certifications.json"
     pipe.store.save(path)
     CertificationStore.load(path, pipe.endorser_keys)
